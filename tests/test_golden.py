@@ -1,0 +1,111 @@
+"""Byte-for-byte output of every subcommand and format against golden files.
+
+The golden files under ``tests/golden/`` were captured with
+``SOURCE_DATE_EPOCH=0``. Regenerate them only on a deliberate change of the
+output contract:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from mdmtj.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+DEVICE_CONFIG = GOLDEN / "device.cfg"
+
+_FORMATS = ("table", "csv", "json")
+_SUFFIX = {"table": "txt", "csv": "csv", "json": "json"}
+
+
+def _all_formats(stem: str, *argv: str) -> list[tuple[str, tuple[str, ...]]]:
+    return [
+        (f"{stem}.{_SUFFIX[fmt]}", (*argv, "--format", fmt)) for fmt in _FORMATS
+    ]
+
+
+CASES: list[tuple[str, tuple[str, ...]]] = [
+    ("resistance.txt", ("resistance", "--pattern", "00010")),
+    ("resistance-differ.txt", ("resistance", "--pattern", "0110", "--borders", "differ,differ")),
+    ("voltage.txt", ("voltage", "--pattern", "00010", "--borders", "same,differ")),
+    *_all_formats("levels-same-same", "levels", "--domains", "5"),
+    *_all_formats("levels-same-differ", "levels", "--domains", "5", "--borders", "same,differ"),
+    *_all_formats("levels-differ-differ", "levels", "--domains", "4", "--borders", "differ,differ"),
+    ("levels-config.csv", ("levels", "--domains", "4", "--config", str(DEVICE_CONFIG),
+                           "--format", "csv")),
+    *_all_formats("margin-enumerated", "margin", "--domains", "5"),
+    *_all_formats("margin-worst", "margin", "--domains", "5", "--borders", "worst"),
+    *_all_formats("margin-closed-form", "margin", "--domains", "4", "--closed-form"),
+    *_all_formats("sweep-met", "sweep", "--from", "2", "--to", "6", "--threshold-mv", "20"),
+    *_all_formats("sweep-blank", "sweep", "--from", "19", "--to", "21", "--threshold-mv", "5"),
+    *_all_formats("sweep-unmet", "sweep", "--from", "2", "--to", "4", "--threshold-mv", "500"),
+    ("variation-plus.txt", ("variation", "--domains", "4", "--offset-nm", "6")),
+    ("variation-plus.json", ("variation", "--domains", "4", "--offset-nm", "6",
+                             "--format", "json")),
+    ("variation-minus.txt", ("variation", "--domains", "3", "--offset-nm", "-4.5",
+                             "--neighbors", "1", "--borders", "same,differ")),
+    ("variation-minus.json", ("variation", "--domains", "3", "--offset-nm", "-4.5",
+                              "--neighbors", "1", "--borders", "same,differ",
+                              "--format", "json")),
+    ("variation-zero.txt", ("variation", "--domains", "4", "--offset-nm", "0")),
+    ("variation-zero.json", ("variation", "--domains", "4", "--offset-nm", "0",
+                             "--format", "json")),
+    *_all_formats("variation-monte-carlo", "variation", "--domains", "3",
+                  "--monte-carlo", "40", "--seed", "9", "--neighbors", "0"),
+]
+
+# Writing to --out must produce exactly the bytes stdout would carry.
+OUT_CASES = [name for name, argv in CASES if argv[0] not in ("resistance", "voltage")]
+
+
+def _run(argv: tuple[str, ...]) -> tuple[int, str]:
+    buffer = StringIO()
+    with redirect_stdout(buffer):
+        code = main(list(argv))
+    return code, buffer.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def pinned_clock(monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+
+
+def test_cases_are_distinct():
+    names = [name for name, _ in CASES]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(p.name for p in GOLDEN.iterdir() if p != DEVICE_CONFIG)
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_stdout_matches_golden(name, argv):
+    code, out = _run(argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", OUT_CASES)
+def test_out_file_matches_golden(name, tmp_path):
+    argv = dict(CASES)[name]
+    target = tmp_path / name
+    code, out = _run((*argv, "--out", str(target)))
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _regenerate() -> None:
+    os.environ["SOURCE_DATE_EPOCH"] = "0"
+    for name, argv in CASES:
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / name).write_bytes(out.encode())
+
+
+if __name__ == "__main__":
+    _regenerate()
