@@ -101,10 +101,6 @@ class SegmentKind(enum.Enum):
             raise ValueError(f"{self.name} is not a domain kind")
         return _DOMAIN_INFO[self][1]
 
-    @property
-    def sort_index(self) -> int:
-        return _KIND_ORDER[self]
-
 
 _DOMAIN_INFO = {
     SegmentKind.DOMAIN_MINUS_FULL: (Polarity.MINUS_Z, 0),
@@ -114,8 +110,6 @@ _DOMAIN_INFO = {
     SegmentKind.DOMAIN_PLUS_MID: (Polarity.PLUS_Z, 1),
     SegmentKind.DOMAIN_PLUS_SHORT: (Polarity.PLUS_Z, 2),
 }
-
-_KIND_ORDER = {kind: i for i, kind in enumerate(SegmentKind)}
 
 _DOMAIN_BY_SHAPE = {info: kind for kind, info in _DOMAIN_INFO.items()}
 
@@ -162,20 +156,16 @@ class SegmentResistanceTable:
 
     Exact rational values are the source of truth; ``ohms`` is the float view
     the model computes with. Ordering invariants (longer coverage conducts
-    better, anti-parallel resists more) are enforced at characterization
-    boundaries; diagnostic transforms may construct unchecked tables.
+    better, anti-parallel resists more) are enforced on construction.
     """
 
-    def __init__(
-        self, exact: Mapping[SegmentKind, Fraction | int], *, validate: bool = True
-    ):
+    def __init__(self, exact: Mapping[SegmentKind, Fraction | int]):
         missing = [k.config_key for k in SegmentKind if k not in exact]
         if missing:
             raise ConfigInvariantError(f"missing resistance entries: {', '.join(missing)}")
         self._exact = {k: Fraction(exact[k]) for k in SegmentKind}
         self._ohms = {k: float(v) for k, v in self._exact.items()}
-        if validate:
-            self._check_invariants()
+        self._check_invariants()
 
     def _check_invariants(self) -> None:
         for kind, value in self._exact.items():
@@ -208,12 +198,10 @@ class SegmentResistanceTable:
     def items(self) -> Iterator[tuple[SegmentKind, Fraction]]:
         return iter(self._exact.items())
 
-    def replace(
-        self, overrides: Mapping[SegmentKind, Fraction | int], *, validate: bool = True
-    ) -> "SegmentResistanceTable":
+    def replace(self, overrides: Mapping[SegmentKind, Fraction | int]) -> "SegmentResistanceTable":
         merged = dict(self._exact)
         merged.update({k: Fraction(v) for k, v in overrides.items()})
-        return SegmentResistanceTable(merged, validate=validate)
+        return SegmentResistanceTable(merged)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SegmentResistanceTable):
@@ -227,34 +215,6 @@ class SegmentResistanceTable:
     @classmethod
     def defaults(cls) -> "SegmentResistanceTable":
         return cls(_DEFAULT_RESISTANCES)
-
-
-def swap_wall_directions(table: SegmentResistanceTable) -> SegmentResistanceTable:
-    """Table with the two full-wall entries exchanged (mirror diagnostic)."""
-    return table.replace(
-        {
-            SegmentKind.WALL_01: table.exact(SegmentKind.WALL_10),
-            SegmentKind.WALL_10: table.exact(SegmentKind.WALL_01),
-        },
-        validate=False,
-    )
-
-
-def complement_table(table: SegmentResistanceTable) -> SegmentResistanceTable:
-    """Table as seen by the complemented pattern: every polarity-paired entry
-    swapped, wall directions reversed. Bypasses ordering checks on purpose."""
-    swapped: dict[SegmentKind, Fraction] = {}
-    for kind in SegmentKind:
-        if kind.is_domain:
-            partner = domain_kind(kind.polarity.opposite, kind.wall_count)
-        elif kind.is_half_wall:
-            partner = half_wall_kind(kind.polarity.opposite)
-        elif kind is SegmentKind.WALL_01:
-            partner = SegmentKind.WALL_10
-        else:
-            partner = SegmentKind.WALL_01
-        swapped[kind] = table.exact(partner)
-    return SegmentResistanceTable(swapped, validate=False)
 
 
 @dataclass(frozen=True)

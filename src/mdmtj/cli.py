@@ -6,10 +6,11 @@ Subcommands map one-to-one onto the analysis modules: ``resistance`` and
 ``sweep`` scans domain counts against a margin threshold, and ``variation``
 runs the misalignment study (fixed offset or seeded Monte Carlo).
 
-Machine-readable outputs (CSV/JSON) embed a run manifest: command, tool
-version, arguments, the effective characterization, and a timestamp. The
-timestamp honors SOURCE_DATE_EPOCH so pinned-environment runs are
-byte-identical; everything else is deterministic by construction.
+Each subcommand handler returns one ``_Result``; a single emitter writes it
+as a table, CSV or JSON. Machine-readable outputs (CSV/JSON) embed a run
+manifest: command, tool version, arguments, the effective characterization,
+and a timestamp. The timestamp honors SOURCE_DATE_EPOCH so pinned-environment
+runs are byte-identical; everything else is deterministic by construction.
 
 Exit codes: 0 success, 2 usage or invalid pattern, 3 configuration error,
 1 internal error.
@@ -19,13 +20,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import os
 import sys
 import time
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
+from itertools import count
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import __version__, oracle
 from .characterization import (
@@ -37,6 +41,7 @@ from .characterization import (
 from .errors import ConfigError, ModelError, OracleMismatch, PatternError
 from .margins import (
     MarginReport,
+    SweepReport,
     closed_form_min_margin,
     closed_form_resistances,
     enumerate_levels,
@@ -61,104 +66,132 @@ class _UsageError(ValueError):
     pass
 
 
-def _load_characterization(path: str | None) -> Characterization:
-    if path is None:
-        return default_characterization()
-    return load_config(path)
+def _is_worst(text: str) -> bool:
+    return text.strip().lower() == "worst"
 
 
-def _parse_borders(text: str, allow_worst: bool = False) -> BorderCondition | None:
-    """None stands for the worst-case-over-conventions mode."""
-    if text.strip().lower() == "worst":
-        if not allow_worst:
-            raise _UsageError(
-                "--borders worst applies to margin reports only;"
-                " pick one of same,same / same,differ / differ,same / differ,differ"
-            )
-        return None
+def _parse_borders(text: str) -> BorderCondition:
+    if _is_worst(text):
+        raise _UsageError(
+            "--borders worst applies to margin reports only;"
+            " pick one of same,same / same,differ / differ,same / differ,differ"
+        )
     try:
         return BorderCondition.parse(text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
-def _parse_neighbors(text: str) -> NeighborAssumption:
+def _finite_float(text: str) -> float:
     try:
-        return NeighborAssumption.parse(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
-# --- manifest and emission -----------------------------------------------------
+# --- results and emission ------------------------------------------------------
+
+# A column is a bare name (value emitted as is) or (name, scale, decimals):
+# CSV prints value * scale in fixed point, JSON rounds it; None is "" / null.
+Column = Union[str, tuple[str, float, int]]
+
+
+@dataclass
+class _Result:
+    """One subcommand's answer, stated once for every output format.
+
+    ``table`` renders the human-readable text. JSON carries ``head``, then the
+    rows under ``rows_key`` (when there is one), then ``tail``; CSV carries the
+    rows alone. ``rows`` is iterated once, so it may be a generator.
+    """
+
+    command: str
+    arguments: dict[str, object]
+    table: Callable[[], str]
+    head: dict[str, object] = field(default_factory=dict)
+    rows_key: str | None = None
+    columns: tuple[Column, ...] = ()
+    rows: Iterable[Sequence[object]] = ()
+    tail: dict[str, object] = field(default_factory=dict)
+    seed: int | None = None
 
 
 def _timestamp() -> str:
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
-    epoch = int(pinned) if pinned else int(time.time())
-    return datetime.fromtimestamp(epoch, timezone.utc).isoformat()
+    try:
+        epoch = int(pinned) if pinned else int(time.time())
+        return datetime.fromtimestamp(epoch, timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise _UsageError(
+            f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {pinned!r}"
+        ) from None
 
 
-def _manifest(
-    command: str,
-    char: Characterization,
-    arguments: dict[str, object],
-    seed: int | None = None,
-) -> dict[str, object]:
-    manifest: dict[str, object] = {
-        "command": command,
-        "version": __version__,
-    }
-    if seed is not None:
-        manifest["seed"] = seed
+def _manifest(result: _Result, char: Characterization) -> dict[str, Any]:
+    manifest: dict[str, Any] = {"command": result.command, "version": __version__}
+    if result.seed is not None:
+        manifest["seed"] = result.seed
     manifest["timestamp"] = _timestamp()
-    manifest["arguments"] = dict(arguments)
+    manifest["arguments"] = dict(result.arguments)
     manifest["configuration"] = dict(config_mapping(char))
     return manifest
 
 
-def _manifest_comments(manifest: dict[str, object]) -> list[str]:
-    lines = [
-        f"# command: {manifest['command']}",
-        f"# version: {manifest['version']}",
-    ]
-    if "seed" in manifest:
-        lines.append(f"# seed: {manifest['seed']}")
-    lines.append(f"# timestamp: {manifest['timestamp']}")
-    for name, value in manifest["arguments"].items():  # type: ignore[union-attr]
-        lines.append(f"# {name}: {value}")
-    config = manifest["configuration"]
-    pairs = " ".join(f"{k}={v}" for k, v in config.items())  # type: ignore[union-attr]
-    lines.append(f"# config: {pairs}")
-    return lines
+def _manifest_comments(manifest: dict[str, Any]) -> list[str]:
+    keys = [key for key in ("command", "version", "seed", "timestamp") if key in manifest]
+    lines = [f"# {key}: {manifest[key]}" for key in keys]
+    lines += [f"# {name}: {value}" for name, value in manifest["arguments"].items()]
+    pairs = " ".join(f"{k}={v}" for k, v in manifest["configuration"].items())
+    return lines + [f"# config: {pairs}"]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _cell(column: Column, as_text: bool) -> Callable[[object], object]:
+    if isinstance(column, str):
+        return lambda value: value
+    _, scale, decimals = column
+    if as_text:
+        spec = f".{decimals}f"
+        return lambda value: "" if value is None else format(value * scale, spec)
+    return lambda value: None if value is None else round(value * scale, decimals)
 
 
-def _csv_text(manifest: dict[str, object], header: list[str], rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    for line in _manifest_comments(manifest):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _column_name(column: Column) -> str:
+    return column if isinstance(column, str) else column[0]
 
 
-def _json_text(payload: dict[str, object]) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) -> None:
+    """Write ``result`` to ``out`` (stdout when None) as table, csv or json."""
+    manifest = None if fmt == "table" else _manifest(result, char)
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as stream:
+        if manifest is None:
+            stream.write(result.table())
+        elif fmt == "csv":
+            for line in _manifest_comments(manifest):
+                stream.write(line + "\n")
+            cells = [_cell(column, as_text=True) for column in result.columns]
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(_column_name(column) for column in result.columns)
+            writer.writerows(
+                [cell(value) for cell, value in zip(cells, row)] for row in result.rows
+            )
+        else:
+            payload: dict[str, object] = {"manifest": manifest, **result.head}
+            if result.rows_key is not None:
+                names = [_column_name(column) for column in result.columns]
+                cells = [_cell(column, as_text=False) for column in result.columns]
+                payload[result.rows_key] = [
+                    {name: cell(value) for name, cell, value in zip(names, cells, row)}
+                    for row in result.rows
+                ]
+            payload.update(result.tail)
+            stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _mv(volts: float) -> float:
     return round(volts * 1e3, 2)
-
-
-def _ohm(ohms: float) -> float:
-    return round(ohms, 2)
 
 
 # --- oracle cross-checks ----------------------------------------------------
@@ -175,11 +208,13 @@ def _oracle_pattern_check(pattern: str, borders: BorderCondition, char: Characte
         )
 
 
+def _check_oracle_limit(domains: int) -> None:
+    if domains > oracle.BRUTE_FORCE_LIMIT:
+        raise _UsageError(f"--oracle cross-checks stop at {oracle.BRUTE_FORCE_LIMIT} domains")
+
+
 def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
-    if report.domains > oracle.BRUTE_FORCE_LIMIT:
-        raise _UsageError(
-            f"--oracle cross-checks stop at {oracle.BRUTE_FORCE_LIMIT} domains"
-        )
+    _check_oracle_limit(report.domains)
     if report.borders is None:
         ref = oracle.worst_case_brute_force(report.domains, char)
     else:
@@ -192,10 +227,7 @@ def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
 
 
 def _oracle_closed_form_check(domains: int, volts: float, char: Characterization) -> None:
-    if domains > oracle.BRUTE_FORCE_LIMIT:
-        raise _UsageError(
-            f"--oracle cross-checks stop at {oracle.BRUTE_FORCE_LIMIT} domains"
-        )
+    _check_oracle_limit(domains)
     ref = oracle.worst_case_brute_force(domains, char)
     if ref.min_margin != volts:
         raise OracleMismatch(
@@ -204,29 +236,39 @@ def _oracle_closed_form_check(domains: int, volts: float, char: Characterization
         )
 
 
+def _oracle_sweep_check(
+    report: SweepReport, borders: BorderCondition, char: Characterization
+) -> None:
+    for row in report.rows:
+        if row.domains > oracle.BRUTE_FORCE_LIMIT:
+            continue
+        if row.enumerated_margin is not None:
+            ref = oracle.brute_force_report(row.domains, borders, char)
+            if ref.min_margin != row.enumerated_margin:
+                raise OracleMismatch(
+                    f"enumerated margin at {row.domains} domains disagrees"
+                    " with the brute-force reference"
+                )
+        _oracle_closed_form_check(row.domains, row.closed_form_margin, char)
+
+
 # --- subcommand handlers --------------------------------------------------------
 
 
-def _cmd_resistance(args: argparse.Namespace) -> int:
-    char = _load_characterization(args.config)
+def _cmd_resistance(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
-    assert borders is not None
     ohms = pattern_resistance(args.pattern, borders, char)
     if args.oracle:
         _oracle_pattern_check(args.pattern, borders, char)
-    print(f"{ohms:.2f} ohm")
-    return 0
+    return _Result("resistance", {}, lambda: f"{ohms:.2f} ohm\n")
 
 
-def _cmd_voltage(args: argparse.Namespace) -> int:
-    char = _load_characterization(args.config)
+def _cmd_voltage(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
-    assert borders is not None
     volts = pattern_voltage(args.pattern, borders, char)
     if args.oracle:
         _oracle_pattern_check(args.pattern, borders, char)
-    print(f"{volts * 1e3:.2f} mV")
-    return 0
+    return _Result("voltage", {}, lambda: f"{volts * 1e3:.2f} mV\n")
 
 
 def _levels_table(report: MarginReport) -> str:
@@ -252,67 +294,31 @@ def _levels_table(report: MarginReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_levels(args: argparse.Namespace) -> int:
-    char = _load_characterization(args.config)
+def _cmd_levels(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
-    assert borders is not None
     report = enumerate_levels(args.domains, borders, char)
     if args.oracle:
         _oracle_report_check(report, char)
-    manifest = _manifest(
+    arguments = {"domains": args.domains, "borders": str(borders)}
+    return _Result(
         "levels",
-        char,
-        {"domains": args.domains, "borders": str(borders)},
+        arguments,
+        lambda: _levels_table(report),
+        head={**arguments, "read_current_ua": round(report.read_current * 1e6, 2)},
+        rows_key="classes",
+        columns=("pattern_class", "weight", "multiplicity",
+                 ("resistance_ohm", 1.0, 2), ("voltage_mv", 1e3, 2)),
+        rows=(
+            (entry.representative, cluster.weight, entry.multiplicity,
+             entry.resistance, entry.voltage)
+            for cluster in report.clusters
+            for entry in cluster.classes
+        ),
+        tail={"min_margin_mv": _mv(report.min_margin)},
     )
-    if args.format == "table":
-        _emit(_levels_table(report), args.out)
-    elif args.format == "csv":
-        rows: list[list[object]] = []
-        for cluster in report.clusters:
-            for entry in cluster.classes:
-                rows.append(
-                    [
-                        entry.representative,
-                        cluster.weight,
-                        entry.multiplicity,
-                        f"{entry.resistance:.2f}",
-                        f"{entry.voltage * 1e3:.2f}",
-                    ]
-                )
-        header = ["pattern_class", "weight", "multiplicity", "resistance_ohm", "voltage_mv"]
-        _emit(_csv_text(manifest, header, rows), args.out)
-    else:
-        payload = {
-            "manifest": manifest,
-            "domains": report.domains,
-            "borders": report.convention_label,
-            "read_current_ua": round(report.read_current * 1e6, 2),
-            "classes": [
-                {
-                    "pattern_class": entry.representative,
-                    "weight": cluster.weight,
-                    "multiplicity": entry.multiplicity,
-                    "resistance_ohm": _ohm(entry.resistance),
-                    "voltage_mv": _mv(entry.voltage),
-                }
-                for cluster in report.clusters
-                for entry in cluster.classes
-            ],
-            "min_margin_mv": _mv(report.min_margin),
-        }
-        _emit(_json_text(payload), args.out)
-    return 0
 
 
-def _margin_report(args: argparse.Namespace, char: Characterization) -> MarginReport:
-    borders = _parse_borders(args.borders, allow_worst=True)
-    if borders is None:
-        return worst_case_levels(args.domains, char)
-    return enumerate_levels(args.domains, borders, char)
-
-
-def _cmd_margin(args: argparse.Namespace) -> int:
-    char = _load_characterization(args.config)
+def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
     if args.closed_form:
         r_one, r_zero = closed_form_resistances(args.domains, char.table)
         volts = closed_form_min_margin(args.domains, char)
@@ -321,7 +327,10 @@ def _cmd_margin(args: argparse.Namespace) -> int:
         convention = "closed-form"
         rows = [(0, 1, r_zero, r_one, volts)]
     else:
-        report = _margin_report(args, char)
+        if _is_worst(args.borders):
+            report = worst_case_levels(args.domains, char)
+        else:
+            report = enumerate_levels(args.domains, _parse_borders(args.borders), char)
         if args.oracle:
             _oracle_report_check(report, char)
         convention = report.convention_label
@@ -330,203 +339,81 @@ def _cmd_margin(args: argparse.Namespace) -> int:
             (m.weight_low, m.weight_high, m.r_low_max, m.r_high_min, m.margin)
             for m in report.adjacent_margins
         ]
-
-    if args.format == "table":
-        _emit(f"{volts * 1e3:.2f} mV\n", args.out)
-        return 0
-    manifest = _manifest(
+    arguments = {"domains": args.domains, "convention": convention}
+    return _Result(
         "margin",
-        char,
-        {"domains": args.domains, "convention": convention},
+        arguments,
+        lambda: f"{volts * 1e3:.2f} mV\n",
+        head=arguments,
+        rows_key="rows",
+        columns=("weight_low", "weight_high", ("r_low_max_ohm", 1.0, 2),
+                 ("r_high_min_ohm", 1.0, 2), ("margin_mv", 1e3, 2)),
+        rows=rows,
+        tail={"min_margin_mv": _mv(volts)},
     )
-    if args.format == "csv":
-        header = ["weight_low", "weight_high", "r_low_max_ohm", "r_high_min_ohm", "margin_mv"]
-        csv_rows: list[list[object]] = [
-            [lo, hi, f"{r_lo:.2f}", f"{r_hi:.2f}", f"{margin * 1e3:.2f}"]
-            for lo, hi, r_lo, r_hi, margin in rows
-        ]
-        _emit(_csv_text(manifest, header, csv_rows), args.out)
+
+
+def _sweep_table(report: SweepReport, threshold_mv: float) -> str:
+    lines = [f"{'domains':>7}  {'closed_form_mv':>14}  {'enumerated_mv':>13}"]
+    for row in report.rows:
+        enum_text = (
+            f"{row.enumerated_margin * 1e3:.2f}" if row.enumerated_margin is not None else "-"
+        )
+        lines.append(
+            f"{row.domains:>7}  {row.closed_form_margin * 1e3:>14.2f}  {enum_text:>13}"
+        )
+    if report.max_scalable_domains is None:
+        lines.append(f"no domain count meets {threshold_mv:.2f} mV")
     else:
-        payload = {
-            "manifest": manifest,
-            "domains": args.domains,
-            "convention": convention,
-            "rows": [
-                {
-                    "weight_low": lo,
-                    "weight_high": hi,
-                    "r_low_max_ohm": _ohm(r_lo),
-                    "r_high_min_ohm": _ohm(r_hi),
-                    "margin_mv": _mv(margin),
-                }
-                for lo, hi, r_lo, r_hi, margin in rows
-            ],
-            "min_margin_mv": _mv(volts),
-        }
-        _emit(_json_text(payload), args.out)
-    return 0
+        lines.append(
+            f"threshold {threshold_mv:.2f} mV -> max scalable domains:"
+            f" {report.max_scalable_domains}"
+        )
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    char = _load_characterization(args.config)
+def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
-    assert borders is not None
     report = sweep_domains(args.d_min, args.d_max, args.threshold_mv / 1e3, borders, char)
     if args.oracle:
-        for row in report.rows:
-            if row.domains > oracle.BRUTE_FORCE_LIMIT:
-                continue
-            if row.enumerated_margin is not None:
-                ref = oracle.brute_force_report(row.domains, borders, char)
-                if ref.min_margin != row.enumerated_margin:
-                    raise OracleMismatch(
-                        f"enumerated margin at {row.domains} domains disagrees"
-                        " with the brute-force reference"
-                    )
-            worst = oracle.worst_case_brute_force(row.domains, char)
-            if worst.min_margin != row.closed_form_margin:
-                raise OracleMismatch(
-                    f"closed-form margin at {row.domains} domains disagrees"
-                    " with the brute-force worst-case reference"
-                )
-    manifest = _manifest(
+        _oracle_sweep_check(report, borders, char)
+    return _Result(
         "sweep",
-        char,
-        {
-            "from": args.d_min,
-            "to": args.d_max,
-            "threshold_mv": args.threshold_mv,
-            "borders": str(borders),
-        },
+        {"from": args.d_min, "to": args.d_max, "threshold_mv": args.threshold_mv,
+         "borders": str(borders)},
+        lambda: _sweep_table(report, args.threshold_mv),
+        head={"threshold_mv": args.threshold_mv, "borders": str(borders)},
+        rows_key="rows",
+        columns=("domains", ("closed_form_margin_mv", 1e3, 2), ("enumerated_margin_mv", 1e3, 2)),
+        rows=((row.domains, row.closed_form_margin, row.enumerated_margin) for row in report.rows),
+        tail={"max_scalable_domains": report.max_scalable_domains},
     )
-    if args.format == "table":
-        lines = [f"{'domains':>7}  {'closed_form_mv':>14}  {'enumerated_mv':>13}"]
-        for row in report.rows:
-            enum_text = (
-                f"{row.enumerated_margin * 1e3:.2f}"
-                if row.enumerated_margin is not None
-                else "-"
-            )
-            lines.append(
-                f"{row.domains:>7}  {row.closed_form_margin * 1e3:>14.2f}  {enum_text:>13}"
-            )
-        if report.max_scalable_domains is None:
-            lines.append(f"no domain count meets {args.threshold_mv:.2f} mV")
-        else:
-            lines.append(
-                f"threshold {args.threshold_mv:.2f} mV -> max scalable domains:"
-                f" {report.max_scalable_domains}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "csv":
-        rows: list[list[object]] = [
-            [
-                row.domains,
-                f"{row.closed_form_margin * 1e3:.2f}",
-                f"{row.enumerated_margin * 1e3:.2f}" if row.enumerated_margin is not None else "",
-            ]
-            for row in report.rows
-        ]
-        header = ["domains", "closed_form_margin_mv", "enumerated_margin_mv"]
-        _emit(_csv_text(manifest, header, rows), args.out)
-    else:
-        payload = {
-            "manifest": manifest,
-            "threshold_mv": args.threshold_mv,
-            "borders": str(borders),
-            "rows": [
-                {
-                    "domains": row.domains,
-                    "closed_form_margin_mv": _mv(row.closed_form_margin),
-                    "enumerated_margin_mv": (
-                        _mv(row.enumerated_margin) if row.enumerated_margin is not None else None
-                    ),
-                }
-                for row in report.rows
-            ],
-            "max_scalable_domains": report.max_scalable_domains,
-        }
-        _emit(_json_text(payload), args.out)
-    return 0
 
 
-def _cmd_variation(args: argparse.Namespace) -> int:
-    char = _load_characterization(args.config)
+def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
-    assert borders is not None
-    neighbors = _parse_neighbors(args.neighbors)
-
+    neighbors = NeighborAssumption(args.neighbors)  # argparse checked the choice
     if args.offset_nm is not None:
-        if args.format == "csv":
-            raise _UsageError(
-                "csv output is defined for monte carlo runs only;"
-                " fixed-offset reports are table or json"
-            )
-        if args.seed is not None:
-            raise _UsageError("--seed applies to --monte-carlo runs only")
-        magnitude = abs(args.offset_nm) * 1e-9
-        candidates = [magnitude, -magnitude] if magnitude else [0.0]
-        reports = [
-            offset_margin_report(
-                args.domains,
-                borders,
-                MisalignmentSpec(offset, neighbors, neighbors),
-                char,
-            )
-            for offset in candidates
-        ]
-        worst = min(reports, key=lambda r: r.perturbed_min_margin)
-        nominal_mv = worst.nominal_min_margin * 1e3
-        perturbed_mv = worst.perturbed_min_margin * 1e3
-        reduction_mv = worst.margin_deviation * 1e3
-        percent = 100.0 * reduction_mv / nominal_mv if nominal_mv else 0.0
-        manifest = _manifest(
-            "variation",
-            char,
-            {
-                "domains": args.domains,
-                "borders": str(borders),
-                "offset_nm": args.offset_nm,
-                "neighbors": neighbors.value,
-            },
-        )
-        if args.format == "table":
-            text = (
-                f"nominal min margin: {nominal_mv:.2f} mV\n"
-                f"offset {abs(args.offset_nm):.3f} nm (worst sign) min margin:"
-                f" {perturbed_mv:.2f} mV\n"
-                f"reduction: {reduction_mv:.2f} mV ({percent:.2f}%)\n"
-            )
-            _emit(text, args.out)
-        else:
-            payload = {
-                "manifest": manifest,
-                "domains": args.domains,
-                "borders": str(borders),
-                "offset_nm": args.offset_nm,
-                "neighbors": neighbors.value,
-                "nominal_min_margin_mv": _mv(worst.nominal_min_margin),
-                "perturbed_min_margin_mv": _mv(worst.perturbed_min_margin),
-                "reduction_mv": _mv(worst.margin_deviation),
-            }
-            _emit(_json_text(payload), args.out)
-        return 0
+        return _fixed_offset(args, borders, neighbors, char)
 
     if args.seed is None:
         raise _UsageError("--monte-carlo requires --seed for a reproducible run")
     spec = MonteCarloSpec(samples=args.monte_carlo, seed=args.seed)
     report = monte_carlo_margins(
-        args.domains,
-        borders,
-        spec,
-        char,
-        left_neighbor=neighbors,
-        right_neighbor=neighbors,
-        workers=args.workers,
+        args.domains, borders, spec, char, left_neighbor=neighbors, right_neighbor=neighbors
     )
-    manifest = _manifest(
+    table = (
+        f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
+        f"samples: {spec.samples}  seed: {spec.seed}"
+        f"  sigma: {spec.sigma * 1e9:.3f} nm"
+        f" ({spec.truncation:.0f} sigma = {spec.sigma * spec.truncation * 1e9:.3f} nm)\n"
+        f"mean: {report.mean_margin * 1e3:.2f} mV"
+        f"  stddev: {report.stddev_margin * 1e3:.2f} mV"
+        f"  min: {report.min_margin * 1e3:.2f} mV"
+        f"  p01: {report.p01_margin * 1e3:.2f} mV\n"
+    )
+    return _Result(
         "variation",
-        char,
         {
             "domains": args.domains,
             "borders": str(borders),
@@ -535,30 +422,8 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             "truncation_sigmas": spec.truncation,
             "neighbors": neighbors.value,
         },
-        seed=spec.seed,
-    )
-    if args.format == "table":
-        text = (
-            f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
-            f"samples: {spec.samples}  seed: {spec.seed}"
-            f"  sigma: {spec.sigma * 1e9:.3f} nm"
-            f" ({spec.truncation:.0f} sigma = {spec.sigma * spec.truncation * 1e9:.3f} nm)\n"
-            f"mean: {report.mean_margin * 1e3:.2f} mV"
-            f"  stddev: {report.stddev_margin * 1e3:.2f} mV"
-            f"  min: {report.min_margin * 1e3:.2f} mV"
-            f"  p01: {report.p01_margin * 1e3:.2f} mV\n"
-        )
-        _emit(text, args.out)
-    elif args.format == "csv":
-        rows: list[list[object]] = [
-            [i, f"{delta * 1e9:.6f}", f"{margin * 1e3:.2f}"]
-            for i, (delta, margin) in enumerate(zip(report.offsets, report.margins))
-        ]
-        header = ["sample", "delta_nm", "min_margin_mv"]
-        _emit(_csv_text(manifest, header, rows), args.out)
-    else:
-        payload = {
-            "manifest": manifest,
+        lambda: table,
+        head={
             "domains": args.domains,
             "borders": str(borders),
             "neighbors": neighbors.value,
@@ -567,17 +432,64 @@ def _cmd_variation(args: argparse.Namespace) -> int:
             "stddev_margin_mv": _mv(report.stddev_margin),
             "min_margin_mv": _mv(report.min_margin),
             "p01_margin_mv": _mv(report.p01_margin),
-            "samples": [
-                {
-                    "sample": i,
-                    "delta_nm": round(delta * 1e9, 6),
-                    "min_margin_mv": _mv(margin),
-                }
-                for i, (delta, margin) in enumerate(zip(report.offsets, report.margins))
-            ],
-        }
-        _emit(_json_text(payload), args.out)
-    return 0
+        },
+        rows_key="samples",
+        columns=("sample", ("delta_nm", 1e9, 6), ("min_margin_mv", 1e3, 2)),
+        rows=zip(count(), report.offsets, report.margins),
+        seed=spec.seed,
+    )
+
+
+def _fixed_offset(
+    args: argparse.Namespace,
+    borders: BorderCondition,
+    neighbors: NeighborAssumption,
+    char: Characterization,
+) -> _Result:
+    if args.format == "csv":
+        raise _UsageError(
+            "csv output is defined for monte carlo runs only;"
+            " fixed-offset reports are table or json"
+        )
+    if args.seed is not None:
+        raise _UsageError("--seed applies to --monte-carlo runs only")
+    magnitude = abs(args.offset_nm) * 1e-9
+    candidates = [magnitude, -magnitude] if magnitude else [0.0]
+    worst = min(
+        (
+            offset_margin_report(
+                args.domains, borders, MisalignmentSpec(offset, neighbors, neighbors), char
+            )
+            for offset in candidates
+        ),
+        key=lambda r: r.perturbed_min_margin,
+    )
+    nominal_mv = worst.nominal_min_margin * 1e3
+    reduction_mv = worst.margin_deviation * 1e3
+    percent = 100.0 * reduction_mv / nominal_mv if nominal_mv else 0.0
+    table = (
+        f"nominal min margin: {nominal_mv:.2f} mV\n"
+        f"offset {abs(args.offset_nm):.3f} nm (worst sign) min margin:"
+        f" {worst.perturbed_min_margin * 1e3:.2f} mV\n"
+        f"reduction: {reduction_mv:.2f} mV ({percent:.2f}%)\n"
+    )
+    arguments = {
+        "domains": args.domains,
+        "borders": str(borders),
+        "offset_nm": args.offset_nm,
+        "neighbors": neighbors.value,
+    }
+    return _Result(
+        "variation",
+        arguments,
+        lambda: table,
+        head={
+            **arguments,
+            "nominal_min_margin_mv": _mv(worst.nominal_min_margin),
+            "perturbed_min_margin_mv": _mv(worst.perturbed_min_margin),
+            "reduction_mv": _mv(worst.margin_deviation),
+        },
+    )
 
 
 # --- parser and entry points ----------------------------------------------------
@@ -587,13 +499,12 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="characterization file (key = value)")
 
 
-def _add_borders(parser: argparse.ArgumentParser, extra: str = "") -> None:
+def _add_borders(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--borders",
         default="same,same",
         metavar="CONV",
-        help="border convention: same,same / same,differ / differ,same / differ,differ"
-        + extra,
+        help="border convention: same,same / same,differ / differ,same / differ,differ",
     )
 
 
@@ -616,19 +527,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("resistance", help="equivalent resistance of one pattern")
-    p.add_argument("--pattern", required=True, help="bit string, e.g. 00010")
-    _add_borders(p)
-    _add_config(p)
-    _add_oracle(p)
-    p.set_defaults(handler=_cmd_resistance)
-
-    p = sub.add_parser("voltage", help="sense voltage of one pattern")
-    p.add_argument("--pattern", required=True, help="bit string, e.g. 00010")
-    _add_borders(p)
-    _add_config(p)
-    _add_oracle(p)
-    p.set_defaults(handler=_cmd_voltage)
+    for name, what, handler in (
+        ("resistance", "equivalent resistance", _cmd_resistance),
+        ("voltage", "sense voltage", _cmd_voltage),
+    ):
+        p = sub.add_parser(name, help=f"{what} of one pattern")
+        p.add_argument("--pattern", required=True, help="bit string, e.g. 00010")
+        _add_borders(p)
+        _add_config(p)
+        _add_oracle(p)
+        # one table line; no --format or --out
+        p.set_defaults(handler=handler, format="table", out=None)
 
     p = sub.add_parser("levels", help="weight clusters and resistance classes")
     p.add_argument("--domains", type=int, required=True, metavar="D")
@@ -660,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="margins across a domain-count range")
     p.add_argument("--from", dest="d_min", type=int, required=True, metavar="D")
     p.add_argument("--to", dest="d_max", type=int, required=True, metavar="D")
-    p.add_argument("--threshold-mv", type=float, required=True, metavar="MV")
+    p.add_argument("--threshold-mv", type=_finite_float, required=True, metavar="MV")
     _add_borders(p)
     _add_format(p)
     _add_config(p)
@@ -670,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variation", help="misalignment study: fixed offset or Monte Carlo")
     p.add_argument("--domains", type=int, required=True, metavar="D")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--offset-nm", type=float, metavar="NM", help="fixed offset magnitude")
+    mode.add_argument(
+        "--offset-nm", type=_finite_float, metavar="NM", help="fixed offset magnitude"
+    )
     mode.add_argument("--monte-carlo", type=int, metavar="N", help="number of random samples")
     p.add_argument("--seed", type=int, metavar="S", help="RNG seed (required with --monte-carlo)")
     p.add_argument(
@@ -679,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("0", "1", "worst"),
         help="assumed out-of-window neighbor bits",
     )
-    p.add_argument("--workers", type=int, default=1, metavar="W")
     _add_borders(p)
     _add_format(p)
     _add_config(p)
@@ -695,7 +605,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        char = default_characterization() if args.config is None else load_config(args.config)
+        _emit(args.handler(args, char), char, args.format, args.out)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .characterization import (
@@ -28,7 +29,7 @@ from .characterization import (
     domain_kind,
     half_wall_kind,
 )
-from .errors import ClustersOverlap, DomainCountTooLarge, DomainCountTooSmall
+from .errors import ClustersOverlap, DomainCountTooLarge, DomainCountTooSmall, ModelError
 from .network import ALL_CONDITIONS, Border, BorderCondition, MAX_DOMAINS
 
 # above this the sweep leaves the enumerated column blank; the closed form
@@ -42,6 +43,8 @@ _DOMAIN_AT = {
     for bit in (0, 1)
     for walls in (0, 1, 2)
 }
+_NON_WALLS = itemgetter(*(i for i, kind in enumerate(_KINDS) if not kind.is_wall))
+_WALLS = itemgetter(*(i for i, kind in enumerate(_KINDS) if kind.is_wall))
 _WALL_01 = _KIND_INDEX[SegmentKind.WALL_01]
 _WALL_10 = _KIND_INDEX[SegmentKind.WALL_10]
 _HALF_AT = {
@@ -275,10 +278,16 @@ def _merged_banks(
     return banks
 
 
-def _fold_key(bank: tuple[int, ...]) -> tuple:
-    # same layout as network.equivalence_key: non-wall counts in kind order
-    # plus the sorted wall pair
-    return bank[:6] + bank[8:] + (tuple(sorted(bank[6:8])),)
+def equivalence_key(bank: tuple[int, ...]) -> tuple:
+    """Key grouping segment-count banks that are equal up to wall direction.
+
+    The key is the non-wall counts in kind order plus the sorted wall-count
+    pair. Sorting the pair folds the two transition directions together, so
+    a word and its reversal share a class; their resistances agree exactly
+    when the wall count is even and to within the small 01/10
+    characterization split when it is odd.
+    """
+    return _NON_WALLS(bank) + (tuple(sorted(_WALLS(bank))),)
 
 
 def _check_domain_count(domains: int, limit: int = MAX_DOMAINS) -> None:
@@ -311,7 +320,7 @@ def enumerate_levels(
     for bank, (weight, mult, rep) in banks.items():
         by_weight_res[weight].append(res_by_bank[bank])
         by_weight_count[weight] += mult
-        key = (weight, _fold_key(bank))
+        key = (weight, equivalence_key(bank))
         entry = folded.get(key)
         if entry is None:
             folded[key] = [mult, rep, bank]
@@ -330,7 +339,11 @@ def enumerate_levels(
 
     clusters = []
     for weight in range(domains + 1):
-        assert by_weight_count[weight] == math.comb(domains, weight)
+        if by_weight_count[weight] != math.comb(domains, weight):
+            raise ModelError(
+                f"{domains}-domain enumeration covers {by_weight_count[weight]} patterns"
+                f" of weight {weight}, expected {math.comb(domains, weight)}"
+            )
         values = by_weight_res[weight]
         low, high = min(values), max(values)
         entries = tuple(

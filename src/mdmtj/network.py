@@ -250,22 +250,3 @@ def pattern_voltage(
     current = char.drive.read_current(len(pattern), char.geometry)
     return current * resistance
 
-
-_NON_WALL_KINDS = tuple(k for k in SegmentKind if not k.is_wall)
-
-
-def equivalence_key(decomposition: Decomposition) -> tuple:
-    """Key grouping patterns whose banks are equal up to wall direction.
-
-    The key is the non-wall segment counts plus the sorted wall-kind pair.
-    Sorting the pair folds the two transition directions together, so a word
-    and its reversal share a class; their resistances agree exactly when the
-    wall count is even and to within the small 01/10 characterization split
-    when it is odd.
-    """
-    non_wall = tuple(decomposition.count(k) for k in _NON_WALL_KINDS)
-    walls = (
-        decomposition.count(SegmentKind.WALL_01),
-        decomposition.count(SegmentKind.WALL_10),
-    )
-    return non_wall + (tuple(sorted(walls)),)

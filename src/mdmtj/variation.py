@@ -8,14 +8,14 @@ side, adding one parallel segment whose polarity is an assumption, not
 stored data. Interior domains never notice.
 
 Deterministic offsets and seeded Monte Carlo share one evaluation engine
-that is vectorized over offsets; per-sample arithmetic is elementwise, so
-results are bit-identical no matter how samples are chunked across workers.
+that is vectorized over offsets; per-sample arithmetic is elementwise, and
+each sample's offset depends only on (seed, index), so any slice of a run
+can be reproduced on its own.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +78,8 @@ class MisalignmentSpec:
 
 
 def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
-    if abs(offset) > geometry.notch_length:
+    # written so that NaN fails the test too
+    if not (abs(offset) <= geometry.notch_length):
         raise OffsetOutOfRange(
             f"offset {offset * 1e9:.3f} nm exceeds one notch length"
             f" ({geometry.notch_length * 1e9:.3f} nm); the coverage model"
@@ -283,8 +284,8 @@ def min_margins_for_offsets(
     """Minimum sense margin (volts) for each signed offset (meters)."""
     _check_variation_domains(domains)
     offsets = np.asarray(offsets, dtype=float)
-    if offsets.size and float(np.max(np.abs(offsets))) > char.geometry.notch_length:
-        worst = float(offsets[np.argmax(np.abs(offsets))])
+    if offsets.size and not (float(np.max(np.abs(offsets))) <= char.geometry.notch_length):
+        worst = float(offsets[np.argmax(np.abs(offsets))])  # the first NaN, if any
         _check_offset(worst, char.geometry)
     out = np.empty(offsets.shape)
     zero = offsets == 0.0
@@ -370,8 +371,8 @@ class MonteCarloSpec:
 
 
 def _sample_offset(seed: int, index: int, sigma: float, truncation: float) -> float:
-    # one generator per sample, derived from (seed, index), so any chunking
-    # across workers sees the same stream
+    # one generator per sample, derived from (seed, index), so any slice of
+    # the run sees the same stream
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
     z = rng.standard_normal()
     while abs(z) > truncation:
@@ -416,37 +417,16 @@ def monte_carlo_margins(
     char: Characterization,
     left_neighbor: NeighborAssumption = NeighborAssumption.WORST,
     right_neighbor: NeighborAssumption = NeighborAssumption.WORST,
-    workers: int = 1,
 ) -> MonteCarloReport:
-    """Seeded margin distribution; bit-identical for any worker count."""
+    """Seeded margin distribution; the same seed gives the same bits."""
     _check_variation_domains(domains)
     spec.validate()
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-
-    n = spec.samples
-    if workers == 1 or n < 2 * workers:
-        offsets = sample_offsets(spec)
-        margins = min_margins_for_offsets(
-            domains, borders, offsets, left_neighbor, right_neighbor, char
-        )
-    else:
-        bounds = [(n * w) // workers for w in range(workers + 1)]
-        ranges = [(bounds[w], bounds[w + 1]) for w in range(workers)]
-
-        def chunk(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-            part = sample_offsets(spec, span[0], span[1])
-            return part, min_margins_for_offsets(
-                domains, borders, part, left_neighbor, right_neighbor, char
-            )
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(chunk, ranges))
-        offsets = np.concatenate([p[0] for p in pieces])
-        margins = np.concatenate([p[1] for p in pieces])
-
+    offsets = sample_offsets(spec)
+    margins = min_margins_for_offsets(
+        domains, borders, offsets, left_neighbor, right_neighbor, char
+    )
     nominal = enumerate_levels(domains, borders, char).min_margin
-    stddev = float(np.std(margins, ddof=1)) if n > 1 else 0.0
+    stddev = float(np.std(margins, ddof=1)) if spec.samples > 1 else 0.0
     return MonteCarloReport(
         domains=domains,
         borders=borders,

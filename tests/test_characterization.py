@@ -13,7 +13,6 @@ from mdmtj.characterization import (
     Polarity,
     SegmentKind,
     SegmentResistanceTable,
-    complement_table,
     default_characterization,
     domain_kind,
     dump_config,
@@ -21,7 +20,6 @@ from mdmtj.characterization import (
     load_config,
     parse_config,
     scaled_resistance,
-    swap_wall_directions,
     wall_kind,
 )
 from mdmtj.errors import (
@@ -118,27 +116,6 @@ def test_table_rejects_length_order_violation():
 def test_table_rejects_polarity_order_violation():
     with pytest.raises(ConfigInvariantError, match="r_plus_80"):
         SegmentResistanceTable.defaults().replace({SegmentKind.DOMAIN_PLUS_FULL: 1800})
-
-
-def test_swap_wall_directions():
-    table = SegmentResistanceTable.defaults()
-    swapped = swap_wall_directions(table)
-    assert swapped.exact(SegmentKind.WALL_01) == table.exact(SegmentKind.WALL_10)
-    assert swapped.exact(SegmentKind.WALL_10) == table.exact(SegmentKind.WALL_01)
-    for kind in SegmentKind:
-        if not kind.is_wall:
-            assert swapped.exact(kind) == table.exact(kind)
-    assert swap_wall_directions(swapped) == table
-
-
-def test_complement_table():
-    table = SegmentResistanceTable.defaults()
-    comp = complement_table(table)
-    assert comp.exact(SegmentKind.DOMAIN_MINUS_FULL) == table.exact(SegmentKind.DOMAIN_PLUS_FULL)
-    assert comp.exact(SegmentKind.DOMAIN_PLUS_SHORT) == table.exact(SegmentKind.DOMAIN_MINUS_SHORT)
-    assert comp.exact(SegmentKind.HALF_WALL_MINUS) == table.exact(SegmentKind.HALF_WALL_PLUS)
-    assert comp.exact(SegmentKind.WALL_01) == table.exact(SegmentKind.WALL_10)
-    assert complement_table(comp) == table
 
 
 def test_scaled_resistance_full_coverage_is_identity(char):

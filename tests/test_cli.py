@@ -175,11 +175,6 @@ def test_variation_monte_carlo_csv(capsys):
     assert len(rows) == 1 + 64
     assert [row[0] for row in rows[1:4]] == ["0", "1", "2"]
 
-    # chunked evaluation must not change a single byte
-    code, chunked, _ = run_cli(capsys, *args, "--workers", "4")
-    assert code == 0
-    assert chunked == out
-
 
 def test_variation_monte_carlo_json(capsys):
     code, out, _ = run_cli(
@@ -283,12 +278,34 @@ def test_variation_usage_errors(capsys):
         ("variation", "--domains", "4", "--offset-nm", "5", "--seed", "3"),
         ("variation", "--domains", "4", "--monte-carlo", "10"),
         ("variation", "--domains", "4", "--monte-carlo", "10", "--seed", "-1"),
-        ("variation", "--domains", "4", "--monte-carlo", "10", "--seed", "2", "--workers", "0"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, (argv, err)
         assert err.startswith("error:")
+
+
+def test_non_finite_floats_exit_2(capsys):
+    cases = [
+        ("variation", "--domains", "4", "--offset-nm", "nan"),
+        ("variation", "--domains", "4", "--offset-nm=-inf", "--format", "json"),
+        ("sweep", "--from", "2", "--to", "4", "--threshold-mv", "nan"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert "must be a finite number" in err
+
+
+def test_bad_source_date_epoch_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+    target = tmp_path / "levels.json"
+    code, _, err = run_cli(
+        capsys, "levels", "--domains", "4", "--format", "json", "--out", str(target)
+    )
+    assert code == 2
+    assert err.startswith("error: SOURCE_DATE_EPOCH")
+    assert not target.exists()
 
 
 def test_version_flag(capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj.characterization import Characterization, SegmentKind, default_characterization
-from mdmtj.errors import ClustersOverlap, DomainCountTooLarge, DomainCountTooSmall
+from mdmtj import margins
+from mdmtj.errors import ClustersOverlap, DomainCountTooLarge, DomainCountTooSmall, ModelError
 from mdmtj.margins import (
     SWEEP_ENUMERATION_LIMIT,
     closed_form_min_margin,
@@ -92,6 +93,20 @@ def test_domain_count_guards(char, same_same):
     with pytest.raises(DomainCountTooLarge):
         enumerate_levels(31, same_same, char)
     enumerate_levels(1, same_same, char)  # D=1 has two singleton clusters
+
+
+def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
+    # the population check must hold under python -O, so it is no assert
+    real = margins._merged_banks
+
+    def drop_one(domains, borders):
+        banks = real(domains, borders)
+        banks.pop(next(iter(banks)))
+        return banks
+
+    monkeypatch.setattr(margins, "_merged_banks", drop_one)
+    with pytest.raises(ModelError, match="expected"):
+        enumerate_levels(5, same_same, char)
 
 
 def test_worst_case_levels_mixes_conventions(char):
