@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import count
+from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import __version__, oracle
@@ -96,7 +97,7 @@ def _finite_float(text: str) -> float:
 
 # A column is a bare name (value emitted as is) or (name, scale, decimals):
 # CSV prints value * scale in fixed point, JSON rounds it; None is "" / null.
-Column = Union[str, tuple[str, float, int]]
+_Column = Union[str, tuple[str, float, int]]
 
 
 @dataclass
@@ -113,7 +114,7 @@ class _Result:
     table: Callable[[], str]
     head: dict[str, object] = field(default_factory=dict)
     rows_key: str | None = None
-    columns: tuple[Column, ...] = ()
+    columns: tuple[_Column, ...] = ()
     rows: Iterable[Sequence[object]] = ()
     tail: dict[str, object] = field(default_factory=dict)
     seed: int | None = None
@@ -148,46 +149,52 @@ def _manifest_comments(manifest: dict[str, Any]) -> list[str]:
     return lines + [f"# config: {pairs}"]
 
 
-def _cell(column: Column, as_text: bool) -> Callable[[object], object]:
+def _cell(column: _Column, as_text: bool) -> Callable[[object], object]:
     if isinstance(column, str):
         return lambda value: value
     _, scale, decimals = column
     if as_text:
-        spec = f".{decimals}f"
-        return lambda value: "" if value is None else format(value * scale, spec)
+        spec = f"%.{decimals}f"
+        return lambda value: "" if value is None else spec % (value * scale)
     return lambda value: None if value is None else round(value * scale, decimals)
 
 
-def _column_name(column: Column) -> str:
+def _column_name(column: _Column) -> str:
     return column if isinstance(column, str) else column[0]
 
 
 def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) -> None:
-    """Write ``result`` to ``out`` (stdout when None) as table, csv or json."""
-    manifest = None if fmt == "table" else _manifest(result, char)
-    with nullcontext(sys.stdout) if out is None else open(out, "w") as stream:
-        if manifest is None:
-            stream.write(result.table())
-        elif fmt == "csv":
-            for line in _manifest_comments(manifest):
-                stream.write(line + "\n")
-            cells = [_cell(column, as_text=True) for column in result.columns]
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(_column_name(column) for column in result.columns)
-            writer.writerows(
-                [cell(value) for cell, value in zip(cells, row)] for row in result.rows
-            )
-        else:
-            payload: dict[str, object] = {"manifest": manifest, **result.head}
-            if result.rows_key is not None:
-                names = [_column_name(column) for column in result.columns]
-                cells = [_cell(column, as_text=False) for column in result.columns]
-                payload[result.rows_key] = [
-                    {name: cell(value) for name, cell, value in zip(names, cells, row)}
-                    for row in result.rows
-                ]
-            payload.update(result.tail)
-            stream.write(json.dumps(payload, indent=2) + "\n")
+    """Write ``result`` to ``out`` (stdout when None) as table, csv or json.
+
+    The text is assembled in memory and written once: written row by row, an
+    unbuffered stdout (``python -u``, PYTHONUNBUFFERED) costs a system call
+    per CSV row.
+    """
+    if fmt == "table":
+        text = result.table()
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        buffer.writelines(line + "\n" for line in _manifest_comments(_manifest(result, char)))
+        cells = [_cell(column, as_text=True) for column in result.columns]
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(_column_name(column) for column in result.columns)
+        writer.writerows([cell(value) for cell, value in zip(cells, row)] for row in result.rows)
+        text = buffer.getvalue()
+    else:
+        payload: dict[str, object] = {"manifest": _manifest(result, char), **result.head}
+        if result.rows_key is not None:
+            names = [_column_name(column) for column in result.columns]
+            cells = [_cell(column, as_text=False) for column in result.columns]
+            payload[result.rows_key] = [
+                {name: cell(value) for name, cell, value in zip(names, cells, row)}
+                for row in result.rows
+            ]
+        payload.update(result.tail)
+        text = json.dumps(payload, indent=2) + "\n"
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        Path(out).write_text(text)
 
 
 def _mv(volts: float) -> float:
