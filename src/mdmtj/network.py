@@ -249,4 +249,3 @@ def pattern_voltage(
     resistance = equivalent_resistance(decompose(pattern, borders), char.table)
     current = char.drive.read_current(len(pattern), char.geometry)
     return current * resistance
-
