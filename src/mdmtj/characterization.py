@@ -21,6 +21,7 @@ Partial files merge onto the defaults.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -371,6 +372,16 @@ def _decimal(raw: str, key: str, line_no: int) -> Decimal:
     return value
 
 
+def _float(value: Decimal, key: str, line_no: int) -> float:
+    number = float(value)
+    # a finite decimal can still round to inf; written so that inf fails
+    if not (abs(number) <= sys.float_info.max):
+        raise ConfigParseError(
+            f"value for {key!r} is out of the floating-point range (line {line_no})"
+        )
+    return number
+
+
 def parse_config(text: str, source: str = "<config>") -> Characterization:
     """Parse ``key = value`` text merged onto the defaults.
 
@@ -406,20 +417,22 @@ def parse_config(text: str, source: str = "<config>") -> Characterization:
             raise ConfigParseError(f"empty value for {key!r} (line {line_no})")
 
         if key in _RESISTANCE_KEYS:
-            resistance_overrides[_RESISTANCE_KEYS[key]] = Fraction(
-                _decimal(raw_value, key, line_no)
-            )
+            value = _decimal(raw_value, key, line_no)
+            _float(value, key, line_no)  # the table keeps a float view too
+            resistance_overrides[_RESISTANCE_KEYS[key]] = Fraction(value)
         elif key in _GEOMETRY_KEYS:
             # scale in decimal so nm text converts to meters in one rounding
-            geometry_kwargs[_GEOMETRY_KEYS[key]] = float(
-                _decimal(raw_value, key, line_no).scaleb(-9)
+            geometry_kwargs[_GEOMETRY_KEYS[key]] = _float(
+                _decimal(raw_value, key, line_no).scaleb(-9), key, line_no
             )
         elif key == "j_c_a_per_m2":
-            drive_kwargs["current_density"] = float(_decimal(raw_value, key, line_no))
+            drive_kwargs["current_density"] = _float(
+                _decimal(raw_value, key, line_no), key, line_no
+            )
         elif key == "material":
             metadata_kwargs["material"] = raw_value
         else:
-            metadata_kwargs[key] = float(_decimal(raw_value, key, line_no))
+            metadata_kwargs[key] = _float(_decimal(raw_value, key, line_no), key, line_no)
 
     table = SegmentResistanceTable.defaults().replace(resistance_overrides)
     geometry = DeviceGeometry(**geometry_kwargs)

@@ -193,8 +193,11 @@ def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) ->
         text = json.dumps(payload, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _mv(volts: float) -> float:
@@ -257,6 +260,25 @@ def _oracle_sweep_check(
                     " with the brute-force reference"
                 )
         _oracle_closed_form_check(row.domains, row.closed_form_margin, char)
+
+
+def _oracle_variation_check(
+    domains: int,
+    borders: BorderCondition,
+    neighbors: NeighborAssumption,
+    offsets: Sequence[float],
+    margins: Sequence[float],
+    char: Characterization,
+) -> None:
+    ref = oracle.brute_force_offset_margins(
+        domains, borders, offsets, neighbors, neighbors, char
+    ).tolist()
+    for offset, got, want in zip(offsets, margins, ref):
+        if got != want:
+            raise OracleMismatch(
+                f"margin {got!r} V at offset {offset * 1e9:.6f} nm disagrees with"
+                f" the brute-force reference {want!r} V at {domains} domains"
+            )
 
 
 # --- subcommand handlers --------------------------------------------------------
@@ -400,6 +422,8 @@ def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
 def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     neighbors = NeighborAssumption(args.neighbors)  # argparse checked the choice
+    if args.oracle:
+        _check_oracle_limit(args.domains)
     if args.offset_nm is not None:
         return _fixed_offset(args, borders, neighbors, char)
 
@@ -409,6 +433,11 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
     report = monte_carlo_margins(
         args.domains, borders, spec, char, left_neighbor=neighbors, right_neighbor=neighbors
     )
+    if args.oracle:
+        _oracle_variation_check(
+            args.domains, borders, neighbors,
+            (0.0, *report.offsets), (report.nominal_min_margin, *report.margins), char,
+        )
     table = (
         f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
         f"samples: {spec.samples}  seed: {spec.seed}"
@@ -462,15 +491,20 @@ def _fixed_offset(
         raise _UsageError("--seed applies to --monte-carlo runs only")
     magnitude = abs(args.offset_nm) * 1e-9
     candidates = [magnitude, -magnitude] if magnitude else [0.0]
-    worst = min(
-        (
-            offset_margin_report(
-                args.domains, borders, MisalignmentSpec(offset, neighbors, neighbors), char
-            )
-            for offset in candidates
-        ),
-        key=lambda r: r.perturbed_min_margin,
-    )
+    reports = [
+        offset_margin_report(
+            args.domains, borders, MisalignmentSpec(offset, neighbors, neighbors), char
+        )
+        for offset in candidates
+    ]
+    if args.oracle:
+        _oracle_variation_check(
+            args.domains, borders, neighbors,
+            (0.0, *candidates),
+            (reports[0].nominal_min_margin, *(r.perturbed_min_margin for r in reports)),
+            char,
+        )
+    worst = min(reports, key=lambda r: r.perturbed_min_margin)
     nominal_mv = worst.nominal_min_margin * 1e3
     reduction_mv = worst.margin_deviation * 1e3
     percent = 100.0 * reduction_mv / nominal_mv if nominal_mv else 0.0
@@ -600,6 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_borders(p)
     _add_format(p)
     _add_config(p)
+    _add_oracle(p)
     p.set_defaults(handler=_cmd_variation)
 
     return parser

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .characterization import (
     Characterization,
@@ -106,14 +106,19 @@ class MarginReport:
         return "worst" if self.borders is None else str(self.borders)
 
 
-def bank_resistance(bank: tuple[int, ...], table: SegmentResistanceTable) -> float:
-    """Parallel resistance of a segment-count bank, canonical float order."""
-    ohms = [table.ohms(kind) for kind in _KINDS]
+def _kind_ohms(table: SegmentResistanceTable) -> list[float]:
+    """The table's resistances in kind order, to build once per report."""
+    return [table.ohms(kind) for kind in _KINDS]
+
+
+def _conductance(bank: Sequence[int], ohms: Sequence[float]) -> float:
+    """Summed conductance of a segment-count bank, in kind order (the float
+    contract); the bank's resistance is its reciprocal."""
     g = 0.0
-    for i, count in enumerate(bank):
+    for count, r in zip(bank, ohms):
         if count:
-            g += count / ohms[i]
-    return 1.0 / g
+            g += count / r
+    return g
 
 
 class _RunCategory(NamedTuple):
@@ -200,15 +205,22 @@ def _lexmin_pattern(
     return "".join(parts)
 
 
+# An edge structure: the kind index of the window's end domain, and of the
+# half-wall on that border (None when the outside neighbor is the same bit).
+_Edge = tuple[int, int | None]
+
+
 def _subclasses(
     domains: int, borders: BorderCondition
-) -> Iterator[tuple[tuple[int, ...], int, int, str]]:
-    """Yield (bank, weight, multiplicity, lexmin representative) tuples.
+) -> Iterator[tuple[tuple[int, ...], int, int, str, _Edge, _Edge]]:
+    """Yield (bank, weight, multiplicity, lexmin representative, left edge,
+    right edge) tuples.
 
     A sub-class fixes the first-run polarity, the run count, and which run
     categories hold the length-1 runs; leftover length distributes freely
     over the longer runs (stars and bars), which changes the pattern but not
-    the bank.
+    the bank. The first and last runs each form a category of their own, so
+    every pattern of a sub-class shares its edge structures too.
     """
     lb = 1 if borders.left is Border.DIFFER else 0
     rb = 1 if borders.right is Border.DIFFER else 0
@@ -216,10 +228,21 @@ def _subclasses(
         for runs in range(1, domains + 1):
             cats = _categories(s, runs, borders)
             last_pol = s if runs % 2 else 1 - s
+            first = cats[0]
+            last_at = 0 if runs == 1 else 1
+            last = cats[last_at]
+            left_half = _HALF_AT[s] if lb else None
+            right_half = _HALF_AT[last_pol] if rb else None
             t = runs - 1
             n01 = (t + 1) // 2 if s == 0 else t // 2
             n10 = t - n01
             for m_combo in product(*(range(c.n + 1) for c in cats)):
+                # a length-1 end run has walls on both sides of its domain;
+                # a longer one only on its outer side
+                walls = first.left + first.right if m_combo[0] else first.left
+                left_edge = (_DOMAIN_AT[first.pol, walls], left_half)
+                walls = last.left + last.right if m_combo[last_at] else last.right
+                right_edge = (_DOMAIN_AT[last.pol, walls], right_half)
                 base_mult = 1
                 m_pol = [0, 0]
                 f_pol = [0, 0]
@@ -259,7 +282,7 @@ def _subclasses(
                     counts[_DOMAIN_AT[0, 0]] += extra_zero
                     counts[_DOMAIN_AT[1, 0]] += extra_one
                     rep = _lexmin_pattern(s, runs, cats, m_combo, extra_zero, extra_one)
-                    yield tuple(counts), weight, mult, rep
+                    yield tuple(counts), weight, mult, rep, left_edge, right_edge
 
 
 def _merged_banks(
@@ -267,7 +290,7 @@ def _merged_banks(
 ) -> dict[tuple[int, ...], list]:
     """bank -> [weight, multiplicity, lexmin representative]."""
     banks: dict[tuple[int, ...], list] = {}
-    for bank, weight, mult, rep in _subclasses(domains, borders):
+    for bank, weight, mult, rep, _, _ in _subclasses(domains, borders):
         entry = banks.get(bank)
         if entry is None:
             banks[bank] = [weight, mult, rep]
@@ -310,10 +333,10 @@ def enumerate_levels(
     """
     _check_domain_count(domains)
     banks = _merged_banks(domains, borders)
-    table = char.table
+    ohms = _kind_ohms(char.table)
     current = char.drive.read_current(domains, char.geometry)
 
-    res_by_bank = {bank: bank_resistance(bank, table) for bank in banks}
+    res_by_bank = {bank: 1.0 / _conductance(bank, ohms) for bank in banks}
     by_weight_res: list[list[float]] = [[] for _ in range(domains + 1)]
     by_weight_count = [0] * (domains + 1)
     folded: dict[tuple[int, tuple], list] = {}
@@ -371,12 +394,12 @@ def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
     Class listings are omitted (they are per-convention objects).
     """
     _check_domain_count(domains)
-    table = char.table
+    ohms = _kind_ohms(char.table)
     current = char.drive.read_current(domains, char.geometry)
     by_weight: list[list[float]] = [[] for _ in range(domains + 1)]
     for borders in ALL_CONDITIONS:
         for bank, (weight, _, _) in _merged_banks(domains, borders).items():
-            by_weight[weight].append(bank_resistance(bank, table))
+            by_weight[weight].append(1.0 / _conductance(bank, ohms))
 
     clusters = []
     for weight in range(domains + 1):

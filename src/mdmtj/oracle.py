@@ -2,11 +2,12 @@
 
 Everything here recomputes from scratch: segment counting works directly on
 the bit string, parallel sums are redone in exact rational arithmetic, and
-reports come from a raw 2^D loop with no equivalence classes. The only
-things shared with the production modules are data (the characterization)
-and the report dataclass types, never composition code. The float reference
-path follows the same documented summation order (segment kinds in enum
-order), because that order is part of the report contract.
+reports and misalignment margins come from a raw 2^D walk with no
+equivalence classes. The only things shared with the production modules are
+data (the characterization, the neighbor assumption) and the report
+dataclass types, never composition code. The float reference path follows
+the same documented summation order (segment kinds in enum order), because
+that order is part of the report contract.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .characterization import Characterization, SegmentKind, SegmentResistanceTable
 from .errors import DomainCountTooLarge, EmptyNetwork
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport
 from .network import ALL_CONDITIONS, Border, BorderCondition
+from .variation import NeighborAssumption
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -39,19 +43,12 @@ def rational_parallel_sum(resistances: Sequence[Fraction]) -> Fraction:
     return 1 / total
 
 
-def segment_counts(bits: str, borders: BorderCondition) -> list[int]:
-    """Count mini-resistors for a bit string, recomputed from first rules."""
+def _domain_indices(bits: str, borders: BorderCondition) -> list[int]:
+    """Kind index of each domain: its polarity block plus its wall count."""
     n = len(bits)
-    counts = [0] * _N_KINDS
-    for i in range(n - 1):
-        if bits[i] != bits[i + 1]:
-            counts[6 if bits[i] == "0" else 7] += 1
     left_differ = borders.left is Border.DIFFER
     right_differ = borders.right is Border.DIFFER
-    if left_differ:
-        counts[8 + (bits[0] == "1")] += 1
-    if right_differ:
-        counts[8 + (bits[-1] == "1")] += 1
+    indices = []
     for i, ch in enumerate(bits):
         walls = 0
         if i > 0 and bits[i - 1] != ch:
@@ -62,8 +59,32 @@ def segment_counts(bits: str, borders: BorderCondition) -> list[int]:
             walls += 1
         if i == n - 1 and right_differ:
             walls += 1
-        counts[(3 if ch == "1" else 0) + walls] += 1
+        indices.append((3 if ch == "1" else 0) + walls)
+    return indices
+
+
+def segment_counts(bits: str, borders: BorderCondition) -> list[int]:
+    """Count mini-resistors for a bit string, recomputed from first rules."""
+    counts = [0] * _N_KINDS
+    for i in range(len(bits) - 1):
+        if bits[i] != bits[i + 1]:
+            counts[6 if bits[i] == "0" else 7] += 1
+    if borders.left is Border.DIFFER:
+        counts[8 + (bits[0] == "1")] += 1
+    if borders.right is Border.DIFFER:
+        counts[8 + (bits[-1] == "1")] += 1
+    for index in _domain_indices(bits, borders):
+        counts[index] += 1
     return counts
+
+
+def _edge_structure(bits: str, borders: BorderCondition, left: bool) -> tuple[int, int | None]:
+    """Kind indices of the end domain and of the half-wall (None when the
+    outside neighbor holds the same bit) on one side of the window."""
+    end = 0 if left else -1
+    differ = (borders.left if left else borders.right) is Border.DIFFER
+    half = 8 + (bits[end] == "1") if differ else None
+    return _domain_indices(bits, borders)[end], half
 
 
 def reference_resistance(
@@ -264,6 +285,90 @@ def worst_case_brute_force(domains: int, char: Characterization) -> MarginReport
         min_margin_pair=(best.weight_low, best.weight_high),
         distinguishable_levels=1 + sum(1 for m in margins if m.margin > 0.0),
     )
+
+
+def brute_force_offset_margins(
+    domains: int,
+    borders: BorderCondition,
+    offsets: Sequence[float],
+    left_neighbor: NeighborAssumption,
+    right_neighbor: NeighborAssumption,
+    char: Characterization,
+) -> np.ndarray:
+    """Raw 2^D counterpart of ``variation.min_margins_for_offsets``.
+
+    Every pattern is recounted from its bit string, and every offset is
+    evaluated over all patterns at once, in the documented float order: the
+    bank minus the uncovered edge domain and half-wall summed in kind order,
+    then the edge domain, the half-wall while still covered, the overhang.
+    There is no domain guard here: callers bound the 2^D cost (the CLI stops
+    at BRUTE_FORCE_LIMIT).
+    """
+    table = char.table
+    geometry = char.geometry
+    ohms = [table.ohms(kind) for kind in SegmentKind]
+    nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
+    current = (
+        char.drive.current_density
+        * domains
+        * (geometry.domain_length * geometry.track_width)
+    )
+    # patterns in weight order, so per-weight extremes are reduceat slices
+    words = sorted(
+        (format(value, f"0{domains}b") for value in range(2**domains)),
+        key=lambda bits: bits.count("1"),
+    )
+    starts = np.searchsorted([bits.count("1") for bits in words], np.arange(domains + 1))
+    counts = np.array([segment_counts(bits, borders) for bits in words])
+    rows = np.arange(len(words))
+
+    def conductance(bank: np.ndarray) -> np.ndarray:
+        g = np.zeros(len(words))
+        for index in range(_N_KINDS):
+            g = g + bank[:, index] / ohms[index]  # a zero count adds exactly 0.0
+        return g
+
+    def min_margin(extremes: list[np.ndarray]) -> float:
+        low = np.minimum.reduce([np.minimum.reduceat(r, starts) for r in extremes])
+        high = np.maximum.reduce([np.maximum.reduceat(r, starts) for r in extremes])
+        return float(np.min(current * low[1:] - current * high[:-1]))
+
+    offsets = np.asarray(offsets, dtype=float)
+    out = np.empty(offsets.shape)
+    zero = offsets == 0.0
+    if zero.any():
+        out[zero] = min_margin([1.0 / conductance(counts)])
+    for left, neighbor, selected in (
+        (True, right_neighbor, offsets > 0.0),
+        (False, left_neighbor, offsets < 0.0),
+    ):
+        if not selected.any():
+            continue
+        edges = [_edge_structure(bits, borders, left) for bits in words]
+        edge = np.array([domain for domain, _ in edges])
+        half = np.array([_N_KINDS if kind is None else kind for _, kind in edges])
+        adjusted = counts.copy()
+        adjusted[rows, edge] -= 1
+        has_half = half < _N_KINDS
+        adjusted[rows[has_half], half[has_half]] -= 1
+        g = conductance(adjusted)
+        for j in np.flatnonzero(selected):
+            magnitude = abs(float(offsets[j]))
+            # partial conductance per kind at this coverage; a fully
+            # uncovered half-wall, and the "no half-wall" slot, add 0.0
+            partial = np.zeros(_N_KINDS + 1)
+            for index, kind in enumerate(SegmentKind):
+                covered = nominal[index] - magnitude
+                if kind.is_domain or (kind.is_half_wall and covered > 0.0):
+                    partial[index] = 1.0 / (ohms[index] * (nominal[index] / covered))
+            base = (g + partial[edge]) + partial[half]
+            out[j] = min_margin(
+                [
+                    1.0 / (base + 1.0 / (ohms[3 * bit] * (nominal[3 * bit] / magnitude)))
+                    for bit in neighbor.bits  # overhang: full domain of that polarity
+                ]
+            )
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ side, adding one parallel segment whose polarity is an assumption, not
 stored data. Interior domains never notice.
 
 Deterministic offsets and seeded Monte Carlo share one evaluation engine
-that is vectorized over offsets; per-sample arithmetic is elementwise, and
-each sample's offset depends only on (seed, index), so any slice of a run
-can be reproduced on its own.
+that is vectorized over offsets. It walks the run-structure sub-classes of
+``margins`` rather than the 2^D patterns, so it covers every window up to
+MAX_DOMAINS. Per-sample arithmetic is elementwise, and each sample's offset
+depends only on (seed, index), so any slice of a run can be reproduced on
+its own.
 """
 
 from __future__ import annotations
@@ -29,17 +31,19 @@ from .characterization import (
     domain_kind,
     scaled_resistance,
 )
-from .errors import DomainCountTooLarge, OffsetOutOfRange
-from .margins import enumerate_levels
+from .errors import OffsetOutOfRange
+from .margins import (
+    _DOMAIN_AT,
+    _check_domain_count,
+    _conductance,
+    _kind_ohms,
+    _subclasses,
+    enumerate_levels,
+)
 from .network import BitPattern, BorderCondition, Decomposition, decompose
 
 # characterized misalignment budget: 5.5 nm treated as six standard deviations
 SIGMA_DEFAULT = 5.5e-9 / 6.0
-
-VARIATION_LIMIT = 12
-
-_KINDS = tuple(SegmentKind)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
 
 
 class NeighborAssumption(enum.Enum):
@@ -191,86 +195,104 @@ def perturbed_resistance(
 # --- vectorized margin engine ------------------------------------------------
 
 
-def _check_variation_domains(domains: int) -> None:
-    if domains < 1:
-        raise ValueError(f"need at least 1 domain, got {domains}")
-    if domains > VARIATION_LIMIT:
-        raise DomainCountTooLarge(
-            f"variation analysis enumerates raw patterns and stops at"
-            f" {VARIATION_LIMIT} domains, got {domains}"
-        )
+# (weight, edge domain kind index, half-wall kind index or None) -> the
+# smallest and largest conductance of the bank left once those two segments
+# lose their nominal coverage
+_EdgeGroups = dict[tuple[int, int, int | None], list[float]]
+
+
+def _edge_groups(
+    domains: int, borders: BorderCondition, ohms: list[float], lefts: tuple[bool, ...]
+) -> list[_EdgeGroups]:
+    """One walk over the run-structure sub-classes, grouped per uncovered
+    side (``True`` for the left edge)."""
+    sides = [({}, 4 if left else 5) for left in lefts]  # edge position in a sub-class
+    for subclass in _subclasses(domains, borders):
+        bank, weight = subclass[0], subclass[1]
+        for groups, edge_at in sides:
+            edge, half = subclass[edge_at]
+            adjusted = list(bank)
+            adjusted[edge] -= 1
+            if half is not None:
+                adjusted[half] -= 1
+            g = _conductance(adjusted, ohms)
+            key = (weight, edge, half)
+            extremes = groups.get(key)
+            if extremes is None:
+                groups[key] = [g, g]
+            elif g < extremes[0]:
+                extremes[0] = g
+            elif g > extremes[1]:
+                extremes[1] = g
+    return [groups for groups, _ in sides]
 
 
 def _side_min_margins(
     domains: int,
-    borders: BorderCondition,
+    groups: _EdgeGroups,
     magnitudes: np.ndarray,
-    uncover_left: bool,
     neighbor_bits: tuple[int, ...],
     char: Characterization,
+    ohms: list[float],
 ) -> np.ndarray:
     """Min margin per offset magnitude, one uncovered side.
 
-    Per-element arithmetic mirrors perturbed_resistance exactly: base
-    conductance over the adjusted counts in kind order, then edge domain,
-    edge half-wall, overhang. Cluster extremes take min/max over every
-    pattern and every assumed neighbor bit.
+    Per-element arithmetic mirrors perturbed_resistance exactly: the
+    conductance g of the bank minus the uncovered edge domain and half-wall,
+    summed in kind order, then ((g + edge) + half) + overhang, where the
+    three partial terms depend only on the edge structure, the neighbor bit
+    and the offset. Round-to-nearest addition is monotone and so is 1/g, so
+    within one (weight, edge domain, half-wall) group the extreme resistances
+    come from the extreme g: the group's two conductances give, bit for bit,
+    the cluster extremes of evaluating every pattern. That is one offset
+    vector per distinct conductance, never a rows x offsets matrix.
     """
-    table = char.table
     geometry = char.geometry
-    ohms = [table.ohms(kind) for kind in _KINDS]
-    nominal = [geometry.nominal_length(kind) for kind in _KINDS]
-    half_nominal = geometry.notch_length / 2
+    nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
 
-    n_patterns = 2**domains
-    m = magnitudes.shape[0]
-    cluster_min = np.full((domains + 1, m), np.inf)
-    cluster_max = np.full((domains + 1, m), -np.inf)
+    def partial(kind: int, covered: np.ndarray) -> np.ndarray:
+        return 1.0 / (ohms[kind] * (nominal[kind] / covered))
 
-    for value in range(n_patterns):
-        bits = format(value, f"0{domains}b")
-        deco = decompose(BitPattern.parse(bits), borders)
-        counts = [0] * len(_KINDS)
-        for kind, count in deco.segments:
-            counts[_KIND_INDEX[kind]] = count
-        if uncover_left:
-            edge = _KIND_INDEX[deco.domain_kinds[0]]
-            half = _KIND_INDEX[deco.left_half_wall] if deco.left_half_wall else -1
-        else:
-            edge = _KIND_INDEX[deco.domain_kinds[-1]]
-            half = _KIND_INDEX[deco.right_half_wall] if deco.right_half_wall else -1
-        adjusted = list(counts)
-        adjusted[edge] -= 1
-        if half >= 0:
-            adjusted[half] -= 1
+    edge_terms = {
+        edge: partial(edge, nominal[edge] - magnitudes) for _, edge, _ in groups
+    }
+    half_terms = {}
+    for half in {half for _, _, half in groups if half is not None}:
+        covered = nominal[half] - magnitudes
+        mask = covered > 0.0  # a fully uncovered half-wall stops conducting
+        term = np.zeros(magnitudes.shape)
+        term[mask] = partial(half, covered[mask])
+        half_terms[half] = term  # adding 0.0 leaves g unchanged
+    overhang_terms = [partial(_DOMAIN_AT[bit, 0], magnitudes) for bit in neighbor_bits]
 
-        weight = bits.count("1")
-        for neighbor in neighbor_bits:
-            g = np.zeros(m)
-            for k, count in enumerate(adjusted):
-                if count:
-                    g = g + count / ohms[k]
-            covered = nominal[edge] - magnitudes
-            g = g + 1.0 / (ohms[edge] * (nominal[edge] / covered))
-            if half >= 0:
-                covered_half = half_nominal - magnitudes
-                mask = covered_half > 0.0
-                if mask.any():
-                    g[mask] += 1.0 / (ohms[half] * (half_nominal / covered_half[mask]))
-            over = _KIND_INDEX[domain_kind(Polarity.from_bit(neighbor), 0)]
-            g = g + 1.0 / (ohms[over] * (nominal[over] / magnitudes))
-            resistance = 1.0 / g
-            np.minimum(cluster_min[weight], resistance, out=cluster_min[weight])
-            np.maximum(cluster_max[weight], resistance, out=cluster_max[weight])
+    by_weight: list[list[tuple[int, int | None, float, float]]] = [
+        [] for _ in range(domains + 1)
+    ]
+    for (weight, edge, half), (g_low, g_high) in groups.items():
+        by_weight[weight].append((edge, half, g_low, g_high))
 
     current = char.drive.read_current(domains, geometry)
-    margins = np.stack(
-        [
-            current * cluster_min[w + 1] - current * cluster_max[w]
-            for w in range(domains)
-        ]
-    )
-    return np.min(margins, axis=0)
+    best = previous_high = None
+    for entries in by_weight:
+        low = high = None
+        for edge, half, g_low, g_high in entries:
+            for overhang in overhang_terms:
+                for g in {g_low, g_high}:  # once when they are equal
+                    total = g + edge_terms[edge]
+                    if half is not None:
+                        total += half_terms[half]
+                    total += overhang
+                    resistance = 1.0 / total
+                    if low is None:
+                        low, high = resistance, resistance.copy()
+                    else:
+                        np.minimum(low, resistance, out=low)
+                        np.maximum(high, resistance, out=high)
+        if previous_high is not None:
+            margin = current * low - current * previous_high
+            best = margin if best is None else np.minimum(best, margin, out=best)
+        previous_high = high
+    return best
 
 
 def min_margins_for_offsets(
@@ -281,8 +303,12 @@ def min_margins_for_offsets(
     right_neighbor: NeighborAssumption,
     char: Characterization,
 ) -> np.ndarray:
-    """Minimum sense margin (volts) for each signed offset (meters)."""
-    _check_variation_domains(domains)
+    """Minimum sense margin (volts) for each signed offset (meters).
+
+    A positive offset uncovers the left edge and overhangs the right
+    neighbor; a negative one mirrors that.
+    """
+    _check_domain_count(domains)
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size and not (float(np.max(np.abs(offsets))) <= char.geometry.notch_length):
         worst = float(offsets[np.argmax(np.abs(offsets))])  # the first NaN, if any
@@ -291,16 +317,21 @@ def min_margins_for_offsets(
     zero = offsets == 0.0
     if zero.any():
         out[zero] = enumerate_levels(domains, borders, char).min_margin
-    positive = offsets > 0.0
-    if positive.any():
-        out[positive] = _side_min_margins(
-            domains, borders, offsets[positive], True, right_neighbor.bits, char
+    sides = [
+        (selected, left, neighbor)
+        for selected, left, neighbor in (
+            (offsets > 0.0, True, right_neighbor),
+            (offsets < 0.0, False, left_neighbor),
         )
-    negative = offsets < 0.0
-    if negative.any():
-        out[negative] = _side_min_margins(
-            domains, borders, -offsets[negative], False, left_neighbor.bits, char
-        )
+        if selected.any()
+    ]
+    if sides:
+        ohms = _kind_ohms(char.table)
+        groups = _edge_groups(domains, borders, ohms, tuple(left for _, left, _ in sides))
+        for (selected, _, neighbor), side_groups in zip(sides, groups):
+            out[selected] = _side_min_margins(
+                domains, side_groups, np.abs(offsets[selected]), neighbor.bits, char, ohms
+            )
     return out
 
 
@@ -325,7 +356,7 @@ def offset_margin_report(
     char: Characterization,
 ) -> OffsetReport:
     """Every pattern re-evaluated under one fixed offset."""
-    _check_variation_domains(domains)
+    _check_domain_count(domains)
     _check_offset(spec.offset, char.geometry)
     values = min_margins_for_offsets(
         domains,
@@ -419,7 +450,7 @@ def monte_carlo_margins(
     right_neighbor: NeighborAssumption = NeighborAssumption.WORST,
 ) -> MonteCarloReport:
     """Seeded margin distribution; the same seed gives the same bits."""
-    _check_variation_domains(domains)
+    _check_domain_count(domains)
     spec.validate()
     offsets = sample_offsets(spec)
     margins = min_margins_for_offsets(

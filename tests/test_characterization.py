@@ -219,6 +219,22 @@ def test_parse_rejects_bad_number():
         parse_config("r_minus_80 = twelve\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "domain_length_nm = 1e400",
+        "j_c_a_per_m2 = 1e400",
+        "k_u = -1e400",
+        "r_minus_80 = 1e400",
+    ],
+)
+def test_parse_rejects_values_beyond_float_range(line):
+    # finite as decimals, but float() would turn them into inf
+    key = line.split()[0]
+    with pytest.raises(ConfigParseError, match=rf"'{key}'.*floating-point range.*line 2"):
+        parse_config("# overflow\n" + line + "\n")
+
+
 def test_parse_rejects_missing_separator():
     with pytest.raises(ConfigParseError, match="line 2"):
         parse_config("# fine\nr_minus_80 1911\n")

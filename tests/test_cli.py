@@ -6,6 +6,9 @@ import json
 
 import pytest
 
+import numpy as np
+
+from mdmtj import oracle
 from mdmtj.cli import main
 
 
@@ -207,6 +210,44 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == direct
 
 
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "report.csv"
+    code, out, err = run_cli(
+        capsys, "margin", "--domains", "4", "--format", "csv", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --out")
+    assert str(target) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_config_beyond_float_range_exits_3(capsys, tmp_path):
+    config = tmp_path / "huge.cfg"
+    config.write_text("domain_length_nm = 1e400\n")
+    code, out, err = run_cli(capsys, "margin", "--domains", "4", "--config", str(config))
+    assert (code, out) == (3, "")
+    assert "domain_length_nm" in err
+
+
+@pytest.mark.parametrize(
+    "mode", [("--offset-nm", "5.5"), ("--monte-carlo", "1000", "--seed", "8")]
+)
+def test_variation_at_thirty_domains(capsys, mode):
+    code, out, err = run_cli(
+        capsys, "variation", "--domains", "30", "--borders", "same,differ", *mode,
+        "--format", "json",
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    nominal = payload["nominal_min_margin_mv"]
+    if "samples" in payload:
+        assert len(payload["samples"]) == 1000
+        assert payload["min_margin_mv"] <= nominal
+        assert all(s["min_margin_mv"] <= nominal for s in payload["samples"])
+    else:
+        assert payload["perturbed_min_margin_mv"] <= nominal
+
+
 def test_custom_config_changes_results(capsys, tmp_path):
     config = tmp_path / "device.cfg"
     config.write_text("r_minus_80 = 2000\n")
@@ -224,15 +265,40 @@ def test_oracle_cross_checks_pass(capsys):
         ("margin", "--domains", "5", "--borders", "worst", "--oracle"),
         ("margin", "--domains", "6", "--closed-form", "--oracle"),
         ("sweep", "--from", "2", "--to", "6", "--threshold-mv", "20", "--oracle"),
+        ("variation", "--domains", "6", "--offset-nm", "6", "--borders", "differ,same",
+         "--oracle"),
+        ("variation", "--domains", "5", "--offset-nm", "0", "--oracle"),
+        ("variation", "--domains", "7", "--monte-carlo", "50", "--seed", "3",
+         "--neighbors", "1", "--oracle"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
 
 
 def test_oracle_above_brute_force_limit(capsys):
-    code, _, err = run_cli(capsys, "levels", "--domains", "13", "--oracle")
-    assert code == 2
-    assert "12 domains" in err
+    for argv in (
+        ("levels", "--domains", "13", "--oracle"),
+        ("variation", "--domains", "13", "--offset-nm", "2", "--oracle"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "12 domains" in err
+
+
+def test_variation_oracle_mismatch_exits_1(capsys, monkeypatch):
+    real = oracle.brute_force_offset_margins
+
+    def off_by_one_ulp(*args):
+        return np.nextafter(real(*args), np.inf)
+
+    monkeypatch.setattr(oracle, "brute_force_offset_margins", off_by_one_ulp)
+    for argv in (
+        ("variation", "--domains", "4", "--offset-nm", "3", "--oracle"),
+        ("variation", "--domains", "4", "--monte-carlo", "5", "--seed", "1", "--oracle"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "brute-force reference" in err
 
 
 def test_invalid_pattern_exits_2(capsys):
@@ -273,7 +339,7 @@ def test_broken_config_exits_3(capsys, tmp_path):
 def test_variation_usage_errors(capsys):
     cases = [
         ("variation", "--domains", "4", "--offset-nm", "13"),
-        ("variation", "--domains", "13", "--offset-nm", "5"),
+        ("variation", "--domains", "31", "--offset-nm", "5"),
         ("variation", "--domains", "4", "--offset-nm", "5", "--format", "csv"),
         ("variation", "--domains", "4", "--offset-nm", "5", "--seed", "3"),
         ("variation", "--domains", "4", "--monte-carlo", "10"),

@@ -8,10 +8,10 @@ import pytest
 from mdmtj.characterization import SegmentKind, scaled_resistance
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange
 from mdmtj.margins import enumerate_levels
-from mdmtj.network import ALL_CONDITIONS, BitPattern, BorderCondition, decompose
+from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
+from mdmtj.oracle import brute_force_offset_margins
 from mdmtj.variation import (
     SIGMA_DEFAULT,
-    VARIATION_LIMIT,
     MisalignmentSpec,
     MonteCarloSpec,
     NeighborAssumption,
@@ -195,10 +195,40 @@ def test_worst_neighbors_never_beat_fixed_ones(char, same_same):
     assert values[WORST] <= min(values[ZERO], values[ONE])
 
 
+def _boundary_offsets(char):
+    notch = char.geometry.notch_length
+    # +-notch is the largest admissible offset; at +-notch/2 a half-wall is
+    # exactly fully uncovered
+    magnitudes = [notch, notch / 2, np.nextafter(notch / 2, 0.0), 1e-15, 4.2e-9]
+    return np.array(magnitudes + [-m for m in magnitudes] + [0.0])
+
+
+def test_engine_matches_brute_force_oracle_bitwise(char):
+    offsets = _boundary_offsets(char)
+    for domains in range(1, 13):
+        for borders in ALL_CONDITIONS:
+            for assumption in (ZERO, ONE, WORST):
+                engine = min_margins_for_offsets(
+                    domains, borders, offsets, assumption, assumption, char
+                )
+                reference = brute_force_offset_margins(
+                    domains, borders, offsets, assumption, assumption, char
+                )
+                assert engine.tobytes() == reference.tobytes(), (domains, borders, assumption)
+
+
+def test_engine_matches_oracle_beyond_twelve_domains(char):
+    borders = BorderCondition.parse("same,differ")
+    offsets = _boundary_offsets(char)
+    engine = min_margins_for_offsets(14, borders, offsets, WORST, WORST, char)
+    reference = brute_force_offset_margins(14, borders, offsets, WORST, WORST, char)
+    assert engine.tobytes() == reference.tobytes()
+
+
 def test_variation_domain_cap(char, same_same):
-    with pytest.raises(DomainCountTooLarge, match="12 domains"):
+    with pytest.raises(DomainCountTooLarge, match="30"):
         min_margins_for_offsets(
-            VARIATION_LIMIT + 1, same_same, np.array([1e-9]), WORST, WORST, char
+            MAX_DOMAINS + 1, same_same, np.array([1e-9]), WORST, WORST, char
         )
     with pytest.raises(ValueError):
         min_margins_for_offsets(0, same_same, np.array([1e-9]), WORST, WORST, char)
