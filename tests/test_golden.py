@@ -60,8 +60,26 @@ CASES: list[tuple[str, tuple[str, ...]]] = [
                   "--monte-carlo", "40", "--seed", "9", "--neighbors", "0"),
 ]
 
-# Writing to --out must produce exactly the bytes stdout would carry.
+# Windows above D = 12, where no brute-force reference reaches: these pin the
+# run-structure walk itself.
+LARGE_CASES: list[tuple[str, tuple[str, ...]]] = [
+    ("margin-worst-d30.json", ("margin", "--domains", "30", "--borders", "worst",
+                               "--format", "json")),
+    ("margin-differ-same-d24.json", ("margin", "--domains", "24", "--borders", "differ,same",
+                                     "--format", "json")),
+    ("sweep-same-differ-d30.json", ("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20",
+                                    "--borders", "same,differ", "--format", "json")),
+    ("levels-differ-differ-d16.csv", ("levels", "--domains", "16", "--borders", "differ,differ",
+                                      "--format", "csv")),
+    ("variation-same-differ-d30.json", ("variation", "--domains", "30", "--offset-nm", "5.5",
+                                        "--borders", "same,differ", "--format", "json")),
+]
+
+# Writing to --out must produce exactly the bytes stdout would carry; the
+# small cases cover that path.
 OUT_CASES = [name for name, argv in CASES if argv[0] not in ("resistance", "voltage")]
+
+CASES += LARGE_CASES
 
 
 def _run(argv: tuple[str, ...]) -> tuple[int, str]:
