@@ -29,6 +29,9 @@ from typing import Iterator, Mapping
 
 from .errors import ConfigInvariantError, ConfigParseError, DegenerateCoverage
 
+# largest window any analysis accepts; patterns and reports stop here
+MAX_DOMAINS = 30
+
 
 class Polarity(enum.Enum):
     """Free-layer domain orientation relative to the fixed layer."""
@@ -439,8 +442,29 @@ def parse_config(text: str, source: str = "<config>") -> Characterization:
     geometry.validate()
     drive = DriveParams(**drive_kwargs)
     drive.validate()
+    _check_voltage_bound(table, geometry, drive)
     metadata = CharacterizationMetadata(**metadata_kwargs)
     return Characterization(table, geometry, drive, metadata)
+
+
+def _check_voltage_bound(
+    table: SegmentResistanceTable, geometry: DeviceGeometry, drive: DriveParams
+) -> None:
+    """Refuse values whose read voltages could overflow.
+
+    A parallel bank resists less than its largest segment, and the read
+    current grows with the domain count, so the read current at MAX_DOMAINS
+    times the largest segment resistance bounds every read voltage.
+    """
+    bound = drive.read_current(MAX_DOMAINS, geometry) * max(
+        table.ohms(kind) for kind in SegmentKind
+    )
+    if not (bound <= sys.float_info.max):  # written so that inf and nan fail
+        raise ConfigInvariantError(
+            f"read voltages overflow: j_c_a_per_m2 x domain_length_nm x track_width_nm"
+            f" x {MAX_DOMAINS} domains x the largest segment resistance is not a finite"
+            " number"
+        )
 
 
 def load_config(path: str) -> Characterization:

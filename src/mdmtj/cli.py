@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import count
 from pathlib import Path
@@ -39,12 +39,13 @@ from .characterization import (
     default_characterization,
     load_config,
 )
-from .errors import ConfigError, ModelError, OracleMismatch, PatternError
+from .errors import ConfigError, ModelError, OracleMismatch, UsageError
 from .margins import (
     MarginReport,
     SweepReport,
     closed_form_min_margin,
     closed_form_resistances,
+    cluster_extremes,
     enumerate_levels,
     sweep_domains,
     worst_case_levels,
@@ -63,24 +64,17 @@ _CONFIG_ERROR = 3
 _INTERNAL_ERROR = 1
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _is_worst(text: str) -> bool:
     return text.strip().lower() == "worst"
 
 
 def _parse_borders(text: str) -> BorderCondition:
     if _is_worst(text):
-        raise _UsageError(
+        raise UsageError(
             "--borders worst applies to margin reports only;"
             " pick one of same,same / same,differ / differ,same / differ,differ"
         )
-    try:
-        return BorderCondition.parse(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return BorderCondition.parse(text)  # a PatternError is a UsageError
 
 
 def _finite_float(text: str) -> float:
@@ -126,7 +120,7 @@ def _timestamp() -> str:
         epoch = int(pinned) if pinned else int(time.time())
         return datetime.fromtimestamp(epoch, timezone.utc).isoformat()
     except (ValueError, OverflowError, OSError):
-        raise _UsageError(
+        raise UsageError(
             f"SOURCE_DATE_EPOCH must be a whole number of seconds, got {pinned!r}"
         ) from None
 
@@ -197,7 +191,7 @@ def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) ->
     try:
         Path(out).write_text(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
 
 def _mv(volts: float) -> float:
@@ -220,7 +214,7 @@ def _oracle_pattern_check(pattern: str, borders: BorderCondition, char: Characte
 
 def _check_oracle_limit(domains: int) -> None:
     if domains > oracle.BRUTE_FORCE_LIMIT:
-        raise _UsageError(f"--oracle cross-checks stop at {oracle.BRUTE_FORCE_LIMIT} domains")
+        raise UsageError(f"--oracle cross-checks stop at {oracle.BRUTE_FORCE_LIMIT} domains")
 
 
 def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
@@ -229,6 +223,8 @@ def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
         ref = oracle.worst_case_brute_force(report.domains, char)
     else:
         ref = oracle.brute_force_report(report.domains, report.borders, char)
+        if not report.clusters[0].classes:  # a cluster_extremes report lists none
+            ref = replace(ref, clusters=tuple(replace(c, classes=()) for c in ref.clusters))
     if ref != report:
         raise OracleMismatch(
             f"{report.domains}-domain report ({report.convention_label}) disagrees"
@@ -359,7 +355,7 @@ def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
         if _is_worst(args.borders):
             report = worst_case_levels(args.domains, char)
         else:
-            report = enumerate_levels(args.domains, _parse_borders(args.borders), char)
+            report = cluster_extremes(args.domains, _parse_borders(args.borders), char)
         if args.oracle:
             _oracle_report_check(report, char)
         convention = report.convention_label
@@ -428,7 +424,7 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
         return _fixed_offset(args, borders, neighbors, char)
 
     if args.seed is None:
-        raise _UsageError("--monte-carlo requires --seed for a reproducible run")
+        raise UsageError("--monte-carlo requires --seed for a reproducible run")
     spec = MonteCarloSpec(samples=args.monte_carlo, seed=args.seed)
     report = monte_carlo_margins(
         args.domains, borders, spec, char, left_neighbor=neighbors, right_neighbor=neighbors
@@ -483,12 +479,12 @@ def _fixed_offset(
     char: Characterization,
 ) -> _Result:
     if args.format == "csv":
-        raise _UsageError(
+        raise UsageError(
             "csv output is defined for monte carlo runs only;"
             " fixed-offset reports are table or json"
         )
     if args.seed is not None:
-        raise _UsageError("--seed applies to --monte-carlo runs only")
+        raise UsageError("--seed applies to --monte-carlo runs only")
     magnitude = abs(args.offset_nm) * 1e-9
     candidates = [magnitude, -magnitude] if magnitude else [0.0]
     reports = [
@@ -653,13 +649,21 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR
-    except (PatternError, _UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INTERNAL_ERROR
+    except ValueError as exc:
+        # no input error arrives untyped, so this is a fault of the program
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _INTERNAL_ERROR
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, truediv
 from typing import Iterator, NamedTuple, Sequence
 
 from .characterization import (
@@ -29,7 +29,13 @@ from .characterization import (
     domain_kind,
     half_wall_kind,
 )
-from .errors import ClustersOverlap, DomainCountTooLarge, DomainCountTooSmall, ModelError
+from .errors import (
+    ClustersOverlap,
+    DomainCountTooLarge,
+    DomainCountTooSmall,
+    ModelError,
+    UsageError,
+)
 from .network import ALL_CONDITIONS, Border, BorderCondition, MAX_DOMAINS
 
 # above this the sweep leaves the enumerated column blank; the closed form
@@ -51,6 +57,9 @@ _HALF_AT = {
     0: _KIND_INDEX[half_wall_kind(Polarity.MINUS_Z)],
     1: _KIND_INDEX[half_wall_kind(Polarity.PLUS_Z)],
 }
+# spare run length beyond two domains adds full-length (wall-free) domains
+_MINUS_FULL = _DOMAIN_AT[0, 0]
+_PLUS_FULL = _DOMAIN_AT[1, 0]
 
 
 @dataclass(frozen=True)
@@ -122,40 +131,33 @@ def _conductance(bank: Sequence[int], ohms: Sequence[float]) -> float:
 
 
 class _RunCategory(NamedTuple):
-    """Interchangeable runs: same polarity and same left/right structures.
+    """Interchangeable runs: same polarity and the same neighbors.
 
-    ``left``/``right`` say whether a wall or half-wall eats into that end of
-    each run in the category; ``positions`` are 1-based run indices.
+    ``positions`` are 1-based run indices. ``n`` is their count, stored
+    because the walk reads it in its innermost loops.
     """
 
     pol: int
-    left: int
-    right: int
     positions: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
+    n: int
 
 
-def _categories(
-    s: int, runs: int, borders: BorderCondition
-) -> tuple[_RunCategory, ...]:
-    lb = 1 if borders.left is Border.DIFFER else 0
-    rb = 1 if borders.right is Border.DIFFER else 0
+def _categories(s: int, runs: int) -> tuple[_RunCategory, ...]:
+    """The first run, the last run, then the interior runs by polarity.
+
+    Interior runs have a wall on both sides under every border condition;
+    only the first and last runs meet a border.
+    """
     if runs == 1:
-        return (_RunCategory(s, lb, rb, (1,)),)
+        return (_RunCategory(s, (1,), 1),)
     last_pol = s if runs % 2 else 1 - s
-    cats = [
-        _RunCategory(s, lb, 1, (1,)),
-        _RunCategory(last_pol, 1, rb, (runs,)),
-    ]
+    cats = [_RunCategory(s, (1,), 1), _RunCategory(last_pol, (runs,), 1)]
     same = tuple(i for i in range(2, runs) if i % 2 == 1)
     other = tuple(i for i in range(2, runs) if i % 2 == 0)
     if same:
-        cats.append(_RunCategory(s, 1, 1, same))
+        cats.append(_RunCategory(s, same, len(same)))
     if other:
-        cats.append(_RunCategory(1 - s, 1, 1, other))
+        cats.append(_RunCategory(1 - s, other, len(other)))
     return tuple(cats)
 
 
@@ -165,95 +167,47 @@ def _stars(extra: int, bins: int) -> int:
     return math.comb(extra + bins - 1, bins - 1)
 
 
-def _lexmin_pattern(
-    s: int,
-    runs: int,
-    cats: tuple[_RunCategory, ...],
-    m_combo: tuple[int, ...],
-    extra_zero: int,
-    extra_one: int,
-) -> str:
-    """Lex-smallest pattern in the sub-class.
+class _Family(NamedTuple):
+    """Sub-classes that share first-run polarity, run count and which run
+    categories hold the length-1 runs.
 
-    Greedy by position: 0-runs grab length as early as possible (shorts go to
-    the latest 0-runs, all spare 0-length to the earliest long 0-run), 1-runs
-    shed length as early as possible (shorts first, spare 1-length deferred
-    to the last long 1-run).
+    A sub-class then fixes the weight: how the spare length (beyond 2 per
+    longer run) splits between 0-runs and 1-runs. Spare length changes the
+    pattern but not the bank, so within a sub-class it distributes freely
+    (stars and bars). Weight, multiplicity and the lex-min representative are
+    the same under every border condition; ``_condition_counts`` adds what is
+    not.
     """
-    lengths: dict[int, int] = {}
-    long_zero: list[int] = []
-    long_one: list[int] = []
-    for cat, m in zip(cats, m_combo):
-        if cat.pol == 1:
-            shorts = set(cat.positions[:m])
-        else:
-            shorts = set(cat.positions[cat.n - m :])
-        for pos in cat.positions:
-            if pos in shorts:
-                lengths[pos] = 1
-            else:
-                lengths[pos] = 2
-                (long_one if cat.pol else long_zero).append(pos)
-    if extra_zero:
-        lengths[min(long_zero)] += extra_zero
-    if extra_one:
-        lengths[max(long_one)] += extra_one
-    parts = []
-    for i in range(1, runs + 1):
-        bit = "1" if (s if i % 2 else 1 - s) else "0"
-        parts.append(bit * lengths[i])
-    return "".join(parts)
+
+    first_pol: int
+    runs: int
+    cats: tuple[_RunCategory, ...]
+    shorts: tuple[int, ...]  # length-1 runs per category
+    inner: list[int]  # walls and interior-run domains, before spare length
+    # (weight, multiplicity, spare 0-length, spare 1-length) per sub-class
+    subclasses: list[tuple[int, int, int, int]]
 
 
-# An edge structure: the kind index of the window's end domain, and of the
-# half-wall on that border (None when the outside neighbor is the same bit).
-_Edge = tuple[int, int | None]
-
-
-def _subclasses(
-    domains: int, borders: BorderCondition
-) -> Iterator[tuple[tuple[int, ...], int, int, str, _Edge, _Edge]]:
-    """Yield (bank, weight, multiplicity, lexmin representative, left edge,
-    right edge) tuples.
-
-    A sub-class fixes the first-run polarity, the run count, and which run
-    categories hold the length-1 runs; leftover length distributes freely
-    over the longer runs (stars and bars), which changes the pattern but not
-    the bank. The first and last runs each form a category of their own, so
-    every pattern of a sub-class shares its edge structures too.
-    """
-    lb = 1 if borders.left is Border.DIFFER else 0
-    rb = 1 if borders.right is Border.DIFFER else 0
+def _walk(domains: int) -> Iterator[_Family]:
+    """Every sub-class of ``domains``-bit patterns, border condition aside."""
     for s in (0, 1):
         for runs in range(1, domains + 1):
-            cats = _categories(s, runs, borders)
-            last_pol = s if runs % 2 else 1 - s
-            first = cats[0]
-            last_at = 0 if runs == 1 else 1
-            last = cats[last_at]
-            left_half = _HALF_AT[s] if lb else None
-            right_half = _HALF_AT[last_pol] if rb else None
+            cats = _categories(s, runs)
             t = runs - 1
             n01 = (t + 1) // 2 if s == 0 else t // 2
-            n10 = t - n01
-            for m_combo in product(*(range(c.n + 1) for c in cats)):
-                # a length-1 end run has walls on both sides of its domain;
-                # a longer one only on its outer side
-                walls = first.left + first.right if m_combo[0] else first.left
-                left_edge = (_DOMAIN_AT[first.pol, walls], left_half)
-                walls = last.left + last.right if m_combo[last_at] else last.right
-                right_edge = (_DOMAIN_AT[last.pol, walls], right_half)
+            for shorts in product(*(range(c.n + 1) for c in cats)):
+                if 2 * runs - sum(shorts) > domains:
+                    continue  # the runs alone need more than ``domains`` bits
                 base_mult = 1
                 m_pol = [0, 0]
                 f_pol = [0, 0]
-                for cat, m in zip(cats, m_combo):
+                for cat, m in zip(cats, shorts):
                     base_mult *= math.comb(cat.n, m)
                     m_pol[cat.pol] += m
                     f_pol[cat.pol] += cat.n - m
                 lo_one = m_pol[1] + 2 * f_pol[1]
                 lo_zero = m_pol[0] + 2 * f_pol[0]
-                if lo_one + lo_zero > domains:
-                    continue
+                subclasses = []
                 for weight in range(lo_one, domains - lo_zero + 1):
                     extra_one = weight - lo_one
                     extra_zero = (domains - weight) - lo_zero
@@ -266,39 +220,132 @@ def _subclasses(
                         * _stars(extra_zero, f_pol[0])
                         * _stars(extra_one, f_pol[1])
                     )
-                    counts = [0] * len(_KINDS)
-                    counts[_WALL_01] = n01
-                    counts[_WALL_10] = n10
-                    if lb:
-                        counts[_HALF_AT[s]] += 1
-                    if rb:
-                        counts[_HALF_AT[last_pol]] += 1
-                    for cat, m in zip(cats, m_combo):
-                        f = cat.n - m
-                        counts[_DOMAIN_AT[cat.pol, cat.left + cat.right]] += m
-                        if f:
-                            counts[_DOMAIN_AT[cat.pol, cat.left]] += f
-                            counts[_DOMAIN_AT[cat.pol, cat.right]] += f
-                    counts[_DOMAIN_AT[0, 0]] += extra_zero
-                    counts[_DOMAIN_AT[1, 0]] += extra_one
-                    rep = _lexmin_pattern(s, runs, cats, m_combo, extra_zero, extra_one)
-                    yield tuple(counts), weight, mult, rep, left_edge, right_edge
+                    subclasses.append((weight, mult, extra_zero, extra_one))
+                if not subclasses:
+                    continue
+                inner = [0] * len(_KINDS)
+                inner[_WALL_01] = n01
+                inner[_WALL_10] = t - n01
+                for cat, m in zip(cats[2:], shorts[2:]):
+                    inner[_DOMAIN_AT[cat.pol, 2]] += m
+                    inner[_DOMAIN_AT[cat.pol, 1]] += 2 * (cat.n - m)
+                yield _Family(s, runs, cats, shorts, inner, subclasses)
 
 
-def _merged_banks(
-    domains: int, borders: BorderCondition
-) -> dict[tuple[int, ...], list]:
-    """bank -> [weight, multiplicity, lexmin representative]."""
-    banks: dict[tuple[int, ...], list] = {}
-    for bank, weight, mult, rep, _, _ in _subclasses(domains, borders):
-        entry = banks.get(bank)
-        if entry is None:
-            banks[bank] = [weight, mult, rep]
+# An edge structure: the kind index of the window's end domain, and of the
+# half-wall on that border (None when the outside neighbor is the same bit).
+_Edge = tuple[int, int | None]
+
+
+def _end_run(counts: list[int], pol: int, left: int, right: int, short: int) -> tuple[int, int]:
+    """Count one end run's edge domains; return the kinds at its two ends."""
+    if short:
+        kind = _DOMAIN_AT[pol, left + right]
+        counts[kind] += 1
+        return kind, kind
+    left_kind = _DOMAIN_AT[pol, left]
+    right_kind = _DOMAIN_AT[pol, right]
+    counts[left_kind] += 1
+    counts[right_kind] += 1
+    return left_kind, right_kind
+
+
+def _condition_counts(family: _Family, borders: BorderCondition) -> tuple[list[int], _Edge, _Edge]:
+    """The family's bank under one border condition, before spare length,
+    and its left and right edge structures.
+
+    Adds to the shared inner counts what the borders decide: the end runs'
+    domain kinds and the half-walls.
+    """
+    lb = 1 if borders.left is Border.DIFFER else 0
+    rb = 1 if borders.right is Border.DIFFER else 0
+    s = family.first_pol
+    last_pol = s if family.runs % 2 else 1 - s
+    counts = family.inner.copy()
+    if family.runs == 1:
+        left, right = _end_run(counts, s, lb, rb, family.shorts[0])
+    else:
+        left, _ = _end_run(counts, s, lb, 1, family.shorts[0])
+        _, right = _end_run(counts, last_pol, 1, rb, family.shorts[1])
+    left_half = right_half = None
+    if lb:
+        left_half = _HALF_AT[s]
+        counts[left_half] += 1
+    if rb:
+        right_half = _HALF_AT[last_pol]
+        counts[right_half] += 1
+    return counts, (left, left_half), (right, right_half)
+
+
+def _spared(counts: list[int], extra_zero: int, extra_one: int) -> tuple[int, ...]:
+    """``counts`` plus a sub-class's spare length, as full-length domains."""
+    bank = counts.copy()
+    bank[_MINUS_FULL] += extra_zero
+    bank[_PLUS_FULL] += extra_one
+    return tuple(bank)
+
+
+def _spare_conductances(
+    counts: list[int], subclasses: list[tuple[int, int, int, int]], ohms: list[float]
+) -> list[float]:
+    """``_conductance`` of ``_spared(counts, ...)`` for each sub-class, bit
+    for bit.
+
+    Only the two full-length domain counts differ between sub-classes, so the
+    other eight terms are divided once; the sum still runs term by term in
+    kind order (the float contract), and a zero count adds 0.0, which is
+    what skipping it does.
+    """
+    # kind layout: minus full, mid, short, plus full, mid, short, two walls,
+    # two half-walls
+    _, t1, t2, _, t4, t5, t6, t7, t8, t9 = map(truediv, counts, ohms)
+    minus, minus_ohms = counts[_MINUS_FULL], ohms[_MINUS_FULL]
+    plus, plus_ohms = counts[_PLUS_FULL], ohms[_PLUS_FULL]
+    return [
+        (minus + extra_zero) / minus_ohms + t1 + t2 + (plus + extra_one) / plus_ohms
+        + t4 + t5 + t6 + t7 + t8 + t9
+        for _, _, extra_zero, extra_one in subclasses
+    ]
+
+
+def _lexmin_patterns(family: _Family) -> list[str]:
+    """Lex-smallest pattern of each of the family's sub-classes, in order.
+
+    Greedy by position: 0-runs grab length as early as possible (shorts go to
+    the latest 0-runs, all spare 0-length to the earliest long 0-run), 1-runs
+    shed length as early as possible (shorts first, spare 1-length deferred
+    to the last long 1-run).
+    """
+    lengths: dict[int, int] = {}
+    long_zero: list[int] = []
+    long_one: list[int] = []
+    for cat, m in zip(family.cats, family.shorts):
+        if cat.pol == 1:
+            shorts = set(cat.positions[:m])
         else:
-            entry[1] += mult
-            if rep < entry[2]:
-                entry[2] = rep
-    return banks
+            shorts = set(cat.positions[cat.n - m :])
+        for pos in cat.positions:
+            if pos in shorts:
+                lengths[pos] = 1
+            else:
+                lengths[pos] = 2
+                (long_one if cat.pol else long_zero).append(pos)
+    s = family.first_pol
+    runs = [
+        ("1" if (s if i % 2 else 1 - s) else "0") * lengths[i]
+        for i in range(1, family.runs + 1)
+    ]
+    zero_at = min(long_zero) - 1 if long_zero else None
+    one_at = max(long_one) - 1 if long_one else None
+    patterns = []
+    for _, _, extra_zero, extra_one in family.subclasses:
+        pieces = runs.copy()
+        if extra_zero:
+            pieces[zero_at] += "0" * extra_zero
+        if extra_one:
+            pieces[one_at] += "1" * extra_one
+        patterns.append("".join(pieces))
+    return patterns
 
 
 def equivalence_key(bank: tuple[int, ...]) -> tuple:
@@ -320,11 +367,21 @@ def _check_domain_count(domains: int, limit: int = MAX_DOMAINS) -> None:
         raise DomainCountTooLarge(f"domain count {domains} exceeds limit {limit}")
 
 
+def _check_population(domains: int, by_weight_count: Sequence[int]) -> None:
+    for weight, count in enumerate(by_weight_count):
+        if count != math.comb(domains, weight):
+            raise ModelError(
+                f"{domains}-domain enumeration covers {count} patterns"
+                f" of weight {weight}, expected {math.comb(domains, weight)}"
+            )
+
+
 def enumerate_levels(
     domains: int, borders: BorderCondition, char: Characterization
 ) -> MarginReport:
     """Cluster every pattern of ``domains`` bits by weight under one border
-    condition and report resistances, voltages, and adjacent margins.
+    condition and report resistances, voltages, adjacent margins and the
+    class listing.
 
     Class listings are grouped by the direction-folded equivalence key; the
     per-class resistance is that of the lex-smallest member. Cluster extremes
@@ -332,9 +389,23 @@ def enumerate_levels(
     extremes.
     """
     _check_domain_count(domains)
-    banks = _merged_banks(domains, borders)
     ohms = _kind_ohms(char.table)
     current = char.drive.read_current(domains, char.geometry)
+
+    banks: dict[tuple[int, ...], list] = {}  # bank -> [weight, multiplicity, representative]
+    for family in _walk(domains):
+        counts, _, _ = _condition_counts(family, borders)
+        for (weight, mult, extra_zero, extra_one), rep in zip(
+            family.subclasses, _lexmin_patterns(family)
+        ):
+            bank = _spared(counts, extra_zero, extra_one)
+            entry = banks.get(bank)
+            if entry is None:
+                banks[bank] = [weight, mult, rep]
+            else:
+                entry[1] += mult
+                if rep < entry[2]:
+                    entry[2] = rep
 
     res_by_bank = {bank: 1.0 / _conductance(bank, ohms) for bank in banks}
     by_weight_res: list[list[float]] = [[] for _ in range(domains + 1)]
@@ -352,6 +423,7 @@ def enumerate_levels(
             if rep < entry[1]:
                 entry[1] = rep
                 entry[2] = bank
+    _check_population(domains, by_weight_count)
 
     classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
     for (weight, _), (mult, rep, rep_bank) in folded.items():
@@ -362,11 +434,6 @@ def enumerate_levels(
 
     clusters = []
     for weight in range(domains + 1):
-        if by_weight_count[weight] != math.comb(domains, weight):
-            raise ModelError(
-                f"{domains}-domain enumeration covers {by_weight_count[weight]} patterns"
-                f" of weight {weight}, expected {math.comb(domains, weight)}"
-            )
         values = by_weight_res[weight]
         low, high = min(values), max(values)
         entries = tuple(
@@ -386,29 +453,44 @@ def enumerate_levels(
     return _finish_report(domains, borders, current, tuple(clusters))
 
 
-def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
-    """Weight clusters with extremes mixed over all four border conditions.
+def _extremes_report(
+    domains: int,
+    conditions: Sequence[BorderCondition],
+    borders: BorderCondition | None,
+    char: Characterization,
+) -> MarginReport:
+    """Cluster extremes over the patterns of every condition in
+    ``conditions``, from one walk; no class listings, no representatives.
 
-    This is the convention behind the closed-form first-gap margin: each
-    cluster's spread is widened to the worst any border assumption allows.
-    Class listings are omitted (they are per-convention objects).
+    Rounded 1/g is monotone, so a cluster's extreme resistances are the
+    reciprocals of its extreme conductances, bit for bit.
     """
     _check_domain_count(domains)
     ohms = _kind_ohms(char.table)
     current = char.drive.read_current(domains, char.geometry)
-    by_weight: list[list[float]] = [[] for _ in range(domains + 1)]
-    for borders in ALL_CONDITIONS:
-        for bank, (weight, _, _) in _merged_banks(domains, borders).items():
-            by_weight[weight].append(1.0 / _conductance(bank, ohms))
+    by_weight_count = [0] * (domains + 1)
+    g_low = [math.inf] * (domains + 1)
+    g_high = [0.0] * (domains + 1)
+    for family in _walk(domains):
+        for weight, mult, _, _ in family.subclasses:
+            by_weight_count[weight] += mult
+        for condition in conditions:
+            counts, _, _ = _condition_counts(family, condition)
+            gs = _spare_conductances(counts, family.subclasses, ohms)
+            for (weight, _, _, _), g in zip(family.subclasses, gs):
+                if g < g_low[weight]:
+                    g_low[weight] = g
+                if g > g_high[weight]:
+                    g_high[weight] = g
+    _check_population(domains, by_weight_count)
 
     clusters = []
     for weight in range(domains + 1):
-        values = by_weight[weight]
-        low, high = min(values), max(values)
+        low, high = 1.0 / g_high[weight], 1.0 / g_low[weight]
         clusters.append(
             LevelCluster(
                 weight=weight,
-                pattern_count=math.comb(domains, weight),
+                pattern_count=by_weight_count[weight],
                 min_resistance=low,
                 max_resistance=high,
                 min_voltage=current * low,
@@ -416,7 +498,31 @@ def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
                 classes=(),
             )
         )
-    return _finish_report(domains, None, current, tuple(clusters))
+    return _finish_report(domains, borders, current, tuple(clusters))
+
+
+def cluster_extremes(
+    domains: int, borders: BorderCondition, char: Characterization
+) -> MarginReport:
+    """``enumerate_levels`` without the class listing: the same cluster
+    extremes and margins, with empty ``classes``.
+
+    Reports that need only the margins (``margin``, the enumerated column of
+    a sweep, the nominal margin of a misalignment study) take this path,
+    which builds no representative pattern.
+    """
+    return _extremes_report(domains, (borders,), borders, char)
+
+
+def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
+    """Weight clusters with extremes mixed over all four border conditions.
+
+    This is the convention behind the closed-form first-gap margin: each
+    cluster's spread is widened to the worst any border assumption allows.
+    Class listings are omitted (they are per-convention objects). One walk
+    serves all four conditions.
+    """
+    return _extremes_report(domains, ALL_CONDITIONS, None, char)
 
 
 def _finish_report(
@@ -551,14 +657,14 @@ def sweep_domains(
     if d_max > MAX_DOMAINS:
         raise DomainCountTooLarge(f"sweep end {d_max} exceeds limit {MAX_DOMAINS}")
     if d_min > d_max:
-        raise ValueError(f"empty sweep range [{d_min}, {d_max}]")
+        raise UsageError(f"empty sweep range [{d_min}, {d_max}]")
     rows = []
     best = None
     for domains in range(d_min, d_max + 1):
         closed = closed_form_min_margin(domains, char)
         enumerated = None
         if domains <= SWEEP_ENUMERATION_LIMIT:
-            enumerated = enumerate_levels(domains, borders, char).min_margin
+            enumerated = cluster_extremes(domains, borders, char).min_margin
         rows.append(SweepRow(domains, closed, enumerated))
         if closed >= threshold:
             best = domains

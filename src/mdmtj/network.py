@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .characterization import (
+    MAX_DOMAINS,
     Characterization,
     Polarity,
     SegmentKind,
@@ -26,8 +27,6 @@ from .characterization import (
     wall_kind,
 )
 from .errors import EmptyNetwork, PatternError
-
-MAX_DOMAINS = 30
 
 
 @dataclass(frozen=True)

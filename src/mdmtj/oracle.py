@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .characterization import Characterization, SegmentKind, SegmentResistanceTable
-from .errors import DomainCountTooLarge, EmptyNetwork
+from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport
 from .network import ALL_CONDITIONS, Border, BorderCondition
 from .variation import NeighborAssumption
@@ -301,8 +301,9 @@ def brute_force_offset_margins(
     evaluated over all patterns at once, in the documented float order: the
     bank minus the uncovered edge domain and half-wall summed in kind order,
     then the edge domain, the half-wall while still covered, the overhang.
-    There is no domain guard here: callers bound the 2^D cost (the CLI stops
-    at BRUTE_FORCE_LIMIT).
+    An offset that leaves an edge domain of some pattern no covered length
+    raises OffsetOutOfRange. There is no domain guard here: callers bound the
+    2^D cost (the CLI stops at BRUTE_FORCE_LIMIT).
     """
     table = char.table
     geometry = char.geometry
@@ -352,8 +353,15 @@ def brute_force_offset_margins(
         has_half = half < _N_KINDS
         adjusted[rows[has_half], half[has_half]] -= 1
         g = conductance(adjusted)
+        present = sorted(set(edge.tolist()))
         for j in np.flatnonzero(selected):
             magnitude = abs(float(offsets[j]))
+            for index in present:
+                if not nominal[index] - magnitude > 0.0:
+                    raise OffsetOutOfRange(
+                        f"offset {float(offsets[j]) * 1e9:.3f} nm leaves edge domain"
+                        f" kind {index} no covered length"
+                    )
             # partial conductance per kind at this coverage; a fully
             # uncovered half-wall, and the "no half-wall" slot, add 0.0
             partial = np.zeros(_N_KINDS + 1)

@@ -31,15 +31,21 @@ from .characterization import (
     domain_kind,
     scaled_resistance,
 )
-from .errors import OffsetOutOfRange
+from .errors import OffsetOutOfRange, UsageError
 from .margins import (
     _DOMAIN_AT,
+    _KINDS,
     _check_domain_count,
-    _conductance,
+    _condition_counts,
     _kind_ohms,
-    _subclasses,
-    enumerate_levels,
+    _spare_conductances,
+    _walk,
+    cluster_extremes,
 )
+
+# not called here: perfbench/tracer.py rebinds it on every module it may be
+# reached through
+from .margins import enumerate_levels  # noqa: F401
 from .network import BitPattern, BorderCondition, Decomposition, decompose
 
 # characterized misalignment budget: 5.5 nm treated as six standard deviations
@@ -58,7 +64,7 @@ class NeighborAssumption(enum.Enum):
         try:
             return cls(text.strip().lower())
         except ValueError:
-            raise ValueError(
+            raise UsageError(
                 f"neighbor assumption must be 0, 1 or worst, got {text!r}"
             ) from None
 
@@ -206,24 +212,26 @@ def _edge_groups(
 ) -> list[_EdgeGroups]:
     """One walk over the run-structure sub-classes, grouped per uncovered
     side (``True`` for the left edge)."""
-    sides = [({}, 4 if left else 5) for left in lefts]  # edge position in a sub-class
-    for subclass in _subclasses(domains, borders):
-        bank, weight = subclass[0], subclass[1]
+    sides = [({}, 1 if left else 2) for left in lefts]  # edge position in _condition_counts
+    for family in _walk(domains):
+        structure = _condition_counts(family, borders)
+        counts = structure[0]
         for groups, edge_at in sides:
-            edge, half = subclass[edge_at]
-            adjusted = list(bank)
+            edge, half = structure[edge_at]
+            adjusted = counts.copy()
             adjusted[edge] -= 1
             if half is not None:
                 adjusted[half] -= 1
-            g = _conductance(adjusted, ohms)
-            key = (weight, edge, half)
-            extremes = groups.get(key)
-            if extremes is None:
-                groups[key] = [g, g]
-            elif g < extremes[0]:
-                extremes[0] = g
-            elif g > extremes[1]:
-                extremes[1] = g
+            gs = _spare_conductances(adjusted, family.subclasses, ohms)
+            for (weight, _, _, _), g in zip(family.subclasses, gs):
+                key = (weight, edge, half)
+                extremes = groups.get(key)
+                if extremes is None:
+                    groups[key] = [g, g]
+                elif g < extremes[0]:
+                    extremes[0] = g
+                elif g > extremes[1]:
+                    extremes[1] = g
     return [groups for groups, _ in sides]
 
 
@@ -241,7 +249,8 @@ def _side_min_margins(
     conductance g of the bank minus the uncovered edge domain and half-wall,
     summed in kind order, then ((g + edge) + half) + overhang, where the
     three partial terms depend only on the edge structure, the neighbor bit
-    and the offset. Round-to-nearest addition is monotone and so is 1/g, so
+    and the offset. An offset that leaves an edge domain of any group no
+    covered length is refused. Round-to-nearest addition is monotone and so is 1/g, so
     within one (weight, edge domain, half-wall) group the extreme resistances
     come from the extreme g: the group's two conductances give, bit for bit,
     the cluster extremes of evaluating every pattern. That is one offset
@@ -249,6 +258,14 @@ def _side_min_margins(
     """
     geometry = char.geometry
     nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
+    shortest = min({edge for _, edge, _ in groups}, key=nominal.__getitem__)
+    reach = float(np.max(magnitudes))
+    if not nominal[shortest] - reach > 0.0:
+        raise OffsetOutOfRange(
+            f"an offset of {reach * 1e9:.3f} nm uncovers the whole"
+            f" {nominal[shortest] * 1e9:.3f} nm {_KINDS[shortest].name} edge domain;"
+            " the coverage model is not valid beyond that"
+        )
 
     def partial(kind: int, covered: np.ndarray) -> np.ndarray:
         return 1.0 / (ohms[kind] * (nominal[kind] / covered))
@@ -316,7 +333,7 @@ def min_margins_for_offsets(
     out = np.empty(offsets.shape)
     zero = offsets == 0.0
     if zero.any():
-        out[zero] = enumerate_levels(domains, borders, char).min_margin
+        out[zero] = cluster_extremes(domains, borders, char).min_margin
     sides = [
         (selected, left, neighbor)
         for selected, left, neighbor in (
@@ -392,13 +409,13 @@ class MonteCarloSpec:
 
     def validate(self) -> None:
         if self.samples < 1:
-            raise ValueError(f"sample count must be >= 1, got {self.samples}")
+            raise UsageError(f"sample count must be >= 1, got {self.samples}")
         if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
         if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise UsageError(f"sigma must be positive, got {self.sigma}")
         if self.truncation <= 0:
-            raise ValueError(f"truncation must be positive, got {self.truncation}")
+            raise UsageError(f"truncation must be positive, got {self.truncation}")
 
 
 def _sample_offset(seed: int, index: int, sigma: float, truncation: float) -> float:
@@ -456,7 +473,7 @@ def monte_carlo_margins(
     margins = min_margins_for_offsets(
         domains, borders, offsets, left_neighbor, right_neighbor, char
     )
-    nominal = enumerate_levels(domains, borders, char).min_margin
+    nominal = cluster_extremes(domains, borders, char).min_margin
     stddev = float(np.std(margins, ddof=1)) if spec.samples > 1 else 0.0
     return MonteCarloReport(
         domains=domains,

@@ -235,6 +235,25 @@ def test_parse_rejects_values_beyond_float_range(line):
         parse_config("# overflow\n" + line + "\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "domain_length_nm = 1e310\n",
+        "j_c_a_per_m2 = 1e308\ntrack_width_nm = 1e12\n",
+        "r_hdw_plus = 1e308\nj_c_a_per_m2 = 1e14\n",
+    ],
+)
+def test_parse_rejects_overflowing_read_voltages(text):
+    # every value is a finite float, but read current x resistance is not
+    with pytest.raises(ConfigInvariantError, match="overflow"):
+        parse_config(text)
+
+
+def test_parse_accepts_large_finite_read_voltages():
+    char = parse_config("domain_length_nm = 1e290\n")
+    assert char.geometry.domain_length == pytest.approx(1e281)
+
+
 def test_parse_rejects_missing_separator():
     with pytest.raises(ConfigParseError, match="line 2"):
         parse_config("# fine\nr_minus_80 1911\n")

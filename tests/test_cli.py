@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
-from mdmtj import oracle
+from mdmtj import cli, oracle
 from mdmtj.cli import main
 
 
@@ -227,6 +231,70 @@ def test_config_beyond_float_range_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "margin", "--domains", "4", "--config", str(config))
     assert (code, out) == (3, "")
     assert "domain_length_nm" in err
+
+
+def test_config_with_overflowing_voltages_exits_3(capsys, tmp_path):
+    # 1e310 nm is a finite float, but it makes every read voltage inf
+    config = tmp_path / "long.cfg"
+    config.write_text("domain_length_nm = 1e310\n")
+    code, out, err = run_cli(capsys, "margin", "--domains", "4", "--config", str(config))
+    assert (code, out) == (3, "")
+    assert "overflow" in err
+
+
+def test_offset_past_an_edge_domain_exits_2(capsys, tmp_path):
+    # valid geometry (notch 12 nm < 20 nm), but 11 nm uncovers the 8 nm
+    # two-wall edge domain of 0101 under differ/differ
+    config = tmp_path / "short.cfg"
+    config.write_text("domain_length_nm = 20\n")
+    for extra in ((), ("--oracle",)):
+        code, out, err = run_cli(
+            capsys, "variation", "--domains", "4", "--offset-nm", "11",
+            "--borders", "differ,differ", "--config", str(config), *extra,
+        )
+        assert (code, out) == (2, ""), extra
+        assert "edge domain" in err
+
+
+def test_model_usage_errors_exit_2(capsys):
+    cases = [
+        ("variation", "--domains", "4", "--monte-carlo", "0", "--seed", "1"),
+        ("sweep", "--from", "9", "--to", "3", "--threshold-mv", "20"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("error:") and "internal" not in err
+
+
+def test_internal_value_error_exits_1(capsys, monkeypatch):
+    # a bare ValueError is a fault of the program, not of the input
+    def broken(*_args):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(cli, "enumerate_levels", broken)
+    code, out, err = run_cli(capsys, "levels", "--domains", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: internal: ValueError: math domain error\n"
+
+
+def test_module_entry_point_matches_console_script():
+    # ``python -m mdmtj.cli`` runs the same code as the ``mdmtj`` script,
+    # whose entry point is mdmtj.cli:run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    module, script = (
+        subprocess.run(
+            [sys.executable, *entry, "margin", "--domains", "5"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        for entry in (["-m", "mdmtj.cli"], ["-c", "from mdmtj.cli import run; run()"])
+    )
+    assert (module.returncode, module.stdout, module.stderr) == (0, "25.14 mV\n", "")
+    assert (module.returncode, module.stdout, module.stderr) == (
+        script.returncode, script.stdout, script.stderr
+    )
 
 
 @pytest.mark.parametrize(

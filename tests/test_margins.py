@@ -1,6 +1,7 @@
 """Weight-cluster enumeration, closed-form margins, sweeps, ladders."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from mdmtj.errors import ClustersOverlap, DomainCountTooLarge, DomainCountTooSma
 from mdmtj.margins import (
     SWEEP_ENUMERATION_LIMIT,
     closed_form_min_margin,
+    cluster_extremes,
     closed_form_resistances,
     enumerate_levels,
     reference_ladder,
@@ -95,32 +97,54 @@ def test_domain_count_guards(char, same_same):
     enumerate_levels(1, same_same, char)  # D=1 has two singleton clusters
 
 
-def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda char, borders: enumerate_levels(5, borders, char),
+        lambda char, borders: cluster_extremes(5, borders, char),
+        lambda char, borders: worst_case_levels(5, char),
+    ],
+    ids=["levels", "extremes", "worst"],
+)
+def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch, report):
     # the population check must hold under python -O, so it is no assert
-    real = margins._merged_banks
+    real = margins._walk
 
-    def drop_one(domains, borders):
-        banks = real(domains, borders)
-        banks.pop(next(iter(banks)))
-        return banks
+    def drop_one(domains):
+        families = real(domains)
+        first = next(families)
+        yield first._replace(subclasses=first.subclasses[1:])
+        yield from families
 
-    monkeypatch.setattr(margins, "_merged_banks", drop_one)
+    monkeypatch.setattr(margins, "_walk", drop_one)
     with pytest.raises(ModelError, match="expected"):
-        enumerate_levels(5, same_same, char)
+        report(char, same_same)
 
 
-def test_worst_case_levels_mixes_conventions(char):
-    worst = worst_case_levels(6, char)
+@pytest.mark.parametrize("domains", [6, 13, 20])
+def test_worst_case_levels_mixes_conventions(char, domains):
+    worst = worst_case_levels(domains, char)
     assert worst.borders is None
     assert worst.convention_label == "worst"
-    per_conv = [enumerate_levels(6, borders, char) for borders in ALL_CONDITIONS]
-    for weight in range(7):
+    per_conv = [enumerate_levels(domains, borders, char) for borders in ALL_CONDITIONS]
+    for weight in range(domains + 1):
         lows = [r.clusters[weight].min_resistance for r in per_conv]
         highs = [r.clusters[weight].max_resistance for r in per_conv]
         assert worst.clusters[weight].min_resistance == min(lows)
         assert worst.clusters[weight].max_resistance == max(highs)
+        assert worst.clusters[weight].pattern_count == math.comb(domains, weight)
         assert worst.clusters[weight].classes == ()
     assert worst.min_margin <= min(r.min_margin for r in per_conv)
+
+
+@pytest.mark.parametrize("domains", [1, 2, 5, 9, 16])
+def test_cluster_extremes_are_the_listed_report_without_classes(char, domains):
+    for borders in ALL_CONDITIONS:
+        listed = enumerate_levels(domains, borders, char)
+        bare = replace(
+            listed, clusters=tuple(replace(c, classes=()) for c in listed.clusters)
+        )
+        assert cluster_extremes(domains, borders, char) == bare
 
 
 def test_closed_form_matches_worst_case_extremes(char):

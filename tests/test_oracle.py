@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from mdmtj.characterization import SegmentKind, default_characterization
 from mdmtj.errors import DomainCountTooLarge, EmptyNetwork
-from mdmtj.margins import enumerate_levels, worst_case_levels
+from mdmtj.margins import cluster_extremes, enumerate_levels, worst_case_levels
 from mdmtj.network import ALL_CONDITIONS, BitPattern, decompose, equivalent_resistance
+from mdmtj.variation import NeighborAssumption
 from mdmtj.oracle import (
     BRUTE_FORCE_LIMIT,
+    brute_force_offset_margins,
     brute_force_report,
     distinct_resistance_classes,
     rational_parallel_sum,
@@ -78,6 +80,17 @@ def test_brute_force_equals_enumeration(char):
             assert brute_force_report(domains, borders, char) == enumerate_levels(
                 domains, borders, char
             )
+
+
+@pytest.mark.parametrize("domains", [13, 14])
+@pytest.mark.parametrize("borders", ALL_CONDITIONS, ids=str)
+def test_enumerated_margin_matches_count_matrix_above_limit(char, domains, borders):
+    # the count-matrix oracle has no domain guard, so it checks the
+    # run-structure walk where brute_force_report stops
+    worst = NeighborAssumption.WORST
+    ref = brute_force_offset_margins(domains, borders, [0.0], worst, worst, char)[0]
+    assert enumerate_levels(domains, borders, char).min_margin == ref
+    assert cluster_extremes(domains, borders, char).min_margin == ref
 
 
 def test_worst_case_brute_force_equals_levels(char):

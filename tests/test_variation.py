@@ -1,6 +1,7 @@
 """Misalignment coverage model, vectorized margin engine, Monte Carlo."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,30 @@ def test_engine_matches_oracle_beyond_twelve_domains(char):
     engine = min_margins_for_offsets(14, borders, offsets, WORST, WORST, char)
     reference = brute_force_offset_margins(14, borders, offsets, WORST, WORST, char)
     assert engine.tobytes() == reference.tobytes()
+
+
+def _short_domains(char):
+    # valid (notch 12 nm < 20 nm), but a two-wall domain is only 8 nm long
+    return replace(char, geometry=replace(char.geometry, domain_length=20e-9))
+
+
+@pytest.mark.parametrize("engine", [min_margins_for_offsets, brute_force_offset_margins])
+@pytest.mark.parametrize("offset", [11e-9, -11e-9])
+def test_offset_past_an_edge_domain_is_refused(char, differ_differ, engine, offset):
+    # 0101 has a two-wall edge domain at both ends under differ/differ
+    with pytest.raises(OffsetOutOfRange, match="edge domain"):
+        engine(4, differ_differ, np.array([0.0, offset]), WORST, WORST, _short_domains(char))
+
+
+def test_offset_short_of_every_edge_domain_is_evaluated(char, same_same, differ_differ):
+    short = _short_domains(char)
+    # same/same edge domains have at most one wall (14 nm); 7.5 nm leaves
+    # the 8 nm two-wall ones covered
+    for borders, offsets in ((same_same, [11e-9, -11e-9]), (differ_differ, [7.5e-9, -7.5e-9])):
+        offsets = np.array(offsets)
+        engine = min_margins_for_offsets(4, borders, offsets, WORST, WORST, short)
+        reference = brute_force_offset_margins(4, borders, offsets, WORST, WORST, short)
+        assert engine.tobytes() == reference.tobytes()
 
 
 def test_variation_domain_cap(char, same_same):
