@@ -34,6 +34,7 @@ from .margins import (
     SweepRow,
     closed_form_min_margin,
     closed_form_resistances,
+    cluster_extremes,
     enumerate_levels,
     reference_ladder,
     sweep_domains,
@@ -86,6 +87,7 @@ __all__ = [
     "SweepRow",
     "closed_form_min_margin",
     "closed_form_resistances",
+    "cluster_extremes",
     "enumerate_levels",
     "reference_ladder",
     "sweep_domains",

@@ -7,6 +7,14 @@ structures (maximal blocks of equal bits) combinatorially, so the cost is
 polynomial in D and the same report is exact for any D up to the pattern
 limit.
 
+The walk does not depend on the border condition: weight, multiplicity and
+representative are shared, and each requested condition adds only its
+end-run domains and half-walls, so ``worst_case_levels`` covers all four
+conditions in one pass. Representatives (the lex-smallest pattern of each
+class) are built only for class listings, in ``enumerate_levels``; reports
+that need only cluster extremes (``cluster_extremes``,
+``worst_case_levels``, the sweep, the misalignment engine) build none.
+
 Float contract: every resistance is produced by summing count/ohms over
 segment kinds in enum order and inverting once. The brute-force oracle
 reimplements the same contract independently, which is what makes
@@ -98,7 +106,8 @@ class MarginReport:
 
     ``borders`` is None for the worst-case-over-conventions mode, where
     cluster extremes mix the four border conditions and class listings are
-    not meaningful.
+    not meaningful. Only ``enumerate_levels`` fills ``classes``; every other
+    report leaves each cluster's listing empty.
     """
 
     domains: int
@@ -118,16 +127,6 @@ class MarginReport:
 def _kind_ohms(table: SegmentResistanceTable) -> list[float]:
     """The table's resistances in kind order, to build once per report."""
     return [table.ohms(kind) for kind in _KINDS]
-
-
-def _conductance(bank: Sequence[int], ohms: Sequence[float]) -> float:
-    """Summed conductance of a segment-count bank, in kind order (the float
-    contract); the bank's resistance is its reciprocal."""
-    g = 0.0
-    for count, r in zip(bank, ohms):
-        if count:
-            g += count / r
-    return g
 
 
 class _RunCategory(NamedTuple):
@@ -237,7 +236,9 @@ def _walk(domains: int) -> Iterator[_Family]:
 _Edge = tuple[int, int | None]
 
 
-def _end_run(counts: list[int], pol: int, left: int, right: int, short: int) -> tuple[int, int]:
+def _end_run(
+    counts: list[int], pol: int, left: int, right: int, short: int
+) -> tuple[int, int]:
     """Count one end run's edge domains; return the kinds at its two ends."""
     if short:
         kind = _DOMAIN_AT[pol, left + right]
@@ -250,7 +251,9 @@ def _end_run(counts: list[int], pol: int, left: int, right: int, short: int) -> 
     return left_kind, right_kind
 
 
-def _condition_counts(family: _Family, borders: BorderCondition) -> tuple[list[int], _Edge, _Edge]:
+def _condition_counts(
+    family: _Family, borders: BorderCondition
+) -> tuple[list[int], _Edge, _Edge]:
     """The family's bank under one border condition, before spare length,
     and its left and right edge structures.
 
@@ -288,13 +291,12 @@ def _spared(counts: list[int], extra_zero: int, extra_one: int) -> tuple[int, ..
 def _spare_conductances(
     counts: list[int], subclasses: list[tuple[int, int, int, int]], ohms: list[float]
 ) -> list[float]:
-    """``_conductance`` of ``_spared(counts, ...)`` for each sub-class, bit
-    for bit.
+    """Summed conductance of each sub-class's bank, ``counts`` plus its spare
+    length; a bank's resistance is the reciprocal.
 
-    Only the two full-length domain counts differ between sub-classes, so the
-    other eight terms are divided once; the sum still runs term by term in
-    kind order (the float contract), and a zero count adds 0.0, which is
-    what skipping it does.
+    The sum runs term by term in kind order (the float contract). Only the
+    two full-length domain counts differ between sub-classes, so the other
+    eight terms are divided once.
     """
     # kind layout: minus full, mid, short, plus full, mid, short, two walls,
     # two half-walls
@@ -316,27 +318,16 @@ def _lexmin_patterns(family: _Family) -> list[str]:
     shed length as early as possible (shorts first, spare 1-length deferred
     to the last long 1-run).
     """
-    lengths: dict[int, int] = {}
-    long_zero: list[int] = []
-    long_one: list[int] = []
-    for cat, m in zip(family.cats, family.shorts):
-        if cat.pol == 1:
-            shorts = set(cat.positions[:m])
-        else:
-            shorts = set(cat.positions[cat.n - m :])
-        for pos in cat.positions:
-            if pos in shorts:
-                lengths[pos] = 1
-            else:
-                lengths[pos] = 2
-                (long_one if cat.pol else long_zero).append(pos)
     s = family.first_pol
-    runs = [
-        ("1" if (s if i % 2 else 1 - s) else "0") * lengths[i]
-        for i in range(1, family.runs + 1)
-    ]
-    zero_at = min(long_zero) - 1 if long_zero else None
-    one_at = max(long_one) - 1 if long_one else None
+    lengths = [2] * family.runs
+    for cat, m in zip(family.cats, family.shorts):
+        for pos in cat.positions[:m] if cat.pol else cat.positions[cat.n - m :]:
+            lengths[pos - 1] = 1
+    bits = ["1" if (s if i % 2 == 0 else 1 - s) else "0" for i in range(family.runs)]
+    runs = [bit * length for bit, length in zip(bits, lengths)]
+    longs = [i for i, length in enumerate(lengths) if length == 2]
+    zero_at = next((i for i in longs if bits[i] == "0"), None)
+    one_at = next((i for i in reversed(longs) if bits[i] == "1"), None)
     patterns = []
     for _, _, extra_zero, extra_one in family.subclasses:
         pieces = runs.copy()
@@ -390,67 +381,78 @@ def enumerate_levels(
     """
     _check_domain_count(domains)
     ohms = _kind_ohms(char.table)
-    current = char.drive.read_current(domains, char.geometry)
-
-    banks: dict[tuple[int, ...], list] = {}  # bank -> [weight, multiplicity, representative]
+    by_weight_count = [0] * (domains + 1)
+    g_low = [math.inf] * (domains + 1)
+    g_high = [0.0] * (domains + 1)
+    # (weight, equivalence key) -> [multiplicity, representative, its conductance]
+    folded: dict[tuple[int, tuple], list] = {}
     for family in _walk(domains):
         counts, _, _ = _condition_counts(family, borders)
-        for (weight, mult, extra_zero, extra_one), rep in zip(
-            family.subclasses, _lexmin_patterns(family)
+        for (weight, mult, extra_zero, extra_one), rep, g in zip(
+            family.subclasses,
+            _lexmin_patterns(family),
+            _spare_conductances(counts, family.subclasses, ohms),
         ):
-            bank = _spared(counts, extra_zero, extra_one)
-            entry = banks.get(bank)
+            by_weight_count[weight] += mult
+            if g < g_low[weight]:
+                g_low[weight] = g
+            if g > g_high[weight]:
+                g_high[weight] = g
+            key = (weight, equivalence_key(_spared(counts, extra_zero, extra_one)))
+            entry = folded.get(key)
             if entry is None:
-                banks[bank] = [weight, mult, rep]
+                folded[key] = [mult, rep, g]
             else:
-                entry[1] += mult
-                if rep < entry[2]:
-                    entry[2] = rep
-
-    res_by_bank = {bank: 1.0 / _conductance(bank, ohms) for bank in banks}
-    by_weight_res: list[list[float]] = [[] for _ in range(domains + 1)]
-    by_weight_count = [0] * (domains + 1)
-    folded: dict[tuple[int, tuple], list] = {}
-    for bank, (weight, mult, rep) in banks.items():
-        by_weight_res[weight].append(res_by_bank[bank])
-        by_weight_count[weight] += mult
-        key = (weight, equivalence_key(bank))
-        entry = folded.get(key)
-        if entry is None:
-            folded[key] = [mult, rep, bank]
-        else:
-            entry[0] += mult
-            if rep < entry[1]:
-                entry[1] = rep
-                entry[2] = bank
+                entry[0] += mult
+                if rep < entry[1]:
+                    entry[1] = rep
+                    entry[2] = g
     _check_population(domains, by_weight_count)
 
+    current = char.drive.read_current(domains, char.geometry)
     classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
-    for (weight, _), (mult, rep, rep_bank) in folded.items():
-        resistance = res_by_bank[rep_bank]
+    for (weight, _), (mult, rep, g) in folded.items():
+        resistance = 1.0 / g
         classes_by_weight[weight].append(
             ClassEntry(rep, mult, resistance, current * resistance)
         )
+    for entries in classes_by_weight:
+        entries.sort(key=lambda c: (c.resistance, c.representative))
+    return _finish_report(
+        domains,
+        borders,
+        current,
+        _clusters(current, by_weight_count, g_low, g_high, classes_by_weight),
+    )
 
+
+def _clusters(
+    current: float,
+    by_weight_count: Sequence[int],
+    g_low: Sequence[float],
+    g_high: Sequence[float],
+    classes_by_weight: Sequence[Sequence[ClassEntry]],
+) -> tuple[LevelCluster, ...]:
+    """Clusters from per-weight extreme conductances.
+
+    Rounded 1/g is monotone, so a cluster's extreme resistances are the
+    reciprocals of its extreme conductances, bit for bit.
+    """
     clusters = []
-    for weight in range(domains + 1):
-        values = by_weight_res[weight]
-        low, high = min(values), max(values)
-        entries = tuple(
-            sorted(classes_by_weight[weight], key=lambda c: (c.resistance, c.representative))
-        )
+    for weight, count in enumerate(by_weight_count):
+        low, high = 1.0 / g_high[weight], 1.0 / g_low[weight]
         clusters.append(
             LevelCluster(
                 weight=weight,
-                pattern_count=by_weight_count[weight],
+                pattern_count=count,
                 min_resistance=low,
                 max_resistance=high,
                 min_voltage=current * low,
                 max_voltage=current * high,
-                classes=entries,
+                classes=tuple(classes_by_weight[weight]),
             )
         )
-    return _finish_report(domains, borders, current, tuple(clusters))
+    return tuple(clusters)
 
 
 def _extremes_report(
@@ -460,11 +462,7 @@ def _extremes_report(
     char: Characterization,
 ) -> MarginReport:
     """Cluster extremes over the patterns of every condition in
-    ``conditions``, from one walk; no class listings, no representatives.
-
-    Rounded 1/g is monotone, so a cluster's extreme resistances are the
-    reciprocals of its extreme conductances, bit for bit.
-    """
+    ``conditions``, from one walk; no class listings, no representatives."""
     _check_domain_count(domains)
     ohms = _kind_ohms(char.table)
     current = char.drive.read_current(domains, char.geometry)
@@ -483,22 +481,10 @@ def _extremes_report(
                 if g > g_high[weight]:
                     g_high[weight] = g
     _check_population(domains, by_weight_count)
-
-    clusters = []
-    for weight in range(domains + 1):
-        low, high = 1.0 / g_high[weight], 1.0 / g_low[weight]
-        clusters.append(
-            LevelCluster(
-                weight=weight,
-                pattern_count=by_weight_count[weight],
-                min_resistance=low,
-                max_resistance=high,
-                min_voltage=current * low,
-                max_voltage=current * high,
-                classes=(),
-            )
-        )
-    return _finish_report(domains, borders, current, tuple(clusters))
+    listings = [()] * (domains + 1)
+    return _finish_report(
+        domains, borders, current, _clusters(current, by_weight_count, g_low, g_high, listings)
+    )
 
 
 def cluster_extremes(

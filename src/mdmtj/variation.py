@@ -212,12 +212,11 @@ def _edge_groups(
 ) -> list[_EdgeGroups]:
     """One walk over the run-structure sub-classes, grouped per uncovered
     side (``True`` for the left edge)."""
-    sides = [({}, 1 if left else 2) for left in lefts]  # edge position in _condition_counts
+    sides = [({}, left) for left in lefts]
     for family in _walk(domains):
-        structure = _condition_counts(family, borders)
-        counts = structure[0]
-        for groups, edge_at in sides:
-            edge, half = structure[edge_at]
+        counts, left_edge, right_edge = _condition_counts(family, borders)
+        for groups, left in sides:
+            edge, half = left_edge if left else right_edge
             adjusted = counts.copy()
             adjusted[edge] -= 1
             if half is not None:
@@ -249,12 +248,14 @@ def _side_min_margins(
     conductance g of the bank minus the uncovered edge domain and half-wall,
     summed in kind order, then ((g + edge) + half) + overhang, where the
     three partial terms depend only on the edge structure, the neighbor bit
-    and the offset. An offset that leaves an edge domain of any group no
-    covered length is refused. Round-to-nearest addition is monotone and so is 1/g, so
+    and the offset. Round-to-nearest addition is monotone and so is 1/g, so
     within one (weight, edge domain, half-wall) group the extreme resistances
     come from the extreme g: the group's two conductances give, bit for bit,
     the cluster extremes of evaluating every pattern. That is one offset
     vector per distinct conductance, never a rows x offsets matrix.
+
+    An offset that leaves the edge domain of any group no covered length
+    raises OffsetOutOfRange.
     """
     geometry = char.geometry
     nominal = [geometry.nominal_length(kind) for kind in SegmentKind]

@@ -137,6 +137,30 @@ def test_worst_case_levels_mixes_conventions(char, domains):
     assert worst.min_margin <= min(r.min_margin for r in per_conv)
 
 
+def _bank_conductance(bank, ohms):
+    # the float contract spelled out: count/ohms summed in kind order,
+    # skipping absent kinds
+    g = 0.0
+    for count, r in zip(bank, ohms):
+        if count:
+            g += count / r
+    return g
+
+
+def test_spare_conductances_match_the_bank_sum(char):
+    # the per-family shortcut must replay the plain sum over each full bank
+    ohms = margins._kind_ohms(char.table)
+    for domains in (1, 2, 7, 10):
+        for family in margins._walk(domains):
+            for borders in ALL_CONDITIONS:
+                counts, _, _ = margins._condition_counts(family, borders)
+                want = [
+                    _bank_conductance(margins._spared(counts, zero, one), ohms)
+                    for _, _, zero, one in family.subclasses
+                ]
+                assert margins._spare_conductances(counts, family.subclasses, ohms) == want
+
+
 @pytest.mark.parametrize("domains", [1, 2, 5, 9, 16])
 def test_cluster_extremes_are_the_listed_report_without_classes(char, domains):
     for borders in ALL_CONDITIONS:
