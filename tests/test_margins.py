@@ -97,16 +97,7 @@ def test_domain_count_guards(char, same_same):
     enumerate_levels(1, same_same, char)  # D=1 has two singleton clusters
 
 
-@pytest.mark.parametrize(
-    "report",
-    [
-        lambda char, borders: enumerate_levels(5, borders, char),
-        lambda char, borders: cluster_extremes(5, borders, char),
-        lambda char, borders: worst_case_levels(5, char),
-    ],
-    ids=["levels", "extremes", "worst"],
-)
-def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch, report):
+def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
     # the population check must hold under python -O, so it is no assert
     real = margins._walk
 
@@ -117,24 +108,29 @@ def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch, report)
         yield from families
 
     monkeypatch.setattr(margins, "_walk", drop_one)
-    with pytest.raises(ModelError, match="expected"):
-        report(char, same_same)
+    for report in (
+        lambda: enumerate_levels(5, same_same, char),
+        lambda: cluster_extremes(5, same_same, char),
+        lambda: worst_case_levels(5, char),
+    ):
+        with pytest.raises(ModelError, match="expected"):
+            report()
 
 
-@pytest.mark.parametrize("domains", [6, 13, 20])
-def test_worst_case_levels_mixes_conventions(char, domains):
-    worst = worst_case_levels(domains, char)
-    assert worst.borders is None
-    assert worst.convention_label == "worst"
-    per_conv = [enumerate_levels(domains, borders, char) for borders in ALL_CONDITIONS]
-    for weight in range(domains + 1):
-        lows = [r.clusters[weight].min_resistance for r in per_conv]
-        highs = [r.clusters[weight].max_resistance for r in per_conv]
-        assert worst.clusters[weight].min_resistance == min(lows)
-        assert worst.clusters[weight].max_resistance == max(highs)
-        assert worst.clusters[weight].pattern_count == math.comb(domains, weight)
-        assert worst.clusters[weight].classes == ()
-    assert worst.min_margin <= min(r.min_margin for r in per_conv)
+def test_worst_case_levels_mixes_conventions(char):
+    for domains in (6, 13, 20):
+        worst = worst_case_levels(domains, char)
+        assert worst.borders is None
+        assert worst.convention_label == "worst"
+        per_conv = [enumerate_levels(domains, borders, char) for borders in ALL_CONDITIONS]
+        for weight in range(domains + 1):
+            lows = [r.clusters[weight].min_resistance for r in per_conv]
+            highs = [r.clusters[weight].max_resistance for r in per_conv]
+            assert worst.clusters[weight].min_resistance == min(lows)
+            assert worst.clusters[weight].max_resistance == max(highs)
+            assert worst.clusters[weight].pattern_count == math.comb(domains, weight)
+            assert worst.clusters[weight].classes == ()
+        assert worst.min_margin <= min(r.min_margin for r in per_conv)
 
 
 def _bank_conductance(bank, ohms):
