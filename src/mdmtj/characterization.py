@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ConfigInvariantError, ConfigParseError, DegenerateCoverage
 
@@ -42,10 +42,6 @@ class Polarity(enum.Enum):
     @classmethod
     def from_bit(cls, bit: int) -> "Polarity":
         return cls.PLUS_Z if bit else cls.MINUS_Z
-
-    @property
-    def bit(self) -> int:
-        return 1 if self is Polarity.PLUS_Z else 0
 
     @property
     def opposite(self) -> "Polarity":
@@ -86,17 +82,6 @@ class SegmentKind(enum.Enum):
     @property
     def is_half_wall(self) -> bool:
         return self in (SegmentKind.HALF_WALL_MINUS, SegmentKind.HALF_WALL_PLUS)
-
-    @property
-    def polarity(self) -> Polarity | None:
-        """Polarity for domain and half-wall kinds, None for full walls."""
-        if self in _DOMAIN_INFO:
-            return _DOMAIN_INFO[self][0]
-        if self is SegmentKind.HALF_WALL_MINUS:
-            return Polarity.MINUS_Z
-        if self is SegmentKind.HALF_WALL_PLUS:
-            return Polarity.PLUS_Z
-        return None
 
     @property
     def wall_count(self) -> int:
@@ -198,9 +183,6 @@ class SegmentResistanceTable:
 
     def exact(self, kind: SegmentKind) -> Fraction:
         return self._exact[kind]
-
-    def items(self) -> Iterator[tuple[SegmentKind, Fraction]]:
-        return iter(self._exact.items())
 
     def replace(self, overrides: Mapping[SegmentKind, Fraction | int]) -> "SegmentResistanceTable":
         merged = dict(self._exact)

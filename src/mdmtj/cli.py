@@ -485,29 +485,22 @@ def _fixed_offset(
         )
     if args.seed is not None:
         raise UsageError("--seed applies to --monte-carlo runs only")
-    magnitude = abs(args.offset_nm) * 1e-9
-    candidates = [magnitude, -magnitude] if magnitude else [0.0]
-    reports = [
-        offset_margin_report(
-            args.domains, borders, MisalignmentSpec(offset, neighbors, neighbors), char
-        )
-        for offset in candidates
-    ]
+    spec = MisalignmentSpec(args.offset_nm * 1e-9, neighbors, neighbors)
+    report = offset_margin_report(args.domains, borders, spec, char)
     if args.oracle:
         _oracle_variation_check(
             args.domains, borders, neighbors,
-            (0.0, *candidates),
-            (reports[0].nominal_min_margin, *(r.perturbed_min_margin for r in reports)),
+            (0.0, report.offset, -report.offset),
+            (report.nominal_min_margin, *report.sign_min_margins),
             char,
         )
-    worst = min(reports, key=lambda r: r.perturbed_min_margin)
-    nominal_mv = worst.nominal_min_margin * 1e3
-    reduction_mv = worst.margin_deviation * 1e3
+    nominal_mv = report.nominal_min_margin * 1e3
+    reduction_mv = report.margin_deviation * 1e3
     percent = 100.0 * reduction_mv / nominal_mv if nominal_mv else 0.0
     table = (
         f"nominal min margin: {nominal_mv:.2f} mV\n"
         f"offset {abs(args.offset_nm):.3f} nm (worst sign) min margin:"
-        f" {worst.perturbed_min_margin * 1e3:.2f} mV\n"
+        f" {report.perturbed_min_margin * 1e3:.2f} mV\n"
         f"reduction: {reduction_mv:.2f} mV ({percent:.2f}%)\n"
     )
     arguments = {
@@ -522,9 +515,9 @@ def _fixed_offset(
         lambda: table,
         head={
             **arguments,
-            "nominal_min_margin_mv": _mv(worst.nominal_min_margin),
-            "perturbed_min_margin_mv": _mv(worst.perturbed_min_margin),
-            "reduction_mv": _mv(worst.margin_deviation),
+            "nominal_min_margin_mv": _mv(report.nominal_min_margin),
+            "perturbed_min_margin_mv": _mv(report.perturbed_min_margin),
+            "reduction_mv": _mv(report.margin_deviation),
         },
     )
 

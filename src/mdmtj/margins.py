@@ -351,11 +351,11 @@ def equivalence_key(bank: tuple[int, ...]) -> tuple:
     return _NON_WALLS(bank) + (tuple(sorted(_WALLS(bank))),)
 
 
-def _check_domain_count(domains: int, limit: int = MAX_DOMAINS) -> None:
+def _check_domain_count(domains: int) -> None:
     if domains < 1:
         raise DomainCountTooSmall(f"need at least 1 domain, got {domains}")
-    if domains > limit:
-        raise DomainCountTooLarge(f"domain count {domains} exceeds limit {limit}")
+    if domains > MAX_DOMAINS:
+        raise DomainCountTooLarge(f"domain count {domains} exceeds limit {MAX_DOMAINS}")
 
 
 def _check_population(domains: int, by_weight_count: Sequence[int]) -> None:

@@ -85,10 +85,6 @@ class Border(enum.Enum):
     SAME = "same"
     DIFFER = "differ"
 
-    @property
-    def opposite(self) -> "Border":
-        return Border.DIFFER if self is Border.SAME else Border.SAME
-
 
 @dataclass(frozen=True)
 class BorderCondition:

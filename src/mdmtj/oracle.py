@@ -2,12 +2,16 @@
 
 Everything here recomputes from scratch: segment counting works directly on
 the bit string, parallel sums are redone in exact rational arithmetic, and
-reports and misalignment margins come from a raw 2^D walk with no
-equivalence classes. The only things shared with the production modules are
-data (the characterization, the neighbor assumption) and the report
-dataclass types, never composition code. The float reference path follows
-the same documented summation order (segment kinds in enum order), because
-that order is part of the report contract.
+every brute-force report comes from one raw 2^D enumeration: all D-bit words
+in weight order, their 2^D x 10 segment-count matrix per border condition,
+conductances summed column by column, and per-weight extremes over the row
+range of each weight. No run structure or equivalence class shortens the
+walk; the class listing of ``brute_force_report`` only groups its rows. The
+only things shared with the production modules are data (the
+characterization, the neighbor assumption) and the report dataclass types,
+never composition code. The float reference path follows the same
+documented summation order (segment kinds in enum order), because that
+order is part of the report contract.
 """
 
 from __future__ import annotations
@@ -114,100 +118,112 @@ def _canonical_key(counts: Sequence[int]) -> tuple:
     return tuple(counts[:6]) + tuple(counts[8:]) + (tuple(walls),)
 
 
-def brute_force_report(
-    domains: int, borders: BorderCondition, char: Characterization
-) -> MarginReport:
-    """Raw 2^D enumeration assembled into the production report shape."""
+class _Enumeration:
+    """Every D-bit word once, in weight order and in value order within a
+    weight, so each weight's patterns are one contiguous row range."""
+
+    def __init__(self, domains: int, char: Characterization):
+        self.domains = domains
+        words = (format(value, f"0{domains}b") for value in range(2**domains))
+        self.words = sorted(words, key=lambda bits: bits.count("1"))
+        self.weights = [bits.count("1") for bits in self.words]
+        self.starts = np.searchsorted(self.weights, np.arange(domains + 1))
+        self.ohms = [char.table.ohms(kind) for kind in SegmentKind]
+        area = char.geometry.domain_length * char.geometry.track_width
+        self.current = char.drive.current_density * domains * area
+
+    def counts(self, borders: BorderCondition) -> np.ndarray:
+        """The 2^D x 10 count matrix, one ``segment_counts`` row per word;
+        no count exceeds D, so int8 keeps the matrix small."""
+        counts = np.empty((len(self.words), _N_KINDS), dtype=np.int8)
+        for row, bits in enumerate(self.words):
+            counts[row] = segment_counts(bits, borders)
+        return counts
+
+    def conductance(self, bank: np.ndarray) -> np.ndarray:
+        g = np.zeros(len(bank))
+        for index in range(_N_KINDS):
+            # in float64 whatever the promotion rules; a zero count adds 0.0
+            g = g + np.divide(bank[:, index], self.ohms[index], dtype=float)
+        return g
+
+    def margins(self, resistances: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Per-weight extremes over every array, and the adjacent margins."""
+        low = np.minimum.reduce([np.minimum.reduceat(r, self.starts) for r in resistances])
+        high = np.maximum.reduce([np.maximum.reduceat(r, self.starts) for r in resistances])
+        return low, high, self.current * low[1:] - self.current * high[:-1]
+
+    def report(
+        self,
+        borders: BorderCondition | None,
+        resistances: list[np.ndarray],
+        classes: list[list[ClassEntry]] | None = None,
+    ) -> MarginReport:
+        low, high, margins = (values.tolist() for values in self.margins(resistances))
+        sizes = np.diff(self.starts, append=len(self.words)).tolist()
+        clusters = tuple(
+            LevelCluster(
+                weight=weight,
+                pattern_count=sizes[weight],
+                min_resistance=low[weight],
+                max_resistance=high[weight],
+                min_voltage=self.current * low[weight],
+                max_voltage=self.current * high[weight],
+                classes=tuple(classes[weight]) if classes else (),
+            )
+            for weight in range(self.domains + 1)
+        )
+        adjacent = tuple(
+            AdjacentMargin(weight, weight + 1, high[weight], low[weight + 1], margin)
+            for weight, margin in enumerate(margins)
+        )
+        best = min(adjacent, key=lambda entry: entry.margin)  # the first of equals
+        return MarginReport(
+            domains=self.domains,
+            borders=borders,
+            read_current=self.current,
+            clusters=clusters,
+            adjacent_margins=adjacent,
+            min_margin=best.margin,
+            min_margin_pair=(best.weight_low, best.weight_high),
+            distinguishable_levels=1 + sum(1 for margin in margins if margin > 0.0),
+        )
+
+
+def _check_domains(domains: int) -> None:
     if domains > BRUTE_FORCE_LIMIT:
         raise DomainCountTooLarge(
             f"brute force stops at {BRUTE_FORCE_LIMIT} domains, got {domains}"
         )
     if domains < 1:
         raise ValueError(f"need at least 1 domain, got {domains}")
-    geometry = char.geometry
-    current = (
-        char.drive.current_density
-        * domains
-        * (geometry.domain_length * geometry.track_width)
-    )
-    table = char.table
 
-    by_weight_res: list[list[float]] = [[] for _ in range(domains + 1)]
-    by_weight_count = [0] * (domains + 1)
-    groups: dict[tuple, dict] = {}
-    for value in range(2**domains):
-        bits = format(value, f"0{domains}b")
-        weight = bits.count("1")
-        resistance = reference_resistance(bits, borders, table)
-        by_weight_res[weight].append(resistance)
-        by_weight_count[weight] += 1
-        key = (weight,) + _canonical_key(segment_counts(bits, borders))
-        group = groups.get(key)
-        if group is None:
-            groups[key] = {"rep": bits, "res": resistance, "count": 1, "weight": weight}
-        else:
-            group["count"] += 1
-            if bits < group["rep"]:
-                group["rep"] = bits
-                group["res"] = resistance
 
-    classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
-    for group in groups.values():
-        classes_by_weight[group["weight"]].append(
-            ClassEntry(
-                representative=group["rep"],
-                multiplicity=group["count"],
-                resistance=group["res"],
-                voltage=current * group["res"],
-            )
+def brute_force_report(
+    domains: int, borders: BorderCondition, char: Characterization
+) -> MarginReport:
+    """Raw 2^D enumeration assembled into the production report shape.
+
+    A class is a (weight, canonical key) group; its representative is the
+    group's first word in value order, which is its lex-smallest.
+    """
+    _check_domains(domains)
+    patterns = _Enumeration(domains, char)
+    counts = patterns.counts(borders)
+    resistance = 1.0 / patterns.conductance(counts)
+    groups: dict[tuple, list[int]] = {}  # key -> [first row, multiplicity]
+    for row, weight in enumerate(patterns.weights):
+        key = (weight,) + _canonical_key(counts[row].tolist())
+        groups.setdefault(key, [row, 0])[1] += 1
+    classes: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
+    for (weight, *_), (row, multiplicity) in groups.items():
+        value = float(resistance[row])
+        classes[weight].append(
+            ClassEntry(patterns.words[row], multiplicity, value, patterns.current * value)
         )
-
-    clusters = []
-    for weight in range(domains + 1):
-        values = by_weight_res[weight]
-        low, high = min(values), max(values)
-        clusters.append(
-            LevelCluster(
-                weight=weight,
-                pattern_count=by_weight_count[weight],
-                min_resistance=low,
-                max_resistance=high,
-                min_voltage=current * low,
-                max_voltage=current * high,
-                classes=tuple(
-                    sorted(
-                        classes_by_weight[weight],
-                        key=lambda c: (c.resistance, c.representative),
-                    )
-                ),
-            )
-        )
-
-    margins = []
-    for weight in range(domains):
-        margins.append(
-            AdjacentMargin(
-                weight_low=weight,
-                weight_high=weight + 1,
-                r_low_max=clusters[weight].max_resistance,
-                r_high_min=clusters[weight + 1].min_resistance,
-                margin=clusters[weight + 1].min_voltage - clusters[weight].max_voltage,
-            )
-        )
-    best = margins[0]
-    for entry in margins[1:]:
-        if entry.margin < best.margin:
-            best = entry
-    return MarginReport(
-        domains=domains,
-        borders=borders,
-        read_current=current,
-        clusters=tuple(clusters),
-        adjacent_margins=tuple(margins),
-        min_margin=best.margin,
-        min_margin_pair=(best.weight_low, best.weight_high),
-        distinguishable_levels=1 + sum(1 for m in margins if m.margin > 0.0),
-    )
+    for listing in classes:
+        listing.sort(key=lambda entry: (entry.resistance, entry.representative))
+    return patterns.report(borders, [resistance], classes)
 
 
 def distinct_resistance_classes(
@@ -219,72 +235,17 @@ def distinct_resistance_classes(
 
 
 def worst_case_brute_force(domains: int, char: Characterization) -> MarginReport:
-    """Raw-loop counterpart of the worst-over-conventions report.
+    """Count-matrix counterpart of the worst-over-conventions report.
 
     Cluster extremes are taken over every pattern under every border
     condition; class listings stay empty, matching the production shape.
     """
-    if domains > BRUTE_FORCE_LIMIT:
-        raise DomainCountTooLarge(
-            f"brute force stops at {BRUTE_FORCE_LIMIT} domains, got {domains}"
-        )
-    if domains < 1:
-        raise ValueError(f"need at least 1 domain, got {domains}")
-    geometry = char.geometry
-    current = (
-        char.drive.current_density
-        * domains
-        * (geometry.domain_length * geometry.track_width)
-    )
-    by_weight: list[list[float]] = [[] for _ in range(domains + 1)]
-    counts = [0] * (domains + 1)
-    for borders in ALL_CONDITIONS:
-        for value in range(2**domains):
-            bits = format(value, f"0{domains}b")
-            weight = bits.count("1")
-            by_weight[weight].append(reference_resistance(bits, borders, char.table))
-    for value in range(2**domains):
-        counts[format(value, f"0{domains}b").count("1")] += 1
-
-    clusters = []
-    for weight in range(domains + 1):
-        low, high = min(by_weight[weight]), max(by_weight[weight])
-        clusters.append(
-            LevelCluster(
-                weight=weight,
-                pattern_count=counts[weight],
-                min_resistance=low,
-                max_resistance=high,
-                min_voltage=current * low,
-                max_voltage=current * high,
-                classes=(),
-            )
-        )
-    margins = []
-    for weight in range(domains):
-        margins.append(
-            AdjacentMargin(
-                weight_low=weight,
-                weight_high=weight + 1,
-                r_low_max=clusters[weight].max_resistance,
-                r_high_min=clusters[weight + 1].min_resistance,
-                margin=clusters[weight + 1].min_voltage - clusters[weight].max_voltage,
-            )
-        )
-    best = margins[0]
-    for entry in margins[1:]:
-        if entry.margin < best.margin:
-            best = entry
-    return MarginReport(
-        domains=domains,
-        borders=None,
-        read_current=current,
-        clusters=tuple(clusters),
-        adjacent_margins=tuple(margins),
-        min_margin=best.margin,
-        min_margin_pair=(best.weight_low, best.weight_high),
-        distinguishable_levels=1 + sum(1 for m in margins if m.margin > 0.0),
-    )
+    _check_domains(domains)
+    patterns = _Enumeration(domains, char)
+    resistances = [
+        1.0 / patterns.conductance(patterns.counts(borders)) for borders in ALL_CONDITIONS
+    ]
+    return patterns.report(None, resistances)
 
 
 def brute_force_offset_margins(
@@ -305,54 +266,34 @@ def brute_force_offset_margins(
     raises OffsetOutOfRange. There is no domain guard here: callers bound the
     2^D cost (the CLI stops at BRUTE_FORCE_LIMIT).
     """
-    table = char.table
-    geometry = char.geometry
-    ohms = [table.ohms(kind) for kind in SegmentKind]
-    nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
-    current = (
-        char.drive.current_density
-        * domains
-        * (geometry.domain_length * geometry.track_width)
-    )
-    # patterns in weight order, so per-weight extremes are reduceat slices
-    words = sorted(
-        (format(value, f"0{domains}b") for value in range(2**domains)),
-        key=lambda bits: bits.count("1"),
-    )
-    starts = np.searchsorted([bits.count("1") for bits in words], np.arange(domains + 1))
-    counts = np.array([segment_counts(bits, borders) for bits in words])
-    rows = np.arange(len(words))
+    patterns = _Enumeration(domains, char)
+    ohms = patterns.ohms
+    nominal = [char.geometry.nominal_length(kind) for kind in SegmentKind]
+    counts = patterns.counts(borders)
+    rows = np.arange(len(counts))
 
-    def conductance(bank: np.ndarray) -> np.ndarray:
-        g = np.zeros(len(words))
-        for index in range(_N_KINDS):
-            g = g + bank[:, index] / ohms[index]  # a zero count adds exactly 0.0
-        return g
-
-    def min_margin(extremes: list[np.ndarray]) -> float:
-        low = np.minimum.reduce([np.minimum.reduceat(r, starts) for r in extremes])
-        high = np.maximum.reduce([np.maximum.reduceat(r, starts) for r in extremes])
-        return float(np.min(current * low[1:] - current * high[:-1]))
+    def min_margin(resistances: list[np.ndarray]) -> float:
+        return float(np.min(patterns.margins(resistances)[2]))
 
     offsets = np.asarray(offsets, dtype=float)
     out = np.empty(offsets.shape)
     zero = offsets == 0.0
     if zero.any():
-        out[zero] = min_margin([1.0 / conductance(counts)])
+        out[zero] = min_margin([1.0 / patterns.conductance(counts)])
     for left, neighbor, selected in (
         (True, right_neighbor, offsets > 0.0),
         (False, left_neighbor, offsets < 0.0),
     ):
         if not selected.any():
             continue
-        edges = [_edge_structure(bits, borders, left) for bits in words]
+        edges = [_edge_structure(bits, borders, left) for bits in patterns.words]
         edge = np.array([domain for domain, _ in edges])
         half = np.array([_N_KINDS if kind is None else kind for _, kind in edges])
         adjusted = counts.copy()
         adjusted[rows, edge] -= 1
         has_half = half < _N_KINDS
         adjusted[rows[has_half], half[has_half]] -= 1
-        g = conductance(adjusted)
+        g = patterns.conductance(adjusted)
         present = sorted(set(edge.tolist()))
         for j in np.flatnonzero(selected):
             magnitude = abs(float(offsets[j]))

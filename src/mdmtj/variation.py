@@ -355,14 +355,20 @@ def min_margins_for_offsets(
 
 @dataclass(frozen=True)
 class OffsetReport:
-    """Deterministic-offset margin report; voltages in volts."""
+    """Fixed-offset margin report; voltages in volts.
+
+    The stack is shifted by ``offset`` both ways. ``sign_min_margins`` holds
+    the minimum margin at +offset and at -offset, and ``perturbed_min_margin``
+    is the worse of the two (the + sign on a tie).
+    """
 
     domains: int
     borders: BorderCondition
-    offset: float
+    offset: float  # meters, a magnitude
     left_neighbor: NeighborAssumption
     right_neighbor: NeighborAssumption
     nominal_min_margin: float
+    sign_min_margins: tuple[float, float]
     perturbed_min_margin: float
     margin_deviation: float
 
@@ -373,26 +379,26 @@ def offset_margin_report(
     spec: MisalignmentSpec,
     char: Characterization,
 ) -> OffsetReport:
-    """Every pattern re-evaluated under one fixed offset."""
-    _check_domain_count(domains)
-    _check_offset(spec.offset, char.geometry)
-    values = min_margins_for_offsets(
+    """Every pattern re-evaluated with the stack shifted by |``spec.offset``|
+    to either side; the sign of ``spec.offset`` does not matter."""
+    magnitude = abs(spec.offset)
+    nominal, plus, minus = min_margins_for_offsets(
         domains,
         borders,
-        np.array([0.0, spec.offset]),
+        np.array([0.0, magnitude, -magnitude]),
         spec.left_neighbor,
         spec.right_neighbor,
         char,
-    )
-    nominal = float(values[0])
-    perturbed = float(values[1])
+    ).tolist()
+    perturbed = min(plus, minus)
     return OffsetReport(
         domains=domains,
         borders=borders,
-        offset=spec.offset,
+        offset=magnitude,
         left_neighbor=spec.left_neighbor,
         right_neighbor=spec.right_neighbor,
         nominal_min_margin=nominal,
+        sign_min_margins=(plus, minus),
         perturbed_min_margin=perturbed,
         margin_deviation=nominal - perturbed,
     )

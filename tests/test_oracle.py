@@ -21,6 +21,7 @@ from mdmtj.oracle import (
     reference_resistance,
     segment_counts,
     symmetry_sweep,
+    worst_case_brute_force,
 )
 
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
@@ -94,17 +95,9 @@ def test_enumerated_margin_matches_count_matrix_above_limit(char, domains, borde
 
 
 def test_worst_case_brute_force_equals_levels(char):
-    from mdmtj.oracle import worst_case_brute_force
-
-    for domains in range(1, 7):
-        brute = worst_case_brute_force(domains, char)
-        fast = worst_case_levels(domains, char)
-        assert brute.borders is None
-        for mine, theirs in zip(brute.clusters, fast.clusters):
-            assert mine.min_resistance == theirs.min_resistance
-            assert mine.max_resistance == theirs.max_resistance
-        assert brute.min_margin == fast.min_margin
-        assert brute.adjacent_margins == fast.adjacent_margins
+    # the whole report, as `margin --borders worst --oracle` requires
+    for domains in range(1, BRUTE_FORCE_LIMIT + 1):
+        assert worst_case_brute_force(domains, char) == worst_case_levels(domains, char)
 
 
 def test_distinct_class_counts(char, same_same, differ_differ):

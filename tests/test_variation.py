@@ -267,6 +267,19 @@ def test_offset_report_fields(char, differ_differ):
     assert 0 < report.perturbed_min_margin < report.nominal_min_margin
 
 
+def test_offset_report_takes_both_signs(char):
+    borders = BorderCondition.parse("same,differ")  # the two sides differ
+    offset = 4.2e-9
+    plus = offset_margin_report(4, borders, MisalignmentSpec(offset, ZERO, ONE), char)
+    minus = offset_margin_report(4, borders, MisalignmentSpec(-offset, ZERO, ONE), char)
+    assert plus == minus
+    signed = min_margins_for_offsets(4, borders, np.array([offset, -offset]), ZERO, ONE, char)
+    assert signed[0] != signed[1]
+    assert plus.offset == offset
+    assert plus.sign_min_margins == tuple(signed.tolist())
+    assert plus.perturbed_min_margin == min(signed)
+
+
 def test_monte_carlo_spec_validation():
     MonteCarloSpec(samples=10, seed=0).validate()
     with pytest.raises(ValueError, match="sample count"):
