@@ -36,7 +36,6 @@ from .margins import (
     closed_form_resistances,
     cluster_extremes,
     enumerate_levels,
-    reference_ladder,
     sweep_domains,
     worst_case_levels,
 )
@@ -47,7 +46,6 @@ from .network import (
     Decomposition,
     decompose,
     equivalent_resistance,
-    exact_equivalent_resistance,
     pattern_resistance,
     pattern_voltage,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "closed_form_resistances",
     "cluster_extremes",
     "enumerate_levels",
-    "reference_ladder",
     "sweep_domains",
     "worst_case_levels",
     "BitPattern",
@@ -98,7 +95,6 @@ __all__ = [
     "Decomposition",
     "decompose",
     "equivalent_resistance",
-    "exact_equivalent_resistance",
     "pattern_resistance",
     "pattern_voltage",
     "MisalignmentSpec",

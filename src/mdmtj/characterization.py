@@ -43,10 +43,6 @@ class Polarity(enum.Enum):
     def from_bit(cls, bit: int) -> "Polarity":
         return cls.PLUS_Z if bit else cls.MINUS_Z
 
-    @property
-    def opposite(self) -> "Polarity":
-        return Polarity.PLUS_Z if self is Polarity.MINUS_Z else Polarity.MINUS_Z
-
 
 class SegmentKind(enum.Enum):
     """One characterized mini-resistor kind. Values double as config keys.
@@ -66,10 +62,6 @@ class SegmentKind(enum.Enum):
     WALL_10 = "r_dw_10"
     HALF_WALL_MINUS = "r_hdw_minus"
     HALF_WALL_PLUS = "r_hdw_plus"
-
-    @property
-    def config_key(self) -> str:
-        return self.value
 
     @property
     def is_domain(self) -> bool:
@@ -149,7 +141,7 @@ class SegmentResistanceTable:
     """
 
     def __init__(self, exact: Mapping[SegmentKind, Fraction | int]):
-        missing = [k.config_key for k in SegmentKind if k not in exact]
+        missing = [k.value for k in SegmentKind if k not in exact]
         if missing:
             raise ConfigInvariantError(f"missing resistance entries: {', '.join(missing)}")
         self._exact = {k: Fraction(exact[k]) for k in SegmentKind}
@@ -160,7 +152,7 @@ class SegmentResistanceTable:
         for kind, value in self._exact.items():
             if value <= 0:
                 raise ConfigInvariantError(
-                    f"{kind.config_key} must be positive, got {float(value)}"
+                    f"{kind.value} must be positive, got {float(value)}"
                 )
         for pol in ("minus", "plus"):
             keys = [f"r_{pol}_80", f"r_{pol}_74", f"r_{pol}_68"]
@@ -195,7 +187,7 @@ class SegmentResistanceTable:
         return self._exact == other._exact
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"{k.config_key}={float(v)}" for k, v in self._exact.items())
+        pairs = ", ".join(f"{k.value}={float(v)}" for k, v in self._exact.items())
         return f"SegmentResistanceTable({pairs})"
 
     @classmethod
@@ -217,9 +209,6 @@ class DeviceGeometry:
         """Stack footprint above one domain, m^2."""
         return self.domain_length * self.track_width
 
-    def mtj_length(self, domains: int) -> float:
-        return domains * self.domain_length
-
     def nominal_length(self, kind: SegmentKind) -> float:
         """Length the characterized resistance of ``kind`` refers to."""
         if kind.is_wall:
@@ -229,15 +218,9 @@ class DeviceGeometry:
         return self.domain_length - kind.wall_count * (self.notch_length / 2)
 
     def validate(self) -> None:
-        for name in (
-            "domain_length",
-            "track_width",
-            "notch_length",
-            "free_layer_thickness",
-            "mgo_thickness",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigInvariantError(f"{name}_nm must be positive")
+        for key, attr in _GEOMETRY_KEYS.items():
+            if getattr(self, attr) <= 0:
+                raise ConfigInvariantError(f"{key} must be positive")
         if self.notch_length >= self.domain_length:
             raise ConfigInvariantError(
                 "notch_length_nm must be smaller than domain_length_nm"
@@ -333,7 +316,7 @@ _METADATA_NUMERIC_KEYS = (
     "resistivity",
 )
 
-_RESISTANCE_KEYS = {kind.config_key: kind for kind in SegmentKind}
+_RESISTANCE_KEYS = {kind.value: kind for kind in SegmentKind}
 
 _ALL_KEYS = (
     set(_RESISTANCE_KEYS)
@@ -425,6 +408,7 @@ def parse_config(text: str, source: str = "<config>") -> Characterization:
     drive = DriveParams(**drive_kwargs)
     drive.validate()
     _check_voltage_bound(table, geometry, drive)
+    _check_conductance_bound(table)
     metadata = CharacterizationMetadata(**metadata_kwargs)
     return Characterization(table, geometry, drive, metadata)
 
@@ -449,11 +433,29 @@ def _check_voltage_bound(
         )
 
 
+def _check_conductance_bound(table: SegmentResistanceTable) -> None:
+    """Refuse resistances so small that a bank's conductance could overflow.
+
+    The largest bank any report builds holds 2 * MAX_DOMAINS + 2 segments
+    (the domains, the walls between them, two half-walls and a misalignment
+    overhang), none conducting more than the smallest resistance allows.
+    """
+    segments = 2 * MAX_DOMAINS + 2
+    smallest = min(SegmentKind, key=table.ohms)
+    ohms = table.ohms(smallest)
+    # written so that a float view of 0 and an infinite bound both fail
+    if not (ohms > 0.0 and segments / ohms <= sys.float_info.max):
+        raise ConfigInvariantError(
+            f"{smallest.value} is too small: the conductance of {segments}"
+            " segments at that resistance is not a finite number"
+        )
+
+
 def load_config(path: str) -> Characterization:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text, source=path)
 
@@ -490,30 +492,32 @@ def _meters_as_nm_text(meters: float) -> str:
     return text
 
 
+def config_mapping(char: Characterization) -> dict[str, str]:
+    """Effective config as an ordered key -> value-text mapping (manifests)."""
+    mapping = {kind.value: _fraction_text(char.table.exact(kind)) for kind in SegmentKind}
+    for key, attr in _GEOMETRY_KEYS.items():
+        mapping[key] = _meters_as_nm_text(getattr(char.geometry, attr))
+    mapping["j_c_a_per_m2"] = repr(char.drive.current_density)
+    mapping["material"] = char.metadata.material
+    for key in _METADATA_NUMERIC_KEYS:
+        mapping[key] = repr(getattr(char.metadata, key))
+    return mapping
+
+
+# dump headings, each written before the key that opens its section
+_HEADINGS = {
+    "r_minus_80": "segment resistances, ohms",
+    "domain_length_nm": "geometry, nanometers",
+    "j_c_a_per_m2": "drive",
+    "material": "characterization metadata (informational)",
+}
+
+
 def dump_config(char: Characterization) -> str:
     """Serialize the effective configuration; reloading reproduces it exactly."""
     lines = ["# multi-domain MTJ characterization (effective values)"]
-    lines.append("# segment resistances, ohms")
-    for kind in SegmentKind:
-        lines.append(f"{kind.config_key} = {_fraction_text(char.table.exact(kind))}")
-    lines.append("# geometry, nanometers")
-    for key, attr in _GEOMETRY_KEYS.items():
-        lines.append(f"{key} = {_meters_as_nm_text(getattr(char.geometry, attr))}")
-    lines.append("# drive")
-    lines.append(f"j_c_a_per_m2 = {char.drive.current_density!r}")
-    lines.append("# characterization metadata (informational)")
-    lines.append(f"material = {char.metadata.material}")
-    for key in _METADATA_NUMERIC_KEYS:
-        lines.append(f"{key} = {getattr(char.metadata, key)!r}")
+    for key, value in config_mapping(char).items():
+        if key in _HEADINGS:
+            lines.append(f"# {_HEADINGS[key]}")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def config_mapping(char: Characterization) -> dict[str, str]:
-    """Effective config as an ordered key -> value-text mapping (manifests)."""
-    mapping: dict[str, str] = {}
-    for line in dump_config(char).splitlines():
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        mapping[key.strip()] = value.strip()
-    return mapping

@@ -43,10 +43,6 @@ class DomainCountTooLarge(UsageError):
     """Domain count above the operation's enumeration guard."""
 
 
-class ClustersOverlap(ModelError):
-    """Reference ladder requested for a report whose levels are not separable."""
-
-
 class OracleMismatch(ModelError):
     """Production result disagrees with the independent reference path."""
 

@@ -37,13 +37,7 @@ from .characterization import (
     domain_kind,
     half_wall_kind,
 )
-from .errors import (
-    ClustersOverlap,
-    DomainCountTooLarge,
-    DomainCountTooSmall,
-    ModelError,
-    UsageError,
-)
+from .errors import DomainCountTooLarge, DomainCountTooSmall, ModelError, UsageError
 from .network import ALL_CONDITIONS, Border, BorderCondition, MAX_DOMAINS
 
 # above this the sweep leaves the enumerated column blank; the closed form
@@ -588,24 +582,6 @@ def closed_form_min_margin(domains: int, char: Characterization) -> float:
     r_one, r_zero = closed_form_resistances(domains, char.table)
     current = char.drive.read_current(domains, char.geometry)
     return current * r_one - current * r_zero
-
-
-def reference_ladder(report: MarginReport) -> tuple[float, ...]:
-    """Midpoint threshold per adjacent gap, for sense-amplifier references.
-
-    Requires all clusters strictly separated; thresholds come out strictly
-    increasing.
-    """
-    for entry in report.adjacent_margins:
-        if entry.margin <= 0.0:
-            raise ClustersOverlap(
-                f"weight {entry.weight_low} and {entry.weight_high} clusters"
-                f" overlap (margin {entry.margin * 1e3:.4f} mV)"
-            )
-    return tuple(
-        (report.clusters[w].max_voltage + report.clusters[w + 1].min_voltage) / 2
-        for w in range(report.domains)
-    )
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 from .characterization import (
     MAX_DOMAINS,
@@ -65,19 +63,6 @@ class BitPattern:
     def __str__(self) -> str:
         return "".join(map(str, self.bits))
 
-    def __iter__(self):
-        return iter(self.bits)
-
-    def mirror(self) -> "BitPattern":
-        return BitPattern(self.bits[::-1])
-
-    def complement(self) -> "BitPattern":
-        return BitPattern(tuple(1 - b for b in self.bits))
-
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
 
 class Border(enum.Enum):
     """Relation of the bit just outside a track border to the edge bit."""
@@ -111,12 +96,6 @@ class BorderCondition:
     def __str__(self) -> str:
         return f"{self.left.value}/{self.right.value}"
 
-    def mirror(self) -> "BorderCondition":
-        return BorderCondition(self.right, self.left)
-
-
-SAME_SAME = BorderCondition(Border.SAME, Border.SAME)
-DIFFER_DIFFER = BorderCondition(Border.DIFFER, Border.DIFFER)
 
 ALL_CONDITIONS = (
     BorderCondition(Border.SAME, Border.SAME),
@@ -140,16 +119,6 @@ class Decomposition:
     domain_kinds: tuple[SegmentKind, ...]
     left_half_wall: SegmentKind | None
     right_half_wall: SegmentKind | None
-
-    @cached_property
-    def segment_count(self) -> int:
-        return sum(count for _, count in self.segments)
-
-    def count(self, kind: SegmentKind) -> int:
-        for found, n in self.segments:
-            if found is kind:
-                return n
-        return 0
 
 
 def decompose(pattern: BitPattern, borders: BorderCondition) -> Decomposition:
@@ -211,18 +180,6 @@ def equivalent_resistance(
     return 1.0 / conductance
 
 
-def exact_equivalent_resistance(
-    decomposition: Decomposition, table: SegmentResistanceTable
-) -> Fraction:
-    """Same combination in exact rational arithmetic (cross-checks)."""
-    if not decomposition.segments:
-        raise EmptyNetwork("decomposition holds no segments")
-    conductance = Fraction(0)
-    for kind, count in decomposition.segments:
-        conductance += Fraction(count) / table.exact(kind)
-    return 1 / conductance
-
-
 def pattern_resistance(
     pattern: BitPattern | str,
     borders: BorderCondition,
@@ -241,6 +198,5 @@ def pattern_voltage(
     """Sense voltage in volts: read current times equivalent resistance."""
     if isinstance(pattern, str):
         pattern = BitPattern.parse(pattern)
-    resistance = equivalent_resistance(decompose(pattern, borders), char.table)
     current = char.drive.read_current(len(pattern), char.geometry)
-    return current * resistance
+    return current * pattern_resistance(pattern, borders, char)

@@ -46,7 +46,7 @@ from .margins import (
 # not called here: perfbench/tracer.py rebinds it on every module it may be
 # reached through
 from .margins import enumerate_levels  # noqa: F401
-from .network import BitPattern, BorderCondition, Decomposition, decompose
+from .network import BitPattern, BorderCondition, decompose
 
 # characterized misalignment budget: 5.5 nm treated as six standard deviations
 SIGMA_DEFAULT = 5.5e-9 / 6.0
@@ -113,7 +113,6 @@ class PerturbedDecomposition:
     half-wall is simply gone.
     """
 
-    base: Decomposition
     offset: float
     overhang_bit: int | None
     full_segments: tuple[tuple[SegmentKind, int], ...]
@@ -145,7 +144,7 @@ def apply_misalignment(
     _check_offset(spec.offset, geometry)
     base = decompose(pattern, borders)
     if spec.offset == 0.0:
-        return PerturbedDecomposition(base, 0.0, None, base.segments, ())
+        return PerturbedDecomposition(0.0, None, base.segments, ())
 
     magnitude = abs(spec.offset)
     if spec.offset > 0:
@@ -175,7 +174,6 @@ def apply_misalignment(
         PartialSegment(domain_kind(Polarity.from_bit(neighbor), 0), magnitude)
     )
     return PerturbedDecomposition(
-        base=base,
         offset=spec.offset,
         overhang_bit=neighbor,
         full_segments=full,

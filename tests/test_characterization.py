@@ -45,7 +45,7 @@ DEFAULTS = {
 
 
 def test_segment_kind_order_matches_config_keys():
-    assert [k.config_key for k in SegmentKind] == [
+    assert [k.value for k in SegmentKind] == [
         "r_minus_80",
         "r_minus_74",
         "r_minus_68",
@@ -76,7 +76,6 @@ def test_kind_classification():
     assert wall_kind(1, 0) is SegmentKind.WALL_10
     assert half_wall_kind(Polarity.PLUS_Z) is SegmentKind.HALF_WALL_PLUS
     assert Polarity.from_bit(1) is Polarity.PLUS_Z
-    assert Polarity.PLUS_Z.opposite is Polarity.MINUS_Z
 
 
 def test_nominal_lengths(char):
@@ -96,10 +95,6 @@ def test_junction_area_and_read_current(char):
     # I = J * D * A_d, exactly this operation order
     assert char.drive.read_current(5, geo) == 3.21e10 * 5 * (80e-9 * 40e-9)
     assert char.drive.read_current(5, geo) == pytest.approx(513.6e-6)
-
-
-def test_mtj_length(char):
-    assert char.geometry.mtj_length(5) == pytest.approx(400e-9)
 
 
 def test_table_rejects_nonpositive():
@@ -161,6 +156,15 @@ def test_geometry_validation():
         DeviceGeometry(track_width=0.0).validate()
     with pytest.raises(ConfigInvariantError):
         DriveParams(current_density=-1.0).validate()
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["domain_length_nm", "track_width_nm", "notch_length_nm", "free_thickness_nm", "mgo_thickness_nm"],
+)
+def test_geometry_error_names_the_config_key(key):
+    with pytest.raises(ConfigInvariantError, match=rf"^{key} must be positive$"):
+        parse_config(f"{key} = 0\n")
 
 
 # --- config files ---------------------------------------------------------
@@ -247,6 +251,19 @@ def test_parse_rejects_overflowing_read_voltages(text):
     # every value is a finite float, but read current x resistance is not
     with pytest.raises(ConfigInvariantError, match="overflow"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("value", ["1e-307", "1e-400"])
+def test_parse_rejects_overflowing_conductances(value):
+    # 62 segments (30 domains, 29 walls, two half-walls, an overhang) at
+    # 1e-307 ohm conduct more than the float range; 1e-400 ohm is 0.0 as a float
+    with pytest.raises(ConfigInvariantError, match="r_minus_80 is too small"):
+        parse_config(f"r_minus_80 = {value}\n")
+
+
+def test_parse_accepts_small_finite_conductances():
+    char = parse_config("r_minus_80 = 1e-306\n")
+    assert char.table.ohms(SegmentKind.DOMAIN_MINUS_FULL) == 1e-306
 
 
 def test_parse_accepts_large_finite_read_voltages():

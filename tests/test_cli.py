@@ -242,6 +242,25 @@ def test_config_with_overflowing_voltages_exits_3(capsys, tmp_path):
     assert "overflow" in err
 
 
+def test_config_with_overflowing_conductances_exits_3(capsys, tmp_path):
+    config = tmp_path / "tiny.cfg"
+    config.write_text("r_minus_80 = 1e-307\n")
+    code, out, err = run_cli(capsys, "margin", "--domains", "30", "--config", str(config))
+    assert (code, out) == (3, "")
+    assert "r_minus_80 is too small" in err
+
+
+def test_config_with_smallest_finite_conductances_runs(capsys, tmp_path):
+    # the largest bank still conducts a finite amount; a numpy overflow
+    # warning would fail this test
+    config = tmp_path / "small.cfg"
+    config.write_text("r_minus_80 = 1e-306\n")
+    code, _, err = run_cli(
+        capsys, "variation", "--domains", "30", "--offset-nm", "5", "--config", str(config)
+    )
+    assert (code, err) == (0, "")
+
+
 def test_offset_past_an_edge_domain_exits_2(capsys, tmp_path):
     # valid geometry (notch 12 nm < 20 nm), but 11 nm uncovers the 8 nm
     # two-wall edge domain of 0101 under differ/differ
@@ -394,6 +413,15 @@ def test_missing_config_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "cannot read config" in err
+
+
+def test_non_utf8_config_exits_3(capsys, tmp_path):
+    config = tmp_path / "binary.cfg"
+    config.write_bytes(b"\xffr_minus_80 = 1911\n")
+    code, out, err = run_cli(capsys, "margin", "--domains", "3", "--config", str(config))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read config")
+    assert "decode" in err
 
 
 def test_broken_config_exits_3(capsys, tmp_path):

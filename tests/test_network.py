@@ -12,19 +12,17 @@ from mdmtj.errors import EmptyNetwork, PatternError
 from mdmtj.margins import equivalence_key
 from mdmtj.network import (
     ALL_CONDITIONS,
-    DIFFER_DIFFER,
     MAX_DOMAINS,
-    SAME_SAME,
     BitPattern,
     Border,
     BorderCondition,
     Decomposition,
     decompose,
     equivalent_resistance,
-    exact_equivalent_resistance,
     pattern_resistance,
     pattern_voltage,
 )
+from mdmtj.oracle import rational_pattern_resistance
 
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
 conditions = st.sampled_from(ALL_CONDITIONS)
@@ -35,9 +33,6 @@ def test_pattern_parse_and_str():
     assert p.bits == (0, 0, 1, 1, 0)
     assert str(p) == "00110"
     assert len(p) == 5
-    assert p.weight == 2
-    assert str(p.mirror()) == "01100"
-    assert str(p.complement()) == "11001"
 
 
 def test_pattern_rejects_bad_characters():
@@ -61,10 +56,10 @@ def test_pattern_errors_are_value_errors():
 
 
 def test_border_condition_parse_forms():
-    assert BorderCondition.parse("same,same") == SAME_SAME
+    assert BorderCondition.parse("same,same") == BorderCondition(Border.SAME, Border.SAME)
     assert BorderCondition.parse("Same/Differ") == BorderCondition(Border.SAME, Border.DIFFER)
-    assert BorderCondition.parse(" DIFFER , differ ") == DIFFER_DIFFER
-    assert str(SAME_SAME) == "same/same"
+    assert BorderCondition.parse(" DIFFER , differ ") == BorderCondition(Border.DIFFER, Border.DIFFER)
+    assert str(BorderCondition(Border.SAME, Border.SAME)) == "same/same"
     assert str(BorderCondition.parse("differ,same")) == "differ/same"
     with pytest.raises(ValueError):
         BorderCondition.parse("same")
@@ -72,22 +67,15 @@ def test_border_condition_parse_forms():
         BorderCondition.parse("near,far")
 
 
-def test_border_condition_mirror():
-    sd = BorderCondition.parse("same,differ")
-    assert sd.mirror() == BorderCondition.parse("differ,same")
-    assert SAME_SAME.mirror() == SAME_SAME
-
-
-def test_decompose_uniform_pattern():
-    deco = decompose(BitPattern.parse("00000"), SAME_SAME)
+def test_decompose_uniform_pattern(same_same):
+    deco = decompose(BitPattern.parse("00000"), same_same)
     assert deco.segments == ((SegmentKind.DOMAIN_MINUS_FULL, 5),)
     assert deco.left_half_wall is None and deco.right_half_wall is None
-    assert deco.segment_count == 5
 
 
-def test_decompose_single_one():
+def test_decompose_single_one(same_same):
     # 00010: two walls pin the 1, its neighbors each lose one notch share
-    deco = decompose(BitPattern.parse("00010"), SAME_SAME)
+    deco = decompose(BitPattern.parse("00010"), same_same)
     assert deco.segments == (
         (SegmentKind.DOMAIN_MINUS_FULL, 2),
         (SegmentKind.DOMAIN_MINUS_MID, 2),
@@ -104,8 +92,8 @@ def test_decompose_single_one():
     )
 
 
-def test_decompose_single_domain_differ_borders():
-    deco = decompose(BitPattern.parse("1"), DIFFER_DIFFER)
+def test_decompose_single_domain_differ_borders(differ_differ):
+    deco = decompose(BitPattern.parse("1"), differ_differ)
     assert deco.segments == (
         (SegmentKind.DOMAIN_PLUS_SHORT, 1),
         (SegmentKind.HALF_WALL_PLUS, 2),
@@ -122,8 +110,7 @@ def test_decompose_mixed_borders():
         (SegmentKind.WALL_10, 1),
         (SegmentKind.HALF_WALL_PLUS, 1),
     )
-    assert deco.count(SegmentKind.WALL_01) == 0
-    assert deco.count(SegmentKind.WALL_10) == 1
+    assert SegmentKind.WALL_01 not in dict(deco.segments)
 
 
 @settings(max_examples=200, deadline=None)
@@ -137,13 +124,14 @@ def test_decompose_structural_invariants(bits, borders):
     assert domain_total == len(pattern)
     assert len(deco.domain_kinds) == len(pattern)
 
+    counts = dict(deco.segments)
     transitions = sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-    n01 = deco.count(SegmentKind.WALL_01)
-    n10 = deco.count(SegmentKind.WALL_10)
+    n01 = counts.get(SegmentKind.WALL_01, 0)
+    n10 = counts.get(SegmentKind.WALL_10, 0)
     assert n01 + n10 == transitions
     assert abs(n01 - n10) <= 1  # transitions strictly alternate
 
-    halves = deco.count(SegmentKind.HALF_WALL_MINUS) + deco.count(SegmentKind.HALF_WALL_PLUS)
+    halves = counts.get(SegmentKind.HALF_WALL_MINUS, 0) + counts.get(SegmentKind.HALF_WALL_PLUS, 0)
     expected_halves = (borders.left is Border.DIFFER) + (borders.right is Border.DIFFER)
     assert halves == expected_halves
     assert (deco.left_half_wall is not None) == (borders.left is Border.DIFFER)
@@ -161,14 +149,13 @@ def test_decompose_structural_invariants(bits, borders):
     assert all(n > 0 for _, n in deco.segments)
 
 
-def test_equivalent_resistance_matches_literal_sum(char):
-    deco = decompose(BitPattern.parse("00010"), SAME_SAME)
+def test_equivalent_resistance_matches_literal_sum(char, same_same):
+    deco = decompose(BitPattern.parse("00010"), same_same)
     expected = 1.0 / (2 / 1911 + 2 / 2048 + 1 / 5143 + 1 / 20053 + 1 / 20063)
     assert equivalent_resistance(deco, char.table) == expected
 
 
-def test_exact_equivalent_resistance(char):
-    deco = decompose(BitPattern.parse("00010"), SAME_SAME)
+def test_exact_equivalent_resistance(char, same_same):
     conductance = (
         2 * Fraction(1, 1911)
         + 2 * Fraction(1, 2048)
@@ -176,23 +163,22 @@ def test_exact_equivalent_resistance(char):
         + Fraction(1, 20053)
         + Fraction(1, 20063)
     )
-    assert exact_equivalent_resistance(deco, char.table) == 1 / conductance
+    assert rational_pattern_resistance("00010", same_same, char.table) == 1 / conductance
 
 
 @settings(max_examples=100, deadline=None)
 @given(bits=patterns, borders=conditions)
 def test_float_tracks_exact(bits, borders):
     char = default_characterization()
-    deco = decompose(BitPattern.parse(bits), borders)
-    approx = equivalent_resistance(deco, char.table)
-    exact = exact_equivalent_resistance(deco, char.table)
+    approx = equivalent_resistance(decompose(BitPattern.parse(bits), borders), char.table)
+    exact = rational_pattern_resistance(bits, borders, char.table)
     assert approx == pytest.approx(float(exact), rel=1e-12)
 
 
-def test_empty_network_rejected(char):
+def test_empty_network_rejected(char, same_same):
     hollow = Decomposition(
         pattern=BitPattern.parse("0"),
-        borders=SAME_SAME,
+        borders=same_same,
         segments=(),
         domain_kinds=(),
         left_half_wall=None,
@@ -200,8 +186,6 @@ def test_empty_network_rejected(char):
     )
     with pytest.raises(EmptyNetwork):
         equivalent_resistance(hollow, char.table)
-    with pytest.raises(EmptyNetwork):
-        exact_equivalent_resistance(hollow, char.table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,38 +198,42 @@ def test_added_branch_always_lowers_resistance(bits, borders):
     assert widened < base
 
 
-def test_pattern_helpers_accept_strings(char):
-    assert pattern_resistance("00010", SAME_SAME, char) == pattern_resistance(
-        BitPattern.parse("00010"), SAME_SAME, char
+def test_pattern_helpers_accept_strings(char, same_same):
+    assert pattern_resistance("00010", same_same, char) == pattern_resistance(
+        BitPattern.parse("00010"), same_same, char
     )
-    volts = pattern_voltage("00010", SAME_SAME, char)
+    volts = pattern_voltage("00010", same_same, char)
     current = char.drive.read_current(5, char.geometry)
-    assert volts == current * pattern_resistance("00010", SAME_SAME, char)
+    assert volts == current * pattern_resistance("00010", same_same, char)
 
 
-def _key(pattern: BitPattern, borders: BorderCondition) -> tuple:
-    deco = decompose(pattern, borders)
-    return equivalence_key(tuple(deco.count(kind) for kind in SegmentKind))
+def _key(bits: str, borders: BorderCondition) -> tuple:
+    counts = dict(decompose(BitPattern.parse(bits), borders).segments)
+    return equivalence_key(tuple(counts.get(kind, 0) for kind in SegmentKind))
 
 
-def test_equivalence_key_folds_wall_direction():
-    a = _key(BitPattern.parse("00001"), SAME_SAME)
-    b = _key(BitPattern.parse("10000"), SAME_SAME)
+def _reversed(borders: BorderCondition) -> BorderCondition:
+    return BorderCondition(borders.right, borders.left)
+
+
+def test_equivalence_key_folds_wall_direction(same_same):
+    a = _key("00001", same_same)
+    b = _key("10000", same_same)
     assert a == b
-    c = _key(BitPattern.parse("00010"), SAME_SAME)
+    c = _key("00010", same_same)
     assert a != c
 
 
-def test_equivalence_key_groups_shared_banks():
-    keys = {_key(BitPattern.parse(p), SAME_SAME) for p in ("00110", "01100", "10001")}
+def test_equivalence_key_groups_shared_banks(same_same):
+    keys = {_key(p, same_same) for p in ("00110", "01100", "10001")}
     assert len(keys) == 1
 
 
 @settings(max_examples=150, deadline=None)
 @given(bits=patterns, borders=conditions)
 def test_equivalence_key_mirror_invariant(bits, borders):
-    forward = _key(BitPattern.parse(bits), borders)
-    backward = _key(BitPattern.parse(bits).mirror(), borders.mirror())
+    forward = _key(bits, borders)
+    backward = _key(bits[::-1], _reversed(borders))
     assert forward == backward
 
 
@@ -256,7 +244,7 @@ def test_mirror_resistance_close_on_raw_table(bits, borders):
     # two values close but almost never equal
     char = default_characterization()
     fwd = pattern_resistance(bits, borders, char)
-    rev = pattern_resistance(str(BitPattern.parse(bits).mirror()), borders.mirror(), char)
+    rev = pattern_resistance(bits[::-1], _reversed(borders), char)
     assert rev == pytest.approx(fwd, rel=1e-4)
 
 
