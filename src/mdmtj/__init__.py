@@ -16,11 +16,9 @@ from .characterization import (
     CharacterizationMetadata,
     DeviceGeometry,
     DriveParams,
-    Polarity,
     SegmentKind,
     SegmentResistanceTable,
     default_characterization,
-    dump_config,
     load_config,
     parse_config,
     scaled_resistance,
@@ -69,11 +67,9 @@ __all__ = [
     "CharacterizationMetadata",
     "DeviceGeometry",
     "DriveParams",
-    "Polarity",
     "SegmentKind",
     "SegmentResistanceTable",
     "default_characterization",
-    "dump_config",
     "load_config",
     "parse_config",
     "scaled_resistance",

@@ -33,23 +33,13 @@ from .errors import ConfigInvariantError, ConfigParseError, DegenerateCoverage
 MAX_DOMAINS = 30
 
 
-class Polarity(enum.Enum):
-    """Free-layer domain orientation relative to the fixed layer."""
-
-    MINUS_Z = "minus"  # parallel, low resistance, stores 0
-    PLUS_Z = "plus"    # anti-parallel, high resistance, stores 1
-
-    @classmethod
-    def from_bit(cls, bit: int) -> "Polarity":
-        return cls.PLUS_Z if bit else cls.MINUS_Z
-
-
 class SegmentKind(enum.Enum):
     """One characterized mini-resistor kind. Values double as config keys.
 
     Domain kinds split by polarity and by how many adjacent walls eat into
     the domain (0, 1, or 2), full walls by transition direction read left to
     right, half-walls by the polarity of the edge domain they pin against.
+    Enum order is the kind order of every segment-count bank.
     """
 
     DOMAIN_MINUS_FULL = "r_minus_80"
@@ -64,10 +54,6 @@ class SegmentKind(enum.Enum):
     HALF_WALL_PLUS = "r_hdw_plus"
 
     @property
-    def is_domain(self) -> bool:
-        return self in _DOMAIN_INFO
-
-    @property
     def is_wall(self) -> bool:
         return self in (SegmentKind.WALL_01, SegmentKind.WALL_10)
 
@@ -75,47 +61,14 @@ class SegmentKind(enum.Enum):
     def is_half_wall(self) -> bool:
         return self in (SegmentKind.HALF_WALL_MINUS, SegmentKind.HALF_WALL_PLUS)
 
-    @property
-    def wall_count(self) -> int:
-        """Adjacent-wall count encoded by a domain kind's length class."""
-        if self not in _DOMAIN_INFO:
-            raise ValueError(f"{self.name} is not a domain kind")
-        return _DOMAIN_INFO[self][1]
 
-
-_DOMAIN_INFO = {
-    SegmentKind.DOMAIN_MINUS_FULL: (Polarity.MINUS_Z, 0),
-    SegmentKind.DOMAIN_MINUS_MID: (Polarity.MINUS_Z, 1),
-    SegmentKind.DOMAIN_MINUS_SHORT: (Polarity.MINUS_Z, 2),
-    SegmentKind.DOMAIN_PLUS_FULL: (Polarity.PLUS_Z, 0),
-    SegmentKind.DOMAIN_PLUS_MID: (Polarity.PLUS_Z, 1),
-    SegmentKind.DOMAIN_PLUS_SHORT: (Polarity.PLUS_Z, 2),
-}
-
-_DOMAIN_BY_SHAPE = {info: kind for kind, info in _DOMAIN_INFO.items()}
-
-
-def domain_kind(polarity: Polarity, wall_count: int) -> SegmentKind:
-    """Domain segment kind for a polarity and its adjacent-wall count."""
-    try:
-        return _DOMAIN_BY_SHAPE[(polarity, wall_count)]
-    except KeyError:
-        raise ValueError(f"no domain kind with {wall_count} adjacent walls") from None
-
-
-def wall_kind(left_bit: int, right_bit: int) -> SegmentKind:
-    """Full-wall kind for a transition, read left to right."""
-    if left_bit == right_bit:
-        raise ValueError("no wall between equal bits")
-    return SegmentKind.WALL_01 if left_bit == 0 else SegmentKind.WALL_10
-
-
-def half_wall_kind(polarity: Polarity) -> SegmentKind:
-    return (
-        SegmentKind.HALF_WALL_PLUS
-        if polarity is Polarity.PLUS_Z
-        else SegmentKind.HALF_WALL_MINUS
-    )
+# The kind layout: a bank is a list of counts indexed like KINDS. A domain's
+# index is DOMAIN[bit][adjacent walls], a full wall's WALL[bit on its left],
+# a half-wall's HALF_WALL[bit of the edge domain it pins against].
+KINDS = tuple(SegmentKind)
+DOMAIN = ((0, 1, 2), (3, 4, 5))
+WALL = (6, 7)
+HALF_WALL = (8, 9)
 
 
 _DEFAULT_RESISTANCES: dict[SegmentKind, int] = {
@@ -154,19 +107,17 @@ class SegmentResistanceTable:
                 raise ConfigInvariantError(
                     f"{kind.value} must be positive, got {float(value)}"
                 )
-        for pol in ("minus", "plus"):
-            keys = [f"r_{pol}_80", f"r_{pol}_74", f"r_{pol}_68"]
-            full, mid, short = (self._exact[SegmentKind(k)] for k in keys)
-            if not (full < mid < short):
+        for row in DOMAIN:
+            full, mid, short = (KINDS[i] for i in row)
+            if not (self._exact[full] < self._exact[mid] < self._exact[short]):
                 raise ConfigInvariantError(
-                    f"length classes must satisfy {keys[0]} < {keys[1]} < {keys[2]}"
+                    f"length classes must satisfy {full.value} < {mid.value} < {short.value}"
                 )
-        for suffix in ("80", "74", "68"):
-            minus = self._exact[SegmentKind(f"r_minus_{suffix}")]
-            plus = self._exact[SegmentKind(f"r_plus_{suffix}")]
-            if not (plus > minus):
+        for walls in range(3):
+            minus, plus = (KINDS[row[walls]] for row in DOMAIN)
+            if not (self._exact[plus] > self._exact[minus]):
                 raise ConfigInvariantError(
-                    f"r_plus_{suffix} must exceed r_minus_{suffix}"
+                    f"{plus.value} must exceed {minus.value}"
                     " (anti-parallel is the high-resistance state)"
                 )
 
@@ -215,7 +166,9 @@ class DeviceGeometry:
             return self.notch_length
         if kind.is_half_wall:
             return self.notch_length / 2
-        return self.domain_length - kind.wall_count * (self.notch_length / 2)
+        index = KINDS.index(kind)
+        walls = next(row.index(index) for row in DOMAIN if index in row)
+        return self.domain_length - walls * (self.notch_length / 2)
 
     def validate(self) -> None:
         for key, attr in _GEOMETRY_KEYS.items():
@@ -502,22 +455,3 @@ def config_mapping(char: Characterization) -> dict[str, str]:
     for key in _METADATA_NUMERIC_KEYS:
         mapping[key] = repr(getattr(char.metadata, key))
     return mapping
-
-
-# dump headings, each written before the key that opens its section
-_HEADINGS = {
-    "r_minus_80": "segment resistances, ohms",
-    "domain_length_nm": "geometry, nanometers",
-    "j_c_a_per_m2": "drive",
-    "material": "characterization metadata (informational)",
-}
-
-
-def dump_config(char: Characterization) -> str:
-    """Serialize the effective configuration; reloading reproduces it exactly."""
-    lines = ["# multi-domain MTJ characterization (effective values)"]
-    for key, value in config_mapping(char).items():
-        if key in _HEADINGS:
-            lines.append(f"# {_HEADINGS[key]}")
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from decimal import Decimal
 from itertools import count
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
@@ -485,7 +486,10 @@ def _fixed_offset(
         )
     if args.seed is not None:
         raise UsageError("--seed applies to --monte-carlo runs only")
-    spec = MisalignmentSpec(args.offset_nm * 1e-9, neighbors, neighbors)
+    # nm to meters in one rounding, as the config converts its *_nm keys, so
+    # an offset equal to notch_length_nm passes the notch bound
+    offset = float(Decimal(repr(args.offset_nm)).scaleb(-9))
+    spec = MisalignmentSpec(offset, neighbors, neighbors)
     report = offset_margin_report(args.domains, borders, spec, char)
     if args.oracle:
         _oracle_variation_check(

@@ -30,12 +30,13 @@ from operator import itemgetter, truediv
 from typing import Iterator, NamedTuple, Sequence
 
 from .characterization import (
+    DOMAIN,
+    HALF_WALL,
+    KINDS,
+    WALL,
     Characterization,
-    Polarity,
     SegmentKind,
     SegmentResistanceTable,
-    domain_kind,
-    half_wall_kind,
 )
 from .errors import DomainCountTooLarge, DomainCountTooSmall, ModelError, UsageError
 from .network import ALL_CONDITIONS, Border, BorderCondition, MAX_DOMAINS
@@ -44,24 +45,11 @@ from .network import ALL_CONDITIONS, Border, BorderCondition, MAX_DOMAINS
 # carries the scaling story alone
 SWEEP_ENUMERATION_LIMIT = 20
 
-_KINDS = tuple(SegmentKind)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KINDS)}
-_DOMAIN_AT = {
-    (bit, walls): _KIND_INDEX[domain_kind(Polarity.from_bit(bit), walls)]
-    for bit in (0, 1)
-    for walls in (0, 1, 2)
-}
-_NON_WALLS = itemgetter(*(i for i, kind in enumerate(_KINDS) if not kind.is_wall))
-_WALLS = itemgetter(*(i for i, kind in enumerate(_KINDS) if kind.is_wall))
-_WALL_01 = _KIND_INDEX[SegmentKind.WALL_01]
-_WALL_10 = _KIND_INDEX[SegmentKind.WALL_10]
-_HALF_AT = {
-    0: _KIND_INDEX[half_wall_kind(Polarity.MINUS_Z)],
-    1: _KIND_INDEX[half_wall_kind(Polarity.PLUS_Z)],
-}
+_NON_WALLS = itemgetter(*(i for i in range(len(KINDS)) if i not in WALL))
+_WALLS = itemgetter(*WALL)
 # spare run length beyond two domains adds full-length (wall-free) domains
-_MINUS_FULL = _DOMAIN_AT[0, 0]
-_PLUS_FULL = _DOMAIN_AT[1, 0]
+_MINUS_FULL = DOMAIN[0][0]
+_PLUS_FULL = DOMAIN[1][0]
 
 
 @dataclass(frozen=True)
@@ -120,7 +108,7 @@ class MarginReport:
 
 def _kind_ohms(table: SegmentResistanceTable) -> list[float]:
     """The table's resistances in kind order, to build once per report."""
-    return [table.ohms(kind) for kind in _KINDS]
+    return [table.ohms(kind) for kind in KINDS]
 
 
 class _RunCategory(NamedTuple):
@@ -216,12 +204,12 @@ def _walk(domains: int) -> Iterator[_Family]:
                     subclasses.append((weight, mult, extra_zero, extra_one))
                 if not subclasses:
                     continue
-                inner = [0] * len(_KINDS)
-                inner[_WALL_01] = n01
-                inner[_WALL_10] = t - n01
+                inner = [0] * len(KINDS)
+                inner[WALL[0]] = n01
+                inner[WALL[1]] = t - n01
                 for cat, m in zip(cats[2:], shorts[2:]):
-                    inner[_DOMAIN_AT[cat.pol, 2]] += m
-                    inner[_DOMAIN_AT[cat.pol, 1]] += 2 * (cat.n - m)
+                    inner[DOMAIN[cat.pol][2]] += m
+                    inner[DOMAIN[cat.pol][1]] += 2 * (cat.n - m)
                 yield _Family(s, runs, cats, shorts, inner, subclasses)
 
 
@@ -235,11 +223,11 @@ def _end_run(
 ) -> tuple[int, int]:
     """Count one end run's edge domains; return the kinds at its two ends."""
     if short:
-        kind = _DOMAIN_AT[pol, left + right]
+        kind = DOMAIN[pol][left + right]
         counts[kind] += 1
         return kind, kind
-    left_kind = _DOMAIN_AT[pol, left]
-    right_kind = _DOMAIN_AT[pol, right]
+    left_kind = DOMAIN[pol][left]
+    right_kind = DOMAIN[pol][right]
     counts[left_kind] += 1
     counts[right_kind] += 1
     return left_kind, right_kind
@@ -266,10 +254,10 @@ def _condition_counts(
         _, right = _end_run(counts, last_pol, 1, rb, family.shorts[1])
     left_half = right_half = None
     if lb:
-        left_half = _HALF_AT[s]
+        left_half = HALF_WALL[s]
         counts[left_half] += 1
     if rb:
-        right_half = _HALF_AT[last_pol]
+        right_half = HALF_WALL[last_pol]
         counts[right_half] += 1
     return counts, (left, left_half), (right, right_half)
 
@@ -549,8 +537,10 @@ def closed_form_resistances(
     Returns (minimum weight-1 resistance, maximum weight-0 resistance), each
     taken over the four border conditions: a lone 1 at the window edge next
     to a differing outside neighbor, and the all-0 word with both outside
-    neighbors differing. Term order matches the canonical bank summation so
-    the values are bit-identical to the enumerated extremes.
+    neighbors differing. Term order matches the canonical bank summation.
+    On the default table these banks are the enumerated worst-case extremes
+    of weights 1 and 0, bit for bit, for D <= 24; from D = 25, and on many
+    other tables, the binding gap lies elsewhere (ROADMAP item 1).
     """
     if domains < 2:
         raise DomainCountTooSmall(
@@ -576,8 +566,10 @@ def closed_form_min_margin(domains: int, char: Characterization) -> float:
     """Worst-case margin of the 0/1 weight gap, in volts.
 
     Evaluates as read current times the resistance gap between the two
-    closed-form banks; for the default characterization this is the minimum
-    margin of the whole worst-case report.
+    closed-form banks. For the default characterization and D <= 24 this is
+    the minimum margin of the whole worst-case report; from D = 25 the
+    binding gap moves to the middle weights and this value overstates it
+    (ROADMAP item 1).
     """
     r_one, r_zero = closed_form_resistances(domains, char.table)
     current = char.drive.read_current(domains, char.geometry)

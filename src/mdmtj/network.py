@@ -15,14 +15,14 @@ import enum
 from dataclasses import dataclass
 
 from .characterization import (
+    DOMAIN,
+    HALF_WALL,
+    KINDS,
     MAX_DOMAINS,
+    WALL,
     Characterization,
-    Polarity,
     SegmentKind,
     SegmentResistanceTable,
-    domain_kind,
-    half_wall_kind,
-    wall_kind,
 )
 from .errors import EmptyNetwork, PatternError
 
@@ -113,8 +113,6 @@ class Decomposition:
     per-domain views keep left-to-right order for coverage bookkeeping.
     """
 
-    pattern: BitPattern
-    borders: BorderCondition
     segments: tuple[tuple[SegmentKind, int], ...]
     domain_kinds: tuple[SegmentKind, ...]
     left_half_wall: SegmentKind | None
@@ -124,43 +122,33 @@ class Decomposition:
 def decompose(pattern: BitPattern, borders: BorderCondition) -> Decomposition:
     bits = pattern.bits
     eats = [0] * len(bits)
-    counts: dict[SegmentKind, int] = {}
-
-    def add(kind: SegmentKind) -> None:
-        counts[kind] = counts.get(kind, 0) + 1
+    counts = [0] * len(KINDS)
 
     for i in range(len(bits) - 1):
         if bits[i] != bits[i + 1]:
-            add(wall_kind(bits[i], bits[i + 1]))
+            counts[WALL[bits[i]]] += 1
             eats[i] += 1
             eats[i + 1] += 1
 
     left_half = right_half = None
     if borders.left is Border.DIFFER:
-        left_half = half_wall_kind(Polarity.from_bit(bits[0]))
-        add(left_half)
+        left_half = HALF_WALL[bits[0]]
+        counts[left_half] += 1
         eats[0] += 1
     if borders.right is Border.DIFFER:
-        right_half = half_wall_kind(Polarity.from_bit(bits[-1]))
-        add(right_half)
+        right_half = HALF_WALL[bits[-1]]
+        counts[right_half] += 1
         eats[-1] += 1
 
-    domain_kinds = tuple(
-        domain_kind(Polarity.from_bit(b), eaten) for b, eaten in zip(bits, eats)
-    )
-    for kind in domain_kinds:
-        add(kind)
+    domain_indices = [DOMAIN[bit][eaten] for bit, eaten in zip(bits, eats)]
+    for index in domain_indices:
+        counts[index] += 1
 
-    segments = tuple(
-        (kind, counts[kind]) for kind in SegmentKind if kind in counts
-    )
     return Decomposition(
-        pattern=pattern,
-        borders=borders,
-        segments=segments,
-        domain_kinds=domain_kinds,
-        left_half_wall=left_half,
-        right_half_wall=right_half,
+        segments=tuple((KINDS[i], n) for i, n in enumerate(counts) if n),
+        domain_kinds=tuple(KINDS[i] for i in domain_indices),
+        left_half_wall=None if left_half is None else KINDS[left_half],
+        right_half_wall=None if right_half is None else KINDS[right_half],
     )
 
 

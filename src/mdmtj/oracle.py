@@ -303,12 +303,13 @@ def brute_force_offset_margins(
                         f"offset {float(offsets[j]) * 1e9:.3f} nm leaves edge domain"
                         f" kind {index} no covered length"
                     )
-            # partial conductance per kind at this coverage; a fully
-            # uncovered half-wall, and the "no half-wall" slot, add 0.0
+            # partial conductance per domain kind (0..5) and half-wall at
+            # this coverage; a fully uncovered half-wall, and the "no
+            # half-wall" slot, add 0.0
             partial = np.zeros(_N_KINDS + 1)
             for index, kind in enumerate(SegmentKind):
                 covered = nominal[index] - magnitude
-                if kind.is_domain or (kind.is_half_wall and covered > 0.0):
+                if index < 6 or (kind.is_half_wall and covered > 0.0):
                     partial[index] = 1.0 / (ohms[index] * (nominal[index] / covered))
             base = (g + partial[edge]) + partial[half]
             out[j] = min_margin(

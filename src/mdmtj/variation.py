@@ -23,19 +23,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characterization import (
+    DOMAIN,
+    KINDS,
     Characterization,
     DeviceGeometry,
-    Polarity,
     SegmentKind,
     SegmentResistanceTable,
-    domain_kind,
     scaled_resistance,
 )
 from .errors import OffsetOutOfRange, UsageError
 from .margins import (
-    _DOMAIN_AT,
-    _KINDS,
     _check_domain_count,
+    _check_population,
     _condition_counts,
     _kind_ohms,
     _spare_conductances,
@@ -113,8 +112,6 @@ class PerturbedDecomposition:
     half-wall is simply gone.
     """
 
-    offset: float
-    overhang_bit: int | None
     full_segments: tuple[tuple[SegmentKind, int], ...]
     partial_segments: tuple[PartialSegment, ...]
 
@@ -144,7 +141,7 @@ def apply_misalignment(
     _check_offset(spec.offset, geometry)
     base = decompose(pattern, borders)
     if spec.offset == 0.0:
-        return PerturbedDecomposition(0.0, None, base.segments, ())
+        return PerturbedDecomposition(base.segments, ())
 
     magnitude = abs(spec.offset)
     if spec.offset > 0:
@@ -170,15 +167,8 @@ def apply_misalignment(
         covered = geometry.nominal_length(edge_half) - magnitude
         if covered > 0:
             partials.append(PartialSegment(edge_half, covered))
-    partials.append(
-        PartialSegment(domain_kind(Polarity.from_bit(neighbor), 0), magnitude)
-    )
-    return PerturbedDecomposition(
-        offset=spec.offset,
-        overhang_bit=neighbor,
-        full_segments=full,
-        partial_segments=tuple(partials),
-    )
+    partials.append(PartialSegment(KINDS[DOMAIN[neighbor][0]], magnitude))
+    return PerturbedDecomposition(full_segments=full, partial_segments=tuple(partials))
 
 
 def perturbed_resistance(
@@ -211,7 +201,10 @@ def _edge_groups(
     """One walk over the run-structure sub-classes, grouped per uncovered
     side (``True`` for the left edge)."""
     sides = [({}, left) for left in lefts]
+    by_weight_count = [0] * (domains + 1)
     for family in _walk(domains):
+        for weight, mult, _, _ in family.subclasses:
+            by_weight_count[weight] += mult
         counts, left_edge, right_edge = _condition_counts(family, borders)
         for groups, left in sides:
             edge, half = left_edge if left else right_edge
@@ -229,6 +222,7 @@ def _edge_groups(
                     extremes[0] = g
                 elif g > extremes[1]:
                     extremes[1] = g
+    _check_population(domains, by_weight_count)
     return [groups for groups, _ in sides]
 
 
@@ -256,18 +250,21 @@ def _side_min_margins(
     raises OffsetOutOfRange.
     """
     geometry = char.geometry
-    nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
+    nominal = [geometry.nominal_length(kind) for kind in KINDS]
     shortest = min({edge for _, edge, _ in groups}, key=nominal.__getitem__)
     reach = float(np.max(magnitudes))
     if not nominal[shortest] - reach > 0.0:
         raise OffsetOutOfRange(
             f"an offset of {reach * 1e9:.3f} nm uncovers the whole"
-            f" {nominal[shortest] * 1e9:.3f} nm {_KINDS[shortest].name} edge domain;"
+            f" {nominal[shortest] * 1e9:.3f} nm {KINDS[shortest].name} edge domain;"
             " the coverage model is not valid beyond that"
         )
 
     def partial(kind: int, covered: np.ndarray) -> np.ndarray:
-        return 1.0 / (ohms[kind] * (nominal[kind] / covered))
+        # a vanishing coverage overflows the resistance to inf, and 1/inf
+        # is the right conductance: 0.0
+        with np.errstate(over="ignore", divide="ignore"):
+            return 1.0 / (ohms[kind] * (nominal[kind] / covered))
 
     edge_terms = {
         edge: partial(edge, nominal[edge] - magnitudes) for _, edge, _ in groups
@@ -279,7 +276,7 @@ def _side_min_margins(
         term = np.zeros(magnitudes.shape)
         term[mask] = partial(half, covered[mask])
         half_terms[half] = term  # adding 0.0 leaves g unchanged
-    overhang_terms = [partial(_DOMAIN_AT[bit, 0], magnitudes) for bit in neighbor_bits]
+    overhang_terms = [partial(DOMAIN[bit][0], magnitudes) for bit in neighbor_bits]
 
     by_weight: list[list[tuple[int, int | None, float, float]]] = [
         [] for _ in range(domains + 1)

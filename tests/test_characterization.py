@@ -7,20 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj.characterization import (
+    DOMAIN,
+    HALF_WALL,
+    KINDS,
+    WALL,
     Characterization,
     DeviceGeometry,
     DriveParams,
-    Polarity,
     SegmentKind,
     SegmentResistanceTable,
+    config_mapping,
     default_characterization,
-    domain_kind,
-    dump_config,
-    half_wall_kind,
     load_config,
     parse_config,
     scaled_resistance,
-    wall_kind,
 )
 from mdmtj.errors import (
     ConfigError,
@@ -66,16 +66,22 @@ def test_default_table_values(char):
 
 
 def test_kind_classification():
-    domains = [k for k in SegmentKind if k.is_domain]
-    walls = [k for k in SegmentKind if k.is_wall]
-    halves = [k for k in SegmentKind if k.is_half_wall]
-    assert len(domains) == 6 and len(walls) == 2 and len(halves) == 2
-    assert domain_kind(Polarity.MINUS_Z, 0) is SegmentKind.DOMAIN_MINUS_FULL
-    assert domain_kind(Polarity.PLUS_Z, 2) is SegmentKind.DOMAIN_PLUS_SHORT
-    assert wall_kind(0, 1) is SegmentKind.WALL_01
-    assert wall_kind(1, 0) is SegmentKind.WALL_10
-    assert half_wall_kind(Polarity.PLUS_Z) is SegmentKind.HALF_WALL_PLUS
-    assert Polarity.from_bit(1) is Polarity.PLUS_Z
+    assert KINDS == tuple(SegmentKind)
+    k = SegmentKind
+    # DOMAIN[bit][adjacent walls]: 0 is the parallel (minus) polarity
+    assert [[KINDS[i] for i in row] for row in DOMAIN] == [
+        [k.DOMAIN_MINUS_FULL, k.DOMAIN_MINUS_MID, k.DOMAIN_MINUS_SHORT],
+        [k.DOMAIN_PLUS_FULL, k.DOMAIN_PLUS_MID, k.DOMAIN_PLUS_SHORT],
+    ]
+    # WALL[left bit]: the transition read left to right
+    assert [KINDS[i] for i in WALL] == [k.WALL_01, k.WALL_10]
+    # HALF_WALL[edge bit]
+    assert [KINDS[i] for i in HALF_WALL] == [k.HALF_WALL_MINUS, k.HALF_WALL_PLUS]
+    # every kind has exactly one place in the layout
+    places = [i for row in DOMAIN for i in row] + list(WALL) + list(HALF_WALL)
+    assert sorted(places) == list(range(len(KINDS)))
+    assert [KINDS[i] for i in WALL] == [kind for kind in KINDS if kind.is_wall]
+    assert [KINDS[i] for i in HALF_WALL] == [kind for kind in KINDS if kind.is_half_wall]
 
 
 def test_nominal_lengths(char):
@@ -170,8 +176,12 @@ def test_geometry_error_names_the_config_key(key):
 # --- config files ---------------------------------------------------------
 
 
+def _config_text(char):
+    return "".join(f"{key} = {value}\n" for key, value in config_mapping(char).items())
+
+
 def test_dump_parse_round_trip(char):
-    assert parse_config(dump_config(char), source="round-trip") == char
+    assert parse_config(_config_text(char), source="round-trip") == char
 
 
 def test_round_trip_with_overrides(char):
@@ -179,7 +189,7 @@ def test_round_trip_with_overrides(char):
     custom = Characterization(
         table=table, geometry=char.geometry, drive=char.drive, metadata=char.metadata
     )
-    again = parse_config(dump_config(custom))
+    again = parse_config(_config_text(custom))
     assert again == custom
     assert again.table.exact(SegmentKind.DOMAIN_MINUS_FULL) == Fraction(38221, 20)
 
@@ -295,7 +305,7 @@ def test_load_config_missing_file(tmp_path):
 
 def test_load_config_round_trip(tmp_path, char):
     path = tmp_path / "device.cfg"
-    path.write_text(dump_config(char))
+    path.write_text(_config_text(char))
     assert load_config(str(path)) == char
 
 
@@ -325,4 +335,4 @@ def test_config_round_trip_any_valid_table(table):
     custom = Characterization(
         table=table, geometry=base.geometry, drive=base.drive, metadata=base.metadata
     )
-    assert parse_config(dump_config(custom)) == custom
+    assert parse_config(_config_text(custom)) == custom

@@ -275,6 +275,22 @@ def test_offset_past_an_edge_domain_exits_2(capsys, tmp_path):
         assert "edge domain" in err
 
 
+def test_offset_of_one_notch_length_is_accepted(capsys, tmp_path):
+    # the model admits |offset| <= notch_length; the nm value must convert
+    # to exactly the meters a config's notch_length_nm converts to
+    for argv in (("--domains", "4"), ("--domains", "12", "--borders", "differ,differ")):
+        code, out, err = run_cli(capsys, "variation", *argv, "--offset-nm", "12", "--oracle")
+        assert (code, err) == (0, ""), argv
+        assert "offset 12.000 nm" in out
+    config = tmp_path / "thin.cfg"
+    config.write_text("notch_length_nm = 0.1\n")
+    code, out, err = run_cli(
+        capsys, "variation", "--domains", "4", "--offset-nm", "0.1", "--config", str(config)
+    )
+    assert (code, err) == (0, "")
+    assert "offset 0.100 nm" in out
+
+
 def test_model_usage_errors_exit_2(capsys):
     cases = [
         ("variation", "--domains", "4", "--monte-carlo", "0", "--seed", "1"),

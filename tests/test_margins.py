@@ -3,12 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj.characterization import Characterization, SegmentKind, default_characterization
-from mdmtj import margins
+from mdmtj import margins, variation
 from mdmtj.errors import DomainCountTooLarge, DomainCountTooSmall, ModelError
 from mdmtj.margins import (
     SWEEP_ENUMERATION_LIMIT,
@@ -20,6 +21,9 @@ from mdmtj.margins import (
     worst_case_levels,
 )
 from mdmtj.network import ALL_CONDITIONS
+from mdmtj.variation import NeighborAssumption, min_margins_for_offsets
+
+WORST = NeighborAssumption.WORST
 
 
 def test_five_domain_class_structure(char, same_same):
@@ -107,10 +111,13 @@ def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
         yield from families
 
     monkeypatch.setattr(margins, "_walk", drop_one)
+    monkeypatch.setattr(variation, "_walk", drop_one)
+    offsets = np.array([3e-9, -3e-9])
     for report in (
         lambda: enumerate_levels(5, same_same, char),
         lambda: cluster_extremes(5, same_same, char),
         lambda: worst_case_levels(5, char),
+        lambda: min_margins_for_offsets(5, same_same, offsets, WORST, WORST, char),
     ):
         with pytest.raises(ModelError, match="expected"):
             report()
