@@ -12,10 +12,11 @@ device geometry, drive conditions, metadata passthrough, and the config file
 format. Resistance values are kept as exact rationals next to the float view
 so cross-check arithmetic can stay exact.
 
-Config files are plain ``key = value`` lines; ``#`` starts a full-line
-comment. Resistances are in ohms, lengths in nanometers (``*_nm`` keys),
-current density in A/m^2. Unknown and duplicated keys are hard errors.
-Partial files merge onto the defaults.
+Config files are plain ``key = value`` lines. Each line is cut at its
+first ``#``, so a comment may follow a value and no value can hold a ``#``
+(``material = Co#FeB`` reads as ``Co``). Resistances are in ohms, lengths
+in nanometers (``*_nm`` keys), current density in A/m^2. Unknown and
+duplicated keys are hard errors. Partial files merge onto the defaults.
 """
 
 from __future__ import annotations

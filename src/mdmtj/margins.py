@@ -10,10 +10,12 @@ limit.
 The walk does not depend on the border condition: weight, multiplicity and
 representative are shared, and each requested condition adds only its
 end-run domains and half-walls, so ``worst_case_levels`` covers all four
-conditions in one pass. Representatives (the lex-smallest pattern of each
-class) are built only for class listings, in ``enumerate_levels``; reports
-that need only cluster extremes (``cluster_extremes``,
-``worst_case_levels``, the sweep, the misalignment engine) build none.
+conditions in one pass. One fold over the walk, ``_fold``, serves every
+report and the misalignment engine of ``variation``: it checks the
+population once, keeps the cluster extremes, and adds on request the class
+listing or the edge-structure groups a stack offset perturbs.
+Representatives (the lex-smallest pattern of each class) are built only for
+class listings, in ``enumerate_levels``.
 
 Float contract: every resistance is produced by summing count/ohms over
 segment kinds in enum order and inverting once. The brute-force oracle
@@ -50,6 +52,11 @@ _WALLS = itemgetter(*WALL)
 # spare run length beyond two domains adds full-length (wall-free) domains
 _MINUS_FULL = DOMAIN[0][0]
 _PLUS_FULL = DOMAIN[1][0]
+
+# (weight, edge domain kind index, half-wall kind index or None) -> the
+# smallest and largest conductance of the bank left once those two segments
+# lose their nominal coverage
+_EdgeGroups = dict[tuple[int, int, int | None], list[float]]
 
 
 @dataclass(frozen=True)
@@ -349,6 +356,92 @@ def _check_population(domains: int, by_weight_count: Sequence[int]) -> None:
             )
 
 
+def _fold(
+    domains: int,
+    borders: BorderCondition | None,
+    char: Characterization,
+    sides: Sequence[bool] = (),
+    listed: bool = False,
+) -> tuple[MarginReport, list[_EdgeGroups]]:
+    """The one pass over ``_walk`` behind every report and the misalignment
+    engine.
+
+    Covers the patterns of ``borders``, or of all four conditions when it is
+    None. It sums and checks the population, keeps each weight's extreme
+    conductances, and lists the classes when ``listed``. For each uncovered
+    side in ``sides`` (``True`` for the left edge) it also groups the
+    sub-classes by edge structure (``_EdgeGroups``). ``listed`` and
+    ``sides`` need one condition.
+    """
+    _check_domain_count(domains)
+    conditions = ALL_CONDITIONS if borders is None else (borders,)
+    ohms = _kind_ohms(char.table)
+    by_weight_count = [0] * (domains + 1)
+    g_low = [math.inf] * (domains + 1)
+    g_high = [0.0] * (domains + 1)
+    # (weight, equivalence key) -> [multiplicity, representative, its conductance]
+    folded: dict[tuple[int, tuple], list] = {}
+    groups: list[_EdgeGroups] = [{} for _ in sides]
+    for family in _walk(domains):
+        subclasses = family.subclasses
+        for weight, mult, _, _ in subclasses:
+            by_weight_count[weight] += mult
+        for condition in conditions:
+            counts, left_edge, right_edge = _condition_counts(family, condition)
+            gs = _spare_conductances(counts, subclasses, ohms)
+            for (weight, _, _, _), g in zip(subclasses, gs):
+                if g < g_low[weight]:
+                    g_low[weight] = g
+                if g > g_high[weight]:
+                    g_high[weight] = g
+            if listed:
+                reps = _lexmin_patterns(family)
+                for (weight, mult, extra_zero, extra_one), rep, g in zip(subclasses, reps, gs):
+                    key = (weight, equivalence_key(_spared(counts, extra_zero, extra_one)))
+                    entry = folded.get(key)
+                    if entry is None:
+                        folded[key] = [mult, rep, g]
+                    else:
+                        entry[0] += mult
+                        if rep < entry[1]:
+                            entry[1] = rep
+                            entry[2] = g
+            for side_groups, left in zip(groups, sides):
+                edge, half = left_edge if left else right_edge
+                adjusted = counts.copy()
+                adjusted[edge] -= 1
+                if half is not None:
+                    adjusted[half] -= 1
+                remaining = _spare_conductances(adjusted, subclasses, ohms)
+                for (weight, _, _, _), g in zip(subclasses, remaining):
+                    structure = (weight, edge, half)
+                    extremes = side_groups.get(structure)
+                    if extremes is None:
+                        side_groups[structure] = [g, g]
+                    elif g < extremes[0]:
+                        extremes[0] = g
+                    elif g > extremes[1]:
+                        extremes[1] = g
+    _check_population(domains, by_weight_count)
+
+    current = char.drive.read_current(domains, char.geometry)
+    classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
+    for (weight, _), (mult, rep, g) in folded.items():
+        resistance = 1.0 / g
+        classes_by_weight[weight].append(
+            ClassEntry(rep, mult, resistance, current * resistance)
+        )
+    for entries in classes_by_weight:
+        entries.sort(key=lambda c: (c.resistance, c.representative))
+    report = _finish_report(
+        domains,
+        borders,
+        current,
+        _clusters(current, by_weight_count, g_low, g_high, classes_by_weight),
+    )
+    return report, groups
+
+
 def enumerate_levels(
     domains: int, borders: BorderCondition, char: Characterization
 ) -> MarginReport:
@@ -361,51 +454,7 @@ def enumerate_levels(
     are taken over the direction-sensitive banks, so they are true pattern
     extremes.
     """
-    _check_domain_count(domains)
-    ohms = _kind_ohms(char.table)
-    by_weight_count = [0] * (domains + 1)
-    g_low = [math.inf] * (domains + 1)
-    g_high = [0.0] * (domains + 1)
-    # (weight, equivalence key) -> [multiplicity, representative, its conductance]
-    folded: dict[tuple[int, tuple], list] = {}
-    for family in _walk(domains):
-        counts, _, _ = _condition_counts(family, borders)
-        for (weight, mult, extra_zero, extra_one), rep, g in zip(
-            family.subclasses,
-            _lexmin_patterns(family),
-            _spare_conductances(counts, family.subclasses, ohms),
-        ):
-            by_weight_count[weight] += mult
-            if g < g_low[weight]:
-                g_low[weight] = g
-            if g > g_high[weight]:
-                g_high[weight] = g
-            key = (weight, equivalence_key(_spared(counts, extra_zero, extra_one)))
-            entry = folded.get(key)
-            if entry is None:
-                folded[key] = [mult, rep, g]
-            else:
-                entry[0] += mult
-                if rep < entry[1]:
-                    entry[1] = rep
-                    entry[2] = g
-    _check_population(domains, by_weight_count)
-
-    current = char.drive.read_current(domains, char.geometry)
-    classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
-    for (weight, _), (mult, rep, g) in folded.items():
-        resistance = 1.0 / g
-        classes_by_weight[weight].append(
-            ClassEntry(rep, mult, resistance, current * resistance)
-        )
-    for entries in classes_by_weight:
-        entries.sort(key=lambda c: (c.resistance, c.representative))
-    return _finish_report(
-        domains,
-        borders,
-        current,
-        _clusters(current, by_weight_count, g_low, g_high, classes_by_weight),
-    )
+    return _fold(domains, borders, char, listed=True)[0]
 
 
 def _clusters(
@@ -437,49 +486,18 @@ def _clusters(
     return tuple(clusters)
 
 
-def _extremes_report(
-    domains: int,
-    conditions: Sequence[BorderCondition],
-    borders: BorderCondition | None,
-    char: Characterization,
-) -> MarginReport:
-    """Cluster extremes over the patterns of every condition in
-    ``conditions``, from one walk; no class listings, no representatives."""
-    _check_domain_count(domains)
-    ohms = _kind_ohms(char.table)
-    current = char.drive.read_current(domains, char.geometry)
-    by_weight_count = [0] * (domains + 1)
-    g_low = [math.inf] * (domains + 1)
-    g_high = [0.0] * (domains + 1)
-    for family in _walk(domains):
-        for weight, mult, _, _ in family.subclasses:
-            by_weight_count[weight] += mult
-        for condition in conditions:
-            counts, _, _ = _condition_counts(family, condition)
-            gs = _spare_conductances(counts, family.subclasses, ohms)
-            for (weight, _, _, _), g in zip(family.subclasses, gs):
-                if g < g_low[weight]:
-                    g_low[weight] = g
-                if g > g_high[weight]:
-                    g_high[weight] = g
-    _check_population(domains, by_weight_count)
-    listings = [()] * (domains + 1)
-    return _finish_report(
-        domains, borders, current, _clusters(current, by_weight_count, g_low, g_high, listings)
-    )
-
-
 def cluster_extremes(
     domains: int, borders: BorderCondition, char: Characterization
 ) -> MarginReport:
     """``enumerate_levels`` without the class listing: the same cluster
     extremes and margins, with empty ``classes``.
 
-    Reports that need only the margins (``margin``, the enumerated column of
-    a sweep, the nominal margin of a misalignment study) take this path,
-    which builds no representative pattern.
+    Reports that need only the margins (``margin`` and the enumerated column
+    of a sweep) take this path, which builds no representative pattern. A
+    misalignment study reads its nominal margin off the same fold that
+    groups its edge structures.
     """
-    return _extremes_report(domains, (borders,), borders, char)
+    return _fold(domains, borders, char)[0]
 
 
 def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
@@ -490,7 +508,7 @@ def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
     Class listings are omitted (they are per-convention objects). One walk
     serves all four conditions.
     """
-    return _extremes_report(domains, ALL_CONDITIONS, None, char)
+    return _fold(domains, None, char)[0]
 
 
 def _finish_report(
@@ -546,6 +564,7 @@ def closed_form_resistances(
         raise DomainCountTooSmall(
             f"closed form needs at least 2 domains, got {domains}"
         )
+    _check_domain_count(domains)
     o = table.ohms
     g_one = (
         (domains - 2) / o(SegmentKind.DOMAIN_MINUS_FULL)

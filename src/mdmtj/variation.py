@@ -8,11 +8,12 @@ side, adding one parallel segment whose polarity is an assumption, not
 stored data. Interior domains never notice.
 
 Deterministic offsets and seeded Monte Carlo share one evaluation engine
-that is vectorized over offsets. It walks the run-structure sub-classes of
-``margins`` rather than the 2^D patterns, so it covers every window up to
-MAX_DOMAINS. Per-sample arithmetic is elementwise, and each sample's offset
-depends only on (seed, index), so any slice of a run can be reproduced on
-its own.
+that is vectorized over offsets. It reads the run-structure sub-classes
+grouped by edge structure from the one fold of ``margins`` rather than the
+2^D patterns, so it covers every window up to MAX_DOMAINS. The same fold
+gives the nominal margin (offset 0), so a study walks once. Per-sample
+arithmetic is elementwise, and each sample's offset depends only on
+(seed, index), so any slice of a run can be reproduced on its own.
 """
 
 from __future__ import annotations
@@ -32,15 +33,7 @@ from .characterization import (
     scaled_resistance,
 )
 from .errors import OffsetOutOfRange, UsageError
-from .margins import (
-    _check_domain_count,
-    _check_population,
-    _condition_counts,
-    _kind_ohms,
-    _spare_conductances,
-    _walk,
-    cluster_extremes,
-)
+from .margins import _EdgeGroups, _check_domain_count, _fold, _kind_ohms
 
 # not called here: perfbench/tracer.py rebinds it on every module it may be
 # reached through
@@ -189,43 +182,6 @@ def perturbed_resistance(
 # --- vectorized margin engine ------------------------------------------------
 
 
-# (weight, edge domain kind index, half-wall kind index or None) -> the
-# smallest and largest conductance of the bank left once those two segments
-# lose their nominal coverage
-_EdgeGroups = dict[tuple[int, int, int | None], list[float]]
-
-
-def _edge_groups(
-    domains: int, borders: BorderCondition, ohms: list[float], lefts: tuple[bool, ...]
-) -> list[_EdgeGroups]:
-    """One walk over the run-structure sub-classes, grouped per uncovered
-    side (``True`` for the left edge)."""
-    sides = [({}, left) for left in lefts]
-    by_weight_count = [0] * (domains + 1)
-    for family in _walk(domains):
-        for weight, mult, _, _ in family.subclasses:
-            by_weight_count[weight] += mult
-        counts, left_edge, right_edge = _condition_counts(family, borders)
-        for groups, left in sides:
-            edge, half = left_edge if left else right_edge
-            adjusted = counts.copy()
-            adjusted[edge] -= 1
-            if half is not None:
-                adjusted[half] -= 1
-            gs = _spare_conductances(adjusted, family.subclasses, ohms)
-            for (weight, _, _, _), g in zip(family.subclasses, gs):
-                key = (weight, edge, half)
-                extremes = groups.get(key)
-                if extremes is None:
-                    groups[key] = [g, g]
-                elif g < extremes[0]:
-                    extremes[0] = g
-                elif g > extremes[1]:
-                    extremes[1] = g
-    _check_population(domains, by_weight_count)
-    return [groups for groups, _ in sides]
-
-
 def _side_min_margins(
     domains: int,
     groups: _EdgeGroups,
@@ -326,10 +282,6 @@ def min_margins_for_offsets(
     if offsets.size and not (float(np.max(np.abs(offsets))) <= char.geometry.notch_length):
         worst = float(offsets[np.argmax(np.abs(offsets))])  # the first NaN, if any
         _check_offset(worst, char.geometry)
-    out = np.empty(offsets.shape)
-    zero = offsets == 0.0
-    if zero.any():
-        out[zero] = cluster_extremes(domains, borders, char).min_margin
     sides = [
         (selected, left, neighbor)
         for selected, left, neighbor in (
@@ -338,13 +290,14 @@ def min_margins_for_offsets(
         )
         if selected.any()
     ]
-    if sides:
-        ohms = _kind_ohms(char.table)
-        groups = _edge_groups(domains, borders, ohms, tuple(left for _, left, _ in sides))
-        for (selected, _, neighbor), side_groups in zip(sides, groups):
-            out[selected] = _side_min_margins(
-                domains, side_groups, np.abs(offsets[selected]), neighbor.bits, char, ohms
-            )
+    report, groups = _fold(domains, borders, char, sides=[left for _, left, _ in sides])
+    out = np.empty(offsets.shape)
+    out[offsets == 0.0] = report.min_margin
+    ohms = _kind_ohms(char.table)
+    for (selected, _, neighbor), side_groups in zip(sides, groups):
+        out[selected] = _side_min_margins(
+            domains, side_groups, np.abs(offsets[selected]), neighbor.bits, char, ohms
+        )
     return out
 
 
@@ -472,10 +425,11 @@ def monte_carlo_margins(
     _check_domain_count(domains)
     spec.validate()
     offsets = sample_offsets(spec)
-    margins = min_margins_for_offsets(
-        domains, borders, offsets, left_neighbor, right_neighbor, char
+    # offset 0 first: the nominal margin comes from the same engine call
+    evaluated = min_margins_for_offsets(
+        domains, borders, np.concatenate(([0.0], offsets)), left_neighbor, right_neighbor, char
     )
-    nominal = cluster_extremes(domains, borders, char).min_margin
+    nominal, margins = float(evaluated[0]), evaluated[1:]
     stddev = float(np.std(margins, ddof=1)) if spec.samples > 1 else 0.0
     return MonteCarloReport(
         domains=domains,
@@ -488,6 +442,6 @@ def monte_carlo_margins(
         stddev_margin=stddev,
         min_margin=float(np.min(margins)),
         p01_margin=float(np.percentile(margins, 1.0)),
-        offsets=tuple(float(x) for x in offsets),
-        margins=tuple(float(x) for x in margins),
+        offsets=tuple(offsets.tolist()),
+        margins=tuple(margins.tolist()),
     )

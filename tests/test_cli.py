@@ -423,6 +423,17 @@ def test_domain_count_too_large_exits_2(capsys):
     assert "30" in err
 
 
+def test_closed_form_domain_count_too_large_exits_2(capsys):
+    # far past the limit the closed form's float arithmetic overflows
+    for domains in ("31", "1" + "0" * 400):
+        for fmt in ("table", "json"):
+            code, out, err = run_cli(
+                capsys, "margin", "--domains", domains, "--closed-form", "--format", fmt
+            )
+            assert (code, out) == (2, ""), (domains[:5], fmt)
+            assert "exceeds limit 30" in err
+
+
 def test_missing_config_exits_3(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "margin", "--domains", "4", "--config", str(tmp_path / "nope.cfg")

@@ -73,6 +73,10 @@ LARGE_CASES: list[tuple[str, tuple[str, ...]]] = [
                                       "--format", "csv")),
     ("variation-same-differ-d30.json", ("variation", "--domains", "30", "--offset-nm", "5.5",
                                         "--borders", "same,differ", "--format", "json")),
+    ("variation-monte-carlo-differ-same-d20.json", ("variation", "--domains", "20",
+                                                    "--monte-carlo", "50", "--seed", "3",
+                                                    "--borders", "differ,same",
+                                                    "--format", "json")),
 ]
 
 # Writing to --out must produce exactly the bytes stdout would carry; the

@@ -21,7 +21,14 @@ from mdmtj.margins import (
     worst_case_levels,
 )
 from mdmtj.network import ALL_CONDITIONS
-from mdmtj.variation import NeighborAssumption, min_margins_for_offsets
+from mdmtj.variation import (
+    MisalignmentSpec,
+    MonteCarloSpec,
+    NeighborAssumption,
+    min_margins_for_offsets,
+    monte_carlo_margins,
+    offset_margin_report,
+)
 
 WORST = NeighborAssumption.WORST
 
@@ -100,6 +107,19 @@ def test_domain_count_guards(char, same_same):
     enumerate_levels(1, same_same, char)  # D=1 has two singleton clusters
 
 
+def _walking_reports(char, borders):
+    """Every report built on the run-structure walk, at D = 5."""
+    offsets = np.array([0.0, 3e-9, -3e-9])
+    return (
+        lambda: enumerate_levels(5, borders, char),
+        lambda: cluster_extremes(5, borders, char),
+        lambda: worst_case_levels(5, char),
+        lambda: min_margins_for_offsets(5, borders, offsets, WORST, WORST, char),
+        lambda: offset_margin_report(5, borders, MisalignmentSpec(3e-9), char),
+        lambda: monte_carlo_margins(5, borders, MonteCarloSpec(4, seed=1), char),
+    )
+
+
 def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
     # the population check must hold under python -O, so it is no assert
     real = margins._walk
@@ -111,16 +131,27 @@ def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
         yield from families
 
     monkeypatch.setattr(margins, "_walk", drop_one)
-    monkeypatch.setattr(variation, "_walk", drop_one)
-    offsets = np.array([3e-9, -3e-9])
-    for report in (
-        lambda: enumerate_levels(5, same_same, char),
-        lambda: cluster_extremes(5, same_same, char),
-        lambda: worst_case_levels(5, char),
-        lambda: min_margins_for_offsets(5, same_same, offsets, WORST, WORST, char),
-    ):
+    for report in _walking_reports(char, same_same):
         with pytest.raises(ModelError, match="expected"):
             report()
+
+
+def test_every_report_walks_once(char, same_same, monkeypatch):
+    # one fold in margins serves the reports and the misalignment engine;
+    # variation reaches the walk only through it
+    assert not hasattr(variation, "_walk")
+    real = margins._walk
+    calls = []
+
+    def counted(domains):
+        calls.append(domains)
+        return real(domains)
+
+    monkeypatch.setattr(margins, "_walk", counted)
+    for report in _walking_reports(char, same_same):
+        calls.clear()
+        report()
+        assert calls == [5]
 
 
 def test_worst_case_levels_mixes_conventions(char):
@@ -195,6 +226,12 @@ def test_closed_form_needs_two_domains(char):
         closed_form_resistances(1, char.table)
     with pytest.raises(DomainCountTooSmall):
         closed_form_min_margin(1, char)
+    # like every other report, and like the config's overflow guards, the
+    # closed form stops at MAX_DOMAINS
+    with pytest.raises(DomainCountTooLarge):
+        closed_form_resistances(31, char.table)
+    with pytest.raises(DomainCountTooLarge):
+        closed_form_min_margin(31, char)
 
 
 def test_closed_form_margin_decreases_with_domains(char):
