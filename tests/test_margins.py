@@ -110,11 +110,14 @@ def test_domain_count_guards(char, same_same):
 def _walking_reports(char, borders):
     """Every report built on the run-structure walk, at D = 5."""
     offsets = np.array([0.0, 3e-9, -3e-9])
+    shifted = offsets[1:]
     return (
         lambda: enumerate_levels(5, borders, char),
         lambda: cluster_extremes(5, borders, char),
         lambda: worst_case_levels(5, char),
         lambda: min_margins_for_offsets(5, borders, offsets, WORST, WORST, char),
+        # no zero offset asks for the nominal report; the walk still checks
+        lambda: min_margins_for_offsets(5, borders, shifted, WORST, WORST, char),
         lambda: offset_margin_report(5, borders, MisalignmentSpec(3e-9), char),
         lambda: monte_carlo_margins(5, borders, MonteCarloSpec(4, seed=1), char),
     )
