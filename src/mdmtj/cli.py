@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -278,6 +279,16 @@ def _oracle_variation_check(
             )
 
 
+def _oracle_sample_check(spec: MonteCarloSpec, offsets: Sequence[float]) -> None:
+    ref = oracle.reference_sample_offsets(spec).tolist()
+    for index, (got, want) in enumerate(zip(offsets, ref, strict=True)):
+        if struct.pack("<d", got) != struct.pack("<d", want):
+            raise OracleMismatch(
+                f"sample {index} offset {got!r} m differs from the per-sample"
+                f" reference {want!r} m (seed {spec.seed})"
+            )
+
+
 # --- subcommand handlers --------------------------------------------------------
 
 
@@ -431,6 +442,7 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
         args.domains, borders, spec, char, left_neighbor=neighbors, right_neighbor=neighbors
     )
     if args.oracle:
+        _oracle_sample_check(spec, report.offsets)
         _oracle_variation_check(
             args.domains, borders, neighbors,
             (0.0, *report.offsets), (report.nominal_min_margin, *report.margins), char,

@@ -26,7 +26,7 @@ from .characterization import Characterization, SegmentKind, SegmentResistanceTa
 from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport
 from .network import ALL_CONDITIONS, Border, BorderCondition
-from .variation import NeighborAssumption
+from .variation import MonteCarloSpec, NeighborAssumption
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -319,6 +319,27 @@ def brute_force_offset_margins(
                 ]
             )
     return out
+
+
+def reference_sample_offsets(
+    spec: MonteCarloSpec, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Per-sample counterpart of ``variation.sample_offsets``.
+
+    Each index builds numpy's own ``SeedSequence((seed, index))``, ``PCG64``
+    and ``Generator``, and redraws until the normal lies within the
+    truncation; nothing is shared between samples.
+    """
+    if stop is None:
+        stop = spec.samples
+    offsets = []
+    for index in range(start, stop):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, index))))
+        z = rng.standard_normal()
+        while abs(z) > spec.truncation:
+            z = rng.standard_normal()
+        offsets.append(z * spec.sigma)
+    return np.array(offsets, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,22 @@ that is vectorized over offsets. It reads the run-structure sub-classes
 grouped by edge structure from the one fold of ``margins`` rather than the
 2^D patterns, so it covers every window up to MAX_DOMAINS. The same fold
 gives the nominal margin (offset 0), so a study walks once. Per-sample
-arithmetic is elementwise, and each sample's offset depends only on
-(seed, index), so any slice of a run can be reproduced on its own.
+arithmetic is elementwise.
+
+Each Monte Carlo sample's offset depends only on (seed, index), so any slice
+of a run can be reproduced on its own. Sample i is the first normal within
+the truncation drawn from ``Generator(PCG64(SeedSequence((seed, i))))``, the
+same stream as in every earlier version. The seeding (numpy's SeedSequence
+hash and PCG64's seed step) is recomputed over arrays of indices; the draws
+stay numpy's own. ``oracle.reference_sample_offsets`` builds the three
+objects per sample and must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -373,26 +381,118 @@ class MonteCarloSpec:
             raise UsageError(f"truncation must be positive, got {self.truncation}")
 
 
-def _sample_offset(seed: int, index: int, sigma: float, truncation: float) -> float:
-    # one generator per sample, derived from (seed, index), so any slice of
-    # the run sees the same stream
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
-    z = rng.standard_normal()
-    while abs(z) > truncation:
-        z = rng.standard_normal()
-    return float(z * sigma)
+# numpy's SeedSequence: O'Neill's seed_seq hash over a pool of four uint32
+# words. The constants step as Python ints masked to 32 bits; every word is a
+# uint32 array over a chunk of indices, whose arithmetic wraps silently.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+# numpy's PCG64: the 128-bit LCG multiplier of pcg_setseq_128_srandom_r
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# indices seeded per vectorized pass; bounds the word arrays' memory
+_CHUNK = 8192
+
+
+def _uint32_words(value: int) -> list[int]:
+    """SeedSequence's words of a non-negative int: little-endian, [0] for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The (constant, next constant) pair each hashmix of one pass uses."""
+    constant = init
+    while True:
+        following = constant * mult & _MASK32
+        yield constant, following
+        constant = following
+
+
+def _hashmix(value: np.ndarray, constants: Iterator[tuple[int, int]]) -> np.ndarray:
+    constant, following = next(constants)
+    value = (value ^ constant) * following
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg_seeds(seed_words: list[int], start: int, count: int) -> Iterator[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence((seed, i)))`` for each index i
+    in [start, start + count), which must not cross a multiple of 2^32:
+    only the lowest index word then varies."""
+    low = start & _MASK32
+    entropy = [np.full(count, word, dtype=np.uint32) for word in seed_words]
+    entropy.append(np.arange(low, low + count, dtype=np.uint32))
+    if start >> 32:
+        entropy += [np.full(count, word, dtype=np.uint32) for word in _uint32_words(start >> 32)]
+    # mix_entropy: hash the first words into the pool, mix every pool word
+    # into every other, then mix in the words past the pool
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [
+        _hashmix(entropy[i] if i < len(entropy) else zero, constants) for i in range(_POOL_SIZE)
+    ]
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                pool[target] = _mix(pool[target], _hashmix(pool[source], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for target in range(_POOL_SIZE):
+            pool[target] = _mix(pool[target], _hashmix(word, constants))
+    # generate_state(4, np.uint64): eight words cycled from the pool, paired
+    # little-endian into (state high, state low, seq high, seq low)
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
+    halves = [(words[2 * i] | words[2 * i + 1] << 32).tolist() for i in range(4)]
+    for state_high, state_low, seq_high, seq_low in zip(*halves):
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        yield ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Truncated-normal offsets for sample indices [start, stop)."""
+    """Truncated-normal offsets for sample indices [start, stop).
+
+    Sample i redraws ``Generator(PCG64(SeedSequence((spec.seed, i))))
+    .standard_normal()`` until it lies within the truncation, bit for bit.
+    The seeding runs vectorized over chunks of indices; the draws are
+    numpy's own, from one generator whose state is set per sample.
+    """
     if stop is None:
         stop = spec.samples
-    return np.array(
-        [
-            _sample_offset(spec.seed, i, spec.sigma, spec.truncation)
-            for i in range(start, stop)
-        ]
-    )
+    if spec.seed < 0 or start < 0:
+        raise ValueError(
+            f"seed and sample indices must be non-negative, got seed {spec.seed}, start {start}"
+        )
+    seed_words = _uint32_words(spec.seed)
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    z = np.empty(max(stop - start, 0))
+    row = 0
+    while start < stop:
+        end = min(stop, start + _CHUNK, ((start >> 32) + 1) << 32)
+        for seeded, inc in _pcg_seeds(seed_words, start, end - start):
+            pcg["state"], pcg["inc"] = seeded, inc
+            bit_generator.state = state
+            value = generator.standard_normal()
+            while abs(value) > spec.truncation:
+                value = generator.standard_normal()
+            z[row] = value
+            row += 1
+        start = end
+    return z * spec.sigma
 
 
 @dataclass(frozen=True)

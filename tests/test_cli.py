@@ -12,7 +12,7 @@ import pytest
 
 import numpy as np
 
-from mdmtj import cli, oracle
+from mdmtj import cli, oracle, variation
 from mdmtj.cli import main
 
 
@@ -402,6 +402,22 @@ def test_variation_oracle_mismatch_exits_1(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert "brute-force reference" in err
+
+
+def test_variation_oracle_catches_a_flipped_sample(capsys, monkeypatch):
+    real = variation.sample_offsets
+
+    def one_sample_off(spec, start=0, stop=None):
+        offsets = real(spec, start, stop)
+        offsets[3] = np.nextafter(offsets[3], np.inf)
+        return offsets
+
+    monkeypatch.setattr(variation, "sample_offsets", one_sample_off)
+    argv = ("variation", "--domains", "4", "--monte-carlo", "6", "--seed", "1")
+    assert run_cli(capsys, *argv)[0] == 0  # the margins follow the offsets they got
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert (code, out) == (1, "")
+    assert "sample 3 offset" in err and "per-sample reference" in err
 
 
 def test_invalid_pattern_exits_2(capsys):

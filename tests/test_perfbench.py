@@ -54,3 +54,15 @@ def test_traced_job_checks_out_and_restores_every_target(capsys, monkeypatch):
     assert spans.counters == {"variation.offsets_evaluated": 3}
     assert checker.Checker(DEVICE.read_text()).check_pass([job], [output.encode()]) == [None]
 
+
+def test_traced_monte_carlo_counts_every_sample(capsys):
+    # monte_carlo_margins must reach sample_offsets through the module
+    # global, or the tracer's rebinding never sees a sample
+    tracer = _load("tracer")
+    spans = tracer.Tracer()
+    job = ["variation", "--domains", "4", "--monte-carlo", "37", "--seed", "5",
+           "--format", "csv", "--config", str(DEVICE)]
+    with tracer.instrument(spans):
+        assert cli.main(job) == 0
+    capsys.readouterr()
+    assert spans.counters["variation.samples_drawn"] == 37

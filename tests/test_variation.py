@@ -5,12 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdmtj import variation
 from mdmtj.characterization import SegmentKind, scaled_resistance
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange
 from mdmtj.margins import enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
-from mdmtj.oracle import brute_force_offset_margins
+from mdmtj.oracle import brute_force_offset_margins, reference_sample_offsets
 from mdmtj.variation import (
     SIGMA_DEFAULT,
     MisalignmentSpec,
@@ -297,6 +300,52 @@ def test_sample_offsets_chunking_is_seamless():
         [sample_offsets(spec, 0, 7), sample_offsets(spec, 7, 29), sample_offsets(spec, 29, 40)]
     )
     assert np.array_equal(full, parts)
+
+
+# one to five uint32 words of seed entropy
+SEEDS = (0, 1, 2**31 - 1, 2**32, 2**64 + 1, 2**96 + 3, 2**130 + 11)
+SLICES = (
+    (0, 0),
+    (7, 7),
+    (0, 24),
+    (variation._CHUNK - 3, variation._CHUNK + 3),
+    (2**32 - 3, 2**32 + 3),  # the index grows a second word
+    (2**64 - 2, 2**64 + 2),  # and a third
+)
+
+
+def _same_bits(spec, start, stop):
+    got = sample_offsets(spec, start, stop)
+    want = reference_sample_offsets(spec, start, stop)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# 0.3 sigma rejects about three draws in four, so most samples redraw
+@pytest.mark.parametrize("truncation", [6.0, 0.3])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_offsets_match_the_per_sample_reference(seed, truncation):
+    spec = MonteCarloSpec(samples=24, seed=seed, truncation=truncation)
+    for start, stop in SLICES:
+        assert _same_bits(spec, start, stop), (start, stop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**140),
+    start=st.one_of(st.integers(0, 2**16), st.integers(0, 2**70)),
+    length=st.integers(0, 12),
+    truncation=st.sampled_from([6.0, 1.0, 0.3]),
+)
+def test_sample_offsets_match_the_reference_anywhere(seed, start, length, truncation):
+    spec = MonteCarloSpec(samples=1, seed=seed, truncation=truncation)
+    assert _same_bits(spec, start, start + length)
+
+
+def test_sample_offsets_refuse_negative_seeds_and_indices():
+    for spec, start in ((MonteCarloSpec(samples=3, seed=-1), 0), (MonteCarloSpec(3, 1), -2)):
+        for sampler in (sample_offsets, reference_sample_offsets):
+            with pytest.raises(ValueError):
+                sampler(spec, start, 3)
 
 
 def test_sample_offsets_respect_truncation():
