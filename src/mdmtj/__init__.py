@@ -42,8 +42,8 @@ from .network import (
     Border,
     BorderCondition,
     Decomposition,
+    bank_conductance,
     decompose,
-    equivalent_resistance,
     pattern_resistance,
     pattern_voltage,
 )
@@ -89,8 +89,8 @@ __all__ = [
     "Border",
     "BorderCondition",
     "Decomposition",
+    "bank_conductance",
     "decompose",
-    "equivalent_resistance",
     "pattern_resistance",
     "pattern_voltage",
     "MisalignmentSpec",

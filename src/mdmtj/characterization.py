@@ -54,14 +54,6 @@ class SegmentKind(enum.Enum):
     HALF_WALL_MINUS = "r_hdw_minus"
     HALF_WALL_PLUS = "r_hdw_plus"
 
-    @property
-    def is_wall(self) -> bool:
-        return self in (SegmentKind.WALL_01, SegmentKind.WALL_10)
-
-    @property
-    def is_half_wall(self) -> bool:
-        return self in (SegmentKind.HALF_WALL_MINUS, SegmentKind.HALF_WALL_PLUS)
-
 
 # The kind layout: a bank is a list of counts indexed like KINDS. A domain's
 # index is DOMAIN[bit][adjacent walls], a full wall's WALL[bit on its left],
@@ -163,11 +155,11 @@ class DeviceGeometry:
 
     def nominal_length(self, kind: SegmentKind) -> float:
         """Length the characterized resistance of ``kind`` refers to."""
-        if kind.is_wall:
-            return self.notch_length
-        if kind.is_half_wall:
-            return self.notch_length / 2
         index = KINDS.index(kind)
+        if index in WALL:
+            return self.notch_length
+        if index in HALF_WALL:
+            return self.notch_length / 2
         walls = next(row.index(index) for row in DOMAIN if index in row)
         return self.domain_length - walls * (self.notch_length / 2)
 

@@ -37,11 +37,19 @@ from .characterization import (
     KINDS,
     WALL,
     Characterization,
-    SegmentKind,
     SegmentResistanceTable,
 )
 from .errors import DomainCountTooLarge, DomainCountTooSmall, ModelError, UsageError
-from .network import ALL_CONDITIONS, Border, BorderCondition, MAX_DOMAINS
+from .network import (
+    ALL_CONDITIONS,
+    MAX_DOMAINS,
+    BitPattern,
+    Border,
+    BorderCondition,
+    Edge,
+    bank_conductance,
+    decompose,
+)
 
 # above this the sweep leaves the enumerated column blank; the closed form
 # carries the scaling story alone
@@ -220,11 +228,6 @@ def _walk(domains: int) -> Iterator[_Family]:
                 yield _Family(s, runs, cats, shorts, inner, subclasses)
 
 
-# An edge structure: the kind index of the window's end domain, and of the
-# half-wall on that border (None when the outside neighbor is the same bit).
-_Edge = tuple[int, int | None]
-
-
 def _end_run(
     counts: list[int], pol: int, left: int, right: int, short: int
 ) -> tuple[int, int]:
@@ -242,7 +245,7 @@ def _end_run(
 
 def _condition_counts(
     family: _Family, borders: BorderCondition
-) -> tuple[list[int], _Edge, _Edge]:
+) -> tuple[list[int], Edge, Edge]:
     """The family's bank under one border condition, before spare length,
     and its left and right edge structures.
 
@@ -553,9 +556,9 @@ def closed_form_resistances(
     """The two bank resistances behind the closed-form first-gap margin.
 
     Returns (minimum weight-1 resistance, maximum weight-0 resistance), each
-    taken over the four border conditions: a lone 1 at the window edge next
-    to a differing outside neighbor, and the all-0 word with both outside
-    neighbors differing. Term order matches the canonical bank summation.
+    taken over the four border conditions: the bank of a lone 1 at the window
+    edge next to a differing outside neighbor, and that of the all-0 word
+    with both outside neighbors differing, each summed in kind order.
     On the default table these banks are the enumerated worst-case extremes
     of weights 1 and 0, bit for bit, for D <= 24; from D = 25, and on many
     other tables, the binding gap lies elsewhere (ROADMAP item 1).
@@ -565,20 +568,11 @@ def closed_form_resistances(
             f"closed form needs at least 2 domains, got {domains}"
         )
     _check_domain_count(domains)
-    o = table.ohms
-    g_one = (
-        (domains - 2) / o(SegmentKind.DOMAIN_MINUS_FULL)
-        + 1 / o(SegmentKind.DOMAIN_MINUS_MID)
-        + 1 / o(SegmentKind.DOMAIN_PLUS_SHORT)
-        + 1 / o(SegmentKind.WALL_01)
-        + 1 / o(SegmentKind.HALF_WALL_PLUS)
+    one = decompose(
+        BitPattern((0,) * (domains - 1) + (1,)), BorderCondition(Border.SAME, Border.DIFFER)
     )
-    g_zero = (
-        (domains - 2) / o(SegmentKind.DOMAIN_MINUS_FULL)
-        + 2 / o(SegmentKind.DOMAIN_MINUS_MID)
-        + 2 / o(SegmentKind.HALF_WALL_MINUS)
-    )
-    return 1.0 / g_one, 1.0 / g_zero
+    zero = decompose(BitPattern((0,) * domains), BorderCondition(Border.DIFFER, Border.DIFFER))
+    return 1.0 / bank_conductance(one.counts, table), 1.0 / bank_conductance(zero.counts, table)
 
 
 def closed_form_min_margin(domains: int, char: Characterization) -> float:

@@ -7,12 +7,17 @@ bit contributes a pinned half-wall on that side. Walls eat into the length of
 the domains beside them (a full wall takes half the notch from each side, a
 half-wall takes half the notch from its edge domain), which picks each
 domain's length class. All segments sit electrically in parallel.
+
+A bank is its segment counts indexed like ``characterization.KINDS``, the
+format the run-structure walk and the misalignment engine count into too.
+``bank_conductance`` is the one float sum over a bank, in kind order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from .characterization import (
     DOMAIN,
@@ -21,10 +26,9 @@ from .characterization import (
     MAX_DOMAINS,
     WALL,
     Characterization,
-    SegmentKind,
     SegmentResistanceTable,
 )
-from .errors import EmptyNetwork, PatternError
+from .errors import PatternError
 
 
 @dataclass(frozen=True)
@@ -105,18 +109,23 @@ ALL_CONDITIONS = (
 )
 
 
+# An edge structure: the kind index of the window's end domain, and of the
+# half-wall on that border (None when the outside neighbor is the same bit).
+Edge = tuple[int, int | None]
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Parallel segment bank induced by a pattern under a border condition.
 
-    ``segments`` is canonical: kinds in enum order, counts positive. The
-    per-domain views keep left-to-right order for coverage bookkeeping.
+    ``counts`` holds one count per segment kind, indexed like ``KINDS``;
+    ``left`` and ``right`` are the window's two edge structures, which a
+    stack offset uncovers.
     """
 
-    segments: tuple[tuple[SegmentKind, int], ...]
-    domain_kinds: tuple[SegmentKind, ...]
-    left_half_wall: SegmentKind | None
-    right_half_wall: SegmentKind | None
+    counts: tuple[int, ...]
+    left: Edge
+    right: Edge
 
 
 def decompose(pattern: BitPattern, borders: BorderCondition) -> Decomposition:
@@ -140,32 +149,27 @@ def decompose(pattern: BitPattern, borders: BorderCondition) -> Decomposition:
         counts[right_half] += 1
         eats[-1] += 1
 
-    domain_indices = [DOMAIN[bit][eaten] for bit, eaten in zip(bits, eats)]
-    for index in domain_indices:
-        counts[index] += 1
+    for bit, eaten in zip(bits, eats):
+        counts[DOMAIN[bit][eaten]] += 1
 
     return Decomposition(
-        segments=tuple((KINDS[i], n) for i, n in enumerate(counts) if n),
-        domain_kinds=tuple(KINDS[i] for i in domain_indices),
-        left_half_wall=None if left_half is None else KINDS[left_half],
-        right_half_wall=None if right_half is None else KINDS[right_half],
+        counts=tuple(counts),
+        left=(DOMAIN[bits[0]][eats[0]], left_half),
+        right=(DOMAIN[bits[-1]][eats[-1]], right_half),
     )
 
 
-def equivalent_resistance(
-    decomposition: Decomposition, table: SegmentResistanceTable
-) -> float:
-    """Parallel combination of every segment, in ohms.
+def bank_conductance(counts: Sequence[int], table: SegmentResistanceTable) -> float:
+    """Summed conductance of a bank, term by term in kind order.
 
-    Conductances accumulate in canonical segment order so equal banks always
-    produce bit-identical floats.
+    Every kind adds its term, 0.0 for a zero count, so equal banks always
+    produce bit-identical floats. The loop is explicit because the builtin
+    ``sum`` compensates float sums from CPython 3.12 on.
     """
-    if not decomposition.segments:
-        raise EmptyNetwork("decomposition holds no segments")
     conductance = 0.0
-    for kind, count in decomposition.segments:
+    for kind, count in zip(KINDS, counts):
         conductance += count / table.ohms(kind)
-    return 1.0 / conductance
+    return conductance
 
 
 def pattern_resistance(
@@ -175,7 +179,7 @@ def pattern_resistance(
 ) -> float:
     if isinstance(pattern, str):
         pattern = BitPattern.parse(pattern)
-    return equivalent_resistance(decompose(pattern, borders), char.table)
+    return 1.0 / bank_conductance(decompose(pattern, borders).counts, char.table)
 
 
 def pattern_voltage(

@@ -307,9 +307,9 @@ def brute_force_offset_margins(
             # this coverage; a fully uncovered half-wall, and the "no
             # half-wall" slot, add 0.0
             partial = np.zeros(_N_KINDS + 1)
-            for index, kind in enumerate(SegmentKind):
+            for index in range(_N_KINDS):
                 covered = nominal[index] - magnitude
-                if index < 6 or (kind.is_half_wall and covered > 0.0):
+                if index < 6 or (index >= 8 and covered > 0.0):
                     partial[index] = 1.0 / (ohms[index] * (nominal[index] / covered))
             base = (g + partial[edge]) + partial[half]
             out[j] = min_margin(

@@ -36,7 +36,6 @@ from .characterization import (
     KINDS,
     Characterization,
     DeviceGeometry,
-    SegmentKind,
     SegmentResistanceTable,
     scaled_resistance,
 )
@@ -46,7 +45,7 @@ from .margins import _EdgeGroups, _check_domain_count, _fold, _kind_ohms
 # not called here: perfbench/tracer.py rebinds it on every module it may be
 # reached through
 from .margins import enumerate_levels  # noqa: F401
-from .network import BitPattern, BorderCondition, decompose
+from .network import BitPattern, BorderCondition, bank_conductance, decompose
 
 # characterized misalignment budget: 5.5 nm treated as six standard deviations
 SIGMA_DEFAULT = 5.5e-9 / 6.0
@@ -98,31 +97,19 @@ def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
 
 
 @dataclass(frozen=True)
-class PartialSegment:
-    kind: SegmentKind
-    covered_length: float  # meters
-
-
-@dataclass(frozen=True)
 class PerturbedDecomposition:
-    """A decomposition with edge coverage losses and an optional overhang.
+    """A bank with edge coverage losses and an overhang.
 
-    ``full_segments`` keeps canonical kind order with the affected edge
-    structures removed; they reappear in ``partial_segments`` (edge domain,
-    then edge half-wall if still covered, then overhang). A fully uncovered
-    half-wall is simply gone.
+    ``counts`` is the nominal bank, indexed like ``KINDS``, less the edge
+    domain and half-wall that the offset uncovers. They reappear in
+    ``partials`` as (kind index, covered length in meters) pairs: the edge
+    domain, then the half-wall while it is still covered, then the overhang.
+    A fully uncovered half-wall is simply gone. At zero offset ``counts`` is
+    the nominal bank and ``partials`` is empty.
     """
 
-    full_segments: tuple[tuple[SegmentKind, int], ...]
-    partial_segments: tuple[PartialSegment, ...]
-
-
-def _concrete_bit(assumption: NeighborAssumption) -> int:
-    if assumption is NeighborAssumption.WORST:
-        raise ValueError(
-            "worst-case neighbors resolve at the report level; pass 0 or 1 here"
-        )
-    return 0 if assumption is NeighborAssumption.ZERO else 1
+    counts: tuple[int, ...]
+    partials: tuple[tuple[int, float], ...]
 
 
 def apply_misalignment(
@@ -135,41 +122,44 @@ def apply_misalignment(
 
     A positive offset uncovers the left edge structures and overhangs the
     right neighbor; a negative offset mirrors that. Zero offset returns the
-    nominal decomposition unchanged.
+    nominal bank unchanged. An offset that leaves the edge domain no covered
+    length raises OffsetOutOfRange.
     """
     if isinstance(pattern, str):
         pattern = BitPattern.parse(pattern)
     _check_offset(spec.offset, geometry)
     base = decompose(pattern, borders)
     if spec.offset == 0.0:
-        return PerturbedDecomposition(base.segments, ())
+        return PerturbedDecomposition(base.counts, ())
 
     magnitude = abs(spec.offset)
     if spec.offset > 0:
-        edge_domain = base.domain_kinds[0]
-        edge_half = base.left_half_wall
-        neighbor = _concrete_bit(spec.right_neighbor)
+        edge, half = base.left
+        neighbor = spec.right_neighbor
     else:
-        edge_domain = base.domain_kinds[-1]
-        edge_half = base.right_half_wall
-        neighbor = _concrete_bit(spec.left_neighbor)
+        edge, half = base.right
+        neighbor = spec.left_neighbor
+    if neighbor is NeighborAssumption.WORST:
+        raise ValueError(
+            "worst-case neighbors resolve at the report level; pass 0 or 1 here"
+        )
+    covered = geometry.nominal_length(KINDS[edge]) - magnitude
+    if not covered > 0.0:
+        raise OffsetOutOfRange(
+            f"an offset of {magnitude * 1e9:.3f} nm uncovers the whole {KINDS[edge].name}"
+            " edge domain; the coverage model is not valid beyond that"
+        )
 
-    removed = {edge_domain: 1}
-    if edge_half is not None:
-        removed[edge_half] = removed.get(edge_half, 0) + 1
-    full = tuple(
-        (kind, count - removed.get(kind, 0))
-        for kind, count in base.segments
-        if count - removed.get(kind, 0) > 0
-    )
-
-    partials = [PartialSegment(edge_domain, geometry.nominal_length(edge_domain) - magnitude)]
-    if edge_half is not None:
-        covered = geometry.nominal_length(edge_half) - magnitude
+    counts = list(base.counts)
+    counts[edge] -= 1
+    partials = [(edge, covered)]
+    if half is not None:
+        counts[half] -= 1
+        covered = geometry.nominal_length(KINDS[half]) - magnitude
         if covered > 0:
-            partials.append(PartialSegment(edge_half, covered))
-    partials.append(PartialSegment(KINDS[DOMAIN[neighbor][0]], magnitude))
-    return PerturbedDecomposition(full_segments=full, partial_segments=tuple(partials))
+            partials.append((half, covered))
+    partials.append((DOMAIN[neighbor.bits[0]][0], magnitude))
+    return PerturbedDecomposition(tuple(counts), tuple(partials))
 
 
 def perturbed_resistance(
@@ -177,13 +167,11 @@ def perturbed_resistance(
     table: SegmentResistanceTable,
     geometry: DeviceGeometry,
 ) -> float:
-    """Parallel resistance of a perturbed bank; full segments first in kind
-    order, then partials in their listed order."""
-    g = 0.0
-    for kind, count in perturbed.full_segments:
-        g += count / table.ohms(kind)
-    for seg in perturbed.partial_segments:
-        g += 1.0 / scaled_resistance(seg.kind, seg.covered_length, table, geometry)
+    """Parallel resistance of a perturbed bank: the counts in kind order,
+    then the partials in their listed order."""
+    g = bank_conductance(perturbed.counts, table)
+    for index, covered in perturbed.partials:
+        g += 1.0 / scaled_resistance(KINDS[index], covered, table, geometry)
     return 1.0 / g
 
 
@@ -375,9 +363,10 @@ class MonteCarloSpec:
             raise UsageError(f"sample count must be >= 1, got {self.samples}")
         if self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.sigma <= 0:
+        # written so that NaN fails the tests too
+        if not (self.sigma > 0):
             raise UsageError(f"sigma must be positive, got {self.sigma}")
-        if self.truncation <= 0:
+        if not (self.truncation > 0):
             raise UsageError(f"truncation must be positive, got {self.truncation}")
 
 

@@ -17,12 +17,7 @@ from mdmtj.margins import (
     enumerate_levels,
     worst_case_levels,
 )
-from mdmtj.network import (
-    ALL_CONDITIONS,
-    BitPattern,
-    decompose,
-    equivalent_resistance,
-)
+from mdmtj.network import ALL_CONDITIONS, pattern_resistance
 from mdmtj.oracle import (
     brute_force_report,
     distinct_resistance_classes,
@@ -125,9 +120,7 @@ def test_criterion_07_oracle_equivalence(char, differ_differ, same_same):
             ), (domains, borders)
             for value in range(2**domains):
                 text = format(value, f"0{domains}b")
-                production = equivalent_resistance(
-                    decompose(BitPattern.parse(text), borders), char.table
-                )
+                production = pattern_resistance(text, borders, char)
                 exact = float(rational_pattern_resistance(text, borders, char.table))
                 assert abs(production - exact) <= 1e-9 * exact, (text, borders)
     assert distinct_resistance_classes(5, differ_differ, char) == 18

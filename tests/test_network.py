@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdmtj.characterization import DOMAIN, KINDS, SegmentKind, default_characterization
-from mdmtj.errors import EmptyNetwork, PatternError
+from mdmtj.characterization import (
+    DOMAIN,
+    HALF_WALL,
+    KINDS,
+    WALL,
+    SegmentKind,
+    default_characterization,
+)
+from mdmtj.errors import PatternError
 from mdmtj.margins import equivalence_key
 from mdmtj.network import (
     ALL_CONDITIONS,
@@ -16,9 +23,8 @@ from mdmtj.network import (
     BitPattern,
     Border,
     BorderCondition,
-    Decomposition,
+    bank_conductance,
     decompose,
-    equivalent_resistance,
     pattern_resistance,
     pattern_voltage,
 )
@@ -26,7 +32,7 @@ from mdmtj.oracle import rational_pattern_resistance
 
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
 conditions = st.sampled_from(ALL_CONDITIONS)
-DOMAIN_KINDS = {KINDS[i] for row in DOMAIN for i in row}
+DOMAIN_INDICES = [i for row in DOMAIN for i in row]
 
 
 def test_pattern_parse_and_str():
@@ -70,48 +76,32 @@ def test_border_condition_parse_forms():
 
 def test_decompose_uniform_pattern(same_same):
     deco = decompose(BitPattern.parse("00000"), same_same)
-    assert deco.segments == ((SegmentKind.DOMAIN_MINUS_FULL, 5),)
-    assert deco.left_half_wall is None and deco.right_half_wall is None
+    assert deco.counts == (5, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert deco.left == deco.right == (DOMAIN[0][0], None)
 
 
 def test_decompose_single_one(same_same):
     # 00010: two walls pin the 1, its neighbors each lose one notch share
     deco = decompose(BitPattern.parse("00010"), same_same)
-    assert deco.segments == (
-        (SegmentKind.DOMAIN_MINUS_FULL, 2),
-        (SegmentKind.DOMAIN_MINUS_MID, 2),
-        (SegmentKind.DOMAIN_PLUS_SHORT, 1),
-        (SegmentKind.WALL_01, 1),
-        (SegmentKind.WALL_10, 1),
-    )
-    assert deco.domain_kinds == (
-        SegmentKind.DOMAIN_MINUS_FULL,
-        SegmentKind.DOMAIN_MINUS_FULL,
-        SegmentKind.DOMAIN_MINUS_MID,
-        SegmentKind.DOMAIN_PLUS_SHORT,
-        SegmentKind.DOMAIN_MINUS_MID,
-    )
+    # two full and two mid minus domains, a short plus domain, both walls
+    assert deco.counts == (2, 2, 0, 0, 0, 1, 1, 1, 0, 0)
+    # the left end is wall-free, the right end sits beside the 1
+    assert deco.left == (DOMAIN[0][0], None)
+    assert deco.right == (DOMAIN[0][1], None)
 
 
 def test_decompose_single_domain_differ_borders(differ_differ):
     deco = decompose(BitPattern.parse("1"), differ_differ)
-    assert deco.segments == (
-        (SegmentKind.DOMAIN_PLUS_SHORT, 1),
-        (SegmentKind.HALF_WALL_PLUS, 2),
-    )
-    assert deco.left_half_wall is SegmentKind.HALF_WALL_PLUS
-    assert deco.right_half_wall is SegmentKind.HALF_WALL_PLUS
+    assert deco.counts == (0, 0, 0, 0, 0, 1, 0, 0, 0, 2)
+    assert deco.left == deco.right == (DOMAIN[1][2], HALF_WALL[1])
 
 
 def test_decompose_mixed_borders():
     deco = decompose(BitPattern.parse("10"), BorderCondition.parse("differ,same"))
-    assert deco.segments == (
-        (SegmentKind.DOMAIN_MINUS_MID, 1),
-        (SegmentKind.DOMAIN_PLUS_SHORT, 1),
-        (SegmentKind.WALL_10, 1),
-        (SegmentKind.HALF_WALL_PLUS, 1),
-    )
-    assert SegmentKind.WALL_01 not in dict(deco.segments)
+    assert deco.counts == (0, 1, 0, 0, 0, 1, 0, 1, 0, 1)
+    assert deco.counts[WALL[0]] == 0  # the only transition reads 1 -> 0
+    assert deco.left == (DOMAIN[1][2], HALF_WALL[1])
+    assert deco.right == (DOMAIN[0][1], None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,39 +111,39 @@ def test_decompose_structural_invariants(bits, borders):
     pattern = BitPattern.parse(bits)
     deco = decompose(pattern, borders)
 
-    domain_total = sum(n for kind, n in deco.segments if kind in DOMAIN_KINDS)
-    assert domain_total == len(pattern)
-    assert len(deco.domain_kinds) == len(pattern)
+    counts = deco.counts
+    # one non-negative count per kind
+    assert len(counts) == len(KINDS)
+    assert all(n >= 0 for n in counts)
 
-    counts = dict(deco.segments)
+    assert sum(counts[i] for i in DOMAIN_INDICES) == len(pattern)
+    # the edge domains carry the edge bits
+    assert deco.left[0] in DOMAIN[pattern.bits[0]]
+    assert deco.right[0] in DOMAIN[pattern.bits[-1]]
+
     transitions = sum(1 for a, b in zip(bits, bits[1:]) if a != b)
-    n01 = counts.get(SegmentKind.WALL_01, 0)
-    n10 = counts.get(SegmentKind.WALL_10, 0)
+    n01, n10 = (counts[i] for i in WALL)
     assert n01 + n10 == transitions
     assert abs(n01 - n10) <= 1  # transitions strictly alternate
 
-    halves = counts.get(SegmentKind.HALF_WALL_MINUS, 0) + counts.get(SegmentKind.HALF_WALL_PLUS, 0)
+    halves = sum(counts[i] for i in HALF_WALL)
     expected_halves = (borders.left is Border.DIFFER) + (borders.right is Border.DIFFER)
     assert halves == expected_halves
-    assert (deco.left_half_wall is not None) == (borders.left is Border.DIFFER)
+    assert (deco.left[1] is not None) == (borders.left is Border.DIFFER)
+    assert (deco.right[1] is not None) == (borders.right is Border.DIFFER)
 
     # each wall structure returns the notch share it eats, so nominal
     # lengths add back up to the plain domain run
     geo = char.geometry
-    total = sum(n * geo.nominal_length(kind) for kind, n in deco.segments)
+    total = sum(n * geo.nominal_length(kind) for kind, n in zip(KINDS, counts))
     assert total == pytest.approx(len(pattern) * geo.domain_length, rel=1e-12)
 
-    # canonical order, positive counts
-    kinds = [kind for kind, _ in deco.segments]
-    order = list(SegmentKind)
-    assert kinds == sorted(kinds, key=order.index)
-    assert all(n > 0 for _, n in deco.segments)
 
-
-def test_equivalent_resistance_matches_literal_sum(char, same_same):
+def test_bank_conductance_matches_literal_sum(char, same_same):
     deco = decompose(BitPattern.parse("00010"), same_same)
     expected = 1.0 / (2 / 1911 + 2 / 2048 + 1 / 5143 + 1 / 20053 + 1 / 20063)
-    assert equivalent_resistance(deco, char.table) == expected
+    assert 1.0 / bank_conductance(deco.counts, char.table) == expected
+    assert pattern_resistance("00010", same_same, char) == expected
 
 
 def test_exact_equivalent_resistance(char, same_same):
@@ -171,28 +161,16 @@ def test_exact_equivalent_resistance(char, same_same):
 @given(bits=patterns, borders=conditions)
 def test_float_tracks_exact(bits, borders):
     char = default_characterization()
-    approx = equivalent_resistance(decompose(BitPattern.parse(bits), borders), char.table)
+    approx = pattern_resistance(bits, borders, char)
     exact = rational_pattern_resistance(bits, borders, char.table)
     assert approx == pytest.approx(float(exact), rel=1e-12)
-
-
-def test_empty_network_rejected(char):
-    hollow = Decomposition(
-        segments=(),
-        domain_kinds=(),
-        left_half_wall=None,
-        right_half_wall=None,
-    )
-    with pytest.raises(EmptyNetwork):
-        equivalent_resistance(hollow, char.table)
 
 
 @settings(max_examples=100, deadline=None)
 @given(bits=patterns, borders=conditions)
 def test_added_branch_always_lowers_resistance(bits, borders):
     char = default_characterization()
-    deco = decompose(BitPattern.parse(bits), borders)
-    base = equivalent_resistance(deco, char.table)
+    base = pattern_resistance(bits, borders, char)
     widened = 1.0 / (1.0 / base + 1.0 / char.table.ohms(SegmentKind.WALL_01))
     assert widened < base
 
@@ -207,8 +185,7 @@ def test_pattern_helpers_accept_strings(char, same_same):
 
 
 def _key(bits: str, borders: BorderCondition) -> tuple:
-    counts = dict(decompose(BitPattern.parse(bits), borders).segments)
-    return equivalence_key(tuple(counts.get(kind, 0) for kind in SegmentKind))
+    return equivalence_key(decompose(BitPattern.parse(bits), borders).counts)
 
 
 def _reversed(borders: BorderCondition) -> BorderCondition:
@@ -256,6 +233,6 @@ def test_decompose_bulk_seeded_sweep():
         bits = "".join(rng.choice("01") for _ in range(d))
         borders = ALL_CONDITIONS[rng.randrange(4)]
         deco = decompose(BitPattern.parse(bits), borders)
-        assert sum(n for kind, n in deco.segments if kind in DOMAIN_KINDS) == d
-        resistance = equivalent_resistance(deco, char.table)
+        assert sum(deco.counts[i] for i in DOMAIN_INDICES) == d
+        resistance = 1.0 / bank_conductance(deco.counts, char.table)
         assert 0 < resistance < char.table.ohms(SegmentKind.HALF_WALL_PLUS)

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdmtj.characterization import SegmentKind, default_characterization
+from mdmtj.characterization import default_characterization
 from mdmtj.errors import DomainCountTooLarge, EmptyNetwork
 from mdmtj.margins import cluster_extremes, enumerate_levels, worst_case_levels
-from mdmtj.network import ALL_CONDITIONS, BitPattern, decompose, equivalent_resistance
+from mdmtj.network import ALL_CONDITIONS, BitPattern, decompose, pattern_resistance
 from mdmtj.variation import NeighborAssumption
 from mdmtj.oracle import (
     BRUTE_FORCE_LIMIT,
+    _edge_structure,
     brute_force_offset_margins,
     brute_force_report,
     distinct_resistance_classes,
@@ -45,10 +46,11 @@ def test_rational_parallel_sum_guards():
 @settings(max_examples=120, deadline=None)
 @given(text=patterns, borders=conditions)
 def test_segment_counts_agree_with_decomposition(text, borders):
-    counts = segment_counts(text, borders)
-    counted = {kind: counts[i] for i, kind in enumerate(SegmentKind) if counts[i]}
-    decomposed = dict(decompose(BitPattern.parse(text), borders).segments)
-    assert counted == decomposed
+    # the bank and both edge structures, recounted from the bit string
+    deco = decompose(BitPattern.parse(text), borders)
+    assert list(deco.counts) == segment_counts(text, borders)
+    assert deco.left == _edge_structure(text, borders, left=True)
+    assert deco.right == _edge_structure(text, borders, left=False)
 
 
 @settings(max_examples=120, deadline=None)
@@ -57,7 +59,7 @@ def test_reference_resistance_is_bitwise_identical(text, borders):
     # the reference path recounts segments on its own but must replay the
     # identical float accumulation
     char = default_characterization()
-    production = equivalent_resistance(decompose(BitPattern.parse(text), borders), char.table)
+    production = pattern_resistance(text, borders, char)
     assert reference_resistance(text, borders, char.table) == production
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj import variation
-from mdmtj.characterization import SegmentKind, scaled_resistance
-from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange
+from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, SegmentKind, scaled_resistance
+from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
 from mdmtj.oracle import brute_force_offset_margins, reference_sample_offsets
@@ -19,7 +19,6 @@ from mdmtj.variation import (
     MisalignmentSpec,
     MonteCarloSpec,
     NeighborAssumption,
-    PartialSegment,
     apply_misalignment,
     min_margins_for_offsets,
     monte_carlo_margins,
@@ -44,8 +43,8 @@ def test_neighbor_assumption_parse():
 
 def test_zero_offset_is_the_nominal_decomposition(char, same_same):
     perturbed = apply_misalignment("0110", same_same, MisalignmentSpec(0.0), char.geometry)
-    assert perturbed.partial_segments == ()  # no coverage loss, no overhang
-    assert perturbed.full_segments == decompose(BitPattern.parse("0110"), same_same).segments
+    assert perturbed.partials == ()  # no coverage loss, no overhang
+    assert perturbed.counts == decompose(BitPattern.parse("0110"), same_same).counts
     assert perturbed_resistance(perturbed, char.table, char.geometry) == pytest.approx(
         1.0 / (2 / char.table.ohms(SegmentKind.DOMAIN_MINUS_MID)
                + 2 / char.table.ohms(SegmentKind.DOMAIN_PLUS_MID)
@@ -59,11 +58,11 @@ def test_positive_offset_uncovers_left_edge(char, same_same):
     spec = MisalignmentSpec(2e-9, right_neighbor=ONE)
     perturbed = apply_misalignment("00", same_same, spec, char.geometry)
     # one of the two full-length minus domains loses 2 nm, the other stays
-    assert perturbed.full_segments == ((SegmentKind.DOMAIN_MINUS_FULL, 1),)
+    assert perturbed.counts == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
     full_len = char.geometry.nominal_length(SegmentKind.DOMAIN_MINUS_FULL)
-    assert perturbed.partial_segments == (
-        PartialSegment(SegmentKind.DOMAIN_MINUS_FULL, full_len - 2e-9),
-        PartialSegment(SegmentKind.DOMAIN_PLUS_FULL, 2e-9),
+    assert perturbed.partials == (
+        (DOMAIN[0][0], full_len - 2e-9),
+        (DOMAIN[1][0], 2e-9),
     )
 
 
@@ -71,33 +70,29 @@ def test_negative_offset_uncovers_right_edge(char):
     borders = BorderCondition.parse("same/differ")
     spec = MisalignmentSpec(-3e-9, left_neighbor=ZERO)
     perturbed = apply_misalignment("10", borders, spec, char.geometry)
-    kinds = [seg.kind for seg in perturbed.partial_segments]
+    kinds = [index for index, _ in perturbed.partials]
     # trailing domain, then its surviving half-wall, then the overhang
-    assert kinds == [
-        SegmentKind.DOMAIN_MINUS_SHORT,
-        SegmentKind.HALF_WALL_MINUS,
-        SegmentKind.DOMAIN_MINUS_FULL,
-    ]
+    assert kinds == [DOMAIN[0][2], HALF_WALL[0], DOMAIN[0][0]]
     # the overhang covers the offset on a full-length domain of the assumed bit
-    assert perturbed.partial_segments[2] == PartialSegment(SegmentKind.DOMAIN_MINUS_FULL, 3e-9)
+    assert perturbed.partials[2] == (DOMAIN[0][0], 3e-9)
 
 
 def test_half_wall_survives_small_offsets(char, differ_differ):
     half_len = char.geometry.nominal_length(SegmentKind.HALF_WALL_PLUS)
     spec = MisalignmentSpec(5e-9, right_neighbor=ZERO)
     perturbed = apply_misalignment("1", differ_differ, spec, char.geometry)
-    assert PartialSegment(SegmentKind.HALF_WALL_PLUS, half_len - 5e-9) in perturbed.partial_segments
+    assert (HALF_WALL[1], half_len - 5e-9) in perturbed.partials
     # the untouched right half-wall stays a full segment
-    assert (SegmentKind.HALF_WALL_PLUS, 1) in perturbed.full_segments
+    assert perturbed.counts[HALF_WALL[1]] == 1
 
 
 def test_half_wall_dropped_when_fully_uncovered(char, differ_differ):
     spec = MisalignmentSpec(7e-9, right_neighbor=ZERO)
     perturbed = apply_misalignment("1", differ_differ, spec, char.geometry)
-    kinds = [seg.kind for seg in perturbed.partial_segments]
-    assert SegmentKind.HALF_WALL_PLUS not in kinds
-    assert kinds == [SegmentKind.DOMAIN_PLUS_SHORT, SegmentKind.DOMAIN_MINUS_FULL]
-    assert perturbed.full_segments == ((SegmentKind.HALF_WALL_PLUS, 1),)
+    kinds = [index for index, _ in perturbed.partials]
+    assert HALF_WALL[1] not in kinds
+    assert kinds == [DOMAIN[1][2], DOMAIN[0][0]]
+    assert perturbed.counts == (0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
 def test_worst_assumption_rejected_at_this_level(char, same_same):
@@ -128,10 +123,11 @@ def test_perturbed_resistance_formula(char):
     spec = MisalignmentSpec(4e-9, right_neighbor=ONE)
     perturbed = apply_misalignment("01", borders, spec, char.geometry)
     g = 0.0
-    for kind, count in perturbed.full_segments:
-        g += count / char.table.ohms(kind)
-    for seg in perturbed.partial_segments:
-        g += 1.0 / scaled_resistance(seg.kind, seg.covered_length, char.table, char.geometry)
+    for kind, count in zip(KINDS, perturbed.counts):
+        if count:  # a zero count adds 0.0 in production
+            g += count / char.table.ohms(kind)
+    for index, covered in perturbed.partials:
+        g += 1.0 / scaled_resistance(KINDS[index], covered, char.table, char.geometry)
     assert perturbed_resistance(perturbed, char.table, char.geometry) == 1.0 / g
 
 
@@ -240,6 +236,18 @@ def test_offset_past_an_edge_domain_is_refused(char, differ_differ, engine, offs
         engine(4, differ_differ, np.array([0.0, offset]), WORST, WORST, _short_domains(char))
 
 
+@pytest.mark.parametrize("offset", [9e-9, -9e-9])
+def test_every_path_refuses_an_offset_past_an_edge_domain(char, differ_differ, offset):
+    # 01 under differ/differ: each edge domain has a wall and a half-wall,
+    # 8 nm long on 20 nm domains, so 9 nm leaves it no covered length
+    short = _short_domains(char)
+    with pytest.raises(OffsetOutOfRange, match="edge domain"):
+        apply_misalignment("01", differ_differ, MisalignmentSpec(offset, ZERO, ZERO), short.geometry)
+    for engine in (min_margins_for_offsets, brute_force_offset_margins):
+        with pytest.raises(OffsetOutOfRange, match="edge domain"):
+            engine(2, differ_differ, np.array([offset]), ZERO, ZERO, short)
+
+
 def test_offset_short_of_every_edge_domain_is_evaluated(char, same_same, differ_differ):
     short = _short_domains(char)
     # same/same edge domains have at most one wall (14 nm); 7.5 nm leaves
@@ -291,6 +299,13 @@ def test_monte_carlo_spec_validation():
         MonteCarloSpec(samples=10, seed=1, sigma=0.0).validate()
     with pytest.raises(ValueError, match="truncation"):
         MonteCarloSpec(samples=10, seed=1, truncation=0.0).validate()
+
+
+@pytest.mark.parametrize("name", ["sigma", "truncation"])
+def test_monte_carlo_refuses_a_nan_spread(char, same_same, name):
+    spec = replace(MonteCarloSpec(samples=10, seed=1), **{name: math.nan})
+    with pytest.raises(UsageError, match=name):
+        monte_carlo_margins(2, same_same, spec, char)
 
 
 def test_sample_offsets_chunking_is_seamless():
