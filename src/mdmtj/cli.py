@@ -19,8 +19,6 @@ Exit codes: 0 success, 2 usage or invalid pattern, 3 configuration error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -30,9 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from decimal import Decimal
-from itertools import count
-from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 from . import __version__, oracle
 from .characterization import (
@@ -60,6 +56,9 @@ from .variation import (
     monte_carlo_margins,
     offset_margin_report,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _USAGE_ERROR = 2
 _CONFIG_ERROR = 3
@@ -95,6 +94,13 @@ def _finite_float(text: str) -> float:
 # CSV prints value * scale in fixed point, JSON rounds it; None is "" / null.
 _Column = Union[str, tuple[str, float, int]]
 
+# rows formatted and written per write call: bounds the text held at once,
+# and an unbuffered stdout (python -u, PYTHONUNBUFFERED) costs a system call
+# per write, not per row
+_ROWS_PER_WRITE = 8192
+# stands in for the rows in the JSON payload until they are spliced in
+_ROWS_PLACEHOLDER = "\x00rows"
+
 
 @dataclass
 class _Result:
@@ -102,7 +108,8 @@ class _Result:
 
     ``table`` renders the human-readable text. JSON carries ``head``, then the
     rows under ``rows_key`` (when there is one), then ``tail``; CSV carries the
-    rows alone. ``rows`` is iterated once, so it may be a generator.
+    rows alone. ``values`` holds one sequence per column, all of one length;
+    an ndarray column is read as Python floats.
     """
 
     command: str
@@ -111,7 +118,7 @@ class _Result:
     head: dict[str, object] = field(default_factory=dict)
     rows_key: str | None = None
     columns: tuple[_Column, ...] = ()
-    rows: Iterable[Sequence[object]] = ()
+    values: tuple[Sequence[Any], ...] = ()
     tail: dict[str, object] = field(default_factory=dict)
     seed: int | None = None
 
@@ -145,53 +152,92 @@ def _manifest_comments(manifest: dict[str, Any]) -> list[str]:
     return lines + [f"# config: {pairs}"]
 
 
-def _cell(column: _Column, as_text: bool) -> Callable[[object], object]:
-    if isinstance(column, str):
-        return lambda value: value
-    _, scale, decimals = column
-    if as_text:
-        spec = f"%.{decimals}f"
-        return lambda value: "" if value is None else spec % (value * scale)
-    return lambda value: None if value is None else round(value * scale, decimals)
-
-
 def _column_name(column: _Column) -> str:
     return column if isinstance(column, str) else column[0]
 
 
-def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) -> None:
-    """Write ``result`` to ``out`` (stdout when None) as table, csv or json.
+def _csv_cells(column: _Column, values: Sequence[Any]) -> list[str]:
+    # no cell needs quoting: integers, bit strings and fixed-point numbers
+    if isinstance(column, str):
+        return ["" if value is None else str(value) for value in values]
+    _, scale, decimals = column
+    spec = f"%.{decimals}f"
+    return ["" if value is None else spec % (value * scale) for value in values]
 
-    The text is assembled in memory and written once: written row by row, an
-    unbuffered stdout (``python -u``, PYTHONUNBUFFERED) costs a system call
-    per CSV row.
-    """
+
+def _json_cells(column: _Column, values: Sequence[Any]) -> list[str]:
+    # what json.dumps prints: repr for an int or a finite float
+    if isinstance(column, str):
+        return [repr(value) if type(value) is int else json.dumps(value) for value in values]
+    _, scale, decimals = column
+    return ["null" if value is None else repr(round(value * scale, decimals)) for value in values]
+
+
+def _row_chunks(
+    result: _Result,
+    cells: Callable[[_Column, Sequence[Any]], list[str]],
+    template: str,
+    separator: str,
+) -> Iterator[str]:
+    """The rows as text, ``_ROWS_PER_WRITE`` at a time: each column's slice
+    formatted by ``cells`` in one pass, then one ``template`` per row, the
+    rows joined by ``separator``."""
+    rows = len(result.values[0]) if result.values else 0
+    for start in range(0, rows, _ROWS_PER_WRITE):
+        columns = []
+        for column, values in zip(result.columns, result.values):
+            part = values[start : start + _ROWS_PER_WRITE]
+            columns.append(cells(column, part.tolist() if hasattr(part, "tolist") else part))
+        yield separator.join(map(template.__mod__, zip(*columns)))
+
+
+def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
+    """``result`` as table, csv or json text, in pieces to write in turn."""
     if fmt == "table":
-        text = result.table()
-    elif fmt == "csv":
-        buffer = io.StringIO()
-        buffer.writelines(line + "\n" for line in _manifest_comments(_manifest(result, char)))
-        cells = [_cell(column, as_text=True) for column in result.columns]
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_column_name(column) for column in result.columns)
-        writer.writerows([cell(value) for cell, value in zip(cells, row)] for row in result.rows)
-        text = buffer.getvalue()
-    else:
-        payload: dict[str, object] = {"manifest": _manifest(result, char), **result.head}
-        if result.rows_key is not None:
-            names = [_column_name(column) for column in result.columns]
-            cells = [_cell(column, as_text=False) for column in result.columns]
-            payload[result.rows_key] = [
-                {name: cell(value) for name, cell, value in zip(names, cells, row)}
-                for row in result.rows
-            ]
-        payload.update(result.tail)
-        text = json.dumps(payload, indent=2) + "\n"
+        yield result.table()
+        return
+    manifest = _manifest(result, char)
+    names = [_column_name(column) for column in result.columns]
+    if fmt == "csv":
+        yield "".join(line + "\n" for line in _manifest_comments(manifest)) + ",".join(names) + "\n"
+        yield from _row_chunks(result, _csv_cells, ",".join(["%s"] * len(names)) + "\n", "")
+        return
+    payload: dict[str, object] = {"manifest": manifest, **result.head}
+    if result.rows_key is not None:
+        payload[result.rows_key] = _ROWS_PLACEHOLDER
+    payload.update(result.tail)
+    text = json.dumps(payload, indent=2) + "\n"
+    if result.rows_key is None:
+        yield text
+        return
+    # json.dumps(indent=2) would print each row object at depth 2 after "[\n",
+    # separated by ",\n", with "\n  ]" after the last; "[]" when there is none
+    before, _, after = text.partition(json.dumps(_ROWS_PLACEHOLDER))
+    fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
+    chunks = _row_chunks(result, _json_cells, "    {\n" + fields + "\n    }", ",\n")
+    first = next(chunks, None)
+    if first is None:
+        yield before + "[]" + after
+        return
+    yield before + "[\n" + first
+    for chunk in chunks:
+        yield ",\n" + chunk
+    yield "\n  ]" + after
+
+
+def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) -> None:
+    """Write ``result`` to ``out`` (stdout when None) as table, csv or json,
+    one write call per piece of ``_text``."""
+    pieces = _text(result, char, fmt)
+    first = next(pieces)  # the manifest: a bad SOURCE_DATE_EPOCH refuses before any output
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(pieces)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as stream:
+            stream.write(first)
+            stream.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from None
 
@@ -279,9 +325,11 @@ def _oracle_variation_check(
             )
 
 
-def _oracle_sample_check(spec: MonteCarloSpec, offsets: Sequence[float]) -> None:
-    ref = oracle.reference_sample_offsets(spec).tolist()
-    for index, (got, want) in enumerate(zip(offsets, ref, strict=True)):
+def _oracle_sample_check(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
+    ref = oracle.reference_sample_offsets(spec)
+    if offsets.tobytes() == ref.tobytes():
+        return
+    for index, (got, want) in enumerate(zip(offsets.tolist(), ref.tolist(), strict=True)):
         if struct.pack("<d", got) != struct.pack("<d", want):
             raise OracleMismatch(
                 f"sample {index} offset {got!r} m differs from the per-sample"
@@ -345,12 +393,12 @@ def _cmd_levels(args: argparse.Namespace, char: Characterization) -> _Result:
         rows_key="classes",
         columns=("pattern_class", "weight", "multiplicity",
                  ("resistance_ohm", 1.0, 2), ("voltage_mv", 1e3, 2)),
-        rows=(
+        values=tuple(zip(*(
             (entry.representative, cluster.weight, entry.multiplicity,
              entry.resistance, entry.voltage)
             for cluster in report.clusters
             for entry in cluster.classes
-        ),
+        ))),
         tail={"min_margin_mv": _mv(report.min_margin)},
     )
 
@@ -385,7 +433,7 @@ def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
         rows_key="rows",
         columns=("weight_low", "weight_high", ("r_low_max_ohm", 1.0, 2),
                  ("r_high_min_ohm", 1.0, 2), ("margin_mv", 1e3, 2)),
-        rows=rows,
+        values=tuple(zip(*rows)),
         tail={"min_margin_mv": _mv(volts)},
     )
 
@@ -422,7 +470,9 @@ def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
         head={"threshold_mv": args.threshold_mv, "borders": str(borders)},
         rows_key="rows",
         columns=("domains", ("closed_form_margin_mv", 1e3, 2), ("enumerated_margin_mv", 1e3, 2)),
-        rows=((row.domains, row.closed_form_margin, row.enumerated_margin) for row in report.rows),
+        values=tuple(zip(*(
+            (row.domains, row.closed_form_margin, row.enumerated_margin) for row in report.rows
+        ))),
         tail={"max_scalable_domains": report.max_scalable_domains},
     )
 
@@ -445,7 +495,9 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
         _oracle_sample_check(spec, report.offsets)
         _oracle_variation_check(
             args.domains, borders, neighbors,
-            (0.0, *report.offsets), (report.nominal_min_margin, *report.margins), char,
+            [0.0, *report.offsets.tolist()],
+            [report.nominal_min_margin, *report.margins.tolist()],
+            char,
         )
     table = (
         f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
@@ -480,7 +532,7 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
         },
         rows_key="samples",
         columns=("sample", ("delta_nm", 1e9, 6), ("min_margin_mv", 1e3, 2)),
-        rows=zip(count(), report.offsets, report.margins),
+        values=(range(spec.samples), report.offsets, report.margins),
         seed=spec.seed,
     )
 

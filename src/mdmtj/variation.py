@@ -17,16 +17,21 @@ arithmetic is elementwise.
 Each Monte Carlo sample's offset depends only on (seed, index), so any slice
 of a run can be reproduced on its own. Sample i is the first normal within
 the truncation drawn from ``Generator(PCG64(SeedSequence((seed, i))))``, the
-same stream as in every earlier version. The seeding (numpy's SeedSequence
-hash and PCG64's seed step) is recomputed over arrays of indices; the draws
-stay numpy's own. ``oracle.reference_sample_offsets`` builds the three
-objects per sample and must agree bit for bit.
+same stream as in every earlier version. numpy's SeedSequence hash, PCG64's
+seed step and its first XSL-RR output (O'Neill 2014) are recomputed over
+arrays of indices, and the fast path of numpy's ziggurat (Marsaglia and
+Tsang 2000; tables in ``_ziggurat``) turns that word into the normal. A row
+the fast path does not settle (the base layer's tail, a wedge, a value past
+the truncation) falls back to numpy's own ``standard_normal()`` from the
+same seeded state. ``oracle.reference_sample_offsets`` builds the three
+objects per sample and must agree bit for bit; ``variation --monte-carlo
+--oracle`` redraws every sample that way.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -379,11 +384,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-# numpy's PCG64: the 128-bit LCG multiplier of pcg_setseq_128_srandom_r
+# numpy's PCG64: the 128-bit LCG multiplier of pcg_setseq_128_srandom_r, as
+# (high, low) uint64 limbs, and the low limb's 32-bit halves for mulhi
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_MULT_LO_HALVES = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+# the ziggurat's 52-bit magnitude field
+_MASK52 = (1 << 52) - 1
 # indices seeded per vectorized pass; bounds the word arrays' memory
 _CHUNK = 8192
+
+_Limbs = tuple[np.ndarray, np.ndarray]  # (high, low) uint64 words of 128-bit values
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -416,7 +427,30 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pcg_seeds(seed_words: list[int], start: int, count: int) -> Iterator[tuple[int, int]]:
+def _add128(a: _Limbs, b: _Limbs) -> _Limbs:
+    """a + b mod 2^128 over uint64 limb arrays that wrap; a low sum that
+    wrapped is smaller than either term and carries one."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _pcg_step(state: _Limbs, inc: _Limbs) -> _Limbs:
+    """state * _PCG_MULT + inc mod 2^128.
+
+    The low limbs' product carries a high word into the high limb; a 32-bit
+    split gives it from four partial products that each fit 64 bits.
+    """
+    high, low = state
+    low0, low1 = low & _MASK32, low >> 32
+    mult0, mult1 = _MULT_LO_HALVES
+    cross0, cross1 = low0 * mult1, low1 * mult0
+    middle = (low0 * mult0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    carried = low1 * mult1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
+    product = (carried + low * _MULT_HI + high * _MULT_LO, low * _MULT_LO)
+    return _add128(product, inc)
+
+
+def _pcg_seeds(seed_words: list[int], start: int, count: int) -> tuple[_Limbs, _Limbs]:
     """(state, inc) of ``PCG64(SeedSequence((seed, i)))`` for each index i
     in [start, start + count), which must not cross a multiple of 2^32:
     only the lowest index word then varies."""
@@ -443,10 +477,27 @@ def _pcg_seeds(seed_words: list[int], start: int, count: int) -> Iterator[tuple[
     # little-endian into (state high, state low, seq high, seq low)
     constants = _hash_constants(_INIT_B, _MULT_B)
     words = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    halves = [(words[2 * i] | words[2 * i + 1] << 32).tolist() for i in range(4)]
-    for state_high, state_low, seq_high, seq_low in zip(*halves):
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        yield ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128, inc
+    state_high, state_low, seq_high, seq_low = (
+        words[2 * i] | words[2 * i + 1] << 32 for i in range(4)
+    )
+    # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, then
+    # state = (inc + initial state) * _PCG_MULT + inc
+    inc = (seq_high << 1 | seq_low >> 63, seq_low << 1 | 1)
+    return _pcg_step(_add128((state_high, state_low), inc), inc), inc
+
+
+def _first_words(
+    seed_words: list[int], start: int, count: int
+) -> tuple[_Limbs, _Limbs, np.ndarray]:
+    """(seeded state, inc, first 64-bit output) per index, as ``_pcg_seeds``.
+
+    PCG64 steps, then outputs XSL-RR: the high and low halves xor-folded and
+    rotated right by the top six bits of the state.
+    """
+    state, inc = _pcg_seeds(seed_words, start, count)
+    high, low = _pcg_step(state, inc)
+    folded, rotation = high ^ low, high >> 58
+    return state, inc, folded >> rotation | folded << (-rotation & 63)
 
 
 def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -454,9 +505,14 @@ def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None
 
     Sample i redraws ``Generator(PCG64(SeedSequence((spec.seed, i))))
     .standard_normal()`` until it lies within the truncation, bit for bit.
-    The seeding runs vectorized over chunks of indices; the draws are
-    numpy's own, from one generator whose state is set per sample.
+    Seeding and the first draw run over chunks of indices: a row whose first
+    word takes the ziggurat's fast path to a value within the truncation is
+    done in arrays. Every other row (the base layer's tail, a wedge, a value
+    past the truncation) sets one numpy generator to its seeded state and
+    draws with numpy, as a fresh generator would.
     """
+    from ._ziggurat import KI, WI  # only a Monte Carlo run pays for the tables
+
     if stop is None:
         stop = spec.samples
     if spec.seed < 0 or start < 0:
@@ -472,21 +528,42 @@ def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None
     row = 0
     while start < stop:
         end = min(stop, start + _CHUNK, ((start >> 32) + 1) << 32)
-        for seeded, inc in _pcg_seeds(seed_words, start, end - start):
-            pcg["state"], pcg["inc"] = seeded, inc
+        (state_high, state_low), (inc_high, inc_low), word = _first_words(
+            seed_words, start, end - start
+        )
+        # numpy's random_standard_normal: layer, sign and magnitude of one word
+        layer = (word & 0xFF).astype(np.intp)
+        magnitude = word >> 9 & _MASK52
+        x = magnitude.astype(np.float64) * WI[layer]
+        np.negative(x, out=x, where=(word >> 8 & 1).astype(bool))
+        missed = np.flatnonzero(~((magnitude < KI[layer]) & (np.abs(x) <= spec.truncation)))
+        for index, high, low, inc_hi, inc_lo in zip(
+            missed.tolist(),
+            state_high[missed].tolist(),
+            state_low[missed].tolist(),
+            inc_high[missed].tolist(),
+            inc_low[missed].tolist(),
+        ):
+            pcg["state"], pcg["inc"] = high << 64 | low, inc_hi << 64 | inc_lo
             bit_generator.state = state
             value = generator.standard_normal()
             while abs(value) > spec.truncation:
                 value = generator.standard_normal()
-            z[row] = value
-            row += 1
+            x[index] = value
+        z[row : row + x.size] = x
+        row += x.size
         start = end
     return z * spec.sigma
 
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Margin distribution under random misalignment; volts and meters."""
+    """Margin distribution under random misalignment; volts and meters.
+
+    ``offsets`` and ``margins`` are read-only float64 arrays, one entry per
+    sample. Two reports are equal when every field is, the arrays bit for
+    bit.
+    """
 
     domains: int
     borders: BorderCondition
@@ -498,8 +575,18 @@ class MonteCarloReport:
     stddev_margin: float
     min_margin: float
     p01_margin: float
-    offsets: tuple[float, ...] = field(repr=False)
-    margins: tuple[float, ...] = field(repr=False)
+    offsets: np.ndarray = field(repr=False, compare=False)
+    margins: np.ndarray = field(repr=False, compare=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MonteCarloReport):
+            return NotImplemented
+        return all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
+        ) and all(
+            getattr(self, name).tobytes() == getattr(other, name).tobytes()
+            for name in ("offsets", "margins")
+        )
 
 
 def monte_carlo_margins(
@@ -519,6 +606,7 @@ def monte_carlo_margins(
         domains, borders, np.concatenate(([0.0], offsets)), left_neighbor, right_neighbor, char
     )
     nominal, margins = float(evaluated[0]), evaluated[1:]
+    offsets.flags.writeable = margins.flags.writeable = False
     stddev = float(np.std(margins, ddof=1)) if spec.samples > 1 else 0.0
     return MonteCarloReport(
         domains=domains,
@@ -531,6 +619,6 @@ def monte_carlo_margins(
         stddev_margin=stddev,
         min_margin=float(np.min(margins)),
         p01_margin=float(np.percentile(margins, 1.0)),
-        offsets=tuple(offsets.tolist()),
-        margins=tuple(margins.tolist()),
+        offsets=offsets,
+        margins=margins,
     )

@@ -214,6 +214,52 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == direct
 
 
+def _row_by_row(result, char, fmt):
+    """``result`` as csv.writer and json.dumps(indent=2) print it row by row."""
+
+    def cell(column, value, as_text):
+        if isinstance(column, str) or value is None:
+            return "" if as_text and value is None else value
+        _, scale, decimals = column
+        return f"%.{decimals}f" % (value * scale) if as_text else round(value * scale, decimals)
+
+    names = [cli._column_name(column) for column in result.columns]
+    rows = list(zip(*(v.tolist() if hasattr(v, "tolist") else v for v in result.values)))
+    manifest = cli._manifest(result, char)
+    if fmt == "csv":
+        buffer = io.StringIO()
+        buffer.writelines(line + "\n" for line in cli._manifest_comments(manifest))
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([cell(c, v, True) for c, v in zip(result.columns, row)] for row in rows)
+        return buffer.getvalue()
+    listed = [
+        {name: cell(c, v, False) for name, c, v in zip(names, result.columns, row)}
+        for row in rows
+    ]
+    payload = {"manifest": manifest, **result.head, result.rows_key: listed, **result.tail}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, 7, 23])
+def test_emitter_matches_row_by_row_serialization(capsys, monkeypatch, char, fmt, rows):
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)  # several chunks, one of them short
+    rng = np.random.default_rng(rows)
+    spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-16, 4, rows)
+    spread[::5] = -0.0
+    gaps = [None if i % 3 == 0 else float(v) for i, v in enumerate(spread)]
+    result = cli._Result(
+        "test", {"rows": rows}, str,
+        head={"first": 1.5}, rows_key="rows",
+        columns=("index", "bits", ("x_nm", 1e9, 6), ("y_mv", 1e3, 2)),
+        values=(range(rows), [format(i, "b") for i in range(rows)], spread, gaps),
+        tail={"last": None},
+    )
+    cli._emit(result, char, fmt, None)
+    assert capsys.readouterr().out == _row_by_row(result, char, fmt)
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "report.csv"
     code, out, err = run_cli(

@@ -378,6 +378,16 @@ def test_monte_carlo_is_deterministic(char, same_same):
     assert first == second
 
 
+def test_monte_carlo_reports_compare_every_sample_bitwise(char, same_same):
+    report = monte_carlo_margins(4, same_same, MonteCarloSpec(samples=50, seed=42), char)
+    assert report == replace(report, offsets=report.offsets.copy())
+    assert not report.offsets.flags.writeable and not report.margins.flags.writeable
+    for name in ("offsets", "margins"):
+        moved = getattr(report, name).copy()
+        moved[37] = np.nextafter(moved[37], np.inf)
+        assert report != replace(report, **{name: moved}), name
+
+
 def test_monte_carlo_stats_match_the_samples(char, same_same):
     spec = MonteCarloSpec(samples=150, seed=7)
     report = monte_carlo_margins(3, same_same, spec, char)
