@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
-from . import __version__, oracle
+from . import __version__
 from .characterization import (
     Characterization,
     config_mapping,
@@ -58,6 +58,8 @@ from .variation import (
 )
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     import numpy as np
 
 _USAGE_ERROR = 2
@@ -249,8 +251,16 @@ def _mv(volts: float) -> float:
 # --- oracle cross-checks ----------------------------------------------------
 
 
+def _oracle() -> ModuleType:
+    """The brute-force reference module, imported by ``--oracle`` runs only:
+    it loads numpy, which no other subcommand but ``variation`` needs."""
+    from . import oracle
+
+    return oracle
+
+
 def _oracle_pattern_check(pattern: str, borders: BorderCondition, char: Characterization) -> None:
-    exact = oracle.rational_pattern_resistance(pattern, borders, char.table)
+    exact = _oracle().rational_pattern_resistance(pattern, borders, char.table)
     approx = pattern_resistance(pattern, borders, char)
     rel = abs(approx - float(exact)) / float(exact)
     if rel > 1e-9:
@@ -261,16 +271,17 @@ def _oracle_pattern_check(pattern: str, borders: BorderCondition, char: Characte
 
 
 def _check_oracle_limit(domains: int) -> None:
-    if domains > oracle.BRUTE_FORCE_LIMIT:
-        raise UsageError(f"--oracle cross-checks stop at {oracle.BRUTE_FORCE_LIMIT} domains")
+    limit = _oracle().BRUTE_FORCE_LIMIT
+    if domains > limit:
+        raise UsageError(f"--oracle cross-checks stop at {limit} domains")
 
 
 def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
     _check_oracle_limit(report.domains)
     if report.borders is None:
-        ref = oracle.worst_case_brute_force(report.domains, char)
+        ref = _oracle().worst_case_brute_force(report.domains, char)
     else:
-        ref = oracle.brute_force_report(report.domains, report.borders, char)
+        ref = _oracle().brute_force_report(report.domains, report.borders, char)
         if not report.clusters[0].classes:  # a cluster_extremes report lists none
             ref = replace(ref, clusters=tuple(replace(c, classes=()) for c in ref.clusters))
     if ref != report:
@@ -282,7 +293,7 @@ def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
 
 def _oracle_closed_form_check(domains: int, volts: float, char: Characterization) -> None:
     _check_oracle_limit(domains)
-    ref = oracle.worst_case_brute_force(domains, char)
+    ref = _oracle().worst_case_brute_force(domains, char)
     if ref.min_margin != volts:
         raise OracleMismatch(
             f"closed-form margin {volts!r} V differs from the brute-force"
@@ -294,10 +305,10 @@ def _oracle_sweep_check(
     report: SweepReport, borders: BorderCondition, char: Characterization
 ) -> None:
     for row in report.rows:
-        if row.domains > oracle.BRUTE_FORCE_LIMIT:
+        if row.domains > _oracle().BRUTE_FORCE_LIMIT:
             continue
         if row.enumerated_margin is not None:
-            ref = oracle.brute_force_report(row.domains, borders, char)
+            ref = _oracle().brute_force_report(row.domains, borders, char)
             if ref.min_margin != row.enumerated_margin:
                 raise OracleMismatch(
                     f"enumerated margin at {row.domains} domains disagrees"
@@ -314,7 +325,7 @@ def _oracle_variation_check(
     margins: Sequence[float],
     char: Characterization,
 ) -> None:
-    ref = oracle.brute_force_offset_margins(
+    ref = _oracle().brute_force_offset_margins(
         domains, borders, offsets, neighbors, neighbors, char
     ).tolist()
     for offset, got, want in zip(offsets, margins, ref):
@@ -326,7 +337,7 @@ def _oracle_variation_check(
 
 
 def _oracle_sample_check(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
-    ref = oracle.reference_sample_offsets(spec)
+    ref = _oracle().reference_sample_offsets(spec)
     if offsets.tobytes() == ref.tobytes():
         return
     for index, (got, want) in enumerate(zip(offsets.tolist(), ref.tolist(), strict=True)):

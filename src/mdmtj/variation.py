@@ -17,24 +17,24 @@ arithmetic is elementwise.
 Each Monte Carlo sample's offset depends only on (seed, index), so any slice
 of a run can be reproduced on its own. Sample i is the first normal within
 the truncation drawn from ``Generator(PCG64(SeedSequence((seed, i))))``, the
-same stream as in every earlier version. numpy's SeedSequence hash, PCG64's
-seed step and its first XSL-RR output (O'Neill 2014) are recomputed over
-arrays of indices, and the fast path of numpy's ziggurat (Marsaglia and
-Tsang 2000; tables in ``_ziggurat``) turns that word into the normal. A row
-the fast path does not settle (the base layer's tail, a wedge, a value past
-the truncation) falls back to numpy's own ``standard_normal()`` from the
-same seeded state. ``oracle.reference_sample_offsets`` builds the three
-objects per sample and must agree bit for bit; ``variation --monte-carlo
---oracle`` redraws every sample that way.
+same stream as in every earlier version. ``_sampler`` recomputes that stream
+in arrays (numpy's SeedSequence hash, PCG64 and the fast path of its
+ziggurat, whose tables are in ``_ziggurat``) and falls back to numpy's own
+``standard_normal()`` for the rows the fast path does not settle.
+``oracle.reference_sample_offsets`` builds the three objects per sample and
+must agree bit for bit; ``variation --monte-carlo --oracle`` redraws every
+sample that way.
+
+numpy is imported by the functions that build arrays, when they are called:
+the engine, the Monte Carlo study and ``_sampler`` on the first draw. Loading
+this module, as every ``mdmtj`` process does, does not load numpy.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .characterization import (
     DOMAIN,
@@ -51,6 +51,9 @@ from .margins import _EdgeGroups, _check_domain_count, _fold, _kind_ohms
 # reached through
 from .margins import enumerate_levels  # noqa: F401
 from .network import BitPattern, BorderCondition, bank_conductance, decompose
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # characterized misalignment budget: 5.5 nm treated as six standard deviations
 SIGMA_DEFAULT = 5.5e-9 / 6.0
@@ -206,6 +209,8 @@ def _side_min_margins(
     An offset that leaves the edge domain of any group no covered length
     raises OffsetOutOfRange.
     """
+    import numpy as np
+
     geometry = char.geometry
     nominal = [geometry.nominal_length(kind) for kind in KINDS]
     shortest = min({edge for _, edge, _ in groups}, key=nominal.__getitem__)
@@ -278,6 +283,8 @@ def min_margins_for_offsets(
     A positive offset uncovers the left edge and overhangs the right
     neighbor; a negative one mirrors that.
     """
+    import numpy as np
+
     _check_domain_count(domains)
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size and not (float(np.max(np.abs(offsets))) <= char.geometry.notch_length):
@@ -330,6 +337,8 @@ def offset_margin_report(
 ) -> OffsetReport:
     """Every pattern re-evaluated with the stack shifted by |``spec.offset``|
     to either side; the sign of ``spec.offset`` does not matter."""
+    import numpy as np
+
     magnitude = abs(spec.offset)
     nominal, plus, minus = min_margins_for_offsets(
         domains,
@@ -375,143 +384,14 @@ class MonteCarloSpec:
             raise UsageError(f"truncation must be positive, got {self.truncation}")
 
 
-# numpy's SeedSequence: O'Neill's seed_seq hash over a pool of four uint32
-# words. The constants step as Python ints masked to 32 bits; every word is a
-# uint32 array over a chunk of indices, whose arithmetic wraps silently.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-# numpy's PCG64: the 128-bit LCG multiplier of pcg_setseq_128_srandom_r, as
-# (high, low) uint64 limbs, and the low limb's 32-bit halves for mulhi
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
-_MULT_LO_HALVES = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
-# the ziggurat's 52-bit magnitude field
-_MASK52 = (1 << 52) - 1
-# indices seeded per vectorized pass; bounds the word arrays' memory
-_CHUNK = 8192
-
-_Limbs = tuple[np.ndarray, np.ndarray]  # (high, low) uint64 words of 128-bit values
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's words of a non-negative int: little-endian, [0] for 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """The (constant, next constant) pair each hashmix of one pass uses."""
-    constant = init
-    while True:
-        following = constant * mult & _MASK32
-        yield constant, following
-        constant = following
-
-
-def _hashmix(value: np.ndarray, constants: Iterator[tuple[int, int]]) -> np.ndarray:
-    constant, following = next(constants)
-    value = (value ^ constant) * following
-    return value ^ (value >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return result ^ (result >> _XSHIFT)
-
-
-def _add128(a: _Limbs, b: _Limbs) -> _Limbs:
-    """a + b mod 2^128 over uint64 limb arrays that wrap; a low sum that
-    wrapped is smaller than either term and carries one."""
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < b[1]), low
-
-
-def _pcg_step(state: _Limbs, inc: _Limbs) -> _Limbs:
-    """state * _PCG_MULT + inc mod 2^128.
-
-    The low limbs' product carries a high word into the high limb; a 32-bit
-    split gives it from four partial products that each fit 64 bits.
-    """
-    high, low = state
-    low0, low1 = low & _MASK32, low >> 32
-    mult0, mult1 = _MULT_LO_HALVES
-    cross0, cross1 = low0 * mult1, low1 * mult0
-    middle = (low0 * mult0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
-    carried = low1 * mult1 + (cross0 >> 32) + (cross1 >> 32) + (middle >> 32)
-    product = (carried + low * _MULT_HI + high * _MULT_LO, low * _MULT_LO)
-    return _add128(product, inc)
-
-
-def _pcg_seeds(seed_words: list[int], start: int, count: int) -> tuple[_Limbs, _Limbs]:
-    """(state, inc) of ``PCG64(SeedSequence((seed, i)))`` for each index i
-    in [start, start + count), which must not cross a multiple of 2^32:
-    only the lowest index word then varies."""
-    low = start & _MASK32
-    entropy = [np.full(count, word, dtype=np.uint32) for word in seed_words]
-    entropy.append(np.arange(low, low + count, dtype=np.uint32))
-    if start >> 32:
-        entropy += [np.full(count, word, dtype=np.uint32) for word in _uint32_words(start >> 32)]
-    # mix_entropy: hash the first words into the pool, mix every pool word
-    # into every other, then mix in the words past the pool
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [
-        _hashmix(entropy[i] if i < len(entropy) else zero, constants) for i in range(_POOL_SIZE)
-    ]
-    for source in range(_POOL_SIZE):
-        for target in range(_POOL_SIZE):
-            if source != target:
-                pool[target] = _mix(pool[target], _hashmix(pool[source], constants))
-    for word in entropy[_POOL_SIZE:]:
-        for target in range(_POOL_SIZE):
-            pool[target] = _mix(pool[target], _hashmix(word, constants))
-    # generate_state(4, np.uint64): eight words cycled from the pool, paired
-    # little-endian into (state high, state low, seq high, seq low)
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hashmix(pool[i % _POOL_SIZE], constants).astype(np.uint64) for i in range(8)]
-    state_high, state_low, seq_high, seq_low = (
-        words[2 * i] | words[2 * i + 1] << 32 for i in range(4)
-    )
-    # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, then
-    # state = (inc + initial state) * _PCG_MULT + inc
-    inc = (seq_high << 1 | seq_low >> 63, seq_low << 1 | 1)
-    return _pcg_step(_add128((state_high, state_low), inc), inc), inc
-
-
-def _first_words(
-    seed_words: list[int], start: int, count: int
-) -> tuple[_Limbs, _Limbs, np.ndarray]:
-    """(seeded state, inc, first 64-bit output) per index, as ``_pcg_seeds``.
-
-    PCG64 steps, then outputs XSL-RR: the high and low halves xor-folded and
-    rotated right by the top six bits of the state.
-    """
-    state, inc = _pcg_seeds(seed_words, start, count)
-    high, low = _pcg_step(state, inc)
-    folded, rotation = high ^ low, high >> 58
-    return state, inc, folded >> rotation | folded << (-rotation & 63)
-
-
 def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Truncated-normal offsets for sample indices [start, stop).
 
     Sample i redraws ``Generator(PCG64(SeedSequence((spec.seed, i))))
-    .standard_normal()`` until it lies within the truncation, bit for bit.
-    Seeding and the first draw run over chunks of indices: a row whose first
-    word takes the ziggurat's fast path to a value within the truncation is
-    done in arrays. Every other row (the base layer's tail, a wedge, a value
-    past the truncation) sets one numpy generator to its seeded state and
-    draws with numpy, as a fresh generator would.
+    .standard_normal()`` until it lies within the truncation, bit for bit;
+    ``_sampler`` draws the rows in arrays.
     """
-    from ._ziggurat import KI, WI  # only a Monte Carlo run pays for the tables
+    from ._sampler import truncated_normals  # the first draw loads numpy and the tables
 
     if stop is None:
         stop = spec.samples
@@ -519,41 +399,7 @@ def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None
         raise ValueError(
             f"seed and sample indices must be non-negative, got seed {spec.seed}, start {start}"
         )
-    seed_words = _uint32_words(spec.seed)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    z = np.empty(max(stop - start, 0))
-    row = 0
-    while start < stop:
-        end = min(stop, start + _CHUNK, ((start >> 32) + 1) << 32)
-        (state_high, state_low), (inc_high, inc_low), word = _first_words(
-            seed_words, start, end - start
-        )
-        # numpy's random_standard_normal: layer, sign and magnitude of one word
-        layer = (word & 0xFF).astype(np.intp)
-        magnitude = word >> 9 & _MASK52
-        x = magnitude.astype(np.float64) * WI[layer]
-        np.negative(x, out=x, where=(word >> 8 & 1).astype(bool))
-        missed = np.flatnonzero(~((magnitude < KI[layer]) & (np.abs(x) <= spec.truncation)))
-        for index, high, low, inc_hi, inc_lo in zip(
-            missed.tolist(),
-            state_high[missed].tolist(),
-            state_low[missed].tolist(),
-            inc_high[missed].tolist(),
-            inc_low[missed].tolist(),
-        ):
-            pcg["state"], pcg["inc"] = high << 64 | low, inc_hi << 64 | inc_lo
-            bit_generator.state = state
-            value = generator.standard_normal()
-            while abs(value) > spec.truncation:
-                value = generator.standard_normal()
-            x[index] = value
-        z[row : row + x.size] = x
-        row += x.size
-        start = end
-    return z * spec.sigma
+    return truncated_normals(spec.seed, spec.truncation, start, stop) * spec.sigma
 
 
 @dataclass(frozen=True)
@@ -598,6 +444,8 @@ def monte_carlo_margins(
     right_neighbor: NeighborAssumption = NeighborAssumption.WORST,
 ) -> MonteCarloReport:
     """Seeded margin distribution; the same seed gives the same bits."""
+    import numpy as np
+
     _check_domain_count(domains)
     spec.validate()
     offsets = sample_offsets(spec)

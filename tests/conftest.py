@@ -1,7 +1,37 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mdmtj import default_characterization
 from mdmtj.network import BorderCondition
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Runs the mdmtj commands given as a JSON list on stdin through cli.main in
+# this one interpreter and prints, as JSON, each (exit code, stdout) and
+# whether numpy is loaded at the end. With "block" as its argument, any
+# import of numpy raises ImportError.
+_FRESH_CLI = """
+import json, sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+if sys.argv[1:] == ["block"]:
+    sys.modules["numpy"] = None
+import mdmtj
+from mdmtj.cli import main
+
+runs = []
+for argv in json.load(sys.stdin):
+    out = StringIO()
+    with redirect_stdout(out):
+        runs.append((main(argv), out.getvalue()))
+json.dump({"runs": runs, "numpy": sys.modules.get("numpy") is not None}, sys.stdout)
+"""
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +47,25 @@ def same_same():
 @pytest.fixture(scope="session")
 def differ_differ():
     return BorderCondition.parse("differ,differ")
+
+
+@pytest.fixture(scope="session")
+def fresh_cli():
+    """fresh_cli(argvs, block_numpy) -> ([(exit code, stdout), ...], numpy loaded)
+
+    Runs every command in one new interpreter, with SOURCE_DATE_EPOCH=0.
+    """
+
+    def run(argvs, block_numpy):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "SOURCE_DATE_EPOCH": "0"}
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_CLI, *(["block"] if block_numpy else [])],
+            input=json.dumps([list(argv) for argv in argvs]),
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        return [tuple(run) for run in result["runs"]], result["numpy"]
+
+    return run

@@ -120,6 +120,15 @@ def test_out_file_matches_golden(name, tmp_path):
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_cases_but_variation_match_golden_without_numpy(fresh_cli):
+    # only variation builds arrays: an eager import of numpy on any other
+    # path fails here
+    cases = [(name, argv) for name, argv in CASES if argv[0] != "variation"]
+    runs, _ = fresh_cli([argv for _, argv in cases], block_numpy=True)
+    for (name, _), (code, out) in zip(cases, runs, strict=True):
+        assert (code, out.encode()) == (0, (GOLDEN / name).read_bytes()), name
+
+
 def _regenerate() -> None:
     os.environ["SOURCE_DATE_EPOCH"] = "0"
     for name, argv in CASES:

@@ -66,3 +66,16 @@ def test_traced_monte_carlo_counts_every_sample(capsys):
         assert cli.main(job) == 0
     capsys.readouterr()
     assert spans.counters["variation.samples_drawn"] == 37
+
+
+def test_traced_worst_case_margin_is_recorded(capsys):
+    # cli must call worst_case_levels through its module global, which the
+    # tracer rebinds
+    tracer = _load("tracer")
+    spans = tracer.Tracer()
+    with tracer.instrument(spans):
+        assert cli.main(["margin", "--domains", "8", "--borders", "worst"]) == 0
+    capsys.readouterr()
+    assert "margins.worst_case_levels" in {span.name for span in spans.spans}
+    # four border conventions, each covering all 2^8 patterns
+    assert spans.counters == {"margins.patterns_covered": 4 * 2**8}

@@ -1,8 +1,9 @@
 """The array sampler against numpy: ziggurat tables and every fallback class.
 
-``variation.sample_offsets`` draws a row in arrays when the first 64-bit word
-of its generator takes numpy's ziggurat fast path to a value within the
-truncation; every other row redraws through numpy. The tables it reads are
+``variation.sample_offsets`` draws through ``_sampler``, which settles a row
+in arrays when the first 64-bit word of its generator takes numpy's ziggurat
+fast path to a value within the truncation; every other row redraws through
+numpy. The tables it reads are
 numpy's own, re-derived here from the installed numpy, and each class of
 row that falls back is compared bit for bit with
 ``oracle.reference_sample_offsets``.
@@ -14,13 +15,13 @@ installed numpy.
 import numpy as np
 import pytest
 
-from mdmtj import variation
+from mdmtj import _sampler
 from mdmtj._ziggurat import KI, WI
 from mdmtj.oracle import reference_sample_offsets
 from mdmtj.variation import MonteCarloSpec, sample_offsets
 
 _MASK128 = (1 << 128) - 1
-_INVERSE = pow(variation._PCG_MULT, -1, 1 << 128)
+_INVERSE = pow(_sampler._PCG_MULT, -1, 1 << 128)
 
 
 def _probe():
@@ -35,7 +36,7 @@ def _probe():
     generator = np.random.Generator(bit_generator)
 
     def draw(word):
-        inc = -word * variation._PCG_MULT & _MASK128
+        inc = -word * _sampler._PCG_MULT & _MASK128
         pcg = {"state": (word - inc) * _INVERSE & _MASK128, "inc": inc}
         bit_generator.state = {
             "bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0
@@ -86,9 +87,9 @@ def test_committed_tables_are_numpys():
 
 def _classes(spec, count):
     """Row indices of [0, count) by how their first word is drawn."""
-    _, _, word = variation._first_words(variation._uint32_words(spec.seed), 0, count)
+    _, _, word = _sampler._first_words(_sampler._uint32_words(spec.seed), 0, count)
     layer = (word & 0xFF).astype(np.intp)
-    magnitude = word >> 9 & variation._MASK52
+    magnitude = word >> 9 & _sampler._MASK52
     fast = magnitude < KI[layer]
     x = magnitude.astype(float) * WI[layer]
     return {

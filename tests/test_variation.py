@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdmtj import variation
+from mdmtj import _sampler
 from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, SegmentKind, scaled_resistance
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import enumerate_levels
@@ -323,7 +323,7 @@ SLICES = (
     (0, 0),
     (7, 7),
     (0, 24),
-    (variation._CHUNK - 3, variation._CHUNK + 3),
+    (_sampler._CHUNK - 3, _sampler._CHUNK + 3),
     (2**32 - 3, 2**32 + 3),  # the index grows a second word
     (2**64 - 2, 2**64 + 2),  # and a third
 )
