@@ -21,7 +21,6 @@ from .characterization import (
     default_characterization,
     load_config,
     parse_config,
-    scaled_resistance,
 )
 from .margins import (
     AdjacentMargin,
@@ -72,7 +71,6 @@ __all__ = [
     "default_characterization",
     "load_config",
     "parse_config",
-    "scaled_resistance",
     "AdjacentMargin",
     "ClassEntry",
     "LevelCluster",

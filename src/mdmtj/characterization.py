@@ -4,8 +4,9 @@ A free layer spanning D nanowire domains under one fixed/barrier stack acts as
 a parallel bank of mini-resistors: one per domain, one per internal domain
 wall, and one per pinned half-wall at a track border whose outside neighbor
 holds the opposite bit. Each resistor kind carries a single characterized
-resistance. Geometry enters only through segment lengths, so partial coverage
-rescales a kind by nominal/covered length.
+resistance. Geometry enters only through segment lengths: ``nominal_length``
+gives the length each resistance refers to, and ``variation`` rescales a
+partially covered segment by nominal/covered length.
 
 This module owns the segment vocabulary, the characterized resistance table,
 device geometry, drive conditions, metadata passthrough, and the config file
@@ -28,7 +29,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ConfigInvariantError, ConfigParseError, DegenerateCoverage
+from .errors import ConfigInvariantError, ConfigParseError
 
 # largest window any analysis accepts; patterns and reports stop here
 MAX_DOMAINS = 30
@@ -218,29 +219,6 @@ def default_characterization() -> Characterization:
         drive=DriveParams(),
         metadata=CharacterizationMetadata(),
     )
-
-
-def scaled_resistance(
-    kind: SegmentKind,
-    covered_length: float,
-    table: SegmentResistanceTable,
-    geometry: DeviceGeometry,
-) -> float:
-    """Resistance of a partially covered segment.
-
-    Only the covered portion conducts through the stack, so resistance grows
-    as nominal/covered; full coverage reproduces the table value exactly.
-    """
-    nominal = geometry.nominal_length(kind)
-    if covered_length <= 0:
-        raise DegenerateCoverage(
-            f"covered length must be positive, got {covered_length}"
-        )
-    if covered_length > nominal:
-        raise DegenerateCoverage(
-            f"covered length {covered_length} exceeds nominal {nominal} for {kind.name}"
-        )
-    return table.ohms(kind) * (nominal / covered_length)
 
 
 # --- config file format ----------------------------------------------------

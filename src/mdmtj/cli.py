@@ -731,6 +731,10 @@ def main(argv: list[str] | None = None) -> int:
         # no input error arrives untyped, so this is a fault of the program
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _INTERNAL_ERROR
+    except MemoryError as exc:
+        # a request larger than this host holds, such as a huge --monte-carlo
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return _INTERNAL_ERROR
 
 
 def run() -> None:

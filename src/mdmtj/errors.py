@@ -31,10 +31,6 @@ class PatternError(UsageError):
     """A bit pattern argument is not a string of '0'/'1' of admissible length."""
 
 
-class DegenerateCoverage(ModelError, ValueError):
-    """Covered length outside (0, nominal] passed to resistance rescaling."""
-
-
 class DomainCountTooSmall(UsageError):
     """Domain count below the operation's minimum."""
 

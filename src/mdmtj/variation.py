@@ -2,17 +2,21 @@
 
 A lateral offset between the MgO/fixed stack and the free-layer notches only
 touches the window ends: the edge structures on the trailing side lose
-coverage (conductance falls with covered length, a fully uncovered half-wall
-stops conducting), and the stack overhangs the neighbor domain on the other
-side, adding one parallel segment whose polarity is an assumption, not
-stored data. Interior domains never notice.
+coverage (a partial segment conducts 1 / (ohms x nominal / covered), in
+``_partial_conductance``; a fully uncovered half-wall stops conducting), and
+the stack overhangs the neighbor domain on the other side, adding one
+parallel segment whose polarity is an assumption, not stored data. Interior
+domains never notice. ``_edge_coverage`` refuses an offset that leaves an
+edge domain no covered length.
 
 Deterministic offsets and seeded Monte Carlo share one evaluation engine
 that is vectorized over offsets. It reads the run-structure sub-classes
 grouped by edge structure from the one fold of ``margins`` rather than the
 2^D patterns, so it covers every window up to MAX_DOMAINS. The same fold
 gives the nominal margin (offset 0), so a study walks once. Per-sample
-arithmetic is elementwise.
+arithmetic is elementwise, and each (weight, edge domain, half-wall) group
+evaluates two candidates, exact because rounded arithmetic is monotone and
+the table enforces r_minus_80 < r_plus_80 (see ``_side_min_margins``).
 
 Each Monte Carlo sample's offset depends only on (seed, index), so any slice
 of a run can be reproduced on its own. Sample i is the first normal within
@@ -42,7 +46,6 @@ from .characterization import (
     Characterization,
     DeviceGeometry,
     SegmentResistanceTable,
-    scaled_resistance,
 )
 from .errors import OffsetOutOfRange, UsageError
 from .margins import _EdgeGroups, _check_domain_count, _fold, _kind_ohms
@@ -104,6 +107,30 @@ def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
         )
 
 
+def _edge_coverage(edge: int, magnitude: float, geometry: DeviceGeometry) -> float:
+    """Covered length of an edge domain of kind index ``edge`` with the stack
+    shifted by ``magnitude``; OffsetOutOfRange when none is left."""
+    nominal = geometry.nominal_length(KINDS[edge])
+    covered = nominal - magnitude
+    if not covered > 0.0:
+        raise OffsetOutOfRange(
+            f"an offset of {magnitude * 1e9:.3f} nm uncovers the whole"
+            f" {nominal * 1e9:.3f} nm edge domain; the coverage model is not"
+            " valid beyond that"
+        )
+    return covered
+
+
+def _partial_conductance(
+    ohms: float, nominal: float, covered: float | np.ndarray
+) -> float | np.ndarray:
+    """Conductance of a segment of characterized resistance ``ohms`` over
+    ``nominal`` meters, ``covered`` of them under the stack: resistance grows
+    as nominal/covered, so full coverage conducts exactly 1/ohms. Floats or
+    arrays."""
+    return 1.0 / (ohms * (nominal / covered))
+
+
 @dataclass(frozen=True)
 class PerturbedDecomposition:
     """A bank with edge coverage losses and an overhang.
@@ -151,16 +178,9 @@ def apply_misalignment(
         raise ValueError(
             "worst-case neighbors resolve at the report level; pass 0 or 1 here"
         )
-    covered = geometry.nominal_length(KINDS[edge]) - magnitude
-    if not covered > 0.0:
-        raise OffsetOutOfRange(
-            f"an offset of {magnitude * 1e9:.3f} nm uncovers the whole {KINDS[edge].name}"
-            " edge domain; the coverage model is not valid beyond that"
-        )
-
     counts = list(base.counts)
     counts[edge] -= 1
-    partials = [(edge, covered)]
+    partials = [(edge, _edge_coverage(edge, magnitude, geometry))]
     if half is not None:
         counts[half] -= 1
         covered = geometry.nominal_length(KINDS[half]) - magnitude
@@ -179,7 +199,8 @@ def perturbed_resistance(
     then the partials in their listed order."""
     g = bank_conductance(perturbed.counts, table)
     for index, covered in perturbed.partials:
-        g += 1.0 / scaled_resistance(KINDS[index], covered, table, geometry)
+        kind = KINDS[index]
+        g += _partial_conductance(table.ohms(kind), geometry.nominal_length(kind), covered)
     return 1.0 / g
 
 
@@ -200,11 +221,13 @@ def _side_min_margins(
     conductance g of the bank minus the uncovered edge domain and half-wall,
     summed in kind order, then ((g + edge) + half) + overhang, where the
     three partial terms depend only on the edge structure, the neighbor bit
-    and the offset. Round-to-nearest addition is monotone and so is 1/g, so
-    within one (weight, edge domain, half-wall) group the extreme resistances
-    come from the extreme g: the group's two conductances give, bit for bit,
-    the cluster extremes of evaluating every pattern. That is one offset
-    vector per distinct conductance, never a rows x offsets matrix.
+    and the offset. Round-to-nearest addition is monotone and so is 1/x, so
+    each (weight, edge domain, half-wall) group needs two candidates, bit for
+    bit: its lowest resistance is g_high with the strongest overhang, its
+    highest g_low with the weakest. A bit-0 overhang is the stronger one:
+    both polarities' full-length domains have the same nominal length, and
+    the table enforces r_minus_80 < r_plus_80. That is two offset vectors per
+    group, never a rows x offsets matrix, and weights stream one at a time.
 
     An offset that leaves the edge domain of any group no covered length
     raises OffsetOutOfRange.
@@ -213,32 +236,30 @@ def _side_min_margins(
 
     geometry = char.geometry
     nominal = [geometry.nominal_length(kind) for kind in KINDS]
-    shortest = min({edge for _, edge, _ in groups}, key=nominal.__getitem__)
-    reach = float(np.max(magnitudes))
-    if not nominal[shortest] - reach > 0.0:
-        raise OffsetOutOfRange(
-            f"an offset of {reach * 1e9:.3f} nm uncovers the whole"
-            f" {nominal[shortest] * 1e9:.3f} nm {KINDS[shortest].name} edge domain;"
-            " the coverage model is not valid beyond that"
-        )
+    edges = {edge for _, edge, _ in groups}
+    _edge_coverage(min(edges, key=nominal.__getitem__), float(np.max(magnitudes)), geometry)
 
     def partial(kind: int, covered: np.ndarray) -> np.ndarray:
-        # a vanishing coverage overflows the resistance to inf, and 1/inf
-        # is the right conductance: 0.0
-        with np.errstate(over="ignore", divide="ignore"):
-            return 1.0 / (ohms[kind] * (nominal[kind] / covered))
+        return _partial_conductance(ohms[kind], nominal[kind], covered)
 
-    edge_terms = {
-        edge: partial(edge, nominal[edge] - magnitudes) for _, edge, _ in groups
-    }
-    half_terms = {}
-    for half in {half for _, _, half in groups if half is not None}:
-        covered = nominal[half] - magnitudes
-        mask = covered > 0.0  # a fully uncovered half-wall stops conducting
-        term = np.zeros(magnitudes.shape)
-        term[mask] = partial(half, covered[mask])
-        half_terms[half] = term  # adding 0.0 leaves g unchanged
-    overhang_terms = [partial(DOMAIN[bit][0], magnitudes) for bit in neighbor_bits]
+    # a vanishing coverage overflows the resistance to inf, and 1/inf is the
+    # right conductance: 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        edge_terms = {edge: partial(edge, nominal[edge] - magnitudes) for edge in edges}
+        half_terms = {}
+        for half in {half for _, _, half in groups if half is not None}:
+            covered = nominal[half] - magnitudes
+            # a fully uncovered half-wall stops conducting: adding 0.0 leaves g unchanged
+            half_terms[half] = np.where(covered > 0.0, partial(half, covered), 0.0)
+        overhangs = [partial(DOMAIN[bit][0], magnitudes) for bit in neighbor_bits]
+    strongest, weakest = overhangs[0], overhangs[-1]  # bits are listed 0 first
+
+    def resistance(g: float, edge: int, half: int | None, overhang: np.ndarray) -> np.ndarray:
+        total = g + edge_terms[edge]
+        if half is not None:
+            total += half_terms[half]
+        total += overhang
+        return np.divide(1.0, total, out=total)
 
     by_weight: list[list[tuple[int, int | None, float, float]]] = [
         [] for _ in range(domains + 1)
@@ -251,18 +272,13 @@ def _side_min_margins(
     for entries in by_weight:
         low = high = None
         for edge, half, g_low, g_high in entries:
-            for overhang in overhang_terms:
-                for g in {g_low, g_high}:  # once when they are equal
-                    total = g + edge_terms[edge]
-                    if half is not None:
-                        total += half_terms[half]
-                    total += overhang
-                    resistance = 1.0 / total
-                    if low is None:
-                        low, high = resistance, resistance.copy()
-                    else:
-                        np.minimum(low, resistance, out=low)
-                        np.maximum(high, resistance, out=high)
+            group_low = resistance(g_high, edge, half, strongest)
+            group_high = resistance(g_low, edge, half, weakest)
+            if low is None:
+                low, high = group_low, group_high
+            else:
+                np.minimum(low, group_low, out=low)
+                np.maximum(high, group_high, out=high)
         if previous_high is not None:
             margin = current * low - current * previous_high
             best = margin if best is None else np.minimum(best, margin, out=best)

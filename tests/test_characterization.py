@@ -20,14 +20,8 @@ from mdmtj.characterization import (
     default_characterization,
     load_config,
     parse_config,
-    scaled_resistance,
 )
-from mdmtj.errors import (
-    ConfigError,
-    ConfigInvariantError,
-    ConfigParseError,
-    DegenerateCoverage,
-)
+from mdmtj.errors import ConfigError, ConfigInvariantError, ConfigParseError
 
 # characterized mini-resistor values, ohms
 DEFAULTS = {
@@ -115,42 +109,6 @@ def test_table_rejects_length_order_violation():
 def test_table_rejects_polarity_order_violation():
     with pytest.raises(ConfigInvariantError, match="r_plus_80"):
         SegmentResistanceTable.defaults().replace({SegmentKind.DOMAIN_PLUS_FULL: 1800})
-
-
-def test_scaled_resistance_full_coverage_is_identity(char):
-    kind = SegmentKind.DOMAIN_MINUS_FULL
-    nominal = char.geometry.nominal_length(kind)
-    assert scaled_resistance(kind, nominal, char.table, char.geometry) == char.table.ohms(kind)
-
-
-def test_scaled_resistance_half_coverage_doubles(char):
-    kind = SegmentKind.DOMAIN_PLUS_MID
-    nominal = char.geometry.nominal_length(kind)
-    value = scaled_resistance(kind, nominal / 2, char.table, char.geometry)
-    assert value == pytest.approx(2 * char.table.ohms(kind))
-
-
-def test_scaled_resistance_rejects_degenerate(char):
-    kind = SegmentKind.DOMAIN_MINUS_FULL
-    nominal = char.geometry.nominal_length(kind)
-    for covered in (0.0, -1e-9, nominal * 1.01):
-        with pytest.raises(DegenerateCoverage):
-            scaled_resistance(kind, covered, char.table, char.geometry)
-
-
-@given(
-    fraction=st.floats(min_value=0.01, max_value=1.0),
-    smaller=st.floats(min_value=0.01, max_value=0.99),
-)
-def test_scaled_resistance_monotone_in_coverage(fraction, smaller):
-    char = default_characterization()
-    kind = SegmentKind.DOMAIN_MINUS_FULL
-    nominal = char.geometry.nominal_length(kind)
-    a = scaled_resistance(kind, nominal * fraction, char.table, char.geometry)
-    b = scaled_resistance(kind, nominal * fraction * smaller, char.table, char.geometry)
-    assert b >= a  # less coverage never conducts better
-    if smaller < 0.9:
-        assert b > a
 
 
 def test_geometry_validation():

@@ -359,6 +359,19 @@ def test_internal_value_error_exits_1(capsys, monkeypatch):
     assert err == "error: internal: ValueError: math domain error\n"
 
 
+@pytest.mark.parametrize("detail", ["Unable to allocate 7.11 PiB for an array", ""])
+def test_out_of_memory_exits_1_without_a_traceback(capsys, monkeypatch, detail):
+    def huge(*_args):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(variation, "sample_offsets", huge)
+    code, out, err = run_cli(
+        capsys, "variation", "--domains", "4", "--monte-carlo", "1000000000000000", "--seed", "1"
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: out of memory: {detail or 'an allocation failed'}\n"
+
+
 def test_module_entry_point_matches_console_script():
     # ``python -m mdmtj.cli`` runs the same code as the ``mdmtj`` script,
     # whose entry point is mdmtj.cli:run

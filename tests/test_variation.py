@@ -2,14 +2,15 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdmtj import _sampler
-from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, SegmentKind, scaled_resistance
+from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
@@ -19,6 +20,7 @@ from mdmtj.variation import (
     MisalignmentSpec,
     MonteCarloSpec,
     NeighborAssumption,
+    PerturbedDecomposition,
     apply_misalignment,
     min_margins_for_offsets,
     monte_carlo_margins,
@@ -127,8 +129,43 @@ def test_perturbed_resistance_formula(char):
         if count:  # a zero count adds 0.0 in production
             g += count / char.table.ohms(kind)
     for index, covered in perturbed.partials:
-        g += 1.0 / scaled_resistance(KINDS[index], covered, char.table, char.geometry)
+        kind = KINDS[index]
+        g += 1.0 / (char.table.ohms(kind) * (char.geometry.nominal_length(kind) / covered))
     assert perturbed_resistance(perturbed, char.table, char.geometry) == 1.0 / g
+
+
+def _lone(index):
+    return tuple(int(i == index) for i in range(len(KINDS)))
+
+
+def test_a_partial_at_full_length_conducts_its_table_value(char):
+    nothing = (0,) * len(KINDS)
+    for index, kind in enumerate(KINDS):
+        full = char.geometry.nominal_length(kind)
+        partial = PerturbedDecomposition(nothing, ((index, full),))
+        whole = PerturbedDecomposition(_lone(index), ())
+        r = perturbed_resistance(partial, char.table, char.geometry)
+        assert r == perturbed_resistance(whole, char.table, char.geometry), kind
+        assert r == 1.0 / (1.0 / char.table.ohms(kind)), kind
+
+
+@given(
+    index=st.integers(0, len(KINDS) - 1),
+    fraction=st.floats(min_value=0.01, max_value=1.0),
+    smaller=st.floats(min_value=0.01, max_value=0.99),
+)
+def test_less_coverage_never_conducts_more(char, same_same, index, fraction, smaller):
+    base = decompose(BitPattern.parse("0110"), same_same).counts
+    covered = char.geometry.nominal_length(KINDS[index]) * fraction
+    more, less = (
+        perturbed_resistance(
+            PerturbedDecomposition(base, ((index, length),)), char.table, char.geometry
+        )
+        for length in (covered, covered * smaller)
+    )
+    assert less >= more
+    if smaller < 0.9:
+        assert less > more
 
 
 def _scalar_min_margin(domains, borders, offset, left, right, char):
@@ -223,6 +260,42 @@ def test_engine_matches_oracle_beyond_twelve_domains(char):
     assert engine.tobytes() == reference.tobytes()
 
 
+def _factors(count):
+    # up to +-10 % of each default value, in steps of 0.1 %
+    return st.lists(st.integers(900, 1100), min_size=count, max_size=count)
+
+
+@st.composite
+def _perturbed_tables(draw, char):
+    """Default resistances moved by up to +-10 % within the table invariants,
+    walls and half-walls unequal."""
+    values = [
+        char.table.exact(kind) * Fraction(factor, 1000)
+        for kind, factor in zip(KINDS, draw(_factors(len(KINDS))))
+    ]
+    for row in DOMAIN:  # keep full < mid < short; plus stays above minus
+        values[row[0] : row[-1] + 1] = sorted(values[row[0] : row[-1] + 1])
+    assume(all(values[a] != values[b] for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))))
+    assume(values[WALL[0]] != values[WALL[1]] and values[HALF_WALL[0]] != values[HALF_WALL[1]])
+    return replace(char, table=char.table.replace(dict(zip(KINDS, values))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), domains=st.integers(1, 8))
+def test_engine_matches_oracle_on_perturbed_tables(char, data, domains):
+    perturbed = data.draw(_perturbed_tables(char))
+    offsets = _boundary_offsets(perturbed)
+    for borders in ALL_CONDITIONS:
+        for assumption in (ZERO, ONE, WORST):
+            engine = min_margins_for_offsets(
+                domains, borders, offsets, assumption, assumption, perturbed
+            )
+            reference = brute_force_offset_margins(
+                domains, borders, offsets, assumption, assumption, perturbed
+            )
+            assert engine.tobytes() == reference.tobytes(), (borders, assumption)
+
+
 def _short_domains(char):
     # valid (notch 12 nm < 20 nm), but a two-wall domain is only 8 nm long
     return replace(char, geometry=replace(char.geometry, domain_length=20e-9))
@@ -246,6 +319,17 @@ def test_every_path_refuses_an_offset_past_an_edge_domain(char, differ_differ, o
     for engine in (min_margins_for_offsets, brute_force_offset_margins):
         with pytest.raises(OffsetOutOfRange, match="edge domain"):
             engine(2, differ_differ, np.array([offset]), ZERO, ZERO, short)
+
+
+@pytest.mark.parametrize("offset", [9e-9, -9e-9])
+def test_pattern_and_engine_refuse_an_uncovered_edge_alike(char, differ_differ, offset):
+    short = _short_domains(char)
+    with pytest.raises(OffsetOutOfRange) as pattern:
+        apply_misalignment("01", differ_differ, MisalignmentSpec(offset, ZERO, ZERO), short.geometry)
+    with pytest.raises(OffsetOutOfRange) as engine:
+        min_margins_for_offsets(2, differ_differ, np.array([offset]), ZERO, ZERO, short)
+    assert str(pattern.value) == str(engine.value)
+    assert "9.000 nm" in str(pattern.value) and "8.000 nm edge domain" in str(pattern.value)
 
 
 def test_offset_short_of_every_edge_domain_is_evaluated(char, same_same, differ_differ):
