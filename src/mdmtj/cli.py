@@ -93,7 +93,8 @@ def _finite_float(text: str) -> float:
 # --- results and emission ------------------------------------------------------
 
 # A column is a bare name (value emitted as is) or (name, scale, decimals):
-# CSV prints value * scale in fixed point, JSON rounds it; None is "" / null.
+# CSV prints "%.{decimals}f" % (value * scale), JSON
+# repr(round(value * scale, decimals)); None is "" / null.
 _Column = Union[str, tuple[str, float, int]]
 
 # rows formatted and written per write call: bounds the text held at once,
@@ -110,8 +111,10 @@ class _Result:
 
     ``table`` renders the human-readable text. JSON carries ``head``, then the
     rows under ``rows_key`` (when there is one), then ``tail``; CSV carries the
-    rows alone. ``values`` holds one sequence per column, all of one length;
-    an ndarray column is read as Python floats.
+    rows alone. ``values`` holds one sequence per column, all of one length.
+    When every column is an ndarray or a ``range`` (a Monte Carlo result),
+    ``_rows`` formats the rows in numpy, to the bytes the cell-by-cell path
+    prints.
     """
 
     command: str
@@ -175,21 +178,28 @@ def _json_cells(column: _Column, values: Sequence[Any]) -> list[str]:
     return ["null" if value is None else repr(round(value * scale, decimals)) for value in values]
 
 
-def _row_chunks(
-    result: _Result,
-    cells: Callable[[_Column, Sequence[Any]], list[str]],
-    template: str,
-    separator: str,
-) -> Iterator[str]:
-    """The rows as text, ``_ROWS_PER_WRITE`` at a time: each column's slice
-    formatted by ``cells`` in one pass, then one ``template`` per row, the
-    rows joined by ``separator``."""
+def _row_chunks(result: _Result, fmt: str, template: str, separator: str) -> Iterator[str]:
+    """The rows as ``fmt`` text, ``_ROWS_PER_WRITE`` at a time: one
+    ``template`` per row, the rows joined by ``separator``. Each column's
+    slice is formatted in one pass, by ``_rows`` in numpy when every column
+    is an array or a range (a Monte Carlo result), else cell by cell."""
+    cells = _csv_cells if fmt == "csv" else _json_cells
     rows = len(result.values[0]) if result.values else 0
+    arrays = all(
+        isinstance(values, range) if isinstance(column, str) else hasattr(values, "dtype")
+        for column, values in zip(result.columns, result.values)
+    )
+    if rows and arrays:
+        from . import _rows
     for start in range(0, rows, _ROWS_PER_WRITE):
-        columns = []
-        for column, values in zip(result.columns, result.values):
-            part = values[start : start + _ROWS_PER_WRITE]
-            columns.append(cells(column, part.tolist() if hasattr(part, "tolist") else part))
+        parts = [values[start : start + _ROWS_PER_WRITE] for values in result.values]
+        if arrays:
+            yield _rows.rows_text(result.columns, parts, fmt, cells, template, separator)
+            continue
+        columns = [
+            cells(column, part.tolist() if hasattr(part, "tolist") else part)
+            for column, part in zip(result.columns, parts)
+        ]
         yield separator.join(map(template.__mod__, zip(*columns)))
 
 
@@ -202,7 +212,7 @@ def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
     names = [_column_name(column) for column in result.columns]
     if fmt == "csv":
         yield "".join(line + "\n" for line in _manifest_comments(manifest)) + ",".join(names) + "\n"
-        yield from _row_chunks(result, _csv_cells, ",".join(["%s"] * len(names)) + "\n", "")
+        yield from _row_chunks(result, "csv", ",".join(["%s"] * len(names)) + "\n", "")
         return
     payload: dict[str, object] = {"manifest": manifest, **result.head}
     if result.rows_key is not None:
@@ -216,7 +226,7 @@ def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
     # separated by ",\n", with "\n  ]" after the last; "[]" when there is none
     before, _, after = text.partition(json.dumps(_ROWS_PLACEHOLDER))
     fields = ",\n".join(f"      {json.dumps(name)}: %s" for name in names)
-    chunks = _row_chunks(result, _json_cells, "    {\n" + fields + "\n    }", ",\n")
+    chunks = _row_chunks(result, "json", "    {\n" + fields + "\n    }", ",\n")
     first = next(chunks, None)
     if first is None:
         yield before + "[]" + after

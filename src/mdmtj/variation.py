@@ -207,6 +207,19 @@ def perturbed_resistance(
 # --- vectorized margin engine ------------------------------------------------
 
 
+def _candidate_resistance(
+    g: float, edge_term: np.ndarray, half_term: np.ndarray | None, overhang: np.ndarray
+) -> np.ndarray:
+    """1 / (((g + edge) + half) + overhang) per offset, in a new vector."""
+    import numpy as np
+
+    total = g + edge_term
+    if half_term is not None:
+        total += half_term
+    total += overhang
+    return np.divide(1.0, total, out=total)
+
+
 def _side_min_margins(
     domains: int,
     groups: _EdgeGroups,
@@ -227,7 +240,8 @@ def _side_min_margins(
     highest g_low with the weakest. A bit-0 overhang is the stronger one:
     both polarities' full-length domains have the same nominal length, and
     the table enforces r_minus_80 < r_plus_80. That is two offset vectors per
-    group, never a rows x offsets matrix, and weights stream one at a time.
+    group, one when a single neighbor bit is assumed and g_low == g_high;
+    never a rows x offsets matrix, and weights stream one at a time.
 
     An offset that leaves the edge domain of any group no covered length
     raises OffsetOutOfRange.
@@ -254,13 +268,6 @@ def _side_min_margins(
         overhangs = [partial(DOMAIN[bit][0], magnitudes) for bit in neighbor_bits]
     strongest, weakest = overhangs[0], overhangs[-1]  # bits are listed 0 first
 
-    def resistance(g: float, edge: int, half: int | None, overhang: np.ndarray) -> np.ndarray:
-        total = g + edge_terms[edge]
-        if half is not None:
-            total += half_terms[half]
-        total += overhang
-        return np.divide(1.0, total, out=total)
-
     by_weight: list[list[tuple[int, int | None, float, float]]] = [
         [] for _ in range(domains + 1)
     ]
@@ -272,10 +279,16 @@ def _side_min_margins(
     for entries in by_weight:
         low = high = None
         for edge, half, g_low, g_high in entries:
-            group_low = resistance(g_high, edge, half, strongest)
-            group_high = resistance(g_low, edge, half, weakest)
+            terms = edge_terms[edge], half_terms.get(half)
+            group_low = _candidate_resistance(g_high, *terms, strongest)
+            if strongest is weakest and g_low == g_high:  # one candidate
+                group_high = group_low
+            else:
+                group_high = _candidate_resistance(g_low, *terms, weakest)
             if low is None:
-                low, high = group_low, group_high
+                # low and high are updated in place: never one buffer
+                low = group_low
+                high = group_high.copy() if group_high is group_low else group_high
             else:
                 np.minimum(low, group_low, out=low)
                 np.maximum(high, group_high, out=high)

@@ -241,19 +241,39 @@ def _row_by_row(result, char, fmt):
     return json.dumps(payload, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("rows", [0, 1, 7, 23])
-def test_emitter_matches_row_by_row_serialization(capsys, monkeypatch, char, fmt, rows):
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)  # several chunks, one of them short
+def _mixed_columns(rows):
     rng = np.random.default_rng(rows)
     spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-16, 4, rows)
     spread[::5] = -0.0
     gaps = [None if i % 3 == 0 else float(v) for i, v in enumerate(spread)]
+    columns = ("index", "bits", ("x_nm", 1e9, 6), ("y_mv", 1e3, 2))
+    return columns, (range(rows), [format(i, "b") for i in range(rows)], spread, gaps)
+
+
+def _array_columns(rows):
+    # every column an array or a range, as in a Monte Carlo result
+    rng = np.random.default_rng(rows)
+    offsets = rng.standard_normal(rows) * 1e-9
+    offsets[::4] = -offsets[::4] * 1e-6  # JSON prints these in exponent form
+    offsets[1::6] = -0.0
+    margins = 0.02 + rng.standard_normal(rows) * 1e-3
+    margins[2::5] = (np.arange(len(margins[2::5])) + 0.5) / 1e5  # halves of the last digit
+    return ("index", ("x_nm", 1e9, 6), ("y_mv", 1e3, 2)), (range(rows), offsets, margins)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "rows,columns",
+    [pytest.param(rows, _mixed_columns, id=str(rows)) for rows in (0, 1, 7, 23)]
+    + [pytest.param(rows, _array_columns, id=f"{rows}-arrays") for rows in (0, 1, 7, 8, 23)],
+)
+def test_emitter_matches_row_by_row_serialization(capsys, monkeypatch, char, fmt, rows, columns):
+    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)  # several chunks, one of them short
+    names, values = columns(rows)
     result = cli._Result(
         "test", {"rows": rows}, str,
         head={"first": 1.5}, rows_key="rows",
-        columns=("index", "bits", ("x_nm", 1e9, 6), ("y_mv", 1e3, 2)),
-        values=(range(rows), [format(i, "b") for i in range(rows)], spread, gaps),
+        columns=names, values=values,
         tail={"last": None},
     )
     cli._emit(result, char, fmt, None)

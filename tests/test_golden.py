@@ -7,6 +7,7 @@ output contract:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import os
 import sys
 from contextlib import redirect_stdout
@@ -85,6 +86,15 @@ OUT_CASES = [name for name, argv in CASES if argv[0] not in ("resistance", "volt
 
 CASES += LARGE_CASES
 
+# Monte Carlo runs longer than one write chunk (8192 rows), pinned by the
+# sha256 of their output instead of a megabyte golden file
+MULTI_CHUNK_ARGV = ("variation", "--domains", "4", "--monte-carlo", "20000", "--seed", "5",
+                    "--borders", "same,differ")
+MULTI_CHUNK_DIGESTS = {
+    "csv": "513327534a233693941892e0cc902ea885d66e1d22a756c09efbfb68ebbbfac6",
+    "json": "574a4e10b865f6ea33087b77055518e488b4db8ce4b3a7baa2dcfaf16f97601d",
+}
+
 
 def _run(argv: tuple[str, ...]) -> tuple[int, str]:
     buffer = StringIO()
@@ -118,6 +128,13 @@ def test_out_file_matches_golden(name, tmp_path):
     code, out = _run((*argv, "--out", str(target)))
     assert (code, out) == (0, "")
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(MULTI_CHUNK_DIGESTS))
+def test_multi_chunk_monte_carlo_matches_digest(fmt):
+    code, out = _run((*MULTI_CHUNK_ARGV, "--format", fmt))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MULTI_CHUNK_DIGESTS[fmt]
 
 
 def test_cases_but_variation_match_golden_without_numpy(fresh_cli):

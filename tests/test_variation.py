@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mdmtj import _sampler
+from mdmtj import _sampler, variation
 from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import enumerate_levels
@@ -258,6 +258,27 @@ def test_engine_matches_oracle_beyond_twelve_domains(char):
     engine = min_margins_for_offsets(14, borders, offsets, WORST, WORST, char)
     reference = brute_force_offset_margins(14, borders, offsets, WORST, WORST, char)
     assert engine.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "domains,assumption,evaluated", [(12, ZERO, 80), (12, ONE, 80), (12, WORST, 88), (30, ZERO, 224)]
+)
+def test_engine_evaluates_a_group_once_when_its_candidates_coincide(
+    char, monkeypatch, domains, assumption, evaluated
+):
+    # one neighbor bit gives one overhang; a group whose two bank
+    # conductances are equal then has one candidate vector, not two
+    candidate = variation._candidate_resistance
+    calls = []
+
+    def counted(*terms):
+        calls.append(terms)
+        return candidate(*terms)
+
+    monkeypatch.setattr(variation, "_candidate_resistance", counted)
+    borders = BorderCondition.parse("same,differ")
+    min_margins_for_offsets(domains, borders, np.array([2e-9]), assumption, assumption, char)
+    assert len(calls) == evaluated
 
 
 def _factors(count):
