@@ -263,7 +263,8 @@ def _mv(volts: float) -> float:
 
 def _oracle() -> ModuleType:
     """The brute-force reference module, imported by ``--oracle`` runs only:
-    it loads numpy, which no other subcommand but ``variation`` needs."""
+    it loads numpy, which no other run but ``variation --monte-carlo``
+    needs."""
     from . import oracle
 
     return oracle

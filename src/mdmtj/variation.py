@@ -9,10 +9,11 @@ parallel segment whose polarity is an assumption, not stored data. Interior
 domains never notice. ``_edge_coverage`` refuses an offset that leaves an
 edge domain no covered length.
 
-Deterministic offsets and seeded Monte Carlo share one evaluation engine
-that is vectorized over offsets. It reads the run-structure sub-classes
-grouped by edge structure from the one fold of ``margins`` rather than the
-2^D patterns, so it covers every window up to MAX_DOMAINS. The same fold
+Deterministic offsets and seeded Monte Carlo share one evaluation engine. It
+runs on one float offset magnitude at a time, or vectorized over an ndarray
+of them, with the same steps and the same bits. It reads the run-structure
+sub-classes grouped by edge structure from the one fold of ``margins``
+rather than the 2^D patterns, so it covers every window up to MAX_DOMAINS. The same fold
 gives the nominal margin (offset 0), so a study walks once. Per-sample
 arithmetic is elementwise, and each (weight, edge domain, half-wall) group
 evaluates two candidates, exact because rounded arithmetic is monotone and
@@ -30,15 +31,21 @@ must agree bit for bit; ``variation --monte-carlo --oracle`` redraws every
 sample that way.
 
 numpy is imported by the functions that build arrays, when they are called:
-the engine, the Monte Carlo study and ``_sampler`` on the first draw. Loading
-this module, as every ``mdmtj`` process does, does not load numpy.
+the engine on an ndarray, the Monte Carlo study and ``_sampler`` on the first
+draw. Loading this module, as every ``mdmtj`` process does, does not load
+numpy, and neither does a fixed-offset study: ``offset_margin_report`` passes
+its three offsets as a list, which ``min_margins_for_offsets`` evaluates on
+floats and returns as a list.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import enum
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .characterization import (
     DOMAIN,
@@ -98,11 +105,13 @@ class MisalignmentSpec:
 
 
 def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
-    # written so that NaN fails the test too
+    # written so that NaN fails the test too. Lengths print with 15
+    # significant digits: an offset just past the notch prints unlike it, and
+    # a value typed with up to 15 digits prints as typed.
     if not (abs(offset) <= geometry.notch_length):
         raise OffsetOutOfRange(
-            f"offset {offset * 1e9:.3f} nm exceeds one notch length"
-            f" ({geometry.notch_length * 1e9:.3f} nm); the coverage model"
+            f"offset {offset * 1e9:.15g} nm exceeds one notch length"
+            f" ({geometry.notch_length * 1e9:.15g} nm); the coverage model"
             " is not valid beyond that"
         )
 
@@ -114,8 +123,8 @@ def _edge_coverage(edge: int, magnitude: float, geometry: DeviceGeometry) -> flo
     covered = nominal - magnitude
     if not covered > 0.0:
         raise OffsetOutOfRange(
-            f"an offset of {magnitude * 1e9:.3f} nm uncovers the whole"
-            f" {nominal * 1e9:.3f} nm edge domain; the coverage model is not"
+            f"an offset of {magnitude * 1e9:.15g} nm uncovers the whole"
+            f" {nominal * 1e9:.15g} nm edge domain; the coverage model is not"
             " valid beyond that"
         )
     return covered
@@ -204,31 +213,67 @@ def perturbed_resistance(
     return 1.0 / g
 
 
-# --- vectorized margin engine ------------------------------------------------
+# --- margin engine -------------------------------------------------------------
 
 
 def _candidate_resistance(
-    g: float, edge_term: np.ndarray, half_term: np.ndarray | None, overhang: np.ndarray
-) -> np.ndarray:
-    """1 / (((g + edge) + half) + overhang) per offset, in a new vector."""
-    import numpy as np
-
+    g: float,
+    edge_term: float | np.ndarray,
+    half_term: float | np.ndarray | None,
+    overhang: float | np.ndarray,
+) -> float | np.ndarray:
+    """1 / (((g + edge) + half) + overhang): a float, or per offset in a new
+    vector."""
     total = g + edge_term
     if half_term is not None:
         total += half_term
     total += overhang
+    if isinstance(total, float):
+        return 1.0 / total
+    import numpy as np
+
     return np.divide(1.0, total, out=total)
+
+
+def _elementwise(magnitudes: float | np.ndarray) -> tuple[Any, Callable, Callable, Callable]:
+    """The steps of ``_side_min_margins`` that depend on the type of its
+    magnitudes: (error state, covered-only conductance, running minimum,
+    running maximum).
+
+    ``covered_only(conductance, kind, covered)`` is ``conductance(kind,
+    covered)`` where ``covered`` is positive and 0.0 elsewhere. On an ndarray
+    the steps are numpy's: overflow and a zero coverage are quiet, and the
+    running extremes update their first argument in place. On one float
+    nothing warns, and a zero coverage is never divided by.
+    """
+    if isinstance(magnitudes, float):
+        def covered_only(conductance: Callable, kind: int, covered: float) -> float:
+            return conductance(kind, covered) if covered > 0.0 else 0.0
+
+        return contextlib.nullcontext(), covered_only, min, max
+    import numpy as np
+
+    def covered_only(conductance: Callable, kind: int, covered: np.ndarray) -> np.ndarray:
+        return np.where(covered > 0.0, conductance(kind, covered), 0.0)
+
+    return (
+        np.errstate(over="ignore", divide="ignore"),
+        covered_only,
+        lambda running, new: np.minimum(running, new, out=running),
+        lambda running, new: np.maximum(running, new, out=running),
+    )
 
 
 def _side_min_margins(
     domains: int,
     groups: _EdgeGroups,
-    magnitudes: np.ndarray,
+    magnitudes: float | np.ndarray,
     neighbor_bits: tuple[int, ...],
     char: Characterization,
     ohms: list[float],
-) -> np.ndarray:
-    """Min margin per offset magnitude, one uncovered side.
+) -> float | np.ndarray:
+    """Min margin per offset magnitude, one uncovered side: for one float
+    magnitude a float, for an ndarray of them an ndarray.
 
     Per-element arithmetic mirrors perturbed_resistance exactly: the
     conductance g of the bank minus the uncovered edge domain and half-wall,
@@ -241,30 +286,28 @@ def _side_min_margins(
     both polarities' full-length domains have the same nominal length, and
     the table enforces r_minus_80 < r_plus_80. That is two offset vectors per
     group, one when a single neighbor bit is assumed and g_low == g_high;
-    never a rows x offsets matrix, and weights stream one at a time.
+    never a rows x offsets matrix, and weights stream one at a time. Floats
+    and arrays run the same steps (``_elementwise``), so they agree bit for
+    bit.
 
-    An offset that leaves the edge domain of any group no covered length
-    raises OffsetOutOfRange.
+    The caller has checked that no magnitude uncovers an edge domain.
     """
-    import numpy as np
-
-    geometry = char.geometry
-    nominal = [geometry.nominal_length(kind) for kind in KINDS]
+    errstate, covered_only, minimum, maximum = _elementwise(magnitudes)
+    nominal = [char.geometry.nominal_length(kind) for kind in KINDS]
     edges = {edge for _, edge, _ in groups}
-    _edge_coverage(min(edges, key=nominal.__getitem__), float(np.max(magnitudes)), geometry)
+    halves = {half for _, _, half in groups if half is not None}
 
-    def partial(kind: int, covered: np.ndarray) -> np.ndarray:
+    def partial(kind: int, covered: float | np.ndarray) -> float | np.ndarray:
         return _partial_conductance(ohms[kind], nominal[kind], covered)
 
     # a vanishing coverage overflows the resistance to inf, and 1/inf is the
     # right conductance: 0.0
-    with np.errstate(over="ignore", divide="ignore"):
+    with errstate:
         edge_terms = {edge: partial(edge, nominal[edge] - magnitudes) for edge in edges}
-        half_terms = {}
-        for half in {half for _, _, half in groups if half is not None}:
-            covered = nominal[half] - magnitudes
-            # a fully uncovered half-wall stops conducting: adding 0.0 leaves g unchanged
-            half_terms[half] = np.where(covered > 0.0, partial(half, covered), 0.0)
+        # a fully uncovered half-wall stops conducting: adding 0.0 leaves g unchanged
+        half_terms = {
+            half: covered_only(partial, half, nominal[half] - magnitudes) for half in halves
+        }
         overhangs = [partial(DOMAIN[bit][0], magnitudes) for bit in neighbor_bits]
     strongest, weakest = overhangs[0], overhangs[-1]  # bits are listed 0 first
 
@@ -274,7 +317,7 @@ def _side_min_margins(
     for (weight, edge, half), (g_low, g_high) in groups.items():
         by_weight[weight].append((edge, half, g_low, g_high))
 
-    current = char.drive.read_current(domains, geometry)
+    current = char.drive.read_current(domains, char.geometry)
     best = previous_high = None
     for entries in by_weight:
         low = high = None
@@ -286,15 +329,15 @@ def _side_min_margins(
             else:
                 group_high = _candidate_resistance(g_low, *terms, weakest)
             if low is None:
-                # low and high are updated in place: never one buffer
+                # arrays are updated in place: never one buffer for both
                 low = group_low
-                high = group_high.copy() if group_high is group_low else group_high
+                high = copy.copy(group_high) if group_high is group_low else group_high
             else:
-                np.minimum(low, group_low, out=low)
-                np.maximum(high, group_high, out=high)
+                low = minimum(low, group_low)
+                high = maximum(high, group_high)
         if previous_high is not None:
             margin = current * low - current * previous_high
-            best = margin if best is None else np.minimum(best, margin, out=best)
+            best = margin if best is None else minimum(best, margin)
         previous_high = high
     return best
 
@@ -302,39 +345,61 @@ def _side_min_margins(
 def min_margins_for_offsets(
     domains: int,
     borders: BorderCondition,
-    offsets: np.ndarray,
+    offsets: Sequence[float] | np.ndarray,
     left_neighbor: NeighborAssumption,
     right_neighbor: NeighborAssumption,
     char: Characterization,
-) -> np.ndarray:
+) -> list[float] | np.ndarray:
     """Minimum sense margin (volts) for each signed offset (meters).
 
     A positive offset uncovers the left edge and overhangs the right
-    neighbor; a negative one mirrors that.
+    neighbor; a negative one mirrors that. An ndarray of offsets gives an
+    ndarray, each side one vectorized pass of the engine. A sequence of
+    floats gives a list of floats and loads no numpy: each nonzero offset is
+    one float pass of the same engine. Both give the same bits, and refuse
+    the same offsets with the same message: the first NaN, else the largest
+    magnitude beyond one notch length; then, side by side, the largest
+    magnitude that leaves an edge domain no covered length.
     """
-    import numpy as np
-
     _check_domain_count(domains)
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.size and not (float(np.max(np.abs(offsets))) <= char.geometry.notch_length):
-        worst = float(offsets[np.argmax(np.abs(offsets))])  # the first NaN, if any
-        _check_offset(worst, char.geometry)
+    geometry = char.geometry
+    floats = isinstance(offsets, Sequence)
+    if floats:
+        offsets = [float(x) for x in offsets]
+        worst = next((x for x in offsets if x != x), max(offsets, key=abs, default=0.0))
+        masks = [
+            [i for i, x in enumerate(offsets) if x > 0.0],
+            [i for i, x in enumerate(offsets) if x < 0.0],
+        ]
+    else:
+        import numpy as np
+
+        offsets = np.asarray(offsets, dtype=float)
+        # the first NaN, if any, else the first largest magnitude, as in a list
+        worst = float(offsets[np.argmax(np.abs(offsets))]) if offsets.size else 0.0
+        masks = [offsets > 0.0, offsets < 0.0]
+    _check_offset(worst, geometry)
     sides = [
         (selected, left, neighbor)
-        for selected, left, neighbor in (
-            (offsets > 0.0, True, right_neighbor),
-            (offsets < 0.0, False, left_neighbor),
-        )
-        if selected.any()
+        for selected, left, neighbor in zip(masks, (True, False), (right_neighbor, left_neighbor))
+        if (selected if floats else selected.any())
     ]
     report, groups = _fold(domains, borders, char, sides=[left for _, left, _ in sides])
-    out = np.empty(offsets.shape)
-    out[offsets == 0.0] = report.min_margin
     ohms = _kind_ohms(char.table)
+    out = [report.min_margin] * len(offsets) if floats else np.full(offsets.shape, report.min_margin)
     for (selected, _, neighbor), side_groups in zip(sides, groups):
-        out[selected] = _side_min_margins(
-            domains, side_groups, np.abs(offsets[selected]), neighbor.bits, char, ohms
+        magnitudes = [abs(offsets[i]) for i in selected] if floats else np.abs(offsets[selected])
+        shortest = min(
+            (edge for _, edge, _ in side_groups),
+            key=lambda edge: geometry.nominal_length(KINDS[edge]),
         )
+        _edge_coverage(shortest, float(max(magnitudes) if floats else np.max(magnitudes)), geometry)
+        # one float pass per offset, or one vectorized pass for the side
+        passes = zip(selected, magnitudes) if floats else [(selected, magnitudes)]
+        for index, magnitude in passes:
+            out[index] = _side_min_margins(
+                domains, side_groups, magnitude, neighbor.bits, char, ohms
+            )
     return out
 
 
@@ -366,17 +431,15 @@ def offset_margin_report(
 ) -> OffsetReport:
     """Every pattern re-evaluated with the stack shifted by |``spec.offset``|
     to either side; the sign of ``spec.offset`` does not matter."""
-    import numpy as np
-
     magnitude = abs(spec.offset)
     nominal, plus, minus = min_margins_for_offsets(
         domains,
         borders,
-        np.array([0.0, magnitude, -magnitude]),
+        [0.0, magnitude, -magnitude],
         spec.left_neighbor,
         spec.right_neighbor,
         char,
-    ).tolist()
+    )
     perturbed = min(plus, minus)
     return OffsetReport(
         domains=domains,

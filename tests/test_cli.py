@@ -357,6 +357,12 @@ def test_offset_of_one_notch_length_is_accepted(capsys, tmp_path):
     assert "offset 0.100 nm" in out
 
 
+def test_offset_just_past_the_notch_names_both_lengths_apart(capsys):
+    code, out, err = run_cli(capsys, "variation", "--domains", "4", "--offset-nm", "12.0000000001")
+    assert (code, out) == (2, "")
+    assert "offset 12.0000000001 nm exceeds one notch length (12 nm)" in err
+
+
 def test_model_usage_errors_exit_2(capsys):
     cases = [
         ("variation", "--domains", "4", "--monte-carlo", "0", "--seed", "1"),

@@ -1,10 +1,11 @@
-"""Start-up: only the commands that build arrays load numpy.
+"""Start-up: only Monte Carlo and ``--oracle`` runs load numpy.
 
 Every ``mdmtj`` query is a new process, and importing numpy costs more than
-the rest of the package. ``resistance``, ``voltage``, ``levels``, ``margin``
-and ``sweep`` build no array, so they run, and print the same bytes, in an
-interpreter where any import of numpy fails. ``variation`` and ``--oracle``
-runs do load it.
+the rest of the package. ``resistance``, ``voltage``, ``levels``, ``margin``,
+``sweep`` and fixed-offset ``variation`` build no array (the misalignment
+engine runs on plain floats for a list of offsets), so they run, and print
+the same bytes, in an interpreter where any import of numpy fails.
+``variation --monte-carlo`` and ``--oracle`` runs do load it.
 """
 
 from contextlib import redirect_stdout
@@ -22,6 +23,7 @@ WITHOUT_NUMPY = [
     ("margin", "--domains", "9", "--borders", "worst", "--format", "json"),
     ("margin", "--domains", "7", "--closed-form"),
     ("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20"),
+    ("variation", "--domains", "4", "--offset-nm", "3"),
 ]
 
 
@@ -39,8 +41,9 @@ def test_package_and_queries_run_without_numpy(fresh_cli, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("variation", "--domains", "4", "--offset-nm", "3"),
         ("levels", "--domains", "6", "--oracle"),
+        ("variation", "--domains", "4", "--monte-carlo", "10", "--seed", "1"),
+        ("variation", "--domains", "4", "--offset-nm", "3", "--oracle"),
     ],
 )
 def test_arrays_and_oracle_runs_load_numpy(fresh_cli, argv):

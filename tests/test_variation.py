@@ -1,6 +1,8 @@
-"""Misalignment coverage model, vectorized margin engine, Monte Carlo."""
+"""Misalignment coverage model, margin engine on floats and arrays, Monte Carlo."""
 
+import itertools
 import math
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from mdmtj import _sampler, variation
 from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
-from mdmtj.margins import enumerate_levels
+from mdmtj.margins import _fold, _kind_ohms, enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
 from mdmtj.oracle import brute_force_offset_margins, reference_sample_offsets
 from mdmtj.variation import (
@@ -229,6 +231,10 @@ def test_worst_neighbors_never_beat_fixed_ones(char, same_same):
     assert values[WORST] <= min(values[ZERO], values[ONE])
 
 
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
 def _boundary_offsets(char):
     notch = char.geometry.notch_length
     # +-notch is the largest admissible offset; at +-notch/2 a half-wall is
@@ -250,6 +256,11 @@ def test_engine_matches_brute_force_oracle_bitwise(char):
                     domains, borders, offsets, assumption, assumption, char
                 )
                 assert engine.tobytes() == reference.tobytes(), (domains, borders, assumption)
+                # a list of the same offsets takes the float path
+                listed = min_margins_for_offsets(
+                    domains, borders, offsets.tolist(), assumption, assumption, char
+                )
+                assert _bits(listed) == _bits(reference.tolist()), (domains, borders, assumption)
 
 
 def test_engine_matches_oracle_beyond_twelve_domains(char):
@@ -317,6 +328,36 @@ def test_engine_matches_oracle_on_perturbed_tables(char, data, domains):
             assert engine.tobytes() == reference.tobytes(), (borders, assumption)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    domains=st.integers(1, MAX_DOMAINS),
+    subnormals=st.lists(
+        st.floats(min_value=5e-324, max_value=2.2e-308, allow_subnormal=True),
+        min_size=1, max_size=2,
+    ),
+)
+def test_float_and_array_passes_agree_bitwise(char, data, domains, subnormals):
+    # one float pass per magnitude against one vectorized pass over all of
+    # them, on the same fold: any step that differs shows in the last bit
+    perturbed = data.draw(_perturbed_tables(char))
+    magnitudes = [m for m in _boundary_offsets(perturbed).tolist() if m > 0.0] + subnormals
+    ohms = _kind_ohms(perturbed.table)
+    for borders in ALL_CONDITIONS:
+        _, sides = _fold(domains, borders, perturbed, sides=[True, False])
+        for groups, assumption in itertools.product(sides, (ZERO, ONE, WORST)):
+
+            def engine(values):
+                return variation._side_min_margins(
+                    domains, groups, values, assumption.bits, perturbed, ohms
+                )
+
+            floats = [engine(m) for m in magnitudes]
+            assert all(type(value) is float for value in floats)
+            array = engine(np.array(magnitudes)).tolist()
+            assert _bits(floats) == _bits(array), (borders, assumption)
+
+
 def _short_domains(char):
     # valid (notch 12 nm < 20 nm), but a two-wall domain is only 8 nm long
     return replace(char, geometry=replace(char.geometry, domain_length=20e-9))
@@ -350,7 +391,34 @@ def test_pattern_and_engine_refuse_an_uncovered_edge_alike(char, differ_differ, 
     with pytest.raises(OffsetOutOfRange) as engine:
         min_margins_for_offsets(2, differ_differ, np.array([offset]), ZERO, ZERO, short)
     assert str(pattern.value) == str(engine.value)
-    assert "9.000 nm" in str(pattern.value) and "8.000 nm edge domain" in str(pattern.value)
+    assert "offset of 9 nm" in str(pattern.value) and " 8 nm edge domain" in str(pattern.value)
+
+
+@pytest.mark.parametrize(
+    "offsets,short,named",
+    [
+        ([math.nan], False, "offset nan nm"),
+        ([math.inf], False, "offset inf nm"),
+        ([-math.inf], False, "offset -inf nm"),
+        ([13e-9], False, "offset 13 nm"),
+        ([0.0, -13e-9], False, "offset -13 nm"),
+        # two bad offsets: the first NaN is named, else the largest magnitude
+        ([13e-9, math.nan], False, "offset nan nm"),
+        ([13e-9, -14e-9], False, "offset -14 nm"),
+        ([-math.inf, math.inf], False, "offset -inf nm"),
+        # past the 8 nm two-wall edge domains: the side's largest magnitude
+        ([7.5e-9, 9e-9, 11e-9, -10e-9], True, "offset of 11 nm"),
+        ([-9e-9, -11e-9], True, "offset of 11 nm"),
+    ],
+)
+def test_sequence_and_array_refuse_alike(char, differ_differ, offsets, short, named):
+    table = _short_domains(char) if short else char
+    with pytest.raises(OffsetOutOfRange) as listed:
+        min_margins_for_offsets(4, differ_differ, offsets, WORST, WORST, table)
+    with pytest.raises(OffsetOutOfRange) as arrayed:
+        min_margins_for_offsets(4, differ_differ, np.array(offsets), WORST, WORST, table)
+    assert str(listed.value) == str(arrayed.value)
+    assert named in str(listed.value)
 
 
 def test_offset_short_of_every_edge_domain_is_evaluated(char, same_same, differ_differ):
