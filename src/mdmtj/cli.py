@@ -13,7 +13,8 @@ and a timestamp. The timestamp honors SOURCE_DATE_EPOCH so pinned-environment
 runs are byte-identical; everything else is deterministic by construction.
 
 Exit codes: 0 success, 2 usage or invalid pattern, 3 configuration error,
-1 internal error.
+1 internal error, 141 (128 + SIGPIPE) when the reader of stdout closes it
+before the output ends, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ if TYPE_CHECKING:
 _USAGE_ERROR = 2
 _CONFIG_ERROR = 3
 _INTERNAL_ERROR = 1
+_BROKEN_PIPE = 141
 
 
 def _is_worst(text: str) -> bool:
@@ -245,6 +247,7 @@ def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) ->
     if out is None:
         sys.stdout.write(first)
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return
     try:
         with open(out, "w") as stream:
@@ -729,6 +732,13 @@ def main(argv: list[str] | None = None) -> int:
         char = default_characterization() if args.config is None else load_config(args.config)
         _emit(args.handler(args, char), char, args.format, args.out)
         return 0
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so the
+        # interpreter's final flush of stdout stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _BROKEN_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONFIG_ERROR

@@ -2,23 +2,30 @@
 
 Patterns with the same count of 1s land in one resistance cluster; the gap
 between adjacent clusters is what a sense amplifier must resolve. This module
-enumerates clusters without touching all 2^D patterns: it walks run
-structures (maximal blocks of equal bits) combinatorially, so the cost is
-polynomial in D and the same report is exact for any D up to the pattern
-limit.
+finds clusters without touching all 2^D patterns, by two exact engines whose
+cost is polynomial in D.
 
-The walk does not depend on the border condition: weight, multiplicity and
-representative are shared, and each requested condition adds only its
-end-run domains and half-walls, so ``worst_case_levels`` covers all four
-conditions in one pass. One fold over the walk, ``_fold``, serves every
-report and the misalignment engine of ``variation``: it checks the
-population once, keeps the cluster extremes, and adds on request the class
-listing or the edge-structure groups a stack offset perturbs.
-Representatives (the lex-smallest pattern of each class) are built only for
-class listings, in ``enumerate_levels``.
+- The bit scan, ``_scan``, reads patterns left to right and keeps, per state
+  (last bit, wall on its left, weight, left border), the pattern count and
+  the banks whose exact conductance, an integer sum of exact units, can
+  still end up a cluster extreme. Equal states extend equally, so pruning
+  loses no extreme. Completing every state after each bit gives every
+  window length in one pass, and both right borders in the same pass.
+  ``cluster_extremes``, ``worst_case_levels`` (all four conditions in one
+  scan) and the enumerated column of ``sweep_domains`` (every row in one
+  scan) take this path.
+- The run-structure walk, ``_walk``, enumerates maximal blocks of equal bits
+  combinatorially. One fold over it, ``_fold``, under one border condition,
+  lists the classes of ``enumerate_levels`` and groups the edge structures
+  the misalignment engine of ``variation`` perturbs. Representatives (the
+  lex-smallest pattern of each class) are built only for class listings.
+
+Both engines check their population against C(D, w) with a raise, not an
+assert, so the check also runs under ``python -O``.
 
 Float contract: every resistance is produced by summing count/ohms over
-segment kinds in enum order and inverting once. The brute-force oracle
+segment kinds in enum order and inverting once; the scan uses exact
+integers only to decide which banks to sum. The brute-force oracle
 reimplements the same contract independently, which is what makes
 field-for-field report equality a meaningful check.
 """
@@ -41,7 +48,6 @@ from .characterization import (
 )
 from .errors import DomainCountTooLarge, DomainCountTooSmall, ModelError, UsageError
 from .network import (
-    ALL_CONDITIONS,
     MAX_DOMAINS,
     BitPattern,
     Border,
@@ -359,25 +365,190 @@ def _check_population(domains: int, by_weight_count: Sequence[int]) -> None:
             )
 
 
+# A bank packed into one integer: each kind's count in a _FIELD-bit field,
+# kind order from the low bits up. No count reaches 2^_FIELD (a window has
+# at most MAX_DOMAINS domains), so adding packed banks adds their counts.
+_FIELD = 6
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _packed_conductance(bank: int, ohms: Sequence[float]) -> float:
+    """A packed bank's summed conductance, count/ohms in kind order: the
+    same float sum as ``network.bank_conductance``."""
+    conductance = 0.0
+    for r in ohms:
+        conductance += (bank & _FIELD_MASK) / r
+        bank >>= _FIELD
+    return conductance
+
+
+def _exact_units(ohms: Sequence[float], longest: int) -> tuple[list[int], int]:
+    """Each kind's conductance as an exact integer, and the pruning band.
+
+    A float resistance is exactly p/q, so its conductance is q/p; scaling
+    every conductance by the lcm of the p makes it an integer, and a bank's
+    exact conductance is then the integer sum of its counts times units.
+
+    The float sum of a bank of at most 2D + 1 segments differs from its
+    exact value by less than 16·(2D+2)/(min ohms)·2^-53: each of the ten
+    quotients rounds once and each of nine additions rounds once. The band
+    is twice that, in units, rounded up: a bank whose exact conductance lies
+    further than the band below another's also has a smaller float sum, and
+    one further above a larger one.
+    """
+    ratios = [r.as_integer_ratio() for r in ohms]
+    scale = math.lcm(*(p for p, _ in ratios))
+    units = [scale // p * q for p, q in ratios]
+    p_min, q_min = min(ohms).as_integer_ratio()
+    band = -(-2 * 16 * (2 * longest + 2) * q_min * scale // (p_min << 53))
+    return units, band
+
+
+# One scan state: patterns whose prefix ends in the same bit, with or without
+# a wall on the left of that last domain, at the same weight and under the
+# same left border. Equal states extend equally, so a state keeps only its
+# prefix count and the packed banks that can still become an extreme:
+# key (left border index, last bit, walled, weight) -> [patterns, banks near
+# the largest exact conductance, banks near the smallest], each bank dict
+# mapping a packed bank to its exact conductance in units.
+_States = dict[tuple[int, int, int, int], list]
+
+
+def _advance(states: _States, moves: list, band: int) -> _States:
+    """Append one bit to every prefix and prune each new state to its band.
+
+    ``moves[bit][walled][new]`` is the packed bank, and its exact value,
+    that the new bit finalizes: the old last domain, whose wall count it now
+    knows, and the wall between them, directed by the old bit.
+    """
+    grown: _States = {}
+    for (left, bit, walled, weight), (patterns, high, low) in states.items():
+        for new in (0, 1):
+            step, value = moves[bit][walled][new]
+            key = (left, new, int(bit != new), weight + new)
+            entry = grown.get(key)
+            if entry is None:
+                entry = grown[key] = [0, {}, {}]
+            entry[0] += patterns
+            grown_high, grown_low = entry[1], entry[2]
+            for bank, total in high.items():
+                grown_high[bank + step] = total + value
+            for bank, total in low.items():
+                grown_low[bank + step] = total + value
+    for entry in grown.values():
+        entry[1], entry[2] = _near_extremes(entry[1], entry[2], band)
+    return grown
+
+
+def _near_extremes(
+    high: dict[int, int], low: dict[int, int], band: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The banks within ``band`` of the largest, and of the smallest, exact
+    conductance."""
+    if len(high) > 1:
+        floor = max(high.values()) - band
+        high = {bank: total for bank, total in high.items() if total >= floor}
+    if len(low) > 1:
+        ceiling = min(low.values()) + band
+        low = {bank: total for bank, total in low.items() if total <= ceiling}
+    return high, low
+
+
+def _scan(
+    lengths: range,
+    lefts: Sequence[bool],
+    rights: Sequence[bool],
+    ohms: Sequence[float],
+) -> list[tuple[list[int], list[float], list[float]]]:
+    """Cluster extremes of every window length in ``lengths``, mixed over
+    the given left and right borders, in one left-to-right bit scan.
+
+    Returns, per length, the population by weight and each weight's
+    smallest and largest bank conductance. After each bit the scan completes
+    every state (its last domain and the right half-wall) under each right
+    border; the kind-order float sums of the banks left within the band of
+    the exact extremes decide the reported values, bit for bit. Every left
+    border's population is checked against C(D, w).
+    """
+    units, band = _exact_units(ohms, lengths[-1])
+
+    def bank(kinds: list[int]) -> tuple[int, int]:
+        """One segment of each of ``kinds``: packed, and its exact value."""
+        return sum(1 << (_FIELD * kind) for kind in kinds), sum(units[kind] for kind in kinds)
+
+    # moves[bit][walled][new]: the last domain and the wall a new bit closes
+    moves = [
+        [
+            [bank([DOMAIN[bit][walled + wall]] + [WALL[bit]] * wall)
+             for wall in (bit != 0, bit != 1)]
+            for walled in (0, 1)
+        ]
+        for bit in (0, 1)
+    ]
+    # ends[bit][walled]: the last domain and half-wall under each right border
+    ends = [
+        [
+            [bank([DOMAIN[bit][walled + differ]] + [HALF_WALL[bit]] * differ)
+             for differ in rights]
+            for walled in (0, 1)
+        ]
+        for bit in (0, 1)
+    ]
+    states: _States = {}
+    for left, differ in enumerate(lefts):
+        for bit in (0, 1):
+            first = bank([HALF_WALL[bit]] * differ)
+            states[(left, bit, int(differ), bit)] = [1, dict([first]), dict([first])]
+    results = []
+    for domains in range(1, lengths[-1] + 1):
+        if domains > 1:
+            states = _advance(states, moves, band)
+        if domains in lengths:
+            results.append(_complete(domains, states, ends, len(lefts), band, ohms))
+    return results
+
+
+def _complete(
+    domains: int, states: _States, ends: list, n_lefts: int, band: int, ohms: Sequence[float]
+) -> tuple[list[int], list[float], list[float]]:
+    """Close every ``domains``-bit prefix under each right border: population
+    by weight and each weight's extreme float conductances."""
+    population = [[0] * (domains + 1) for _ in range(n_lefts)]
+    high: list[dict[int, int]] = [{} for _ in range(domains + 1)]
+    low: list[dict[int, int]] = [{} for _ in range(domains + 1)]
+    for (left, bit, walled, weight), (patterns, state_high, state_low) in states.items():
+        population[left][weight] += patterns
+        for step, value in ends[bit][walled]:
+            for packed, total in state_high.items():
+                high[weight][packed + step] = total + value
+            for packed, total in state_low.items():
+                low[weight][packed + step] = total + value
+    for by_weight in population:
+        _check_population(domains, by_weight)
+    g_low, g_high = [], []
+    for weight_high, weight_low in zip(high, low):
+        weight_high, weight_low = _near_extremes(weight_high, weight_low, band)
+        g_high.append(max(_packed_conductance(packed, ohms) for packed in weight_high))
+        g_low.append(min(_packed_conductance(packed, ohms) for packed in weight_low))
+    return population[0], g_low, g_high
+
+
 def _fold(
     domains: int,
-    borders: BorderCondition | None,
+    borders: BorderCondition,
     char: Characterization,
     sides: Sequence[bool] = (),
     listed: bool = False,
 ) -> tuple[MarginReport, list[_EdgeGroups]]:
-    """The one pass over ``_walk`` behind every report and the misalignment
-    engine.
+    """One pass over ``_walk`` under one border condition, behind the class
+    listing of ``enumerate_levels`` and the misalignment engine.
 
-    Covers the patterns of ``borders``, or of all four conditions when it is
-    None. It sums and checks the population, keeps each weight's extreme
+    It sums and checks the population, keeps each weight's extreme
     conductances, and lists the classes when ``listed``. For each uncovered
     side in ``sides`` (``True`` for the left edge) it also groups the
-    sub-classes by edge structure (``_EdgeGroups``). ``listed`` and
-    ``sides`` need one condition.
+    sub-classes by edge structure (``_EdgeGroups``).
     """
     _check_domain_count(domains)
-    conditions = ALL_CONDITIONS if borders is None else (borders,)
     ohms = _kind_ohms(char.table)
     by_weight_count = [0] * (domains + 1)
     g_low = [math.inf] * (domains + 1)
@@ -387,44 +558,42 @@ def _fold(
     groups: list[_EdgeGroups] = [{} for _ in sides]
     for family in _walk(domains):
         subclasses = family.subclasses
-        for weight, mult, _, _ in subclasses:
+        counts, left_edge, right_edge = _condition_counts(family, borders)
+        gs = _spare_conductances(counts, subclasses, ohms)
+        for (weight, mult, _, _), g in zip(subclasses, gs):
             by_weight_count[weight] += mult
-        for condition in conditions:
-            counts, left_edge, right_edge = _condition_counts(family, condition)
-            gs = _spare_conductances(counts, subclasses, ohms)
-            for (weight, _, _, _), g in zip(subclasses, gs):
-                if g < g_low[weight]:
-                    g_low[weight] = g
-                if g > g_high[weight]:
-                    g_high[weight] = g
-            if listed:
-                reps = _lexmin_patterns(family)
-                for (weight, mult, extra_zero, extra_one), rep, g in zip(subclasses, reps, gs):
-                    key = (weight, equivalence_key(_spared(counts, extra_zero, extra_one)))
-                    entry = folded.get(key)
-                    if entry is None:
-                        folded[key] = [mult, rep, g]
-                    else:
-                        entry[0] += mult
-                        if rep < entry[1]:
-                            entry[1] = rep
-                            entry[2] = g
-            for side_groups, left in zip(groups, sides):
-                edge, half = left_edge if left else right_edge
-                adjusted = counts.copy()
-                adjusted[edge] -= 1
-                if half is not None:
-                    adjusted[half] -= 1
-                remaining = _spare_conductances(adjusted, subclasses, ohms)
-                for (weight, _, _, _), g in zip(subclasses, remaining):
-                    structure = (weight, edge, half)
-                    extremes = side_groups.get(structure)
-                    if extremes is None:
-                        side_groups[structure] = [g, g]
-                    elif g < extremes[0]:
-                        extremes[0] = g
-                    elif g > extremes[1]:
-                        extremes[1] = g
+            if g < g_low[weight]:
+                g_low[weight] = g
+            if g > g_high[weight]:
+                g_high[weight] = g
+        if listed:
+            reps = _lexmin_patterns(family)
+            for (weight, mult, extra_zero, extra_one), rep, g in zip(subclasses, reps, gs):
+                key = (weight, equivalence_key(_spared(counts, extra_zero, extra_one)))
+                entry = folded.get(key)
+                if entry is None:
+                    folded[key] = [mult, rep, g]
+                else:
+                    entry[0] += mult
+                    if rep < entry[1]:
+                        entry[1] = rep
+                        entry[2] = g
+        for side_groups, left in zip(groups, sides):
+            edge, half = left_edge if left else right_edge
+            adjusted = counts.copy()
+            adjusted[edge] -= 1
+            if half is not None:
+                adjusted[half] -= 1
+            remaining = _spare_conductances(adjusted, subclasses, ohms)
+            for (weight, _, _, _), g in zip(subclasses, remaining):
+                structure = (weight, edge, half)
+                extremes = side_groups.get(structure)
+                if extremes is None:
+                    side_groups[structure] = [g, g]
+                elif g < extremes[0]:
+                    extremes[0] = g
+                elif g > extremes[1]:
+                    extremes[1] = g
     _check_population(domains, by_weight_count)
 
     current = char.drive.read_current(domains, char.geometry)
@@ -489,18 +658,41 @@ def _clusters(
     return tuple(clusters)
 
 
+def _scan_reports(
+    lengths: range, borders: BorderCondition | None, char: Characterization
+) -> list[MarginReport]:
+    """The class-free report of every window length in ``lengths`` from one
+    ``_scan``, under ``borders`` or mixed over all four conditions when it
+    is None."""
+    if not lengths:
+        return []
+    if borders is None:
+        lefts = rights = (False, True)
+    else:
+        lefts = (borders.left is Border.DIFFER,)
+        rights = (borders.right is Border.DIFFER,)
+    extremes = _scan(lengths, lefts, rights, _kind_ohms(char.table))
+    reports = []
+    for domains, (by_weight_count, g_low, g_high) in zip(lengths, extremes):
+        current = char.drive.read_current(domains, char.geometry)
+        clusters = _clusters(current, by_weight_count, g_low, g_high, [()] * (domains + 1))
+        reports.append(_finish_report(domains, borders, current, clusters))
+    return reports
+
+
 def cluster_extremes(
     domains: int, borders: BorderCondition, char: Characterization
 ) -> MarginReport:
     """``enumerate_levels`` without the class listing: the same cluster
     extremes and margins, with empty ``classes``.
 
-    Reports that need only the margins (``margin`` and the enumerated column
-    of a sweep) take this path, which builds no representative pattern. A
-    misalignment study reads its nominal margin off the same fold that
-    groups its edge structures.
+    Reports that need only the margins (``margin``) take this path: one bit
+    scan, which lists no class and builds no representative pattern. A
+    misalignment study reads its nominal margin off the walk that groups
+    its edge structures instead.
     """
-    return _fold(domains, borders, char)[0]
+    _check_domain_count(domains)
+    return _scan_reports(range(domains, domains + 1), borders, char)[0]
 
 
 def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
@@ -508,10 +700,12 @@ def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
 
     This is the convention behind the closed-form first-gap margin: each
     cluster's spread is widened to the worst any border assumption allows.
-    Class listings are omitted (they are per-convention objects). One walk
-    serves all four conditions.
+    Class listings are omitted (they are per-convention objects). One bit
+    scan starts from both left borders and completes under both right
+    borders, so it covers all four conditions.
     """
-    return _fold(domains, None, char)[0]
+    _check_domain_count(domains)
+    return _scan_reports(range(domains, domains + 1), None, char)[0]
 
 
 def _finish_report(
@@ -617,7 +811,8 @@ def sweep_domains(
 
     ``max_scalable_domains`` is the largest D whose closed-form margin still
     meets ``threshold`` (None if none does). The enumerated column uses the
-    fixed ``borders`` convention and stops at SWEEP_ENUMERATION_LIMIT.
+    fixed ``borders`` convention and stops at SWEEP_ENUMERATION_LIMIT; one
+    bit scan up to that limit fills every row of it.
     """
     if d_min < 2:
         raise DomainCountTooSmall(f"sweep starts at 2 domains, got {d_min}")
@@ -625,14 +820,17 @@ def sweep_domains(
         raise DomainCountTooLarge(f"sweep end {d_max} exceeds limit {MAX_DOMAINS}")
     if d_min > d_max:
         raise UsageError(f"empty sweep range [{d_min}, {d_max}]")
+    enumerated = {
+        report.domains: report.min_margin
+        for report in _scan_reports(
+            range(d_min, min(d_max, SWEEP_ENUMERATION_LIMIT) + 1), borders, char
+        )
+    }
     rows = []
     best = None
     for domains in range(d_min, d_max + 1):
         closed = closed_form_min_margin(domains, char)
-        enumerated = None
-        if domains <= SWEEP_ENUMERATION_LIMIT:
-            enumerated = cluster_extremes(domains, borders, char).min_margin
-        rows.append(SweepRow(domains, closed, enumerated))
+        rows.append(SweepRow(domains, closed, enumerated.get(domains)))
         if closed >= threshold:
             best = domains
     return SweepReport(

@@ -17,6 +17,7 @@ order is part of the report contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -262,8 +263,9 @@ def brute_force_offset_margins(
     evaluated over all patterns at once, in the documented float order: the
     bank minus the uncovered edge domain and half-wall summed in kind order,
     then the edge domain, the half-wall while still covered, the overhang.
-    An offset that leaves an edge domain of some pattern no covered length
-    raises OffsetOutOfRange. There is no domain guard here: callers bound the
+    A side whose largest magnitude leaves the shortest edge domain of some
+    pattern no covered length raises OffsetOutOfRange, worded like the
+    engine's refusal. There is no domain guard here: callers bound the
     2^D cost (the CLI stops at BRUTE_FORCE_LIMIT).
     """
     patterns = _Enumeration(domains, char)
@@ -294,15 +296,16 @@ def brute_force_offset_margins(
         has_half = half < _N_KINDS
         adjusted[rows[has_half], half[has_half]] -= 1
         g = patterns.conductance(adjusted)
-        present = sorted(set(edge.tolist()))
+        largest = float(np.max(np.abs(offsets[selected])))
+        shortest = min(nominal[index] for index in set(edge.tolist()))
+        if not shortest - largest > 0.0:
+            raise OffsetOutOfRange(
+                f"an offset of {_nm_text(largest)} nm uncovers the whole"
+                f" {_nm_text(shortest)} nm edge domain; the coverage model is not"
+                " valid beyond that"
+            )
         for j in np.flatnonzero(selected):
             magnitude = abs(float(offsets[j]))
-            for index in present:
-                if not nominal[index] - magnitude > 0.0:
-                    raise OffsetOutOfRange(
-                        f"offset {float(offsets[j]) * 1e9:.3f} nm leaves edge domain"
-                        f" kind {index} no covered length"
-                    )
             # partial conductance per domain kind (0..5) and half-wall at
             # this coverage; a fully uncovered half-wall, and the "no
             # half-wall" slot, add 0.0
@@ -319,6 +322,15 @@ def brute_force_offset_margins(
                 ]
             )
     return out
+
+
+def _nm_text(meters: float) -> str:
+    """Meters as nm, from the shortest decimal that reads back as ``meters``
+    (Python's ``repr``), shifted nine places exactly in Decimal."""
+    if meters != meters or meters in (np.inf, -np.inf):
+        return repr(meters)
+    text = format(Decimal(repr(meters)).scaleb(9), "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def reference_sample_offsets(

@@ -363,6 +363,16 @@ def test_offset_just_past_the_notch_names_both_lengths_apart(capsys):
     assert "offset 12.0000000001 nm exceeds one notch length (12 nm)" in err
 
 
+def test_offset_one_float_past_the_notch_prints_every_digit(capsys):
+    # 12.000000000000002 nm is the float right after the 12 nm notch; only
+    # its 17th significant digit tells the two lengths apart
+    code, out, err = run_cli(
+        capsys, "variation", "--domains", "4", "--offset-nm", "12.000000000000002"
+    )
+    assert (code, out) == (2, "")
+    assert "offset 12.000000000000002 nm exceeds one notch length (12 nm)" in err
+
+
 def test_model_usage_errors_exit_2(capsys):
     cases = [
         ("variation", "--domains", "4", "--monte-carlo", "0", "--seed", "1"),
@@ -415,6 +425,25 @@ def test_module_entry_point_matches_console_script():
     assert (module.returncode, module.stdout, module.stderr) == (
         script.returncode, script.stdout, script.stderr
     )
+
+
+def test_a_reader_closing_early_ends_the_run_quietly():
+    # several MB of rows: the pipe fills long before the run ends, so the
+    # write after the reader has gone fails for certain
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["variation", "--domains", "4", "--monte-carlo", "100000", "--seed", "1",
+            "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "mdmtj.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as process:
+        assert process.stdout.readline() == b"# command: variation\n"
+        process.stdout.close()
+        stderr = process.stderr.read()
+        code = process.wait(timeout=60)
+    assert (code, stderr) == (141, b"")
 
 
 @pytest.mark.parametrize(

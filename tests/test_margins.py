@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,8 +114,6 @@ def _walking_reports(char, borders):
     shifted = offsets[1:]
     return (
         lambda: enumerate_levels(5, borders, char),
-        lambda: cluster_extremes(5, borders, char),
-        lambda: worst_case_levels(5, char),
         lambda: min_margins_for_offsets(5, borders, offsets, WORST, WORST, char),
         # no zero offset asks for the nominal report; the walk still checks
         lambda: min_margins_for_offsets(5, borders, shifted, WORST, WORST, char),
@@ -123,46 +122,120 @@ def _walking_reports(char, borders):
     )
 
 
+def _scanning_reports(char, borders):
+    """Every report built on the bit scan, ending at D = 5."""
+    return (
+        lambda: cluster_extremes(5, borders, char),
+        lambda: worst_case_levels(5, char),
+        lambda: sweep_domains(2, 5, 1e-3, borders, char),
+    )
+
+
 def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
     # the population check must hold under python -O, so it is no assert
-    real = margins._walk
+    real_walk = margins._walk
+    real_advance = margins._advance
 
     def drop_one(domains):
-        families = real(domains)
+        families = real_walk(domains)
         first = next(families)
         yield first._replace(subclasses=first.subclasses[1:])
         yield from families
 
+    def drop_a_state(states, moves, band):
+        grown = real_advance(states, moves, band)
+        del grown[next(iter(grown))]
+        return grown
+
     monkeypatch.setattr(margins, "_walk", drop_one)
-    for report in _walking_reports(char, same_same):
+    monkeypatch.setattr(margins, "_advance", drop_a_state)
+    for report in _walking_reports(char, same_same) + _scanning_reports(char, same_same):
         with pytest.raises(ModelError, match="expected"):
             report()
 
 
 def test_every_report_walks_once(char, same_same, monkeypatch):
-    # one fold in margins serves the reports and the misalignment engine;
-    # variation reaches the walk only through it
+    # each report makes exactly one engine pass: the walk for class listings
+    # and the misalignment engine, one bit scan for class-free extremes;
+    # variation reaches the walk only through the fold in margins
     assert not hasattr(variation, "_walk")
-    real = margins._walk
-    calls = []
+    assert not hasattr(variation, "_scan")
+    passes = []
+    for engine in ("_walk", "_scan"):
+        real = getattr(margins, engine)
 
-    def counted(domains):
-        calls.append(domains)
-        return real(domains)
+        def counted(*args, real=real, engine=engine):
+            passes.append(engine)
+            return real(*args)
 
-    monkeypatch.setattr(margins, "_walk", counted)
-    for report in _walking_reports(char, same_same):
-        calls.clear()
-        report()
-        assert calls == [5]
+        monkeypatch.setattr(margins, engine, counted)
+    for reports, engine in (
+        (_walking_reports(char, same_same), "_walk"),
+        (_scanning_reports(char, same_same), "_scan"),
+    ):
+        for report in reports:
+            passes.clear()
+            report()
+            assert passes == [engine]
 
 
-def test_worst_case_levels_mixes_conventions(char):
-    for domains in (6, 13, 20):
+@pytest.fixture(scope="module")
+def tables(char):
+    """The default table and two perturbed by up to 10 %: one with tied
+    walls, one with tied half-walls. Decimal values give exact conductances
+    with large denominators."""
+    tied_walls = {
+        SegmentKind.DOMAIN_MINUS_FULL: Fraction("1893.7"),
+        SegmentKind.DOMAIN_MINUS_MID: Fraction("2101.25"),
+        SegmentKind.DOMAIN_MINUS_SHORT: Fraction("2190.4"),
+        SegmentKind.DOMAIN_PLUS_FULL: Fraction("4410.3"),
+        SegmentKind.DOMAIN_PLUS_MID: Fraction("4655.9"),
+        SegmentKind.DOMAIN_PLUS_SHORT: Fraction("5302.6"),
+        SegmentKind.WALL_01: Fraction("19870.5"),
+        SegmentKind.WALL_10: Fraction("19870.5"),
+        SegmentKind.HALF_WALL_MINUS: Fraction("36120.8"),
+        SegmentKind.HALF_WALL_PLUS: Fraction("44950.1"),
+    }
+    tied_half_walls = {
+        SegmentKind.DOMAIN_MINUS_FULL: Fraction("2007.31"),
+        SegmentKind.DOMAIN_MINUS_MID: Fraction("2087.5"),
+        SegmentKind.DOMAIN_MINUS_SHORT: Fraction("2301.02"),
+        SegmentKind.DOMAIN_PLUS_FULL: Fraction("4102.9"),
+        SegmentKind.DOMAIN_PLUS_MID: Fraction("4899.45"),
+        SegmentKind.DOMAIN_PLUS_SHORT: Fraction("4977.7"),
+        SegmentKind.WALL_01: Fraction("21006.6"),
+        SegmentKind.WALL_10: Fraction("19311.2"),
+        SegmentKind.HALF_WALL_MINUS: Fraction("40307.9"),
+        SegmentKind.HALF_WALL_PLUS: Fraction("40307.9"),
+    }
+    return {
+        "default": char,
+        "tied walls": replace(char, table=char.table.replace(tied_walls)),
+        "tied half-walls": replace(char, table=char.table.replace(tied_half_walls)),
+    }
+
+
+@pytest.fixture(scope="module")
+def listed(tables):
+    """listed(domains, borders, table name) -> the walk's ``enumerate_levels``
+    report, computed once per module."""
+    reports = {}
+
+    def get(domains, borders, name):
+        key = (domains, borders, name)
+        if key not in reports:
+            reports[key] = enumerate_levels(domains, borders, tables[name])
+        return reports[key]
+
+    return get
+
+
+def test_worst_case_levels_mixes_conventions(char, listed):
+    for domains in (6, 13, 20, 30):
         worst = worst_case_levels(domains, char)
         assert worst.borders is None
         assert worst.convention_label == "worst"
-        per_conv = [enumerate_levels(domains, borders, char) for borders in ALL_CONDITIONS]
+        per_conv = [listed(domains, borders, "default") for borders in ALL_CONDITIONS]
         for weight in range(domains + 1):
             lows = [r.clusters[weight].min_resistance for r in per_conv]
             highs = [r.clusters[weight].max_resistance for r in per_conv]
@@ -197,14 +270,32 @@ def test_spare_conductances_match_the_bank_sum(char):
                 assert margins._spare_conductances(counts, family.subclasses, ohms) == want
 
 
-@pytest.mark.parametrize("domains", [1, 2, 5, 9, 16])
-def test_cluster_extremes_are_the_listed_report_without_classes(char, domains):
-    for borders in ALL_CONDITIONS:
-        listed = enumerate_levels(domains, borders, char)
-        bare = replace(
-            listed, clusters=tuple(replace(c, classes=()) for c in listed.clusters)
-        )
-        assert cluster_extremes(domains, borders, char) == bare
+@pytest.mark.parametrize("domains", [1, 2, 5, 9, 16, 24, 30])
+def test_cluster_extremes_are_the_listed_report_without_classes(tables, listed, domains):
+    # the scan against the walk; a wall counted by the wrong bit shows only
+    # under an asymmetric condition on a table whose two walls differ
+    conditions = ALL_CONDITIONS if domains <= 16 else ALL_CONDITIONS[1:3]
+    for name, char in tables.items():
+        for borders in conditions:
+            report = listed(domains, borders, name)
+            bare = replace(
+                report, clusters=tuple(replace(c, classes=()) for c in report.clusters)
+            )
+            assert cluster_extremes(domains, borders, char) == bare
+
+
+@pytest.mark.parametrize("d_min", [2, 7, 19, 20])
+def test_sweep_rows_are_the_cluster_extremes_of_their_window(tables, d_min):
+    # one scan completes every window length on the way to the longest
+    for name, char in tables.items():
+        for borders in ALL_CONDITIONS[1:3]:
+            report = sweep_domains(d_min, 30, 5e-3, borders, char)
+            for row in report.rows:
+                if row.domains > SWEEP_ENUMERATION_LIMIT:
+                    assert row.enumerated_margin is None
+                else:
+                    extremes = cluster_extremes(row.domains, borders, char)
+                    assert row.enumerated_margin == extremes.min_margin
 
 
 def test_closed_form_matches_worst_case_extremes(char):

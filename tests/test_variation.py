@@ -366,9 +366,14 @@ def _short_domains(char):
 @pytest.mark.parametrize("engine", [min_margins_for_offsets, brute_force_offset_margins])
 @pytest.mark.parametrize("offset", [11e-9, -11e-9])
 def test_offset_past_an_edge_domain_is_refused(char, differ_differ, engine, offset):
-    # 0101 has a two-wall edge domain at both ends under differ/differ
-    with pytest.raises(OffsetOutOfRange, match="edge domain"):
+    # 0101 has a two-wall edge domain at both ends under differ/differ; the
+    # engine and the oracle refuse it in the same words
+    with pytest.raises(OffsetOutOfRange) as refusal:
         engine(4, differ_differ, np.array([0.0, offset]), WORST, WORST, _short_domains(char))
+    assert str(refusal.value) == (
+        "an offset of 11 nm uncovers the whole 8 nm edge domain;"
+        " the coverage model is not valid beyond that"
+    )
 
 
 @pytest.mark.parametrize("offset", [9e-9, -9e-9])
