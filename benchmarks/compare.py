@@ -21,21 +21,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bench_files() -> list[Path]:
-    found = [(int(m.group(1)), path) for path in ROOT.glob("BENCH_*.json")
-             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
-    return [path for _, path in sorted(found)]
+def bench_number(path: Path) -> int | None:
+    match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+    return int(match.group(1)) if match else None
 
 
 def main(argv: list[str]) -> int:
-    files = bench_files()
+    files = sorted(
+        (path for path in ROOT.glob("BENCH_*.json") if bench_number(path) is not None),
+        key=bench_number,
+    )
     new_path = Path(argv[0]) if argv else files[-1]
     if len(argv) > 1:
         old_path = Path(argv[1])
     else:
-        earlier = [path for path in files if path.resolve() != new_path.resolve()]
-        older = [path for path in earlier if files.index(path) < files.index(new_path)] \
-            if new_path in files else earlier
+        number = bench_number(new_path)
+        older = [path for path in files if number is None or bench_number(path) < number]
         old_path = older[-1] if older else new_path
     new_runs = json.loads(new_path.read_text())["runs"]
     old_runs = json.loads(old_path.read_text())["runs"]
