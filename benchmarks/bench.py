@@ -13,12 +13,13 @@ drifts slows every checkout alike. Per checkout the file holds one run:
   on the default table, each timed once per round in a fresh process after
   one warm-up call;
 - command-line rows: the six job kinds of the benchmark workload
-  ``enumerate-d30`` (``perfbench/workloads.py``, its seed-``--seed`` table),
+  ``enumerate-d30`` (``perfbench/workloads.py``, its seed-``SEED`` table),
   each spawned once per round with wall time and peak RSS from
   ``os.wait4`` and a digest of its standard output;
 - the machine: CPU model, core count, Python and numpy versions, git SHA.
 
-Every row gives the median and quartiles over rounds. Timings are reported,
+Every row gives the median and quartiles over ``ROUNDS`` rounds; ``ROUNDS``
+and ``SEED`` are written into the file. Timings are reported,
 not gated; ``benchmarks/compare.py`` prints each row's ratio against an
 earlier run. Children run with ``SOURCE_DATE_EPOCH=0`` (byte-identical
 output) and ``PYTHONDONTWRITEBYTECODE=1`` (no bytecode cache written into a
@@ -46,6 +47,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 DOMAINS = (5, 12, 30)
+ROUNDS = 7
+SEED = 1  # the enumerate-d30 table every BENCH file is measured on
 CALLS = ("enumerate_levels", "cluster_extremes", "worst_case_levels", "sweep_domains")
 
 # Runs in a fresh process on the checkout's src: times each call once,
@@ -140,13 +143,13 @@ def machine(checkout: Path) -> dict[str, object]:
     }
 
 
-def measure(checkouts: dict[str, Path], rounds: int, seed: int) -> list[dict]:
-    inputs = workloads.build("enumerate-d30", seed)
+def measure(checkouts: dict[str, Path]) -> list[dict]:
+    inputs = workloads.build("enumerate-d30", SEED)
     with tempfile.TemporaryDirectory() as jobs_dir:
         (Path(jobs_dir) / workloads.CONFIG_NAME).write_text(inputs.config_text)
         samples: dict[str, dict[str, list]] = {label: {} for label in checkouts}
         labels = list(checkouts)
-        for round_index in range(rounds):
+        for round_index in range(ROUNDS):
             order = labels if round_index % 2 == 0 else labels[::-1]
             for label in order:
                 env = child_env(checkouts[label])
@@ -179,18 +182,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--checkout", action="append", default=[], metavar="LABEL=DIR")
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=1, help="enumerate-d30 table seed")
     args = parser.parse_args(argv)
     checkouts = {}
     for item in args.checkout or [f"change={ROOT}"]:
         label, _, directory = item.partition("=")
         checkouts[label] = Path(directory).resolve()
     bench = {
-        "rounds": args.rounds,
-        "seed": args.seed,
+        "rounds": ROUNDS,
+        "seed": SEED,
         "env": {"SOURCE_DATE_EPOCH": "0", "PYTHONDONTWRITEBYTECODE": "1"},
-        "runs": measure(checkouts, args.rounds, args.seed),
+        "runs": measure(checkouts),
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n")
     return 0

@@ -8,7 +8,8 @@ compared with OLD's last run; when there is no older file, with the
 first run of NEW itself (a file measured on a parent and a change holds
 both). A ratio is new median / old median, so below 1 is faster or smaller.
 Command-line rows also compare peak RSS and flag a changed output digest.
-Nothing is gated.
+Nothing is gated, but two files measured with a different seed or number
+of rounds are refused (exit 2): their command-line rows ran other inputs.
 """
 
 from __future__ import annotations
@@ -38,8 +39,14 @@ def main(argv: list[str]) -> int:
         number = bench_number(new_path)
         older = [path for path in files if number is None or bench_number(path) < number]
         old_path = older[-1] if older else new_path
-    new_runs = json.loads(new_path.read_text())["runs"]
-    old_runs = json.loads(old_path.read_text())["runs"]
+    new_bench = json.loads(new_path.read_text())
+    old_bench = json.loads(old_path.read_text())
+    for key in ("seed", "rounds"):
+        if new_bench[key] != old_bench[key]:
+            print(f"{new_path.name} has {key} {new_bench[key]}, {old_path.name} has"
+                  f" {old_bench[key]}: not comparable", file=sys.stderr)
+            return 2
+    new_runs, old_runs = new_bench["runs"], old_bench["runs"]
     new, old = new_runs[-1], old_runs[0] if old_path == new_path else old_runs[-1]
     print(f"{new_path.name} [{new['label']}] against {old_path.name} [{old['label']}]")
     before = {row["name"]: row for row in old["rows"]}

@@ -230,12 +230,15 @@ def listed(tables):
     return get
 
 
-def test_worst_case_levels_mixes_conventions(char, listed):
-    for domains in (6, 13, 20, 30):
-        worst = worst_case_levels(domains, char)
+def test_worst_case_levels_mixes_conventions(tables, listed):
+    # the one scan that mixes both left and both right borders; the tied
+    # tables keep several banks per state, so they reach its pruning
+    cases = [(d, name) for d in (6, 13, 20) for name in tables] + [(30, "default")]
+    for domains, name in cases:
+        worst = worst_case_levels(domains, tables[name])
         assert worst.borders is None
         assert worst.convention_label == "worst"
-        per_conv = [listed(domains, borders, "default") for borders in ALL_CONDITIONS]
+        per_conv = [listed(domains, borders, name) for borders in ALL_CONDITIONS]
         for weight in range(domains + 1):
             lows = [r.clusters[weight].min_resistance for r in per_conv]
             highs = [r.clusters[weight].max_resistance for r in per_conv]
@@ -273,9 +276,13 @@ def test_spare_conductances_match_the_bank_sum(char):
 @pytest.mark.parametrize("domains", [1, 2, 5, 9, 16, 24, 30])
 def test_cluster_extremes_are_the_listed_report_without_classes(tables, listed, domains):
     # the scan against the walk; a wall counted by the wrong bit shows only
-    # under an asymmetric condition on a table whose two walls differ
+    # under an asymmetric condition on a table whose two walls differ. The
+    # walk at D = 30 costs about 0.3 s a condition, so D = 30 runs on the
+    # default table only, whose walks the worst-case test shares.
     conditions = ALL_CONDITIONS if domains <= 16 else ALL_CONDITIONS[1:3]
-    for name, char in tables.items():
+    names = ["default"] if domains > 24 else list(tables)
+    for name in names:
+        char = tables[name]
         for borders in conditions:
             report = listed(domains, borders, name)
             bare = replace(
@@ -284,18 +291,23 @@ def test_cluster_extremes_are_the_listed_report_without_classes(tables, listed, 
             assert cluster_extremes(domains, borders, char) == bare
 
 
-@pytest.mark.parametrize("d_min", [2, 7, 19, 20])
-def test_sweep_rows_are_the_cluster_extremes_of_their_window(tables, d_min):
-    # one scan completes every window length on the way to the longest
-    for name, char in tables.items():
-        for borders in ALL_CONDITIONS[1:3]:
-            report = sweep_domains(d_min, 30, 5e-3, borders, char)
-            for row in report.rows:
-                if row.domains > SWEEP_ENUMERATION_LIMIT:
-                    assert row.enumerated_margin is None
-                else:
-                    extremes = cluster_extremes(row.domains, borders, char)
-                    assert row.enumerated_margin == extremes.min_margin
+@pytest.mark.parametrize(
+    "d_min, name",
+    [(2, name) for name in ("default", "tied walls", "tied half-walls")]
+    + [(d_min, "default") for d_min in (7, 19, 20)],
+)
+def test_sweep_rows_are_the_cluster_extremes_of_their_window(tables, d_min, name):
+    # one scan completes every window length on the way to the longest;
+    # d_min = 2 covers every enumerated row, the others move the window start
+    char = tables[name]
+    for borders in ALL_CONDITIONS[1:3]:
+        report = sweep_domains(d_min, 30, 5e-3, borders, char)
+        for row in report.rows:
+            if row.domains > SWEEP_ENUMERATION_LIMIT:
+                assert row.enumerated_margin is None
+            else:
+                extremes = cluster_extremes(row.domains, borders, char)
+                assert row.enumerated_margin == extremes.min_margin
 
 
 def test_closed_form_matches_worst_case_extremes(char):
