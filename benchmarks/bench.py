@@ -1,6 +1,6 @@
 """Write a ``BENCH_<n>.json`` of in-process and command-line timings.
 
-    python3 benchmarks/bench.py --out BENCH_16.json \
+    python3 benchmarks/bench.py --out BENCH_17.json \
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names a checkout whose ``DIR/src`` is
@@ -12,10 +12,12 @@ drifts slows every checkout alike. Per checkout the file holds one run:
   ``worst_case_levels`` and ``sweep_domains`` (from 2) at D = 5, 12 and 30,
   on the default table, each timed once per round in a fresh process after
   one warm-up call;
-- command-line rows: the six job kinds of the benchmark workload
-  ``enumerate-d30`` (``perfbench/workloads.py``, its seed-``SEED`` table),
-  each spawned once per round with wall time and peak RSS from
-  ``os.wait4`` and a digest of its standard output;
+- command-line rows, each spawned once per round with wall time and peak
+  RSS from ``os.wait4`` and a digest of its standard output: the six job
+  kinds of the benchmark workload ``enumerate-d30`` and the two of
+  ``montecarlo-d4`` (``perfbench/workloads.py``, each with its own
+  seed-``SEED`` table), and ``variation --domains 12 --monte-carlo 1000000
+  --seed 1`` in CSV and JSON on the ``montecarlo-d4`` table;
 - the machine: CPU model, core count, Python and numpy versions, git SHA.
 
 Every row gives the median and quartiles over ``ROUNDS`` rounds; ``ROUNDS``
@@ -23,7 +25,9 @@ and ``SEED`` are written into the file. Timings are reported,
 not gated; ``benchmarks/compare.py`` prints each row's ratio against an
 earlier run. Children run with ``SOURCE_DATE_EPOCH=0`` (byte-identical
 output) and ``PYTHONDONTWRITEBYTECODE=1`` (no bytecode cache written into a
-checkout, so every process compiles from source).
+checkout, so every process compiles from source). On Linux a child's
+``ru_maxrss`` starts from the spawning process's resident size, so the
+digests are read in blocks and this script stays far smaller than any job.
 """
 
 from __future__ import annotations
@@ -48,7 +52,14 @@ import workloads  # noqa: E402
 
 DOMAINS = (5, 12, 30)
 ROUNDS = 7
-SEED = 1  # the enumerate-d30 table every BENCH file is measured on
+SEED = 1  # the workload tables and jobs every BENCH file is measured on
+WORKLOADS = ("enumerate-d30", "montecarlo-d4")
+# large Monte Carlo runs, on the montecarlo-d4 table
+LARGE_JOBS = tuple(
+    ("variation", "--domains", "12", "--monte-carlo", "1000000", "--seed", "1",
+     "--format", fmt, "--config", workloads.CONFIG_NAME)
+    for fmt in ("csv", "json")
+)
 CALLS = ("enumerate_levels", "cluster_extremes", "worst_case_levels", "sweep_domains")
 
 # Runs in a fresh process on the checkout's src: times each call once,
@@ -104,7 +115,7 @@ def spawn(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, float
         if process.returncode != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {process.returncode}")
         out.seek(0)
-        digest = hashlib.sha256(out.read()).hexdigest()
+        digest = hashlib.file_digest(out, "sha256").hexdigest()
     return elapsed, usage.ru_maxrss / 1024, digest
 
 
@@ -144,9 +155,15 @@ def machine(checkout: Path) -> dict[str, object]:
 
 
 def measure(checkouts: dict[str, Path]) -> list[dict]:
-    inputs = workloads.build("enumerate-d30", SEED)
-    with tempfile.TemporaryDirectory() as jobs_dir:
-        (Path(jobs_dir) / workloads.CONFIG_NAME).write_text(inputs.config_text)
+    with tempfile.TemporaryDirectory() as root:
+        jobs = []  # (directory holding the job's table, argv)
+        for name in WORKLOADS:
+            inputs = workloads.build(name, SEED)
+            jobs_dir = Path(root) / name
+            jobs_dir.mkdir()
+            (jobs_dir / workloads.CONFIG_NAME).write_text(inputs.config_text)
+            extra = LARGE_JOBS if name == "montecarlo-d4" else ()
+            jobs += [(jobs_dir, list(job)) for job in (*inputs.jobs, *extra)]
         samples: dict[str, dict[str, list]] = {label: {} for label in checkouts}
         labels = list(checkouts)
         for round_index in range(ROUNDS):
@@ -155,8 +172,8 @@ def measure(checkouts: dict[str, Path]) -> list[dict]:
                 env = child_env(checkouts[label])
                 for name, seconds in in_process(env).items():
                     samples[label].setdefault(name, []).append(seconds)
-                for job in inputs.jobs:
-                    wall, rss, digest = spawn(list(job), env, Path(jobs_dir))
+                for jobs_dir, job in jobs:
+                    wall, rss, digest = spawn(job, env, jobs_dir)
                     samples[label].setdefault(" ".join(job), []).append((wall, rss, digest))
     runs = []
     for label, checkout in checkouts.items():

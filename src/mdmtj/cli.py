@@ -335,19 +335,28 @@ def _oracle_variation_check(
     domains: int,
     borders: BorderCondition,
     neighbors: NeighborAssumption,
-    offsets: Sequence[float],
-    margins: Sequence[float],
+    nominal: float,
+    offsets: Sequence[float] | np.ndarray,
+    margins: Sequence[float] | np.ndarray,
     char: Characterization,
 ) -> None:
+    """The nominal margin and the margin at each offset against one
+    brute-force reference over offset 0 and ``offsets``, compared as arrays."""
+    import numpy as np
+
+    offsets = np.concatenate(([0.0], offsets))
+    got = np.concatenate(([nominal], margins))
     ref = _oracle().brute_force_offset_margins(
         domains, borders, offsets, neighbors, neighbors, char
-    ).tolist()
-    for offset, got, want in zip(offsets, margins, ref):
-        if got != want:
-            raise OracleMismatch(
-                f"margin {got!r} V at offset {offset * 1e9:.6f} nm disagrees with"
-                f" the brute-force reference {want!r} V at {domains} domains"
-            )
+    )
+    wrong = np.flatnonzero(got != ref)
+    if wrong.size:
+        index = int(wrong[0])
+        raise OracleMismatch(
+            f"margin {float(got[index])!r} V at offset {offsets[index] * 1e9:.6f} nm"
+            f" disagrees with the brute-force reference {float(ref[index])!r} V at"
+            f" {domains} domains"
+        )
 
 
 def _oracle_sample_check(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
@@ -519,10 +528,8 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
     if args.oracle:
         _oracle_sample_check(spec, report.offsets)
         _oracle_variation_check(
-            args.domains, borders, neighbors,
-            [0.0, *report.offsets.tolist()],
-            [report.nominal_min_margin, *report.margins.tolist()],
-            char,
+            args.domains, borders, neighbors, report.nominal_min_margin,
+            report.offsets, report.margins, char,
         )
     table = (
         f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
@@ -582,10 +589,8 @@ def _fixed_offset(
     report = offset_margin_report(args.domains, borders, spec, char)
     if args.oracle:
         _oracle_variation_check(
-            args.domains, borders, neighbors,
-            (0.0, report.offset, -report.offset),
-            (report.nominal_min_margin, *report.sign_min_margins),
-            char,
+            args.domains, borders, neighbors, report.nominal_min_margin,
+            (report.offset, -report.offset), report.sign_min_margins, char,
         )
     nominal_mv = report.nominal_min_margin * 1e3
     reduction_mv = report.margin_deviation * 1e3

@@ -585,3 +585,78 @@ def test_monte_carlo_single_sample_has_zero_spread(char, same_same):
     assert report.stddev_margin == 0.0
     assert report.mean_margin == report.min_margin == report.p01_margin
 
+
+
+# --- chunked evaluation -------------------------------------------------------
+
+CHUNKED_SAMPLES = 23
+
+
+@pytest.mark.parametrize("borders", ["same,differ", "differ,same"])
+@pytest.mark.parametrize("neighbors", [ZERO, ONE, WORST])
+def test_chunk_boundaries_leave_every_bit_unchanged(char, monkeypatch, borders, neighbors):
+    borders = BorderCondition.parse(borders)
+    spec = MonteCarloSpec(samples=CHUNKED_SAMPLES, seed=3)
+    offsets = sample_offsets(spec)
+    offsets[[0, 11, -1]] = 0.0  # the nominal margin at either end and within
+    assert (offsets > 0.0).any() and (offsets < 0.0).any()
+
+    def run():
+        return (
+            monte_carlo_margins(5, borders, spec, char, neighbors, neighbors),
+            min_margins_for_offsets(5, borders, offsets, neighbors, neighbors, char),
+        )
+
+    monkeypatch.setattr(variation, "_CHUNK", 2 * CHUNKED_SAMPLES)  # one chunk
+    whole_report, whole = run()
+    for chunk in (1, 7, CHUNKED_SAMPLES - 1, CHUNKED_SAMPLES, CHUNKED_SAMPLES + 1):
+        monkeypatch.setattr(variation, "_CHUNK", chunk)
+        report, margins = run()
+        assert report == whole_report, chunk
+        assert margins.tobytes() == whole.tobytes(), chunk
+
+
+@pytest.mark.parametrize(
+    "bad,index,short,named",
+    [
+        (math.nan, 9, False, "offset nan nm"),
+        (13e-9, 9, False, "offset 13 nm"),
+        # past the 8 nm two-wall edge domains, in the last chunk
+        (-11e-9, -1, True, "offset of 11 nm"),
+    ],
+)
+def test_chunked_refusals_match_a_whole_array_call(
+    char, differ_differ, monkeypatch, bad, index, short, named
+):
+    table = _short_domains(char) if short else char
+    offsets = sample_offsets(MonteCarloSpec(samples=20, seed=3))
+    offsets[index] = bad
+    refusals = []
+    for chunk in (len(offsets), 3):
+        monkeypatch.setattr(variation, "_CHUNK", chunk)
+        with pytest.raises(OffsetOutOfRange) as refusal:
+            min_margins_for_offsets(4, differ_differ, offsets, WORST, WORST, table)
+        refusals.append(str(refusal.value))
+    assert refusals[0] == refusals[1]
+    assert named in refusals[0]
+
+
+def test_monte_carlo_memory_grows_by_its_arrays_only(char):
+    import tracemalloc
+
+    borders = BorderCondition.parse("same,differ")
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            monte_carlo_margins(4, borders, MonteCarloSpec(samples=samples, seed=1), char)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # loads numpy's generator for the sampler's fallback rows
+    samples = 50_000
+    per_sample = (peak(4 * samples) - peak(samples)) / (3 * samples)
+    # offsets and margins, 8 bytes each, and one temporary of the statistics;
+    # the engine's and the sampler's working sets do not grow with the run
+    assert per_sample <= 32, per_sample
