@@ -223,9 +223,8 @@ def perturbed_resistance(
 
 # --- margin engine -------------------------------------------------------------
 
-# offsets per vectorized engine pass, and samples per Monte Carlo draw: a
-# pass's temporaries stay near 1.3 MB at any D. Measured on Monte Carlo runs
-# at D = 4 and 12, 8192 is 15-20 % slower and 32768 adds peak RSS.
+# offsets per engine pass and samples per draw: about 1.3 MB of temporaries
+# at any D; 8192 ran 15-20 % slower at D = 4 and 12, 32768 added peak RSS
 _CHUNK = 16384
 
 
@@ -301,10 +300,8 @@ def _side_min_margins(
     group, one when a single neighbor bit is assumed and g_low == g_high;
     never a rows x offsets matrix, and weights stream one at a time. Floats
     and arrays run the same steps (``_elementwise``), so they agree bit for
-    bit. Every step is elementwise, so an array's margins do not depend on
-    how its offsets are split: ``min_margins_for_offsets`` passes one
-    chunk's magnitudes per side, and each temporary here holds one entry per
-    magnitude.
+    bit. Every step is elementwise, so how the offsets are split into
+    chunks changes no bit, and a temporary is as long as one chunk.
 
     The caller has checked that no magnitude uncovers an edge domain.
     """
@@ -365,16 +362,11 @@ def _fold_for_offsets(
     left_neighbor: NeighborAssumption,
     right_neighbor: NeighborAssumption,
     char: Characterization,
-) -> tuple[float, list[tuple[bool, tuple[int, ...], _EdgeGroups]]]:
+) -> tuple[float, list]:
     """The fold-once part of ``min_margins_for_offsets``, over all of its
-    ``offsets`` (a list, or a one-dimensional array).
-
-    Refuses the first NaN, else the first largest magnitude, beyond one
-    notch length; folds once; then refuses, side by side, the largest
-    magnitude that leaves the side's shortest edge domain no covered length.
-    Returns the nominal min margin and, per side with offsets, (left,
-    neighbor bits, edge groups).
-    """
+    offsets (a list or a flat array): the refusals, then one fold. Returns
+    the nominal margin and (left, neighbor bits, edge groups) per side with
+    offsets."""
     geometry = char.geometry
     if isinstance(offsets, list):
         worst = next((x for x in offsets if x != x), max(offsets, key=abs, default=0.0))
@@ -406,16 +398,16 @@ def _fold_for_offsets(
 
 def _evaluate_chunk(
     domains: int,
-    sides: list[tuple[bool, tuple[int, ...], _EdgeGroups]],
+    sides: list,
     offsets: list[float] | np.ndarray,
     out: list[float] | np.ndarray,
     char: Characterization,
     ohms: list[float],
 ) -> None:
-    """The evaluate-a-chunk part of ``min_margins_for_offsets``: writes the
-    min margin of each nonzero offset into ``out`` at its index; a zero
-    offset keeps what ``out`` holds, the nominal margin. A list is one float
-    pass per offset, an ndarray one vectorized pass per side."""
+    """The evaluate-a-chunk part: the margin of each nonzero offset into
+    ``out`` at its index (a zero offset keeps the nominal margin there). A
+    list is one float pass per offset, an ndarray one vectorized pass per
+    side."""
     for left, bits, groups in sides:
         if isinstance(offsets, list):
             passes = [(i, abs(x)) for i, x in enumerate(offsets) if (x > 0.0 if left else x < 0.0)]
@@ -439,15 +431,15 @@ def min_margins_for_offsets(
     """Minimum sense margin (volts) for each signed offset (meters).
 
     A positive offset uncovers the left edge and overhangs the right
-    neighbor; a negative one mirrors that. The run-structure walk is folded
-    once for the whole input, and every refusal is decided over the whole
-    input before any offset is evaluated (``_fold_for_offsets``). A sequence
-    of floats gives a list of floats and loads no numpy: each nonzero offset
-    is one float pass of the engine. An ndarray gives an ndarray of its
-    shape, filled ``_CHUNK`` offsets at a time, each side of a chunk one
-    vectorized pass, so the engine's temporaries do not grow with the input.
-    Both give the same bits, and refuse the same offsets with the same
-    message.
+    neighbor; a negative one mirrors that. The walk is folded once, after
+    every refusal is decided over the whole input: the first NaN, else the
+    largest magnitude beyond one notch length; then, side by side, the
+    largest magnitude that leaves an edge domain no covered length. A
+    sequence of floats gives a list of floats and loads no numpy: each
+    nonzero offset is one float pass of the engine. An ndarray gives an
+    ndarray, filled ``_CHUNK`` offsets at a time (one vectorized pass per
+    side of a chunk), so the engine's temporaries do not grow with the
+    input. Both give the same bits and the same refusals.
     """
     _check_domain_count(domains)
     if isinstance(offsets, Sequence):
@@ -607,11 +599,9 @@ def monte_carlo_margins(
 ) -> MonteCarloReport:
     """Seeded margin distribution; the same seed gives the same bits.
 
-    Offset 0 goes first, so the nominal margin comes from the same engine
-    call and fold as the samples. The samples are drawn _CHUNK at a time
-    into the buffer behind it, which the engine then fills _CHUNK margins at
-    a time: beyond a bounded working set a run holds its two arrays and one
-    temporary of the summary statistics, 24 bytes per sample.
+    Samples are drawn ``_CHUNK`` at a time into one buffer behind offset 0,
+    whose margin is the nominal one, from the same engine call. A run holds
+    about 24 bytes per sample: both arrays and a temporary of the stddev.
     """
     import numpy as np
 
