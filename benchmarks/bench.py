@@ -115,8 +115,10 @@ def spawn(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, float
         if process.returncode != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {process.returncode}")
         out.seek(0)
-        digest = hashlib.file_digest(out, "sha256").hexdigest()
-    return elapsed, usage.ru_maxrss / 1024, digest
+        digest = hashlib.sha256()
+        for block in iter(lambda: out.read(1 << 20), b""):
+            digest.update(block)
+    return elapsed, usage.ru_maxrss / 1024, digest.hexdigest()
 
 
 def in_process(env: dict[str, str]) -> dict[str, float]:

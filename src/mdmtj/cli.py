@@ -340,10 +340,9 @@ def _oracle_variation_check(
     margins: Sequence[float] | np.ndarray,
     char: Characterization,
 ) -> None:
-    """The nominal margin and the margin at each offset against one
-    brute-force reference over offset 0 and ``offsets``, compared as arrays."""
     import numpy as np
 
+    # one reference call covers offset 0 and every offset
     offsets = np.concatenate(([0.0], offsets))
     got = np.concatenate(([nominal], margins))
     ref = _oracle().brute_force_offset_margins(
