@@ -601,7 +601,7 @@ def monte_carlo_margins(
 
     Samples are drawn ``_CHUNK`` at a time into one buffer behind offset 0,
     whose margin is the nominal one, from the same engine call. A run holds
-    about 24 bytes per sample: both arrays and a temporary of the stddev.
+    about 24 bytes per sample: both arrays and one temporary of the stats.
     """
     import numpy as np
 
