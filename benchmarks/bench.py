@@ -1,6 +1,6 @@
 """Write a ``BENCH_<n>.json`` of in-process and command-line timings.
 
-    python3 benchmarks/bench.py --out BENCH_17.json \
+    python3 benchmarks/bench.py --out BENCH_18.json \
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names a checkout whose ``DIR/src`` is
@@ -14,10 +14,12 @@ drifts slows every checkout alike. Per checkout the file holds one run:
   one warm-up call;
 - command-line rows, each spawned once per round with wall time and peak
   RSS from ``os.wait4`` and a digest of its standard output: the six job
-  kinds of the benchmark workload ``enumerate-d30`` and the two of
-  ``montecarlo-d4`` (``perfbench/workloads.py``, each with its own
-  seed-``SEED`` table), and ``variation --domains 12 --monte-carlo 1000000
-  --seed 1`` in CSV and JSON on the ``montecarlo-d4`` table;
+  kinds of the benchmark workload ``enumerate-d30``, the two of
+  ``montecarlo-d4`` and the 40 short queries of ``cli-short``
+  (``perfbench/workloads.py``, each workload with its own seed-``SEED``
+  table), ``variation --domains 12 --monte-carlo 1000000 --seed 1`` in CSV
+  and JSON on the ``montecarlo-d4`` table, and one process that only runs
+  ``import mdmtj.cli`` (interpreter start plus the import every query pays);
 - the machine: CPU model, core count, Python and numpy versions, git SHA.
 
 Every row gives the median and quartiles over ``ROUNDS`` rounds; ``ROUNDS``
@@ -53,7 +55,7 @@ import workloads  # noqa: E402
 DOMAINS = (5, 12, 30)
 ROUNDS = 7
 SEED = 1  # the workload tables and jobs every BENCH file is measured on
-WORKLOADS = ("enumerate-d30", "montecarlo-d4")
+WORKLOADS = ("enumerate-d30", "montecarlo-d4", "cli-short")
 # large Monte Carlo runs, on the montecarlo-d4 table
 LARGE_JOBS = tuple(
     ("variation", "--domains", "12", "--monte-carlo", "1000000", "--seed", "1",
@@ -90,6 +92,7 @@ print(json.dumps(times))
 """
 
 ENTRY = "from mdmtj.cli import run; run()"
+IMPORT = "import mdmtj.cli"
 
 
 def child_env(checkout: Path) -> dict[str, str]:
@@ -101,12 +104,14 @@ def child_env(checkout: Path) -> dict[str, str]:
     return env
 
 
-def spawn(argv: list[str], env: dict[str, str], cwd: Path) -> tuple[float, float, str]:
-    """Run ``python -c ENTRY argv``: (wall seconds, peak RSS MB, stdout sha256)."""
+def spawn(
+    program: str, argv: list[str], env: dict[str, str], cwd: Path
+) -> tuple[float, float, str]:
+    """Run ``python -c program argv``: (wall seconds, peak RSS MB, stdout sha256)."""
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
         process = subprocess.Popen(
-            [sys.executable, "-c", ENTRY, *argv], env=env, cwd=cwd, stdout=out,
+            [sys.executable, "-c", program, *argv], env=env, cwd=cwd, stdout=out,
             stderr=subprocess.DEVNULL,
         )
         _, status, usage = os.wait4(process.pid, 0)
@@ -158,14 +163,19 @@ def machine(checkout: Path) -> dict[str, object]:
 
 def measure(checkouts: dict[str, Path]) -> list[dict]:
     with tempfile.TemporaryDirectory() as root:
-        jobs = []  # (directory holding the job's table, argv)
+        jobs = []  # (row name, directory holding the job's table, program, argv)
         for name in WORKLOADS:
             inputs = workloads.build(name, SEED)
             jobs_dir = Path(root) / name
             jobs_dir.mkdir()
             (jobs_dir / workloads.CONFIG_NAME).write_text(inputs.config_text)
             extra = LARGE_JOBS if name == "montecarlo-d4" else ()
-            jobs += [(jobs_dir, list(job)) for job in (*inputs.jobs, *extra)]
+            for job in (*inputs.jobs, *extra):
+                row = f"mdmtj {' '.join(job)}"
+                if row in {taken for taken, *_ in jobs}:  # on an earlier workload's table
+                    row += f" ({name} table)"
+                jobs.append((row, jobs_dir, ENTRY, list(job)))
+        jobs.append((IMPORT, Path(root), IMPORT, []))
         samples: dict[str, dict[str, list]] = {label: {} for label in checkouts}
         labels = list(checkouts)
         for round_index in range(ROUNDS):
@@ -174,9 +184,9 @@ def measure(checkouts: dict[str, Path]) -> list[dict]:
                 env = child_env(checkouts[label])
                 for name, seconds in in_process(env).items():
                     samples[label].setdefault(name, []).append(seconds)
-                for jobs_dir, job in jobs:
-                    wall, rss, digest = spawn(job, env, jobs_dir)
-                    samples[label].setdefault(" ".join(job), []).append((wall, rss, digest))
+                for row, jobs_dir, program, job in jobs:
+                    wall, rss, digest = spawn(program, job, env, jobs_dir)
+                    samples[label].setdefault(row, []).append((wall, rss, digest))
     runs = []
     for label, checkout in checkouts.items():
         rows = []
@@ -187,7 +197,7 @@ def measure(checkouts: dict[str, Path]) -> list[dict]:
                 continue
             digests = sorted({digest for _, _, digest in values})
             rows.append({
-                "kind": "cli", "name": f"mdmtj {name}", "unit": "s",
+                "kind": "cli", "name": name, "unit": "s",
                 **summary([wall for wall, _, _ in values]),
                 "samples": [wall for wall, _, _ in values],
                 "peak_rss_mb": max(rss for _, rss, _ in values),

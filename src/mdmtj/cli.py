@@ -4,7 +4,9 @@ Subcommands map one-to-one onto the analysis modules: ``resistance`` and
 ``voltage`` evaluate a single pattern, ``levels`` lists the weight clusters,
 ``margin`` reports the minimum sense margin (enumerated or closed form),
 ``sweep`` scans domain counts against a margin threshold, and ``variation``
-runs the misalignment study (fixed offset or seeded Monte Carlo).
+runs the misalignment study (fixed offset or seeded Monte Carlo). Every
+query is a new process, so each handler imports the analysis module it runs
+on first use, and ``json`` and ``datetime`` load only for CSV/JSON output.
 
 Each subcommand handler returns one ``_Result``; a single emitter writes it
 as a table, CSV or JSON. Machine-readable outputs (CSV/JSON) embed a run
@@ -20,14 +22,13 @@ before the output ends, as ``| head`` does.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import math
 import os
 import struct
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
@@ -39,29 +40,68 @@ from .characterization import (
     load_config,
 )
 from .errors import ConfigError, ModelError, OracleMismatch, UsageError
-from .margins import (
-    MarginReport,
-    SweepReport,
-    closed_form_min_margin,
-    closed_form_resistances,
-    cluster_extremes,
-    enumerate_levels,
-    sweep_domains,
-    worst_case_levels,
-)
 from .network import BorderCondition, pattern_resistance, pattern_voltage
-from .variation import (
-    MisalignmentSpec,
-    MonteCarloSpec,
-    NeighborAssumption,
-    monte_carlo_margins,
-    offset_margin_report,
-)
 
 if TYPE_CHECKING:
     from types import ModuleType
 
     import numpy as np
+
+    from .margins import (
+        MarginReport,
+        SweepReport,
+        closed_form_min_margin,
+        closed_form_resistances,
+        cluster_extremes,
+        enumerate_levels,
+        sweep_domains,
+        worst_case_levels,
+    )
+    from .variation import (
+        MisalignmentSpec,
+        MonteCarloSpec,
+        NeighborAssumption,
+        monte_carlo_margins,
+        offset_margin_report,
+    )
+
+# What the handlers call from the analysis modules, bound here by ``_need`` on
+# first use: ``resistance`` and ``voltage`` compile neither module, ``levels``,
+# ``margin`` and ``sweep`` no ``variation``. A name rebound before that (a
+# tracer's wrapper, a test's stub) keeps its binding.
+_LAZY = {
+    "margins": (
+        "closed_form_min_margin",
+        "closed_form_resistances",
+        "cluster_extremes",
+        "enumerate_levels",
+        "sweep_domains",
+        "worst_case_levels",
+    ),
+    "variation": (
+        "MisalignmentSpec",
+        "MonteCarloSpec",
+        "NeighborAssumption",
+        "monte_carlo_margins",
+        "offset_margin_report",
+    ),
+}
+
+
+def _need(home: str) -> None:
+    module = importlib.import_module(f".{home}", __package__)
+    for name in _LAZY[home]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str) -> object:
+    # ``cli.enumerate_levels`` resolves before any handler has run
+    for home, names in _LAZY.items():
+        if name in names:
+            _need(home)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _USAGE_ERROR = 2
 _CONFIG_ERROR = 3
@@ -131,6 +171,8 @@ class _Result:
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone
+
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
     try:
         epoch = int(pinned) if pinned else int(time.time())
@@ -174,6 +216,8 @@ def _csv_cells(column: _Column, values: Sequence[Any]) -> list[str]:
 
 def _json_cells(column: _Column, values: Sequence[Any]) -> list[str]:
     # what json.dumps prints: repr for an int or a finite float
+    import json
+
     if isinstance(column, str):
         return [repr(value) if type(value) is int else json.dumps(value) for value in values]
     _, scale, decimals = column
@@ -216,6 +260,8 @@ def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
         yield "".join(line + "\n" for line in _manifest_comments(manifest)) + ",".join(names) + "\n"
         yield from _row_chunks(result, "csv", ",".join(["%s"] * len(names)) + "\n", "")
         return
+    import json
+
     payload: dict[str, object] = {"manifest": manifest, **result.head}
     if result.rows_key is not None:
         payload[result.rows_key] = _ROWS_PLACEHOLDER
@@ -413,6 +459,7 @@ def _levels_table(report: MarginReport) -> str:
 
 
 def _cmd_levels(args: argparse.Namespace, char: Characterization) -> _Result:
+    _need("margins")
     borders = _parse_borders(args.borders)
     report = enumerate_levels(args.domains, borders, char)
     if args.oracle:
@@ -437,6 +484,7 @@ def _cmd_levels(args: argparse.Namespace, char: Characterization) -> _Result:
 
 
 def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
+    _need("margins")
     if args.closed_form:
         r_one, r_zero = closed_form_resistances(args.domains, char.table)
         volts = closed_form_min_margin(args.domains, char)
@@ -491,6 +539,7 @@ def _sweep_table(report: SweepReport, threshold_mv: float) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
+    _need("margins")
     borders = _parse_borders(args.borders)
     report = sweep_domains(args.d_min, args.d_max, args.threshold_mv / 1e3, borders, char)
     if args.oracle:
@@ -511,6 +560,7 @@ def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
 
 
 def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
+    _need("variation")
     borders = _parse_borders(args.borders)
     neighbors = NeighborAssumption(args.neighbors)  # argparse checked the choice
     if args.oracle:

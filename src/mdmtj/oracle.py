@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .characterization import Characterization, SegmentKind, SegmentResistanceTa
 from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport
 from .network import ALL_CONDITIONS, Border, BorderCondition
-from .variation import MonteCarloSpec, NeighborAssumption
+
+if TYPE_CHECKING:
+    from .variation import MonteCarloSpec, NeighborAssumption
 
 BRUTE_FORCE_LIMIT = 12
 

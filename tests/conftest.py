@@ -49,6 +49,29 @@ def differ_differ():
     return BorderCondition.parse("differ,differ")
 
 
+def _fresh_env():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "SOURCE_DATE_EPOCH": "0"}
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """fresh_python(script, *args) -> (exit code, stdout, stderr)
+
+    Runs ``python -c script *args`` in a new interpreter that imports this
+    checkout's mdmtj, with SOURCE_DATE_EPOCH=0.
+    """
+
+    def run(script, *args):
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=_fresh_env(), capture_output=True, text=True, timeout=300,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def fresh_cli():
     """fresh_cli(argvs, block_numpy) -> ([(exit code, stdout), ...], numpy loaded)
@@ -57,12 +80,10 @@ def fresh_cli():
     """
 
     def run(argvs, block_numpy):
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "SOURCE_DATE_EPOCH": "0"}
         done = subprocess.run(
             [sys.executable, "-c", _FRESH_CLI, *(["block"] if block_numpy else [])],
             input=json.dumps([list(argv) for argv in argvs]),
-            env=env, capture_output=True, text=True, timeout=300,
+            env=_fresh_env(), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         result = json.loads(done.stdout)

@@ -1,21 +1,34 @@
-"""The package namespace: what ``mdmtj`` binds and what it exports."""
+"""The package namespace: what ``mdmtj`` exports and where each name lives.
 
-import ast
-from pathlib import Path
+``import mdmtj`` imports no submodule. Each exported name is imported from its
+home submodule on first access (PEP 562), and each home submodule resolves as
+an attribute of the package.
+"""
+
+import importlib
+from types import ModuleType
+
+import pytest
 
 import mdmtj
 
+# In a fresh interpreter, prints: the submodules ``import mdmtj`` loaded, what
+# ``dir`` lists before any name is accessed, what ``from mdmtj import *``
+# binds, and each home submodule that does not resolve as a package attribute.
+_FRESH_NAMESPACE = """
+import sys
+import mdmtj
 
-def _bound_names():
-    """Names ``mdmtj/__init__.py`` binds at top level."""
-    tree = ast.parse(Path(mdmtj.__file__).read_text(encoding="utf-8"))
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return names
+loaded = sorted(name for name in sys.modules if name.startswith("mdmtj."))
+listed = dir(mdmtj)
+namespace = {}
+exec("from mdmtj import *", namespace)
+unbound = [
+    home for home in sorted(set(mdmtj._HOME.values()))
+    if getattr(mdmtj, home) is not sys.modules["mdmtj." + home]
+]
+print(repr((loaded, listed, sorted(namespace), unbound)))
+"""
 
 
 def test_every_exported_name_resolves():
@@ -25,6 +38,31 @@ def test_every_exported_name_resolves():
 
 
 def test_every_public_binding_is_exported():
-    public = {name for name in _bound_names() if not name.startswith("_")}
-    assert public - set(mdmtj.__all__) == set()
+    assert set(mdmtj._HOME) == set(mdmtj.__all__) - {"__version__"}
     assert "__version__" in mdmtj.__all__
+    public = {
+        name for name, value in vars(mdmtj).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert public - set(mdmtj.__all__) == set()
+
+
+def test_each_name_is_its_home_modules_object():
+    for name, home in mdmtj._HOME.items():
+        module = importlib.import_module(f"mdmtj.{home}")
+        assert getattr(mdmtj, name) is (module if name == home else getattr(module, name)), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'mdmtj' has no attribute 'nope'"):
+        mdmtj.nope
+
+
+def test_import_loads_no_submodule_and_every_name_resolves_lazily(fresh_python):
+    code, out, err = fresh_python(_FRESH_NAMESPACE)
+    assert code == 0, err
+    loaded, listed, bound, unbound = eval(out)
+    assert loaded == []
+    assert set(mdmtj.__all__) <= set(listed)
+    assert set(mdmtj.__all__) <= set(bound)
+    assert unbound == []

@@ -1,7 +1,10 @@
-"""Start-up: only Monte Carlo and ``--oracle`` runs load numpy.
+"""Start-up: each command loads only the modules it runs.
 
-Every ``mdmtj`` query is a new process, and importing numpy costs more than
-the rest of the package. ``resistance``, ``voltage``, ``levels``, ``margin``,
+Every ``mdmtj`` query is a new process that compiles what it imports, and
+importing numpy costs more than the rest of the package. ``resistance`` and
+``voltage`` load neither ``margins`` nor ``variation``, and no command loads
+``variation`` but ``variation``; ``json`` and ``datetime`` load only for
+machine-readable output. ``resistance``, ``voltage``, ``levels``, ``margin``,
 ``sweep`` and fixed-offset ``variation`` build no array (the misalignment
 engine runs on plain floats for a list of offsets), so they run, and print
 the same bytes, in an interpreter where any import of numpy fails.
@@ -50,3 +53,79 @@ def test_arrays_and_oracle_runs_load_numpy(fresh_cli, argv):
     runs, numpy_loaded = fresh_cli([argv], block_numpy=False)
     assert runs[0][0] == 0
     assert numpy_loaded
+
+
+# Runs one command through cli.main in a fresh interpreter, then writes the
+# names of every loaded module to stderr.
+_MODULES_AFTER = """
+import sys
+from mdmtj.cli import main
+
+code = main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(" ".join(sys.modules))
+raise SystemExit(code)
+"""
+
+_NOT_ANALYSIS = {"mdmtj.margins", "mdmtj.variation", "json", "datetime"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules(fresh_python):
+    code, out, err = fresh_python("import sys; print(' '.join(sys.modules))")
+    assert code == 0, err
+    return set(out.split())
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("resistance", "--pattern", "0101"), _NOT_ANALYSIS),
+        (("voltage", "--pattern", "00010", "--borders", "same,differ"), _NOT_ANALYSIS),
+        (("levels", "--domains", "8", "--format", "json"), {"mdmtj.variation"}),
+        (("margin", "--domains", "7", "--closed-form"), {"mdmtj.variation"}),
+        (("margin", "--domains", "9", "--borders", "worst", "--format", "csv"),
+         {"mdmtj.variation"}),
+        (("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20"), {"mdmtj.variation"}),
+        (("levels", "--domains", "6", "--oracle"), {"mdmtj.variation"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(fresh_python, bare_modules, argv, absent):
+    code, _, err = fresh_python(_MODULES_AFTER, *argv)
+    assert code == 0
+    loaded = set(err.split()) - bare_modules
+    assert "mdmtj.network" in loaded
+    assert loaded & absent == set()
+
+
+# Rebinds two lazily imported names of cli before any handler has run, as the
+# perfbench tracer does, runs the two commands that call them and writes the
+# names the spies saw called to stderr.
+_REBIND_FIRST = """
+import sys
+from mdmtj import cli
+
+calls = []
+
+
+def spy(name, real):
+    def called(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return called
+
+
+for name in ("worst_case_levels", "offset_margin_report"):
+    setattr(cli, name, spy(name, getattr(cli, name)))
+for argv in (["margin", "--domains", "5", "--borders", "worst"],
+             ["variation", "--domains", "4", "--offset-nm", "3"]):
+    assert cli.main(argv) == 0
+sys.stderr.write(" ".join(calls))
+"""
+
+
+def test_a_name_rebound_before_first_use_is_called(fresh_python):
+    code, _, err = fresh_python(_REBIND_FIRST)
+    assert code == 0, err
+    assert err.split() == ["worst_case_levels", "offset_margin_report"]
