@@ -2,13 +2,15 @@
 
 Every ``mdmtj`` query is a new process that compiles what it imports, and
 importing numpy costs more than the rest of the package. ``resistance`` and
-``voltage`` load neither ``margins`` nor ``variation``, and no command loads
-``variation`` but ``variation``; ``json`` and ``datetime`` load only for
-machine-readable output. ``resistance``, ``voltage``, ``levels``, ``margin``,
-``sweep`` and fixed-offset ``variation`` build no array (the misalignment
-engine runs on plain floats for a list of offsets), so they run, and print
-the same bytes, in an interpreter where any import of numpy fails.
-``variation --monte-carlo`` and ``--oracle`` runs do load it.
+``voltage`` load neither ``margins`` nor ``variation``, only the
+``variation`` subcommand loads ``variation``, and ``json`` and ``datetime``
+load only for machine-readable output.
+
+``resistance``, ``voltage``, ``levels``, ``margin``, ``sweep`` and
+fixed-offset ``variation`` build no array (the misalignment engine runs on
+plain floats for a list of offsets), so they run, and print the same bytes,
+in an interpreter where any import of numpy fails. ``variation
+--monte-carlo`` and ``--oracle`` runs do load it.
 """
 
 from contextlib import redirect_stdout
