@@ -1,6 +1,6 @@
 """Write a ``BENCH_<n>.json`` of in-process and command-line timings.
 
-    python3 benchmarks/bench.py --out BENCH_18.json \
+    python3 benchmarks/bench.py --out BENCH_19.json \
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names a checkout whose ``DIR/src`` is
@@ -9,13 +9,15 @@ measured; with none, the checkout holding this script is measured as
 drifts slows every checkout alike. Per checkout the file holds one run:
 
 - in-process rows: ``enumerate_levels``, ``cluster_extremes``,
-  ``worst_case_levels`` and ``sweep_domains`` (from 2) at D = 5, 12 and 30,
-  on the default table, each timed once per round in a fresh process after
-  one warm-up call;
+  ``worst_case_levels``, ``sweep_domains`` (from 2) and
+  ``min_margins_for_offsets`` (a list of 3 offsets, and an array of 16,384)
+  at D = 5, 12 and 30, on the default table, each timed once per round in a
+  fresh process after one warm-up call;
 - command-line rows, each spawned once per round with wall time and peak
   RSS from ``os.wait4`` and a digest of its standard output: the six job
-  kinds of the benchmark workload ``enumerate-d30``, the two of
-  ``montecarlo-d4`` and the 40 short queries of ``cli-short``
+  kinds of the benchmark workload ``enumerate-d30``, the five of
+  ``misalign-d12``, the two of ``montecarlo-d4`` and the 40 short queries
+  of ``cli-short``
   (``perfbench/workloads.py``, each workload with its own seed-``SEED``
   table), ``variation --domains 12 --monte-carlo 1000000 --seed 1`` in CSV
   and JSON on the ``montecarlo-d4`` table, and one process that only runs
@@ -55,31 +57,46 @@ import workloads  # noqa: E402
 DOMAINS = (5, 12, 30)
 ROUNDS = 7
 SEED = 1  # the workload tables and jobs every BENCH file is measured on
-WORKLOADS = ("enumerate-d30", "montecarlo-d4", "cli-short")
+WORKLOADS = ("enumerate-d30", "misalign-d12", "montecarlo-d4", "cli-short")
 # large Monte Carlo runs, on the montecarlo-d4 table
 LARGE_JOBS = tuple(
     ("variation", "--domains", "12", "--monte-carlo", "1000000", "--seed", "1",
      "--format", fmt, "--config", workloads.CONFIG_NAME)
     for fmt in ("csv", "json")
 )
-CALLS = ("enumerate_levels", "cluster_extremes", "worst_case_levels", "sweep_domains")
+CALLS = (
+    "enumerate_levels",
+    "cluster_extremes",
+    "worst_case_levels",
+    "sweep_domains",
+    "min_margins_for_offsets[3]",
+    "min_margins_for_offsets[16384]",
+)
 
 # Runs in a fresh process on the checkout's src: times each call once,
 # after one untimed call, and prints {"<call> D=<d>": seconds}.
 _IN_PROCESS = """
 import json, sys, time
-from mdmtj import margins
+import numpy as np
+from mdmtj import margins, variation
 from mdmtj.characterization import default_characterization
 from mdmtj.network import BorderCondition
 
 char = default_characterization()
 same_same = BorderCondition.parse("same,same")
 same_differ = BorderCondition.parse("same,differ")
+worst = variation.NeighborAssumption.WORST
+three = [0.0, 3e-9, -3e-9]
+spread = np.linspace(-5.5e-9, 5.5e-9, 16384)
 calls = {
     "enumerate_levels": lambda d: margins.enumerate_levels(d, same_same, char),
     "cluster_extremes": lambda d: margins.cluster_extremes(d, same_differ, char),
     "worst_case_levels": lambda d: margins.worst_case_levels(d, char),
     "sweep_domains": lambda d: margins.sweep_domains(2, d, 5e-3, same_differ, char),
+    "min_margins_for_offsets[3]": lambda d: variation.min_margins_for_offsets(
+        d, same_differ, three, worst, worst, char),
+    "min_margins_for_offsets[16384]": lambda d: variation.min_margins_for_offsets(
+        d, same_differ, spread, worst, worst, char),
 }
 times = {}
 for name in json.loads(sys.argv[1]):

@@ -3,10 +3,12 @@
     python3 benchmarks/compare.py [NEW.json [OLD.json]]
 
 NEW defaults to the highest-numbered ``BENCH_<n>.json`` at the root of the
-checkout and OLD to the next lower-numbered one. Each file's last run is
-compared with OLD's last run; when there is no older file, with the
-first run of NEW itself (a file measured on a parent and a change holds
-both). A ratio is new median / old median, so below 1 is faster or smaller.
+checkout. NEW's last run is compared with OLD's last run. OLD defaults to
+NEW itself when NEW holds two or more runs (a file measured on a parent and
+a change holds both, so its first run is the baseline measured beside the
+change); otherwise to the next lower-numbered file, or NEW itself when there
+is none. Naming the same file twice compares its first run with its last.
+A ratio is new median / old median, so below 1 is faster or smaller.
 Command-line rows also compare peak RSS and flag a changed output digest.
 Nothing is gated, but two files measured with a different seed or number
 of rounds are refused (exit 2): their command-line rows ran other inputs.
@@ -33,13 +35,15 @@ def main(argv: list[str]) -> int:
         key=bench_number,
     )
     new_path = Path(argv[0]) if argv else files[-1]
+    new_bench = json.loads(new_path.read_text())
     if len(argv) > 1:
         old_path = Path(argv[1])
+    elif len(new_bench["runs"]) > 1:
+        old_path = new_path
     else:
         number = bench_number(new_path)
         older = [path for path in files if number is None or bench_number(path) < number]
         old_path = older[-1] if older else new_path
-    new_bench = json.loads(new_path.read_text())
     old_bench = json.loads(old_path.read_text())
     for key in ("seed", "rounds"):
         if new_bench[key] != old_bench[key]:

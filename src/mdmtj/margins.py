@@ -2,26 +2,30 @@
 
 Patterns with the same count of 1s land in one resistance cluster; the gap
 between adjacent clusters is what a sense amplifier must resolve. This module
-finds clusters without touching all 2^D patterns, by two exact engines whose
-cost is polynomial in D.
+finds clusters without touching all 2^D patterns, by one exact engine whose
+cost is polynomial in D: a bit scan that reads patterns left to right. A
+state is the prefixes that end in the same bit, with or without a wall on
+the left of that last domain; equal states extend equally. Banks are packed
+into one integer each. The scan runs in two modes:
 
-- The bit scan, ``_scan``, reads patterns left to right and keeps, per state
-  (last bit, wall on its left, weight, left border), the pattern count and
-  the banks whose exact conductance, an integer sum of exact units, can
-  still end up a cluster extreme. Equal states extend equally, so pruning
-  loses no extreme. Completing every state after each bit gives every
-  window length in one pass, and both right borders in the same pass.
-  ``cluster_extremes``, ``worst_case_levels`` (all four conditions in one
-  scan) and the enumerated column of ``sweep_domains`` (every row in one
-  scan) take this path.
-- The run-structure walk, ``_walk``, enumerates maximal blocks of equal bits
-  combinatorially. One fold over it, ``_fold``, under one border condition,
-  lists the classes of ``enumerate_levels`` and groups the edge structures
-  the misalignment engine of ``variation`` perturbs. Representatives (the
-  lex-smallest pattern of each class) are built only for class listings.
+- Extremes, ``_scan``. A state also fixes the weight and the left border,
+  and keeps its pattern count and the banks whose exact conductance, an
+  integer sum of exact units, can still end up an extreme. Completing every
+  state after each bit gives every window length in one pass, and both
+  right borders in the same pass. ``cluster_extremes``,
+  ``worst_case_levels`` (all four conditions in one scan) and the
+  enumerated column of ``sweep_domains`` (every row in one scan) take this
+  path. So does the misalignment engine of ``variation``: its groups of
+  one side's edge structures are the states of one scan before their last
+  domain is closed (``_side_scan``).
+- Listing, ``_list_banks``. Under one border condition, a state also fixes
+  the bank of its prefix, so nothing is pruned; it keeps its pattern count
+  and its lex-smallest prefix. The completed banks fold into the classes of
+  ``enumerate_levels``.
 
-Both engines check their population against C(D, w) with a raise, not an
-assert, so the check also runs under ``python -O``.
+Both modes check their population against C(D, w) with a raise, not an
+assert, so the check also runs under ``python -O``. ``oracle`` keeps the
+run-structure walk as the reference for every window up to MAX_DOMAINS.
 
 Float contract: every resistance is produced by summing count/ohms over
 segment kinds in enum order and inverting once; the scan uses exact
@@ -34,9 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter, truediv
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .characterization import (
     DOMAIN,
@@ -63,14 +66,11 @@ SWEEP_ENUMERATION_LIMIT = 20
 
 _NON_WALLS = itemgetter(*(i for i in range(len(KINDS)) if i not in WALL))
 _WALLS = itemgetter(*WALL)
-# spare run length beyond two domains adds full-length (wall-free) domains
-_MINUS_FULL = DOMAIN[0][0]
-_PLUS_FULL = DOMAIN[1][0]
 
 # (weight, edge domain kind index, half-wall kind index or None) -> the
 # smallest and largest conductance of the bank left once those two segments
 # lose their nominal coverage
-_EdgeGroups = dict[tuple[int, int, int | None], list[float]]
+_EdgeGroups = dict[tuple[int, int, int | None], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -130,211 +130,6 @@ class MarginReport:
 def _kind_ohms(table: SegmentResistanceTable) -> list[float]:
     """The table's resistances in kind order, to build once per report."""
     return [table.ohms(kind) for kind in KINDS]
-
-
-class _RunCategory(NamedTuple):
-    """Interchangeable runs: same polarity and the same neighbors.
-
-    ``positions`` are 1-based run indices. ``n`` is their count, stored
-    because the walk reads it in its innermost loops.
-    """
-
-    pol: int
-    positions: tuple[int, ...]
-    n: int
-
-
-def _categories(s: int, runs: int) -> tuple[_RunCategory, ...]:
-    """The first run, the last run, then the interior runs by polarity.
-
-    Interior runs have a wall on both sides under every border condition;
-    only the first and last runs meet a border.
-    """
-    if runs == 1:
-        return (_RunCategory(s, (1,), 1),)
-    last_pol = s if runs % 2 else 1 - s
-    cats = [_RunCategory(s, (1,), 1), _RunCategory(last_pol, (runs,), 1)]
-    same = tuple(i for i in range(2, runs) if i % 2 == 1)
-    other = tuple(i for i in range(2, runs) if i % 2 == 0)
-    if same:
-        cats.append(_RunCategory(s, same, len(same)))
-    if other:
-        cats.append(_RunCategory(1 - s, other, len(other)))
-    return tuple(cats)
-
-
-def _stars(extra: int, bins: int) -> int:
-    if bins == 0:
-        return 1 if extra == 0 else 0
-    return math.comb(extra + bins - 1, bins - 1)
-
-
-class _Family(NamedTuple):
-    """Sub-classes that share first-run polarity, run count and which run
-    categories hold the length-1 runs.
-
-    A sub-class then fixes the weight: how the spare length (beyond 2 per
-    longer run) splits between 0-runs and 1-runs. Spare length changes the
-    pattern but not the bank, so within a sub-class it distributes freely
-    (stars and bars). Weight, multiplicity and the lex-min representative are
-    the same under every border condition; ``_condition_counts`` adds what is
-    not.
-    """
-
-    first_pol: int
-    runs: int
-    cats: tuple[_RunCategory, ...]
-    shorts: tuple[int, ...]  # length-1 runs per category
-    inner: list[int]  # walls and interior-run domains, before spare length
-    # (weight, multiplicity, spare 0-length, spare 1-length) per sub-class
-    subclasses: list[tuple[int, int, int, int]]
-
-
-def _walk(domains: int) -> Iterator[_Family]:
-    """Every sub-class of ``domains``-bit patterns, border condition aside."""
-    for s in (0, 1):
-        for runs in range(1, domains + 1):
-            cats = _categories(s, runs)
-            t = runs - 1
-            n01 = (t + 1) // 2 if s == 0 else t // 2
-            for shorts in product(*(range(c.n + 1) for c in cats)):
-                if 2 * runs - sum(shorts) > domains:
-                    continue  # the runs alone need more than ``domains`` bits
-                base_mult = 1
-                m_pol = [0, 0]
-                f_pol = [0, 0]
-                for cat, m in zip(cats, shorts):
-                    base_mult *= math.comb(cat.n, m)
-                    m_pol[cat.pol] += m
-                    f_pol[cat.pol] += cat.n - m
-                lo_one = m_pol[1] + 2 * f_pol[1]
-                lo_zero = m_pol[0] + 2 * f_pol[0]
-                subclasses = []
-                for weight in range(lo_one, domains - lo_zero + 1):
-                    extra_one = weight - lo_one
-                    extra_zero = (domains - weight) - lo_zero
-                    if f_pol[1] == 0 and extra_one:
-                        break  # larger weights only add more spare 1-length
-                    if f_pol[0] == 0 and extra_zero:
-                        continue
-                    mult = (
-                        base_mult
-                        * _stars(extra_zero, f_pol[0])
-                        * _stars(extra_one, f_pol[1])
-                    )
-                    subclasses.append((weight, mult, extra_zero, extra_one))
-                if not subclasses:
-                    continue
-                inner = [0] * len(KINDS)
-                inner[WALL[0]] = n01
-                inner[WALL[1]] = t - n01
-                for cat, m in zip(cats[2:], shorts[2:]):
-                    inner[DOMAIN[cat.pol][2]] += m
-                    inner[DOMAIN[cat.pol][1]] += 2 * (cat.n - m)
-                yield _Family(s, runs, cats, shorts, inner, subclasses)
-
-
-def _end_run(
-    counts: list[int], pol: int, left: int, right: int, short: int
-) -> tuple[int, int]:
-    """Count one end run's edge domains; return the kinds at its two ends."""
-    if short:
-        kind = DOMAIN[pol][left + right]
-        counts[kind] += 1
-        return kind, kind
-    left_kind = DOMAIN[pol][left]
-    right_kind = DOMAIN[pol][right]
-    counts[left_kind] += 1
-    counts[right_kind] += 1
-    return left_kind, right_kind
-
-
-def _condition_counts(
-    family: _Family, borders: BorderCondition
-) -> tuple[list[int], Edge, Edge]:
-    """The family's bank under one border condition, before spare length,
-    and its left and right edge structures.
-
-    Adds to the shared inner counts what the borders decide: the end runs'
-    domain kinds and the half-walls.
-    """
-    lb = 1 if borders.left is Border.DIFFER else 0
-    rb = 1 if borders.right is Border.DIFFER else 0
-    s = family.first_pol
-    last_pol = s if family.runs % 2 else 1 - s
-    counts = family.inner.copy()
-    if family.runs == 1:
-        left, right = _end_run(counts, s, lb, rb, family.shorts[0])
-    else:
-        left, _ = _end_run(counts, s, lb, 1, family.shorts[0])
-        _, right = _end_run(counts, last_pol, 1, rb, family.shorts[1])
-    left_half = right_half = None
-    if lb:
-        left_half = HALF_WALL[s]
-        counts[left_half] += 1
-    if rb:
-        right_half = HALF_WALL[last_pol]
-        counts[right_half] += 1
-    return counts, (left, left_half), (right, right_half)
-
-
-def _spared(counts: list[int], extra_zero: int, extra_one: int) -> tuple[int, ...]:
-    """``counts`` plus a sub-class's spare length, as full-length domains."""
-    bank = counts.copy()
-    bank[_MINUS_FULL] += extra_zero
-    bank[_PLUS_FULL] += extra_one
-    return tuple(bank)
-
-
-def _spare_conductances(
-    counts: list[int], subclasses: list[tuple[int, int, int, int]], ohms: list[float]
-) -> list[float]:
-    """Summed conductance of each sub-class's bank, ``counts`` plus its spare
-    length; a bank's resistance is the reciprocal.
-
-    The sum runs term by term in kind order (the float contract). Only the
-    two full-length domain counts differ between sub-classes, so the other
-    eight terms are divided once.
-    """
-    # kind layout: minus full, mid, short, plus full, mid, short, two walls,
-    # two half-walls
-    _, t1, t2, _, t4, t5, t6, t7, t8, t9 = map(truediv, counts, ohms)
-    minus, minus_ohms = counts[_MINUS_FULL], ohms[_MINUS_FULL]
-    plus, plus_ohms = counts[_PLUS_FULL], ohms[_PLUS_FULL]
-    return [
-        (minus + extra_zero) / minus_ohms + t1 + t2 + (plus + extra_one) / plus_ohms
-        + t4 + t5 + t6 + t7 + t8 + t9
-        for _, _, extra_zero, extra_one in subclasses
-    ]
-
-
-def _lexmin_patterns(family: _Family) -> list[str]:
-    """Lex-smallest pattern of each of the family's sub-classes, in order.
-
-    Greedy by position: 0-runs grab length as early as possible (shorts go to
-    the latest 0-runs, all spare 0-length to the earliest long 0-run), 1-runs
-    shed length as early as possible (shorts first, spare 1-length deferred
-    to the last long 1-run).
-    """
-    s = family.first_pol
-    lengths = [2] * family.runs
-    for cat, m in zip(family.cats, family.shorts):
-        for pos in cat.positions[:m] if cat.pol else cat.positions[cat.n - m :]:
-            lengths[pos - 1] = 1
-    bits = ["1" if (s if i % 2 == 0 else 1 - s) else "0" for i in range(family.runs)]
-    runs = [bit * length for bit, length in zip(bits, lengths)]
-    longs = [i for i, length in enumerate(lengths) if length == 2]
-    zero_at = next((i for i in longs if bits[i] == "0"), None)
-    one_at = next((i for i in reversed(longs) if bits[i] == "1"), None)
-    patterns = []
-    for _, _, extra_zero, extra_one in family.subclasses:
-        pieces = runs.copy()
-        if extra_zero:
-            pieces[zero_at] += "0" * extra_zero
-        if extra_one:
-            pieces[one_at] += "1" * extra_one
-        patterns.append("".join(pieces))
-    return patterns
 
 
 def equivalence_key(bank: tuple[int, ...]) -> tuple:
@@ -404,13 +199,50 @@ def _exact_units(ohms: Sequence[float], longest: int) -> tuple[list[int], int]:
     return units, band
 
 
-# One scan state: patterns whose prefix ends in the same bit, with or without
-# a wall on the left of that last domain, at the same weight and under the
-# same left border. Equal states extend equally, so a state keeps only its
-# prefix count and the packed banks that can still become an extreme:
-# key (left border index, last bit, walled, weight) -> [patterns, banks near
-# the largest exact conductance, banks near the smallest], each bank dict
-# mapping a packed bank to its exact conductance in units.
+def _packed(kinds: Sequence[int]) -> int:
+    """One segment of each of ``kinds``, packed."""
+    return sum(1 << (_FIELD * kind) for kind in kinds)
+
+
+def _unpacked(bank: int) -> tuple[int, ...]:
+    """A packed bank's counts in kind order."""
+    return tuple((bank >> (_FIELD * kind)) & _FIELD_MASK for kind in range(len(KINDS)))
+
+
+def _segments(walls: Sequence[int], rights: Sequence[bool]) -> tuple[list, list]:
+    """The kind indices of the segments each scan step finalizes.
+
+    ``moves[bit][walled][new]``: appending ``new`` to a prefix that ends in
+    ``bit`` closes that last domain, whose wall count it now knows, and
+    crosses the wall between them, directed by the old bit (``walls[bit]``).
+    ``ends[bit][walled][right]``: closing the window closes the last domain
+    and adds its half-wall, under each right border of ``rights``.
+    """
+    moves = [
+        [
+            [[DOMAIN[bit][walled + wall]] + [walls[bit]] * wall for wall in (bit != 0, bit != 1)]
+            for walled in (0, 1)
+        ]
+        for bit in (0, 1)
+    ]
+    ends = [
+        [
+            [[DOMAIN[bit][walled + differ]] + [HALF_WALL[bit]] * differ for differ in rights]
+            for walled in (0, 1)
+        ]
+        for bit in (0, 1)
+    ]
+    return moves, ends
+
+
+# One state of the extremes mode: patterns whose prefix ends in the same
+# bit, with or without a wall on the left of that last domain, at the same
+# weight and under the same left border. Equal states extend equally, so a
+# state keeps only its prefix count and the packed banks that can still
+# become an extreme: key (left border index, last bit, walled, weight) ->
+# [patterns, banks near the largest exact conductance, banks near the
+# smallest], each bank dict mapping a packed bank to its exact conductance
+# in units.
 _States = dict[tuple[int, int, int, int], list]
 
 
@@ -418,8 +250,7 @@ def _advance(states: _States, moves: list, band: int) -> _States:
     """Append one bit to every prefix and prune each new state to its band.
 
     ``moves[bit][walled][new]`` is the packed bank, and its exact value,
-    that the new bit finalizes: the old last domain, whose wall count it now
-    knows, and the wall between them, directed by the old bit.
+    that the new bit finalizes (``_segments``).
     """
     grown: _States = {}
     for (left, bit, walled, weight), (patterns, high, low) in states.items():
@@ -459,41 +290,30 @@ def _scan(
     lefts: Sequence[bool],
     rights: Sequence[bool],
     ohms: Sequence[float],
-) -> list[tuple[list[int], list[float], list[float]]]:
+    walls: Sequence[int] = WALL,
+) -> tuple[list[tuple[list[int], list[float], list[float]]], _States]:
     """Cluster extremes of every window length in ``lengths``, mixed over
     the given left and right borders, in one left-to-right bit scan.
 
     Returns, per length, the population by weight and each weight's
-    smallest and largest bank conductance. After each bit the scan completes
-    every state (its last domain and the right half-wall) under each right
-    border; the kind-order float sums of the banks left within the band of
-    the exact extremes decide the reported values, bit for bit. Every left
-    border's population is checked against C(D, w).
+    smallest and largest bank conductance; then the states of the longest
+    length, before completion. After each bit the scan completes every state
+    (its last domain and the right half-wall) under each right border; the
+    kind-order float sums of the banks left within the band of the exact
+    extremes decide the reported values, bit for bit. Every left border's
+    population is checked against C(D, w). ``walls`` directs the walls; its
+    reverse scans mirror images.
     """
     units, band = _exact_units(ohms, lengths[-1])
 
     def bank(kinds: list[int]) -> tuple[int, int]:
         """One segment of each of ``kinds``: packed, and its exact value."""
-        return sum(1 << (_FIELD * kind) for kind in kinds), sum(units[kind] for kind in kinds)
+        return _packed(kinds), sum(units[kind] for kind in kinds)
 
-    # moves[bit][walled][new]: the last domain and the wall a new bit closes
-    moves = [
-        [
-            [bank([DOMAIN[bit][walled + wall]] + [WALL[bit]] * wall)
-             for wall in (bit != 0, bit != 1)]
-            for walled in (0, 1)
-        ]
-        for bit in (0, 1)
-    ]
-    # ends[bit][walled]: the last domain and half-wall under each right border
-    ends = [
-        [
-            [bank([DOMAIN[bit][walled + differ]] + [HALF_WALL[bit]] * differ)
-             for differ in rights]
-            for walled in (0, 1)
-        ]
-        for bit in (0, 1)
-    ]
+    moves, ends = (
+        [[[bank(kinds) for kinds in steps] for steps in by_walled] for by_walled in by_bit]
+        for by_bit in _segments(walls, rights)
+    )
     states: _States = {}
     for left, differ in enumerate(lefts):
         for bit in (0, 1):
@@ -505,7 +325,7 @@ def _scan(
             states = _advance(states, moves, band)
         if domains in lengths:
             results.append(_complete(domains, states, ends, len(lefts), band, ohms))
-    return results
+    return results, states
 
 
 def _complete(
@@ -533,85 +353,93 @@ def _complete(
     return population[0], g_low, g_high
 
 
-def _fold(
-    domains: int,
-    borders: BorderCondition,
-    char: Characterization,
-    sides: Sequence[bool] = (),
-    listed: bool = False,
-) -> tuple[MarginReport, list[_EdgeGroups]]:
-    """One pass over ``_walk`` under one border condition, behind the class
-    listing of ``enumerate_levels`` and the misalignment engine.
+def _side_scan(
+    domains: int, borders: BorderCondition, char: Characterization, left: bool
+) -> tuple[MarginReport, _EdgeGroups]:
+    """One scan under ``borders``: the class-free report, and the groups of
+    the left (``left``) or right edge structures.
 
-    It sums and checks the population, keeps each weight's extreme
-    conductances, and lists the classes when ``listed``. For each uncovered
-    side in ``sides`` (``True`` for the left edge) it also groups the
-    sub-classes by edge structure (``_EdgeGroups``).
+    A right edge structure is a state's last domain and half-wall, so each
+    state before completion is one group, and its banks are the banks the
+    misalignment engine perturbs; its band keeps their extremes exact. The
+    left side's groups are the right side's of the mirror image: the word
+    read right to left has the same bank, with the borders swapped and each
+    wall crossed the other way.
     """
-    _check_domain_count(domains)
+    differ = [borders.left is Border.DIFFER, borders.right is Border.DIFFER]
+    walls = WALL
+    if left:
+        differ.reverse()
+        walls = WALL[::-1]
     ohms = _kind_ohms(char.table)
-    by_weight_count = [0] * (domains + 1)
-    g_low = [math.inf] * (domains + 1)
-    g_high = [0.0] * (domains + 1)
-    # (weight, equivalence key) -> [multiplicity, representative, its conductance]
-    folded: dict[tuple[int, tuple], list] = {}
-    groups: list[_EdgeGroups] = [{} for _ in sides]
-    for family in _walk(domains):
-        subclasses = family.subclasses
-        counts, left_edge, right_edge = _condition_counts(family, borders)
-        gs = _spare_conductances(counts, subclasses, ohms)
-        for (weight, mult, _, _), g in zip(subclasses, gs):
-            by_weight_count[weight] += mult
-            if g < g_low[weight]:
-                g_low[weight] = g
-            if g > g_high[weight]:
-                g_high[weight] = g
-        if listed:
-            reps = _lexmin_patterns(family)
-            for (weight, mult, extra_zero, extra_one), rep, g in zip(subclasses, reps, gs):
-                key = (weight, equivalence_key(_spared(counts, extra_zero, extra_one)))
-                entry = folded.get(key)
-                if entry is None:
-                    folded[key] = [mult, rep, g]
-                else:
-                    entry[0] += mult
-                    if rep < entry[1]:
-                        entry[1] = rep
-                        entry[2] = g
-        for side_groups, left in zip(groups, sides):
-            edge, half = left_edge if left else right_edge
-            adjusted = counts.copy()
-            adjusted[edge] -= 1
-            if half is not None:
-                adjusted[half] -= 1
-            remaining = _spare_conductances(adjusted, subclasses, ohms)
-            for (weight, _, _, _), g in zip(subclasses, remaining):
-                structure = (weight, edge, half)
-                extremes = side_groups.get(structure)
-                if extremes is None:
-                    side_groups[structure] = [g, g]
-                elif g < extremes[0]:
-                    extremes[0] = g
-                elif g > extremes[1]:
-                    extremes[1] = g
-    _check_population(domains, by_weight_count)
-
-    current = char.drive.read_current(domains, char.geometry)
-    classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
-    for (weight, _), (mult, rep, g) in folded.items():
-        resistance = 1.0 / g
-        classes_by_weight[weight].append(
-            ClassEntry(rep, mult, resistance, current * resistance)
+    [extremes], states = _scan(range(domains, domains + 1), differ[:1], differ[1:], ohms, walls)
+    right = differ[1]
+    groups: _EdgeGroups = {}
+    for (_, bit, walled, weight), (_, high, low) in states.items():
+        structure = (weight, DOMAIN[bit][walled + right], HALF_WALL[bit] if right else None)
+        groups[structure] = (
+            min(_packed_conductance(bank, ohms) for bank in low),
+            max(_packed_conductance(bank, ohms) for bank in high),
         )
-    for entries in classes_by_weight:
-        entries.sort(key=lambda c: (c.resistance, c.representative))
-    report = _finish_report(
-        domains,
-        borders,
-        current,
-        _clusters(current, by_weight_count, g_low, g_high, classes_by_weight),
-    )
-    return report, groups
+    return _class_free_report(domains, borders, char, *extremes), groups
+
+
+def _list_banks(domains: int, borders: BorderCondition) -> dict[int, list[int]]:
+    """Every bank of ``domains`` bits under ``borders``: packed bank ->
+    [patterns, the lex-smallest pattern as an integer], in ascending order
+    of that pattern. The listing mode of the scan.
+
+    A state key is the packed bank of a prefix's finalized segments shifted
+    up two bits, with the last bit and the walled flag in those two bits, so
+    one integer addition moves a state. The states that merge into one all
+    end in the same new bit, so when the old states are visited in ascending
+    order of their lex-smallest prefix, the new states are created in that
+    order too and the first prefix to reach a state is its smallest (at
+    equal length, integer order is lex order).
+    """
+    differ = borders.left is Border.DIFFER
+    moves, ends = _segments(WALL, (borders.right is Border.DIFFER,))
+    # steps[bit << 1 | walled][new]: what appending ``new`` adds to a key
+    steps = [
+        [
+            (_packed(moves[bit][walled][new]) << 2) + (new << 1 | (bit != new))
+            - (bit << 1 | walled)
+            for new in (0, 1)
+        ]
+        for bit in (0, 1)
+        for walled in (0, 1)
+    ]
+    counts = {_packed([HALF_WALL[bit]] * differ) << 2 | bit << 1 | differ: 1 for bit in (0, 1)}
+    firsts = [0, 1]
+    for _ in range(domains - 1):
+        grown: dict[int, int] = {}
+        grown_firsts = []
+        # both new bits spelled out: a loop over them costs about 30 % more
+        for (key, patterns), first in zip(counts.items(), firsts):
+            zero, one = steps[key & 3]
+            total = grown.get(key + zero)
+            if total is None:
+                grown[key + zero] = patterns
+                grown_firsts.append(first << 1)
+            else:
+                grown[key + zero] = total + patterns
+            total = grown.get(key + one)
+            if total is None:
+                grown[key + one] = patterns
+                grown_firsts.append(first << 1 | 1)
+            else:
+                grown[key + one] = total + patterns
+        counts, firsts = grown, grown_firsts
+    closing = [_packed(ends[bit][walled][0]) for bit in (0, 1) for walled in (0, 1)]
+    banks: dict[int, list[int]] = {}
+    for (key, patterns), first in zip(counts.items(), firsts):
+        bank = (key >> 2) + closing[key & 3]
+        entry = banks.get(bank)
+        if entry is None:
+            banks[bank] = [patterns, first]
+        else:
+            entry[0] += patterns
+    return banks
 
 
 def enumerate_levels(
@@ -624,9 +452,43 @@ def enumerate_levels(
     Class listings are grouped by the direction-folded equivalence key; the
     per-class resistance is that of the lex-smallest member. Cluster extremes
     are taken over the direction-sensitive banks, so they are true pattern
-    extremes.
+    extremes. One listing scan (``_list_banks``) gives every distinct bank.
     """
-    return _fold(domains, borders, char, listed=True)[0]
+    _check_domain_count(domains)
+    ohms = _kind_ohms(char.table)
+    by_weight_count = [0] * (domains + 1)
+    g_low = [math.inf] * (domains + 1)
+    g_high = [0.0] * (domains + 1)
+    # equivalence key -> [multiplicity, weight, lex-smallest member, its conductance]
+    folded: dict[tuple, list] = {}
+    for bank, (patterns, first) in _list_banks(domains, borders).items():
+        counts = _unpacked(bank)
+        weight = sum(counts[kind] for kind in DOMAIN[1])
+        g = _packed_conductance(bank, ohms)
+        by_weight_count[weight] += patterns
+        if g < g_low[weight]:
+            g_low[weight] = g
+        if g > g_high[weight]:
+            g_high[weight] = g
+        key = equivalence_key(counts)
+        entry = folded.get(key)
+        if entry is None:  # banks come lex-smallest member first
+            folded[key] = [patterns, weight, first, g]
+        else:
+            entry[0] += patterns
+    _check_population(domains, by_weight_count)
+
+    current = char.drive.read_current(domains, char.geometry)
+    classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
+    for mult, weight, first, g in folded.values():
+        resistance = 1.0 / g
+        classes_by_weight[weight].append(
+            ClassEntry(format(first, f"0{domains}b"), mult, resistance, current * resistance)
+        )
+    for entries in classes_by_weight:
+        entries.sort(key=lambda c: (c.resistance, c.representative))
+    clusters = _clusters(current, by_weight_count, g_low, g_high, classes_by_weight)
+    return _finish_report(domains, borders, current, clusters)
 
 
 def _clusters(
@@ -671,13 +533,24 @@ def _scan_reports(
     else:
         lefts = (borders.left is Border.DIFFER,)
         rights = (borders.right is Border.DIFFER,)
-    extremes = _scan(lengths, lefts, rights, _kind_ohms(char.table))
-    reports = []
-    for domains, (by_weight_count, g_low, g_high) in zip(lengths, extremes):
-        current = char.drive.read_current(domains, char.geometry)
-        clusters = _clusters(current, by_weight_count, g_low, g_high, [()] * (domains + 1))
-        reports.append(_finish_report(domains, borders, current, clusters))
-    return reports
+    extremes, _ = _scan(lengths, lefts, rights, _kind_ohms(char.table))
+    return [
+        _class_free_report(domains, borders, char, *result)
+        for domains, result in zip(lengths, extremes)
+    ]
+
+
+def _class_free_report(
+    domains: int,
+    borders: BorderCondition | None,
+    char: Characterization,
+    by_weight_count: Sequence[int],
+    g_low: Sequence[float],
+    g_high: Sequence[float],
+) -> MarginReport:
+    current = char.drive.read_current(domains, char.geometry)
+    clusters = _clusters(current, by_weight_count, g_low, g_high, [()] * (domains + 1))
+    return _finish_report(domains, borders, current, clusters)
 
 
 def cluster_extremes(
@@ -686,10 +559,10 @@ def cluster_extremes(
     """``enumerate_levels`` without the class listing: the same cluster
     extremes and margins, with empty ``classes``.
 
-    Reports that need only the margins (``margin``) take this path: one bit
-    scan, which lists no class and builds no representative pattern. A
-    misalignment study reads its nominal margin off the walk that groups
-    its edge structures instead.
+    Reports that need only the margins (``margin``) take this path: one
+    pruned bit scan, which lists no class and builds no representative
+    pattern. A misalignment study reads its nominal margin off the same
+    scan that groups its edge structures (``_side_scan``).
     """
     _check_domain_count(domains)
     return _scan_reports(range(domains, domains + 1), borders, char)[0]

@@ -5,25 +5,37 @@ the bit string, parallel sums are redone in exact rational arithmetic, and
 every brute-force report comes from one raw 2^D enumeration: all D-bit words
 in weight order, their 2^D x 10 segment-count matrix per border condition,
 conductances summed column by column, and per-weight extremes over the row
-range of each weight. No run structure or equivalence class shortens the
-walk; the class listing of ``brute_force_report`` only groups its rows. The
-only things shared with the production modules are data (the
-characterization, the neighbor assumption) and the report dataclass types,
-never composition code. The float reference path follows the same
+range of each weight. No run structure or equivalence class shortens that
+enumeration; the class listing of ``brute_force_report`` only groups its
+rows. Above ``BRUTE_FORCE_LIMIT`` the reference is the run-structure walk
+(``walk_reference``), which derives every bank combinatorially from the
+runs of equal bits; the production bit scan reads bits instead. The only
+things shared with the production modules are data (the characterization,
+the kind layout, the neighbor assumption) and the report dataclass types,
+never composition code. The float reference paths follow the same
 documented summation order (segment kinds in enum order), because that
 order is part of the report contract.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from itertools import product
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .characterization import Characterization, SegmentKind, SegmentResistanceTable
+from .characterization import (
+    DOMAIN,
+    HALF_WALL,
+    WALL,
+    Characterization,
+    SegmentKind,
+    SegmentResistanceTable,
+)
 from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport
 from .network import ALL_CONDITIONS, Border, BorderCondition
@@ -132,8 +144,7 @@ class _Enumeration:
         self.weights = [bits.count("1") for bits in self.words]
         self.starts = np.searchsorted(self.weights, np.arange(domains + 1))
         self.ohms = [char.table.ohms(kind) for kind in SegmentKind]
-        area = char.geometry.domain_length * char.geometry.track_width
-        self.current = char.drive.current_density * domains * area
+        self.current = _read_current(domains, char)
 
     def counts(self, borders: BorderCondition) -> np.ndarray:
         """The 2^D x 10 count matrix, one ``segment_counts`` row per word;
@@ -162,35 +173,57 @@ class _Enumeration:
         resistances: list[np.ndarray],
         classes: list[list[ClassEntry]] | None = None,
     ) -> MarginReport:
-        low, high, margins = (values.tolist() for values in self.margins(resistances))
+        low, high, _ = (values.tolist() for values in self.margins(resistances))
         sizes = np.diff(self.starts, append=len(self.words)).tolist()
-        clusters = tuple(
-            LevelCluster(
-                weight=weight,
-                pattern_count=sizes[weight],
-                min_resistance=low[weight],
-                max_resistance=high[weight],
-                min_voltage=self.current * low[weight],
-                max_voltage=self.current * high[weight],
-                classes=tuple(classes[weight]) if classes else (),
-            )
-            for weight in range(self.domains + 1)
+        return _report(self.domains, borders, self.current, sizes, low, high, classes)
+
+
+def _read_current(domains: int, char: Characterization) -> float:
+    area = char.geometry.domain_length * char.geometry.track_width
+    return char.drive.current_density * domains * area
+
+
+def _report(
+    domains: int,
+    borders: BorderCondition | None,
+    current: float,
+    sizes: Sequence[int],
+    low: Sequence[float],
+    high: Sequence[float],
+    classes: list[list[ClassEntry]] | None,
+) -> MarginReport:
+    """The production report shape from per-weight pattern counts and
+    extreme resistances."""
+    clusters = tuple(
+        LevelCluster(
+            weight=weight,
+            pattern_count=sizes[weight],
+            min_resistance=low[weight],
+            max_resistance=high[weight],
+            min_voltage=current * low[weight],
+            max_voltage=current * high[weight],
+            classes=tuple(classes[weight]) if classes else (),
         )
-        adjacent = tuple(
-            AdjacentMargin(weight, weight + 1, high[weight], low[weight + 1], margin)
-            for weight, margin in enumerate(margins)
+        for weight in range(domains + 1)
+    )
+    adjacent = tuple(
+        AdjacentMargin(
+            weight, weight + 1, high[weight], low[weight + 1],
+            current * low[weight + 1] - current * high[weight],
         )
-        best = min(adjacent, key=lambda entry: entry.margin)  # the first of equals
-        return MarginReport(
-            domains=self.domains,
-            borders=borders,
-            read_current=self.current,
-            clusters=clusters,
-            adjacent_margins=adjacent,
-            min_margin=best.margin,
-            min_margin_pair=(best.weight_low, best.weight_high),
-            distinguishable_levels=1 + sum(1 for margin in margins if margin > 0.0),
-        )
+        for weight in range(domains)
+    )
+    best = min(adjacent, key=lambda entry: entry.margin)  # the first of equals
+    return MarginReport(
+        domains=domains,
+        borders=borders,
+        read_current=current,
+        clusters=clusters,
+        adjacent_margins=adjacent,
+        min_margin=best.margin,
+        min_margin_pair=(best.weight_low, best.weight_high),
+        distinguishable_levels=1 + sum(1 for entry in adjacent if entry.margin > 0.0),
+    )
 
 
 def _check_domains(domains: int) -> None:
@@ -249,6 +282,254 @@ def worst_case_brute_force(domains: int, char: Characterization) -> MarginReport
         1.0 / patterns.conductance(patterns.counts(borders)) for borders in ALL_CONDITIONS
     ]
     return patterns.report(None, resistances)
+
+
+# --- the run-structure walk ----------------------------------------------------
+#
+# The reference for every window up to MAX_DOMAINS. It derives banks from
+# maximal blocks of equal bits (runs), combinatorially, instead of reading
+# bits: nothing is shared with the production bit scan but the data. Every
+# sub-class bank is summed in plain kind order.
+
+
+class _RunCategory(NamedTuple):
+    """Interchangeable runs: same polarity and the same neighbors.
+
+    ``positions`` are 1-based run indices. ``n`` is their count, stored
+    because the walk reads it in its innermost loops.
+    """
+
+    pol: int
+    positions: tuple[int, ...]
+    n: int
+
+
+def _categories(s: int, runs: int) -> tuple[_RunCategory, ...]:
+    """The first run, the last run, then the interior runs by polarity.
+
+    Interior runs have a wall on both sides under every border condition;
+    only the first and last runs meet a border.
+    """
+    if runs == 1:
+        return (_RunCategory(s, (1,), 1),)
+    last_pol = s if runs % 2 else 1 - s
+    cats = [_RunCategory(s, (1,), 1), _RunCategory(last_pol, (runs,), 1)]
+    same = tuple(i for i in range(2, runs) if i % 2 == 1)
+    other = tuple(i for i in range(2, runs) if i % 2 == 0)
+    if same:
+        cats.append(_RunCategory(s, same, len(same)))
+    if other:
+        cats.append(_RunCategory(1 - s, other, len(other)))
+    return tuple(cats)
+
+
+def _stars(extra: int, bins: int) -> int:
+    if bins == 0:
+        return 1 if extra == 0 else 0
+    return math.comb(extra + bins - 1, bins - 1)
+
+
+class _Family(NamedTuple):
+    """Sub-classes that share first-run polarity, run count and which run
+    categories hold the length-1 runs.
+
+    A sub-class then fixes the weight: how the spare length (beyond 2 per
+    longer run) splits between 0-runs and 1-runs. Spare length changes the
+    pattern but not the bank, so within a sub-class it distributes freely
+    (stars and bars). Weight, multiplicity and the lex-min representative are
+    the same under every border condition; ``_condition_counts`` adds what is
+    not.
+    """
+
+    first_pol: int
+    runs: int
+    cats: tuple[_RunCategory, ...]
+    shorts: tuple[int, ...]  # length-1 runs per category
+    inner: list[int]  # walls and interior-run domains, before spare length
+    # (weight, multiplicity, spare 0-length, spare 1-length) per sub-class
+    subclasses: list[tuple[int, int, int, int]]
+
+
+def _walk(domains: int) -> Iterator[_Family]:
+    """Every sub-class of ``domains``-bit patterns, border condition aside."""
+    for s in (0, 1):
+        for runs in range(1, domains + 1):
+            cats = _categories(s, runs)
+            t = runs - 1
+            n01 = (t + 1) // 2 if s == 0 else t // 2
+            for shorts in product(*(range(c.n + 1) for c in cats)):
+                if 2 * runs - sum(shorts) > domains:
+                    continue  # the runs alone need more than ``domains`` bits
+                base_mult = 1
+                m_pol = [0, 0]
+                f_pol = [0, 0]
+                for cat, m in zip(cats, shorts):
+                    base_mult *= math.comb(cat.n, m)
+                    m_pol[cat.pol] += m
+                    f_pol[cat.pol] += cat.n - m
+                lo_one = m_pol[1] + 2 * f_pol[1]
+                lo_zero = m_pol[0] + 2 * f_pol[0]
+                subclasses = []
+                for weight in range(lo_one, domains - lo_zero + 1):
+                    extra_one = weight - lo_one
+                    extra_zero = (domains - weight) - lo_zero
+                    if f_pol[1] == 0 and extra_one:
+                        break  # larger weights only add more spare 1-length
+                    if f_pol[0] == 0 and extra_zero:
+                        continue
+                    mult = (
+                        base_mult
+                        * _stars(extra_zero, f_pol[0])
+                        * _stars(extra_one, f_pol[1])
+                    )
+                    subclasses.append((weight, mult, extra_zero, extra_one))
+                if not subclasses:
+                    continue
+                inner = [0] * _N_KINDS
+                inner[WALL[0]] = n01
+                inner[WALL[1]] = t - n01
+                for cat, m in zip(cats[2:], shorts[2:]):
+                    inner[DOMAIN[cat.pol][2]] += m
+                    inner[DOMAIN[cat.pol][1]] += 2 * (cat.n - m)
+                yield _Family(s, runs, cats, shorts, inner, subclasses)
+
+
+def _end_run(
+    counts: list[int], pol: int, left: int, right: int, short: int
+) -> tuple[int, int]:
+    """Count one end run's edge domains; return the kinds at its two ends."""
+    if short:
+        kind = DOMAIN[pol][left + right]
+        counts[kind] += 1
+        return kind, kind
+    left_kind = DOMAIN[pol][left]
+    right_kind = DOMAIN[pol][right]
+    counts[left_kind] += 1
+    counts[right_kind] += 1
+    return left_kind, right_kind
+
+
+def _condition_counts(
+    family: _Family, borders: BorderCondition
+) -> tuple[list[int], tuple[int, int | None], tuple[int, int | None]]:
+    """The family's bank under one border condition, before spare length,
+    and its left and right edge structures.
+
+    Adds to the shared inner counts what the borders decide: the end runs'
+    domain kinds and the half-walls.
+    """
+    lb = 1 if borders.left is Border.DIFFER else 0
+    rb = 1 if borders.right is Border.DIFFER else 0
+    s = family.first_pol
+    last_pol = s if family.runs % 2 else 1 - s
+    counts = family.inner.copy()
+    if family.runs == 1:
+        left, right = _end_run(counts, s, lb, rb, family.shorts[0])
+    else:
+        left, _ = _end_run(counts, s, lb, 1, family.shorts[0])
+        _, right = _end_run(counts, last_pol, 1, rb, family.shorts[1])
+    left_half = right_half = None
+    if lb:
+        left_half = HALF_WALL[s]
+        counts[left_half] += 1
+    if rb:
+        right_half = HALF_WALL[last_pol]
+        counts[right_half] += 1
+    return counts, (left, left_half), (right, right_half)
+
+
+def _spared(counts: list[int], extra_zero: int, extra_one: int) -> list[int]:
+    """``counts`` plus a sub-class's spare length, as full-length domains."""
+    bank = counts.copy()
+    bank[DOMAIN[0][0]] += extra_zero
+    bank[DOMAIN[1][0]] += extra_one
+    return bank
+
+
+def _lexmin_patterns(family: _Family) -> list[str]:
+    """Lex-smallest pattern of each of the family's sub-classes, in order.
+
+    Greedy by position: 0-runs grab length as early as possible (shorts go to
+    the latest 0-runs, all spare 0-length to the earliest long 0-run), 1-runs
+    shed length as early as possible (shorts first, spare 1-length deferred
+    to the last long 1-run).
+    """
+    s = family.first_pol
+    lengths = [2] * family.runs
+    for cat, m in zip(family.cats, family.shorts):
+        for pos in cat.positions[:m] if cat.pol else cat.positions[cat.n - m :]:
+            lengths[pos - 1] = 1
+    bits = ["1" if (s if i % 2 == 0 else 1 - s) else "0" for i in range(family.runs)]
+    runs = [bit * length for bit, length in zip(bits, lengths)]
+    longs = [i for i, length in enumerate(lengths) if length == 2]
+    zero_at = next((i for i in longs if bits[i] == "0"), None)
+    one_at = next((i for i in reversed(longs) if bits[i] == "1"), None)
+    patterns = []
+    for _, _, extra_zero, extra_one in family.subclasses:
+        pieces = runs.copy()
+        if extra_zero:
+            pieces[zero_at] += "0" * extra_zero
+        if extra_one:
+            pieces[one_at] += "1" * extra_one
+        patterns.append("".join(pieces))
+    return patterns
+
+
+def _kind_order_conductance(bank: Sequence[int], ohms: Sequence[float]) -> float:
+    g = 0.0
+    for count, r in zip(bank, ohms):
+        g += count / r
+    return g
+
+
+def walk_reference(
+    domains: int, borders: BorderCondition, char: Characterization
+) -> tuple[MarginReport, list[dict[tuple[int, int, int | None], tuple[float, float]]]]:
+    """The run-structure counterpart of ``margins.enumerate_levels`` and of
+    the edge groups of the misalignment engine, at any window length; its
+    cost is polynomial in D.
+
+    Returns the report with its class listing, and the left then the right
+    edge groups: (weight, edge domain kind, half-wall kind or None) -> the
+    smallest and largest conductance of the bank less those two segments.
+    A class is a (weight, canonical key) group of sub-classes; its
+    representative is the lex-smallest of their representatives.
+    """
+    ohms = [char.table.ohms(kind) for kind in SegmentKind]
+    current = _read_current(domains, char)
+    sizes = [0] * (domains + 1)
+    low = [math.inf] * (domains + 1)
+    high = [0.0] * (domains + 1)
+    folded: dict[tuple, list] = {}  # (weight, key) -> [multiplicity, representative, resistance]
+    groups: list[dict] = [{}, {}]
+    for family in _walk(domains):
+        counts, *edges = _condition_counts(family, borders)
+        reps = _lexmin_patterns(family)
+        for (weight, mult, extra_zero, extra_one), rep in zip(family.subclasses, reps):
+            bank = _spared(counts, extra_zero, extra_one)
+            resistance = 1.0 / _kind_order_conductance(bank, ohms)
+            sizes[weight] += mult
+            low[weight] = min(low[weight], resistance)
+            high[weight] = max(high[weight], resistance)
+            key = (weight, _canonical_key(bank))
+            entry = folded.setdefault(key, [0, rep, resistance])
+            entry[0] += mult
+            if rep < entry[1]:
+                entry[1:] = rep, resistance
+            for side_groups, (edge, half) in zip(groups, edges):
+                adjusted = bank.copy()
+                adjusted[edge] -= 1
+                if half is not None:
+                    adjusted[half] -= 1
+                g = _kind_order_conductance(adjusted, ohms)
+                g_low, g_high = side_groups.get((weight, edge, half), (g, g))
+                side_groups[(weight, edge, half)] = (min(g_low, g), max(g_high, g))
+    classes: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
+    for (weight, _), (mult, rep, resistance) in folded.items():
+        classes[weight].append(ClassEntry(rep, mult, resistance, current * resistance))
+    for listing in classes:
+        listing.sort(key=lambda entry: (entry.resistance, entry.representative))
+    return _report(domains, borders, current, sizes, low, high, classes), groups
 
 
 def brute_force_offset_margins(

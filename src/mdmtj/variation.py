@@ -12,11 +12,11 @@ edge domain no covered length.
 Deterministic offsets and seeded Monte Carlo share one evaluation engine. It
 runs on one float offset magnitude at a time, or vectorized over an ndarray
 of them, one chunk of ``_CHUNK`` offsets at a time, with the same steps and
-the same bits. It reads the run-structure
-sub-classes grouped by edge structure from the one fold of ``margins``
-rather than the 2^D patterns, so it covers every window up to MAX_DOMAINS. The same fold
-gives the nominal margin (offset 0), so a study walks once. Per-sample
-arithmetic is elementwise, and each (weight, edge domain, half-wall) group
+the same bits. It reads the patterns' banks grouped by edge structure from
+the bit scan of ``margins`` (``_side_scan``, one scan per uncovered side)
+rather than the 2^D patterns, so it covers every window up to MAX_DOMAINS.
+The same scan gives the nominal margin (offset 0). Per-sample arithmetic
+is elementwise, and each (weight, edge domain, half-wall) group
 evaluates two candidates, exact because rounded arithmetic is monotone and
 the table enforces r_minus_80 < r_plus_80 (see ``_side_min_margins``).
 
@@ -58,7 +58,13 @@ from .characterization import (
     _meters_as_nm_text,
 )
 from .errors import OffsetOutOfRange, UsageError
-from .margins import _EdgeGroups, _check_domain_count, _fold, _kind_ohms
+from .margins import (
+    _EdgeGroups,
+    _check_domain_count,
+    _kind_ohms,
+    _side_scan,
+    cluster_extremes,
+)
 
 # not called here: perfbench/tracer.py rebinds it on every module it may be
 # reached through
@@ -355,7 +361,7 @@ def _side_min_margins(
     return best
 
 
-def _fold_for_offsets(
+def _scan_for_offsets(
     domains: int,
     borders: BorderCondition,
     offsets: list[float] | np.ndarray,
@@ -363,9 +369,11 @@ def _fold_for_offsets(
     right_neighbor: NeighborAssumption,
     char: Characterization,
 ) -> tuple[float, list]:
-    """The fold-once part of ``min_margins_for_offsets``, over all of its
-    offsets (a list or a flat array): the refusals, then one fold. Returns
-    the nominal margin and (left, neighbor bits, edge groups) per side with
+    """The scan-once part of ``min_margins_for_offsets``, over all of its
+    offsets (a list or a flat array): the refusals, then one scan per side
+    with offsets (one scan for the nominal margin when no offset is
+    nonzero), then the uncovered-edge refusal side by side. Returns the
+    nominal margin and (left, neighbor bits, edge groups) per side with
     offsets."""
     geometry = char.geometry
     if isinstance(offsets, list):
@@ -383,16 +391,16 @@ def _fold_for_offsets(
         for left, neighbor, magnitude in ((True, right_neighbor, high), (False, left_neighbor, -low))
         if magnitude > 0.0
     ]
-    report, groups = _fold(domains, borders, char, sides=[left for left, _, _ in sides])
-    for (_, _, magnitude), side_groups in zip(sides, groups):
+    scans = [_side_scan(domains, borders, char, left) for left, _, _ in sides]
+    nominal = (scans[0][0] if scans else cluster_extremes(domains, borders, char)).min_margin
+    for (_, _, magnitude), (_, groups) in zip(sides, scans):
         shortest = min(
-            (edge for _, edge, _ in side_groups),
+            (edge for _, edge, _ in groups),
             key=lambda edge: geometry.nominal_length(KINDS[edge]),
         )
         _edge_coverage(shortest, magnitude, geometry)
-    return report.min_margin, [
-        (left, neighbor.bits, side_groups)
-        for (left, neighbor, _), side_groups in zip(sides, groups)
+    return nominal, [
+        (left, neighbor.bits, groups) for (left, neighbor, _), (_, groups) in zip(sides, scans)
     ]
 
 
@@ -431,20 +439,21 @@ def min_margins_for_offsets(
     """Minimum sense margin (volts) for each signed offset (meters).
 
     A positive offset uncovers the left edge and overhangs the right
-    neighbor; a negative one mirrors that. The walk is folded once, after
-    every refusal is decided over the whole input: the first NaN, else the
-    largest magnitude beyond one notch length; then, side by side, the
-    largest magnitude that leaves an edge domain no covered length. A
-    sequence of floats gives a list of floats and loads no numpy: each
-    nonzero offset is one float pass of the engine. An ndarray gives an
-    ndarray, filled ``_CHUNK`` offsets at a time (one vectorized pass per
-    side of a chunk), so the engine's temporaries do not grow with the
-    input. Both give the same bits and the same refusals.
+    neighbor; a negative one mirrors that. Each uncovered side is scanned
+    once. Refusals are decided over the whole input: first the first NaN,
+    else the largest magnitude beyond one notch length; then, after the
+    scans and side by side, the largest magnitude that leaves an edge
+    domain no covered length. A sequence of floats gives a list of floats
+    and loads no numpy: each nonzero offset is one float pass of the
+    engine. An ndarray gives an ndarray, filled ``_CHUNK`` offsets at a time
+    (one vectorized pass per side of a chunk), so the engine's temporaries
+    do not grow with the input. Both give the same bits and the same
+    refusals.
     """
     _check_domain_count(domains)
     if isinstance(offsets, Sequence):
         offsets = [float(x) for x in offsets]
-        nominal, sides = _fold_for_offsets(
+        nominal, sides = _scan_for_offsets(
             domains, borders, offsets, left_neighbor, right_neighbor, char
         )
         out = [nominal] * len(offsets)
@@ -455,7 +464,7 @@ def min_margins_for_offsets(
 
     offsets = np.asarray(offsets, dtype=float)
     flat = offsets.reshape(-1)
-    nominal, sides = _fold_for_offsets(domains, borders, flat, left_neighbor, right_neighbor, char)
+    nominal, sides = _scan_for_offsets(domains, borders, flat, left_neighbor, right_neighbor, char)
     ohms = _kind_ohms(char.table)
     out = np.full(offsets.shape, nominal)
     flat_out = out.reshape(-1)

@@ -6,10 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mdmtj.characterization import Characterization, SegmentKind, default_characterization
+from mdmtj.characterization import (
+    DOMAIN,
+    HALF_WALL,
+    KINDS,
+    WALL,
+    Characterization,
+    SegmentKind,
+    default_characterization,
+)
 from mdmtj import margins, variation
 from mdmtj.errors import DomainCountTooLarge, DomainCountTooSmall, ModelError
 from mdmtj.margins import (
@@ -22,6 +30,7 @@ from mdmtj.margins import (
     worst_case_levels,
 )
 from mdmtj.network import ALL_CONDITIONS
+from mdmtj.oracle import walk_reference
 from mdmtj.variation import (
     MisalignmentSpec,
     MonteCarloSpec,
@@ -108,22 +117,31 @@ def test_domain_count_guards(char, same_same):
     enumerate_levels(1, same_same, char)  # D=1 has two singleton clusters
 
 
-def _walking_reports(char, borders):
-    """Every report built on the run-structure walk, at D = 5."""
+def _listing_reports(char, borders):
+    """Every report built on the listing scan, at D = 5."""
+    return (lambda: enumerate_levels(5, borders, char),)
+
+
+def _side_scanning_reports(char, borders):
+    """Every report built on the scans of uncovered sides, at D = 5, with the
+    number of scans it needs: one per side with offsets, one when no offset
+    is nonzero."""
     offsets = np.array([0.0, 3e-9, -3e-9])
-    shifted = offsets[1:]
     return (
-        lambda: enumerate_levels(5, borders, char),
-        lambda: min_margins_for_offsets(5, borders, offsets, WORST, WORST, char),
-        # no zero offset asks for the nominal report; the walk still checks
-        lambda: min_margins_for_offsets(5, borders, shifted, WORST, WORST, char),
-        lambda: offset_margin_report(5, borders, MisalignmentSpec(3e-9), char),
-        lambda: monte_carlo_margins(5, borders, MonteCarloSpec(4, seed=1), char),
+        (lambda: min_margins_for_offsets(5, borders, offsets, WORST, WORST, char), 2),
+        # no zero offset asks for the nominal report; the scans still check
+        (lambda: min_margins_for_offsets(5, borders, offsets[1:], WORST, WORST, char), 2),
+        (lambda: min_margins_for_offsets(5, borders, [3e-9], WORST, WORST, char), 1),
+        (lambda: min_margins_for_offsets(5, borders, [-3e-9, 0.0], WORST, WORST, char), 1),
+        (lambda: min_margins_for_offsets(5, borders, [0.0], WORST, WORST, char), 1),
+        (lambda: offset_margin_report(5, borders, MisalignmentSpec(3e-9), char), 2),
+        (lambda: offset_margin_report(5, borders, MisalignmentSpec(0.0), char), 1),
+        (lambda: monte_carlo_margins(5, borders, MonteCarloSpec(4, seed=1), char), 2),
     )
 
 
 def _scanning_reports(char, borders):
-    """Every report built on the bit scan, ending at D = 5."""
+    """Every class-free report built on one bit scan, ending at D = 5."""
     return (
         lambda: cluster_extremes(5, borders, char),
         lambda: worst_case_levels(5, char),
@@ -133,35 +151,37 @@ def _scanning_reports(char, borders):
 
 def test_lost_patterns_raise_a_model_error(char, same_same, monkeypatch):
     # the population check must hold under python -O, so it is no assert
-    real_walk = margins._walk
+    real_list_banks = margins._list_banks
     real_advance = margins._advance
 
-    def drop_one(domains):
-        families = real_walk(domains)
-        first = next(families)
-        yield first._replace(subclasses=first.subclasses[1:])
-        yield from families
+    def drop_a_bank(domains, borders):
+        banks = real_list_banks(domains, borders)
+        del banks[next(iter(banks))]
+        return banks
 
     def drop_a_state(states, moves, band):
         grown = real_advance(states, moves, band)
         del grown[next(iter(grown))]
         return grown
 
-    monkeypatch.setattr(margins, "_walk", drop_one)
+    monkeypatch.setattr(margins, "_list_banks", drop_a_bank)
     monkeypatch.setattr(margins, "_advance", drop_a_state)
-    for report in _walking_reports(char, same_same) + _scanning_reports(char, same_same):
+    reports = _listing_reports(char, same_same) + _scanning_reports(char, same_same)
+    reports += tuple(report for report, _ in _side_scanning_reports(char, same_same))
+    for report in reports:
         with pytest.raises(ModelError, match="expected"):
             report()
 
 
-def test_every_report_walks_once(char, same_same, monkeypatch):
-    # each report makes exactly one engine pass: the walk for class listings
-    # and the misalignment engine, one bit scan for class-free extremes;
-    # variation reaches the walk only through the fold in margins
-    assert not hasattr(variation, "_walk")
+def test_every_report_scans_once_per_side(char, same_same, monkeypatch):
+    # a class listing is one listing scan; a class-free report one pruned
+    # scan; a misalignment study one pruned scan per uncovered side, or one
+    # for the nominal margin alone. variation reaches the scan only through
+    # margins.
     assert not hasattr(variation, "_scan")
+    assert not hasattr(variation, "_list_banks")
     passes = []
-    for engine in ("_walk", "_scan"):
+    for engine in ("_list_banks", "_scan"):
         real = getattr(margins, engine)
 
         def counted(*args, real=real, engine=engine):
@@ -169,14 +189,15 @@ def test_every_report_walks_once(char, same_same, monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(margins, engine, counted)
-    for reports, engine in (
-        (_walking_reports(char, same_same), "_walk"),
-        (_scanning_reports(char, same_same), "_scan"),
-    ):
-        for report in reports:
-            passes.clear()
-            report()
-            assert passes == [engine]
+    expected = [(report, ["_list_banks"]) for report in _listing_reports(char, same_same)]
+    expected += [(report, ["_scan"]) for report in _scanning_reports(char, same_same)]
+    expected += [
+        (report, ["_scan"] * scans) for report, scans in _side_scanning_reports(char, same_same)
+    ]
+    for report, engines in expected:
+        passes.clear()
+        report()
+        assert passes == engines
 
 
 @pytest.fixture(scope="module")
@@ -216,21 +237,22 @@ def tables(char):
 
 
 @pytest.fixture(scope="module")
-def listed(tables):
-    """listed(domains, borders, table name) -> the walk's ``enumerate_levels``
-    report, computed once per module."""
-    reports = {}
+def walked(tables):
+    """walked(domains, borders, table name) -> the run-structure walk's
+    report and left and right edge groups (``oracle.walk_reference``),
+    computed once per module."""
+    references = {}
 
     def get(domains, borders, name):
         key = (domains, borders, name)
-        if key not in reports:
-            reports[key] = enumerate_levels(domains, borders, tables[name])
-        return reports[key]
+        if key not in references:
+            references[key] = walk_reference(domains, borders, tables[name])
+        return references[key]
 
     return get
 
 
-def test_worst_case_levels_mixes_conventions(tables, listed):
+def test_worst_case_levels_mixes_conventions(tables, walked):
     # the one scan that mixes both left and both right borders; the tied
     # tables keep several banks per state, so they reach its pruning
     cases = [(d, name) for d in (6, 13, 20) for name in tables] + [(30, "default")]
@@ -238,7 +260,7 @@ def test_worst_case_levels_mixes_conventions(tables, listed):
         worst = worst_case_levels(domains, tables[name])
         assert worst.borders is None
         assert worst.convention_label == "worst"
-        per_conv = [listed(domains, borders, name) for borders in ALL_CONDITIONS]
+        per_conv = [walked(domains, borders, name)[0] for borders in ALL_CONDITIONS]
         for weight in range(domains + 1):
             lows = [r.clusters[weight].min_resistance for r in per_conv]
             highs = [r.clusters[weight].max_resistance for r in per_conv]
@@ -249,33 +271,10 @@ def test_worst_case_levels_mixes_conventions(tables, listed):
         assert worst.min_margin <= min(r.min_margin for r in per_conv)
 
 
-def _bank_conductance(bank, ohms):
-    # the float contract spelled out: count/ohms summed in kind order,
-    # skipping absent kinds
-    g = 0.0
-    for count, r in zip(bank, ohms):
-        if count:
-            g += count / r
-    return g
-
-
-def test_spare_conductances_match_the_bank_sum(char):
-    # the per-family shortcut must replay the plain sum over each full bank
-    ohms = margins._kind_ohms(char.table)
-    for domains in (1, 2, 7, 10):
-        for family in margins._walk(domains):
-            for borders in ALL_CONDITIONS:
-                counts, _, _ = margins._condition_counts(family, borders)
-                want = [
-                    _bank_conductance(margins._spared(counts, zero, one), ohms)
-                    for _, _, zero, one in family.subclasses
-                ]
-                assert margins._spare_conductances(counts, family.subclasses, ohms) == want
-
-
 @pytest.mark.parametrize("domains", [1, 2, 5, 9, 16, 24, 30])
-def test_cluster_extremes_are_the_listed_report_without_classes(tables, listed, domains):
-    # the scan against the walk; a wall counted by the wrong bit shows only
+def test_cluster_extremes_are_the_listed_report_without_classes(tables, walked, domains):
+    # both scan modes against the walk: the listing, the class-free report
+    # and both sides' edge groups. A wall counted by the wrong bit shows only
     # under an asymmetric condition on a table whose two walls differ. The
     # walk at D = 30 costs about 0.3 s a condition, so D = 30 runs on the
     # default table only, whose walks the worst-case test shares.
@@ -284,11 +283,44 @@ def test_cluster_extremes_are_the_listed_report_without_classes(tables, listed, 
     for name in names:
         char = tables[name]
         for borders in conditions:
-            report = listed(domains, borders, name)
+            report, groups = walked(domains, borders, name)
+            assert enumerate_levels(domains, borders, char) == report
             bare = replace(
                 report, clusters=tuple(replace(c, classes=()) for c in report.clusters)
             )
             assert cluster_extremes(domains, borders, char) == bare
+            for left, side_groups in zip((True, False), groups):
+                assert margins._side_scan(domains, borders, char, left) == (bare, side_groups)
+
+
+@st.composite
+def _perturbed_tables(draw, char):
+    """Default resistances moved by up to +-10 % within the table invariants;
+    the walls, or the walls and the half-walls, tied in two draws of three."""
+    factors = draw(st.lists(st.integers(900, 1100), min_size=len(KINDS), max_size=len(KINDS)))
+    values = [char.table.exact(kind) * Fraction(factor, 1000) for kind, factor in zip(KINDS, factors)]
+    for row in DOMAIN:  # keep full < mid < short; plus stays above minus
+        values[row[0] : row[-1] + 1] = sorted(values[row[0] : row[-1] + 1])
+    assume(all(values[a] != values[b] for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))))
+    ties = draw(st.integers(0, 2))
+    if ties:
+        values[WALL[1]] = values[WALL[0]]
+    if ties == 2:
+        values[HALF_WALL[1]] = values[HALF_WALL[0]]
+    return replace(char, table=char.table.replace(dict(zip(KINDS, values))))
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), domains=st.integers(13, 30), index=st.integers(0, 3))
+def test_both_scan_modes_match_the_walk_on_perturbed_tables(char, data, domains, index):
+    # above the brute-force limit the walk is the reference: the listing,
+    # and each side's edge groups from its own pruned scan
+    perturbed = data.draw(_perturbed_tables(char))
+    borders = ALL_CONDITIONS[index]
+    report, groups = walk_reference(domains, borders, perturbed)
+    assert enumerate_levels(domains, borders, perturbed) == report
+    for left, side_groups in zip((True, False), groups):
+        assert margins._side_scan(domains, borders, perturbed, left)[1] == side_groups
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mdmtj import _sampler, variation
 from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
-from mdmtj.margins import _fold, _kind_ohms, enumerate_levels
+from mdmtj.margins import _kind_ohms, _side_scan, enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
 from mdmtj.oracle import brute_force_offset_margins, reference_sample_offsets
 from mdmtj.variation import (
@@ -339,12 +339,12 @@ def test_engine_matches_oracle_on_perturbed_tables(char, data, domains):
 )
 def test_float_and_array_passes_agree_bitwise(char, data, domains, subnormals):
     # one float pass per magnitude against one vectorized pass over all of
-    # them, on the same fold: any step that differs shows in the last bit
+    # them, on the same edge groups: any step that differs shows in the last bit
     perturbed = data.draw(_perturbed_tables(char))
     magnitudes = [m for m in _boundary_offsets(perturbed).tolist() if m > 0.0] + subnormals
     ohms = _kind_ohms(perturbed.table)
     for borders in ALL_CONDITIONS:
-        _, sides = _fold(domains, borders, perturbed, sides=[True, False])
+        sides = [_side_scan(domains, borders, perturbed, left)[1] for left in (True, False)]
         for groups, assumption in itertools.product(sides, (ZERO, ONE, WORST)):
 
             def engine(values):
