@@ -55,7 +55,6 @@ from .network import (
     BitPattern,
     Border,
     BorderCondition,
-    Edge,
     bank_conductance,
     decompose,
 )

@@ -173,7 +173,7 @@ class _Enumeration:
         resistances: list[np.ndarray],
         classes: list[list[ClassEntry]] | None = None,
     ) -> MarginReport:
-        low, high, _ = (values.tolist() for values in self.margins(resistances))
+        low, high = (values.tolist() for values in self.margins(resistances)[:2])
         sizes = np.diff(self.starts, append=len(self.words)).tolist()
         return _report(self.domains, borders, self.current, sizes, low, high, classes)
 
