@@ -8,7 +8,9 @@ NEW itself when NEW holds two or more runs (a file measured on a parent and
 a change holds both, so its first run is the baseline measured beside the
 change); otherwise to the next lower-numbered file, or NEW itself when there
 is none. Naming the same file twice compares its first run with its last.
-A ratio is new median / old median, so below 1 is faster or smaller.
+A ratio is new median / old median, so below 1 is faster or smaller. Both
+runs' quartiles follow it, and "within spread" when the two quartile ranges
+overlap: on such a row the host's noise can account for the ratio.
 Command-line rows also compare peak RSS and flag a changed output digest.
 Nothing is gated, but two files measured with a different seed or number
 of rounds are refused (exit 2): their command-line rows ran other inputs.
@@ -60,7 +62,10 @@ def main(argv: list[str]) -> int:
             print(f"{row['name']}: {row['median']:.4f} s (no earlier row)")
             continue
         line = (f"{row['name']}: {base['median']:.4f} -> {row['median']:.4f} s,"
-                f" ratio {row['median'] / base['median']:.3f}")
+                f" ratio {row['median'] / base['median']:.3f}, quartiles"
+                f" {base['q1']:.4f}-{base['q3']:.4f} -> {row['q1']:.4f}-{row['q3']:.4f}")
+        if row["q1"] <= base["q3"] and base["q1"] <= row["q3"]:
+            line += ", within spread"
         if row["kind"] == "cli":
             line += (f"; RSS {base['peak_rss_mb']:.1f} -> {row['peak_rss_mb']:.1f} MB,"
                      f" ratio {row['peak_rss_mb'] / base['peak_rss_mb']:.3f}")

@@ -23,6 +23,7 @@ duplicated keys are hard errors. Partial files merge onto the defaults.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -407,13 +408,18 @@ def _fraction_text(value: Fraction) -> str:
 
 
 def _meters_as_nm_text(meters: float) -> str:
-    # repr is the shortest round-tripping decimal; scaling it by 10^9 in
-    # Decimal is exact, so load(dump(x)) reproduces x bit for bit
-    as_decimal = Decimal(repr(meters)).scaleb(9)
-    text = format(as_decimal, "f")
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text
+    """A length in nm, for config text and refusals alike; ``repr`` when it
+    is not finite.
+
+    repr is the shortest round-tripping decimal; scaling it by 10^9 in
+    Decimal is exact, so load(dump(x)) reproduces x bit for bit and two
+    different lengths never print alike.
+    """
+    meters = float(meters)
+    if not math.isfinite(meters):
+        return repr(meters)
+    text = format(Decimal(repr(meters)).scaleb(9), "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def config_mapping(char: Characterization) -> dict[str, str]:

@@ -8,6 +8,11 @@ runs the misalignment study (fixed offset or seeded Monte Carlo). Every
 query is a new process, so each handler imports the analysis module it runs
 on first use, and ``json`` and ``datetime`` load only for CSV/JSON output.
 
+With the hidden ``--oracle`` flag, a handler also passes its result to one
+check of ``oracle``, imported on that path only, which recomputes the
+result by brute force and raises on any disagreement, or refuses above 12
+domains (``oracle.check_limit``).
+
 Each subcommand handler returns one ``_Result``; a single emitter writes it
 as a table, CSV or JSON. Machine-readable outputs (CSV/JSON) embed a run
 manifest: command, tool version, arguments, the effective characterization,
@@ -25,10 +30,9 @@ import argparse
 import importlib
 import math
 import os
-import struct
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
@@ -39,14 +43,10 @@ from .characterization import (
     default_characterization,
     load_config,
 )
-from .errors import ConfigError, ModelError, OracleMismatch, UsageError
+from .errors import ConfigError, ModelError, UsageError
 from .network import BorderCondition, pattern_resistance, pattern_voltage
 
 if TYPE_CHECKING:
-    from types import ModuleType
-
-    import numpy as np
-
     from .margins import (
         MarginReport,
         SweepReport,
@@ -307,115 +307,6 @@ def _mv(volts: float) -> float:
     return round(volts * 1e3, 2)
 
 
-# --- oracle cross-checks ----------------------------------------------------
-
-
-def _oracle() -> ModuleType:
-    """The brute-force reference module, imported by ``--oracle`` runs only:
-    it loads numpy, which no other run but ``variation --monte-carlo``
-    needs."""
-    from . import oracle
-
-    return oracle
-
-
-def _oracle_pattern_check(pattern: str, borders: BorderCondition, char: Characterization) -> None:
-    exact = _oracle().rational_pattern_resistance(pattern, borders, char.table)
-    approx = pattern_resistance(pattern, borders, char)
-    rel = abs(approx - float(exact)) / float(exact)
-    if rel > 1e-9:
-        raise OracleMismatch(
-            f"pattern {pattern}: float path {approx!r} vs rational"
-            f" {float(exact)!r} (relative error {rel:.3e})"
-        )
-
-
-def _check_oracle_limit(domains: int) -> None:
-    limit = _oracle().BRUTE_FORCE_LIMIT
-    if domains > limit:
-        raise UsageError(f"--oracle cross-checks stop at {limit} domains")
-
-
-def _oracle_report_check(report: MarginReport, char: Characterization) -> None:
-    _check_oracle_limit(report.domains)
-    if report.borders is None:
-        ref = _oracle().worst_case_brute_force(report.domains, char)
-    else:
-        ref = _oracle().brute_force_report(report.domains, report.borders, char)
-        if not report.clusters[0].classes:  # a cluster_extremes report lists none
-            ref = replace(ref, clusters=tuple(replace(c, classes=()) for c in ref.clusters))
-    if ref != report:
-        raise OracleMismatch(
-            f"{report.domains}-domain report ({report.convention_label}) disagrees"
-            " with the brute-force reference"
-        )
-
-
-def _oracle_closed_form_check(domains: int, volts: float, char: Characterization) -> None:
-    _check_oracle_limit(domains)
-    ref = _oracle().worst_case_brute_force(domains, char)
-    if ref.min_margin != volts:
-        raise OracleMismatch(
-            f"closed-form margin {volts!r} V differs from the brute-force"
-            f" worst-case margin {ref.min_margin!r} V at {domains} domains"
-        )
-
-
-def _oracle_sweep_check(
-    report: SweepReport, borders: BorderCondition, char: Characterization
-) -> None:
-    for row in report.rows:
-        if row.domains > _oracle().BRUTE_FORCE_LIMIT:
-            continue
-        if row.enumerated_margin is not None:
-            ref = _oracle().brute_force_report(row.domains, borders, char)
-            if ref.min_margin != row.enumerated_margin:
-                raise OracleMismatch(
-                    f"enumerated margin at {row.domains} domains disagrees"
-                    " with the brute-force reference"
-                )
-        _oracle_closed_form_check(row.domains, row.closed_form_margin, char)
-
-
-def _oracle_variation_check(
-    domains: int,
-    borders: BorderCondition,
-    neighbors: NeighborAssumption,
-    nominal: float,
-    offsets: Sequence[float] | np.ndarray,
-    margins: Sequence[float] | np.ndarray,
-    char: Characterization,
-) -> None:
-    import numpy as np
-
-    # one reference call covers offset 0 and every offset
-    offsets = np.concatenate(([0.0], offsets))
-    got = np.concatenate(([nominal], margins))
-    ref = _oracle().brute_force_offset_margins(
-        domains, borders, offsets, neighbors, neighbors, char
-    )
-    wrong = np.flatnonzero(got != ref)
-    if wrong.size:
-        index = int(wrong[0])
-        raise OracleMismatch(
-            f"margin {float(got[index])!r} V at offset {offsets[index] * 1e9:.6f} nm"
-            f" disagrees with the brute-force reference {float(ref[index])!r} V at"
-            f" {domains} domains"
-        )
-
-
-def _oracle_sample_check(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
-    ref = _oracle().reference_sample_offsets(spec)
-    if offsets.tobytes() == ref.tobytes():
-        return
-    for index, (got, want) in enumerate(zip(offsets.tolist(), ref.tolist(), strict=True)):
-        if struct.pack("<d", got) != struct.pack("<d", want):
-            raise OracleMismatch(
-                f"sample {index} offset {got!r} m differs from the per-sample"
-                f" reference {want!r} m (seed {spec.seed})"
-            )
-
-
 # --- subcommand handlers --------------------------------------------------------
 
 
@@ -423,7 +314,9 @@ def _cmd_resistance(args: argparse.Namespace, char: Characterization) -> _Result
     borders = _parse_borders(args.borders)
     ohms = pattern_resistance(args.pattern, borders, char)
     if args.oracle:
-        _oracle_pattern_check(args.pattern, borders, char)
+        from . import oracle
+
+        oracle.check_pattern(args.pattern, borders, ohms, char)
     return _Result("resistance", {}, lambda: f"{ohms:.2f} ohm\n")
 
 
@@ -431,7 +324,10 @@ def _cmd_voltage(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     volts = pattern_voltage(args.pattern, borders, char)
     if args.oracle:
-        _oracle_pattern_check(args.pattern, borders, char)
+        from . import oracle
+
+        ohms = pattern_resistance(args.pattern, borders, char)
+        oracle.check_pattern(args.pattern, borders, ohms, char)
     return _Result("voltage", {}, lambda: f"{volts * 1e3:.2f} mV\n")
 
 
@@ -463,7 +359,9 @@ def _cmd_levels(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     report = enumerate_levels(args.domains, borders, char)
     if args.oracle:
-        _oracle_report_check(report, char)
+        from . import oracle
+
+        oracle.check_report(report, char)
     arguments = {"domains": args.domains, "borders": str(borders)}
     return _Result(
         "levels",
@@ -489,7 +387,9 @@ def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
         r_one, r_zero = closed_form_resistances(args.domains, char.table)
         volts = closed_form_min_margin(args.domains, char)
         if args.oracle:
-            _oracle_closed_form_check(args.domains, volts, char)
+            from . import oracle
+
+            oracle.check_closed_form(args.domains, volts, char)
         convention = "closed-form"
         rows = [(0, 1, r_zero, r_one, volts)]
     else:
@@ -498,7 +398,9 @@ def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
         else:
             report = cluster_extremes(args.domains, _parse_borders(args.borders), char)
         if args.oracle:
-            _oracle_report_check(report, char)
+            from . import oracle
+
+            oracle.check_report(report, char)
         convention = report.convention_label
         volts = report.min_margin
         rows = [
@@ -543,7 +445,9 @@ def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     report = sweep_domains(args.d_min, args.d_max, args.threshold_mv / 1e3, borders, char)
     if args.oracle:
-        _oracle_sweep_check(report, borders, char)
+        from . import oracle
+
+        oracle.check_sweep(report, char)
     return _Result(
         "sweep",
         {"from": args.d_min, "to": args.d_max, "threshold_mv": args.threshold_mv,
@@ -564,7 +468,10 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     neighbors = NeighborAssumption(args.neighbors)  # argparse checked the choice
     if args.oracle:
-        _check_oracle_limit(args.domains)
+        from . import oracle
+
+        # refuse before the study's own checks, and before any sample is drawn
+        oracle.check_limit(args.domains)
     if args.offset_nm is not None:
         return _fixed_offset(args, borders, neighbors, char)
 
@@ -575,11 +482,7 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
         args.domains, borders, spec, char, left_neighbor=neighbors, right_neighbor=neighbors
     )
     if args.oracle:
-        _oracle_sample_check(spec, report.offsets)
-        _oracle_variation_check(
-            args.domains, borders, neighbors, report.nominal_min_margin,
-            report.offsets, report.margins, char,
-        )
+        oracle.check_offset_margins(report, char)
     table = (
         f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
         f"samples: {spec.samples}  seed: {spec.seed}"
@@ -637,10 +540,9 @@ def _fixed_offset(
     spec = MisalignmentSpec(offset, neighbors, neighbors)
     report = offset_margin_report(args.domains, borders, spec, char)
     if args.oracle:
-        _oracle_variation_check(
-            args.domains, borders, neighbors, report.nominal_min_margin,
-            (report.offset, -report.offset), report.sign_min_margins, char,
-        )
+        from . import oracle
+
+        oracle.check_offset_margins(report, char)
     nominal_mv = report.nominal_min_margin * 1e3
     reduction_mv = report.margin_deviation * 1e3
     percent = 100.0 * reduction_mv / nominal_mv if nominal_mv else 0.0

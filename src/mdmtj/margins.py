@@ -380,7 +380,7 @@ def _side_scan(
             min(_packed_conductance(bank, ohms) for bank in low),
             max(_packed_conductance(bank, ohms) for bank in high),
         )
-    return _class_free_report(domains, borders, char, *extremes), groups
+    return _report(domains, borders, char, *extremes), groups
 
 
 def _list_banks(domains: int, borders: BorderCondition) -> dict[int, list[int]]:
@@ -486,22 +486,25 @@ def enumerate_levels(
         )
     for entries in classes_by_weight:
         entries.sort(key=lambda c: (c.resistance, c.representative))
-    clusters = _clusters(current, by_weight_count, g_low, g_high, classes_by_weight)
-    return _finish_report(domains, borders, current, clusters)
+    return _report(domains, borders, char, by_weight_count, g_low, g_high, classes_by_weight)
 
 
-def _clusters(
-    current: float,
+def _report(
+    domains: int,
+    borders: BorderCondition | None,
+    char: Characterization,
     by_weight_count: Sequence[int],
     g_low: Sequence[float],
     g_high: Sequence[float],
-    classes_by_weight: Sequence[Sequence[ClassEntry]],
-) -> tuple[LevelCluster, ...]:
-    """Clusters from per-weight extreme conductances.
+    classes_by_weight: Sequence[Sequence[ClassEntry]] | None = None,
+) -> MarginReport:
+    """The report from per-weight pattern counts and extreme conductances,
+    with each cluster's class listing when there is one.
 
     Rounded 1/g is monotone, so a cluster's extreme resistances are the
     reciprocals of its extreme conductances, bit for bit.
     """
+    current = char.drive.read_current(domains, char.geometry)
     clusters = []
     for weight, count in enumerate(by_weight_count):
         low, high = 1.0 / g_high[weight], 1.0 / g_low[weight]
@@ -513,10 +516,30 @@ def _clusters(
                 max_resistance=high,
                 min_voltage=current * low,
                 max_voltage=current * high,
-                classes=tuple(classes_by_weight[weight]),
+                classes=tuple(classes_by_weight[weight]) if classes_by_weight else (),
             )
         )
-    return tuple(clusters)
+    margins = [
+        AdjacentMargin(
+            weight_low=low.weight,
+            weight_high=high.weight,
+            r_low_max=low.max_resistance,
+            r_high_min=high.min_resistance,
+            margin=high.min_voltage - low.max_voltage,
+        )
+        for low, high in zip(clusters, clusters[1:])
+    ]
+    best = min(margins, key=lambda entry: entry.margin)  # ties keep the lower weight pair
+    return MarginReport(
+        domains=domains,
+        borders=borders,
+        read_current=current,
+        clusters=tuple(clusters),
+        adjacent_margins=tuple(margins),
+        min_margin=best.margin,
+        min_margin_pair=(best.weight_low, best.weight_high),
+        distinguishable_levels=1 + sum(1 for entry in margins if entry.margin > 0.0),
+    )
 
 
 def _scan_reports(
@@ -534,22 +557,8 @@ def _scan_reports(
         rights = (borders.right is Border.DIFFER,)
     extremes, _ = _scan(lengths, lefts, rights, _kind_ohms(char.table))
     return [
-        _class_free_report(domains, borders, char, *result)
-        for domains, result in zip(lengths, extremes)
+        _report(domains, borders, char, *result) for domains, result in zip(lengths, extremes)
     ]
-
-
-def _class_free_report(
-    domains: int,
-    borders: BorderCondition | None,
-    char: Characterization,
-    by_weight_count: Sequence[int],
-    g_low: Sequence[float],
-    g_high: Sequence[float],
-) -> MarginReport:
-    current = char.drive.read_current(domains, char.geometry)
-    clusters = _clusters(current, by_weight_count, g_low, g_high, [()] * (domains + 1))
-    return _finish_report(domains, borders, current, clusters)
 
 
 def cluster_extremes(
@@ -578,42 +587,6 @@ def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
     """
     _check_domain_count(domains)
     return _scan_reports(range(domains, domains + 1), None, char)[0]
-
-
-def _finish_report(
-    domains: int,
-    borders: BorderCondition | None,
-    current: float,
-    clusters: tuple[LevelCluster, ...],
-) -> MarginReport:
-    margins = []
-    for weight in range(domains):
-        low = clusters[weight]
-        high = clusters[weight + 1]
-        margins.append(
-            AdjacentMargin(
-                weight_low=weight,
-                weight_high=weight + 1,
-                r_low_max=low.max_resistance,
-                r_high_min=high.min_resistance,
-                margin=high.min_voltage - low.max_voltage,
-            )
-        )
-    best = margins[0]
-    for entry in margins[1:]:
-        if entry.margin < best.margin:  # ties keep the lower weight pair
-            best = entry
-    distinguishable = 1 + sum(1 for entry in margins if entry.margin > 0.0)
-    return MarginReport(
-        domains=domains,
-        borders=borders,
-        read_current=current,
-        clusters=clusters,
-        adjacent_margins=tuple(margins),
-        min_margin=best.margin,
-        min_margin_pair=(best.weight_low, best.weight_high),
-        distinguishable_levels=distinguishable,
-    )
 
 
 def closed_form_resistances(

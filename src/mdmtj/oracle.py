@@ -7,21 +7,28 @@ in weight order, their 2^D x 10 segment-count matrix per border condition,
 conductances summed column by column, and per-weight extremes over the row
 range of each weight. No run structure or equivalence class shortens that
 enumeration; the class listing of ``brute_force_report`` only groups its
-rows. Above ``BRUTE_FORCE_LIMIT`` the reference is the run-structure walk
+rows. ``check_limit`` is its one bound: every brute-force path refuses above
+``BRUTE_FORCE_LIMIT``. Above it the reference is the run-structure walk
 (``walk_reference``), which derives every bank combinatorially from the
-runs of equal bits; the production bit scan reads bits instead. The only
-things shared with the production modules are data (the characterization,
-the kind layout, the neighbor assumption) and the report dataclass types,
-never composition code. The float reference paths follow the same
-documented summation order (segment kinds in enum order), because that
-order is part of the report contract.
+runs of equal bits; the production bit scan reads bits instead.
+
+The ``check_*`` functions are the hidden ``--oracle`` flag: each takes one
+production result, recomputes its reference here and raises OracleMismatch
+on any disagreement. They call the references as module globals, so a name
+rebound on this module (a tracer's wrapper, a test's stub) is the one run.
+
+The only things shared with the production modules are data (the
+characterization, the kind layout, the neighbor assumption), the report
+dataclass types and the nm formatter of refusal texts, never composition
+code. The float reference paths follow the same documented summation order
+(segment kinds in enum order), because that order is part of the report
+contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -35,15 +42,24 @@ from .characterization import (
     Characterization,
     SegmentKind,
     SegmentResistanceTable,
+    _meters_as_nm_text,
 )
-from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange
-from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport
+from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange, OracleMismatch
+from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport, SweepReport
 from .network import ALL_CONDITIONS, Border, BorderCondition
 
 if TYPE_CHECKING:
-    from .variation import MonteCarloSpec, NeighborAssumption
+    from .variation import MonteCarloReport, MonteCarloSpec, NeighborAssumption, OffsetReport
 
 BRUTE_FORCE_LIMIT = 12
+
+
+def check_limit(domains: int) -> None:
+    """Refuse a window longer than BRUTE_FORCE_LIMIT: every 2^D enumeration
+    here, and every ``--oracle`` check, stops there."""
+    if domains > BRUTE_FORCE_LIMIT:
+        raise DomainCountTooLarge(f"--oracle cross-checks stop at {BRUTE_FORCE_LIMIT} domains")
+
 
 # index layout, fixed by the enum: 0..2 minus-polarity domains by adjacent
 # wall count, 3..5 plus-polarity, 6 wall 0->1, 7 wall 1->0, 8..9 half-walls
@@ -138,6 +154,9 @@ class _Enumeration:
     weight, so each weight's patterns are one contiguous row range."""
 
     def __init__(self, domains: int, char: Characterization):
+        check_limit(domains)
+        if domains < 1:
+            raise ValueError(f"need at least 1 domain, got {domains}")
         self.domains = domains
         words = (format(value, f"0{domains}b") for value in range(2**domains))
         self.words = sorted(words, key=lambda bits: bits.count("1"))
@@ -226,15 +245,6 @@ def _report(
     )
 
 
-def _check_domains(domains: int) -> None:
-    if domains > BRUTE_FORCE_LIMIT:
-        raise DomainCountTooLarge(
-            f"brute force stops at {BRUTE_FORCE_LIMIT} domains, got {domains}"
-        )
-    if domains < 1:
-        raise ValueError(f"need at least 1 domain, got {domains}")
-
-
 def brute_force_report(
     domains: int, borders: BorderCondition, char: Characterization
 ) -> MarginReport:
@@ -243,7 +253,6 @@ def brute_force_report(
     A class is a (weight, canonical key) group; its representative is the
     group's first word in value order, which is its lex-smallest.
     """
-    _check_domains(domains)
     patterns = _Enumeration(domains, char)
     counts = patterns.counts(borders)
     resistance = 1.0 / patterns.conductance(counts)
@@ -276,7 +285,6 @@ def worst_case_brute_force(domains: int, char: Characterization) -> MarginReport
     Cluster extremes are taken over every pattern under every border
     condition; class listings stay empty, matching the production shape.
     """
-    _check_domains(domains)
     patterns = _Enumeration(domains, char)
     resistances = [
         1.0 / patterns.conductance(patterns.counts(borders)) for borders in ALL_CONDITIONS
@@ -548,8 +556,8 @@ def brute_force_offset_margins(
     then the edge domain, the half-wall while still covered, the overhang.
     A side whose largest magnitude leaves the shortest edge domain of some
     pattern no covered length raises OffsetOutOfRange, worded like the
-    engine's refusal. There is no domain guard here: callers bound the
-    2^D cost (the CLI stops at BRUTE_FORCE_LIMIT).
+    engine's refusal. Like the other brute-force paths, it refuses above
+    BRUTE_FORCE_LIMIT (``check_limit``).
     """
     patterns = _Enumeration(domains, char)
     ohms = patterns.ohms
@@ -583,8 +591,8 @@ def brute_force_offset_margins(
         shortest = min(nominal[index] for index in set(edge.tolist()))
         if not shortest - largest > 0.0:
             raise OffsetOutOfRange(
-                f"an offset of {_nm_text(largest)} nm uncovers the whole"
-                f" {_nm_text(shortest)} nm edge domain; the coverage model is not"
+                f"an offset of {_meters_as_nm_text(largest)} nm uncovers the whole"
+                f" {_meters_as_nm_text(shortest)} nm edge domain; the coverage model is not"
                 " valid beyond that"
             )
         for j in np.flatnonzero(selected):
@@ -607,15 +615,6 @@ def brute_force_offset_margins(
     return out
 
 
-def _nm_text(meters: float) -> str:
-    """Meters as nm, from the shortest decimal that reads back as ``meters``
-    (Python's ``repr``), shifted nine places exactly in Decimal."""
-    if meters != meters or meters in (np.inf, -np.inf):
-        return repr(meters)
-    text = format(Decimal(repr(meters)).scaleb(9), "f")
-    return text.rstrip("0").rstrip(".") if "." in text else text
-
-
 def reference_sample_offsets(
     spec: MonteCarloSpec, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
@@ -635,6 +634,105 @@ def reference_sample_offsets(
             z = rng.standard_normal()
         offsets.append(z * spec.sigma)
     return np.array(offsets, dtype=float)
+
+
+# --- the --oracle cross-checks ---------------------------------------------------
+
+
+def check_pattern(
+    pattern: str, borders: BorderCondition, ohms: float, char: Characterization
+) -> None:
+    """A pattern's float resistance ``ohms`` against exact rationals, to a
+    relative 1e-9."""
+    exact = float(rational_pattern_resistance(pattern, borders, char.table))
+    rel = abs(ohms - exact) / exact
+    if rel > 1e-9:
+        raise OracleMismatch(
+            f"pattern {pattern}: float path {ohms!r} vs rational"
+            f" {exact!r} (relative error {rel:.3e})"
+        )
+
+
+def check_report(report: MarginReport, char: Characterization) -> None:
+    """A margin report, field for field: the worst report against
+    ``worst_case_brute_force``, any other against ``brute_force_report``,
+    without its class listing when the report lists none."""
+    if report.borders is None:
+        ref = worst_case_brute_force(report.domains, char)
+    else:
+        ref = brute_force_report(report.domains, report.borders, char)
+        if not report.clusters[0].classes:  # a cluster_extremes report lists none
+            ref = replace(ref, clusters=tuple(replace(c, classes=()) for c in ref.clusters))
+    if ref != report:
+        raise OracleMismatch(
+            f"{report.domains}-domain report ({report.convention_label}) disagrees"
+            " with the brute-force reference"
+        )
+
+
+def check_closed_form(domains: int, volts: float, char: Characterization) -> None:
+    """The closed-form margin ``volts`` against the brute-force worst case."""
+    ref = worst_case_brute_force(domains, char)
+    if ref.min_margin != volts:
+        raise OracleMismatch(
+            f"closed-form margin {volts!r} V differs from the brute-force"
+            f" worst-case margin {ref.min_margin!r} V at {domains} domains"
+        )
+
+
+def check_sweep(report: SweepReport, char: Characterization) -> None:
+    """Every row of a sweep, both margins; the whole range is refused before
+    the first row when it ends above BRUTE_FORCE_LIMIT."""
+    check_limit(report.d_max)
+    for row in report.rows:
+        ref = brute_force_report(row.domains, report.borders, char)
+        if ref.min_margin != row.enumerated_margin:
+            raise OracleMismatch(
+                f"enumerated margin at {row.domains} domains disagrees"
+                " with the brute-force reference"
+            )
+        check_closed_form(row.domains, row.closed_form_margin, char)
+
+
+def check_offset_margins(
+    report: OffsetReport | MonteCarloReport, char: Characterization
+) -> None:
+    """A misalignment report's margins, bit for bit, from one
+    ``brute_force_offset_margins`` call that also covers the nominal margin:
+    a fixed-offset report's at +offset and -offset, a Monte Carlo report's
+    at every sample, once ``check_sample_stream`` has passed its offsets."""
+    if hasattr(report, "spec"):  # a Monte Carlo report
+        check_sample_stream(report.spec, report.offsets)
+        offsets, margins = report.offsets, report.margins
+    else:
+        offsets, margins = (report.offset, -report.offset), report.sign_min_margins
+    offsets = np.concatenate(([0.0], offsets))
+    got = np.concatenate(([report.nominal_min_margin], margins))
+    ref = brute_force_offset_margins(
+        report.domains, report.borders, offsets, report.left_neighbor,
+        report.right_neighbor, char,
+    )
+    wrong = np.flatnonzero(got != ref)
+    if wrong.size:
+        index = int(wrong[0])
+        raise OracleMismatch(
+            f"margin {float(got[index])!r} V at offset {offsets[index] * 1e9:.6f} nm"
+            f" disagrees with the brute-force reference {float(ref[index])!r} V at"
+            f" {report.domains} domains"
+        )
+
+
+def check_sample_stream(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
+    """Sampled offsets against ``reference_sample_offsets``, bit for bit."""
+    ref = reference_sample_offsets(spec)
+    # bits, not values: 0.0 and -0.0 differ, a NaN matches itself
+    wrong = np.flatnonzero(offsets.view(np.uint64) != ref.view(np.uint64))
+    if wrong.size:
+        index = int(wrong[0])
+        raise OracleMismatch(
+            f"sample {index} offset {float(offsets[index])!r} m differs from the"
+            f" per-sample reference {float(ref[index])!r} m (seed {spec.seed})"
+        )
 
 
 @dataclass(frozen=True)

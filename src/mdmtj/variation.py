@@ -44,7 +44,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import enum
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
@@ -113,19 +112,12 @@ class MisalignmentSpec:
     right_neighbor: NeighborAssumption = NeighborAssumption.WORST
 
 
-def _nm_text(meters: float) -> str:
-    """A length for a refusal, in nm: the shortest decimal that reads back as
-    the same float, so two different lengths never print alike."""
-    meters = float(meters)
-    return _meters_as_nm_text(meters) if math.isfinite(meters) else repr(meters)
-
-
 def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
     # written so that NaN fails the test too
     if not (abs(offset) <= geometry.notch_length):
         raise OffsetOutOfRange(
-            f"offset {_nm_text(offset)} nm exceeds one notch length"
-            f" ({_nm_text(geometry.notch_length)} nm); the coverage model"
+            f"offset {_meters_as_nm_text(offset)} nm exceeds one notch length"
+            f" ({_meters_as_nm_text(geometry.notch_length)} nm); the coverage model"
             " is not valid beyond that"
         )
 
@@ -137,8 +129,8 @@ def _edge_coverage(edge: int, magnitude: float, geometry: DeviceGeometry) -> flo
     covered = nominal - magnitude
     if not covered > 0.0:
         raise OffsetOutOfRange(
-            f"an offset of {_nm_text(magnitude)} nm uncovers the whole"
-            f" {_nm_text(nominal)} nm edge domain; the coverage model is not"
+            f"an offset of {_meters_as_nm_text(magnitude)} nm uncovers the whole"
+            f" {_meters_as_nm_text(nominal)} nm edge domain; the coverage model is not"
             " valid beyond that"
         )
     return covered

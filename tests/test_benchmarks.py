@@ -15,11 +15,13 @@ def _compare():
 
 
 def _bench(path, medians):
-    """A BENCH file with one in-process row per run, ``medians`` by label."""
-    runs = [
-        {"label": label, "rows": [{"kind": "in_process", "name": "call D=5", "median": median}]}
-        for label, median in medians.items()
-    ]
+    """A BENCH file with one in-process row per run, ``medians`` by label:
+    a median whose quartiles equal it, or a (q1, median, q3) triple."""
+    runs = []
+    for label, median in medians.items():
+        q1, median, q3 = median if isinstance(median, tuple) else (median,) * 3
+        row = {"kind": "in_process", "name": "call D=5", "median": median, "q1": q1, "q3": q3}
+        runs.append({"label": label, "rows": [row]})
     path.write_text(json.dumps({"rounds": 7, "seed": 1, "runs": runs}))
     return path
 
@@ -49,3 +51,22 @@ def test_a_one_run_file_is_compared_with_the_previous_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("BENCH_2.json [change] against BENCH_1.json [change]\n")
     assert "ratio 0.500" in out
+
+
+def test_a_ratio_within_the_host_spread_is_marked(tmp_path, capsys):
+    # the quartile ranges of an unchanged row overlap, however far apart the
+    # medians read; those of a real change do not
+    compare = _compare()
+    noisy = _bench(tmp_path / "BENCH_1.json",
+                   {"parent": (0.078, 0.095, 0.118), "change": (0.087, 0.119, 0.128)})
+    assert compare.main([str(noisy)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "call D=5: 0.0950 -> 0.1190 s, ratio 1.253, quartiles 0.0780-0.1180 -> 0.0870-0.1280,"
+        " within spread\n"
+    )
+    faster = _bench(tmp_path / "BENCH_2.json",
+                    {"parent": (0.27, 0.29, 0.31), "change": (0.18, 0.19, 0.21)})
+    assert compare.main([str(faster)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "call D=5: 0.2900 -> 0.1900 s, ratio 0.655, quartiles 0.2700-0.3100 -> 0.1800-0.2100\n"
+    )

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -532,6 +535,72 @@ def test_variation_oracle_catches_a_flipped_sample(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv, "--oracle")
     assert (code, out) == (1, "")
     assert "sample 3 offset" in err and "per-sample reference" in err
+
+
+def test_sweep_oracle_refuses_a_range_past_the_brute_force_limit(capsys):
+    # every row is checked or the run refuses, as every subcommand does
+    argv = ("sweep", "--from", "10", "--to", "13", "--threshold-mv", "5", "--oracle")
+    assert run_cli(capsys, *argv) == (2, "", "error: --oracle cross-checks stop at 12 domains\n")
+    # the sweep's own argument checks come first
+    code, out, err = run_cli(capsys, "sweep", "--from", "10", "--to", "31",
+                             "--threshold-mv", "5", "--oracle")
+    assert (code, out) == (2, "") and "exceeds limit 30" in err
+    code, out, err = run_cli(capsys, "sweep", "--from", "9", "--to", "3",
+                             "--threshold-mv", "5", "--oracle")
+    assert (code, out) == (2, "") and "empty sweep range" in err
+
+
+def test_sweep_oracle_checks_a_range_up_to_the_limit(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--from", "10", "--to", "12", "--threshold-mv", "5", "--oracle"
+    )
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 5  # header, three rows, verdict
+
+
+def _min_margin_one_ulp_up(real):
+    def nudged(*args):
+        ref = real(*args)
+        return replace(ref, min_margin=math.nextafter(ref.min_margin, math.inf))
+
+    return nudged
+
+
+@pytest.mark.parametrize(
+    "reference, argv, mismatch",
+    [
+        ("brute_force_report", ("levels", "--domains", "5"),
+         "5-domain report (same/same) disagrees with the brute-force reference"),
+        ("brute_force_report", ("margin", "--domains", "5", "--borders", "differ,same"),
+         "5-domain report (differ/same) disagrees with the brute-force reference"),
+        ("brute_force_report", ("sweep", "--from", "3", "--to", "5", "--threshold-mv", "20"),
+         "enumerated margin at 3 domains disagrees with the brute-force reference"),
+        ("worst_case_brute_force", ("margin", "--domains", "5", "--borders", "worst"),
+         "5-domain report (worst) disagrees with the brute-force reference"),
+        ("worst_case_brute_force", ("margin", "--domains", "5", "--closed-form"),
+         "differs from the brute-force worst-case margin"),
+    ],
+)
+def test_oracle_catches_a_reference_one_ulp_off(capsys, monkeypatch, reference, argv, mismatch):
+    monkeypatch.setattr(oracle, reference, _min_margin_one_ulp_up(getattr(oracle, reference)))
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert (code, out) == (1, ""), argv
+    assert mismatch in err
+
+
+@pytest.mark.parametrize("command", ["resistance", "voltage"])
+def test_oracle_catches_a_pattern_reference_past_its_tolerance(capsys, monkeypatch, command):
+    # float and exact resistances differ by rounding, so the check allows a
+    # relative 1e-9 and a reference one ulp off passes it; 1e-8 off does not
+    real = oracle.rational_pattern_resistance
+
+    def nudged(*args):
+        return real(*args) * (1 + Fraction(1, 10**8))
+
+    monkeypatch.setattr(oracle, "rational_pattern_resistance", nudged)
+    code, out, err = run_cli(capsys, command, "--pattern", "01101", "--oracle")
+    assert (code, out) == (1, "")
+    assert "pattern 01101: float path" in err and "vs rational" in err
 
 
 def test_invalid_pattern_exits_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdmtj import oracle
 from mdmtj.characterization import default_characterization
 from mdmtj.errors import DomainCountTooLarge, EmptyNetwork
 from mdmtj.margins import cluster_extremes, enumerate_levels, worst_case_levels
@@ -87,9 +88,10 @@ def test_brute_force_equals_enumeration(char):
 
 @pytest.mark.parametrize("domains", [13, 14])
 @pytest.mark.parametrize("borders", ALL_CONDITIONS, ids=str)
-def test_enumerated_margin_matches_count_matrix_above_limit(char, domains, borders):
-    # the count-matrix oracle has no domain guard, so it checks the
-    # run-structure walk where brute_force_report stops
+def test_enumerated_margin_matches_count_matrix_above_limit(char, domains, borders, monkeypatch):
+    # with its guard lifted, the count matrix checks the bit scan where
+    # --oracle stops
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_LIMIT", domains)
     worst = NeighborAssumption.WORST
     ref = brute_force_offset_margins(domains, borders, [0.0], worst, worst, char)[0]
     assert enumerate_levels(domains, borders, char).min_margin == ref

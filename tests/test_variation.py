@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mdmtj import _sampler, variation
+from mdmtj import _sampler, oracle, variation
 from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import _kind_ohms, _side_scan, enumerate_levels
@@ -263,7 +263,8 @@ def test_engine_matches_brute_force_oracle_bitwise(char):
                 assert _bits(listed) == _bits(reference.tolist()), (domains, borders, assumption)
 
 
-def test_engine_matches_oracle_beyond_twelve_domains(char):
+def test_engine_matches_oracle_beyond_twelve_domains(char, monkeypatch):
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_LIMIT", 14)  # lift the --oracle guard
     borders = BorderCondition.parse("same,differ")
     offsets = _boundary_offsets(char)
     engine = min_margins_for_offsets(14, borders, offsets, WORST, WORST, char)
