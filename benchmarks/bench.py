@@ -1,6 +1,6 @@
 """Write a ``BENCH_<n>.json`` of in-process and command-line timings.
 
-    python3 benchmarks/bench.py --out BENCH_19.json \
+    python3 benchmarks/bench.py --out BENCH_21.json \
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names a checkout whose ``DIR/src`` is
@@ -11,7 +11,8 @@ drifts slows every checkout alike. Per checkout the file holds one run:
 - in-process rows: ``enumerate_levels``, ``cluster_extremes``,
   ``worst_case_levels``, ``sweep_domains`` (from 2) and
   ``min_margins_for_offsets`` (a list of 3 offsets, and an array of 16,384)
-  at D = 5, 12 and 30, on the default table, each timed once per round in a
+  at D = 5, 12 and 30, on the default table, and ``sample_offsets`` for
+  10,000 and 1,000,000 samples at seed 1, each timed once per round in a
   fresh process after one warm-up call;
 - command-line rows, each spawned once per round with wall time and peak
   RSS from ``os.wait4`` and a digest of its standard output: the six job
@@ -72,9 +73,15 @@ CALLS = (
     "min_margins_for_offsets[3]",
     "min_margins_for_offsets[16384]",
 )
+SAMPLES = (10_000, 1_000_000)  # sample_offsets sizes
+# (call, size label, size) of each in-process row, in the order they run
+IN_PROCESS_ROWS = [
+    *((name, "D", domains) for name in CALLS for domains in DOMAINS),
+    *(("sample_offsets", "N", samples) for samples in SAMPLES),
+]
 
 # Runs in a fresh process on the checkout's src: times each call once,
-# after one untimed call, and prints {"<call> D=<d>": seconds}.
+# after one untimed call, and prints {"<call> <D or N>=<size>": seconds}.
 _IN_PROCESS = """
 import json, sys, time
 import numpy as np
@@ -97,14 +104,15 @@ calls = {
         d, same_differ, three, worst, worst, char),
     "min_margins_for_offsets[16384]": lambda d: variation.min_margins_for_offsets(
         d, same_differ, spread, worst, worst, char),
+    "sample_offsets": lambda n: variation.sample_offsets(
+        variation.MonteCarloSpec(samples=n, seed=1)),
 }
 times = {}
-for name in json.loads(sys.argv[1]):
-    for domains in json.loads(sys.argv[2]):
-        calls[name](domains)
-        start = time.perf_counter()
-        calls[name](domains)
-        times[f"{name} D={domains}"] = time.perf_counter() - start
+for name, label, size in json.loads(sys.argv[1]):
+    calls[name](size)
+    start = time.perf_counter()
+    calls[name](size)
+    times[f"{name} {label}={size}"] = time.perf_counter() - start
 print(json.dumps(times))
 """
 
@@ -145,7 +153,7 @@ def spawn(
 
 def in_process(env: dict[str, str]) -> dict[str, float]:
     done = subprocess.run(
-        [sys.executable, "-c", _IN_PROCESS, json.dumps(CALLS), json.dumps(DOMAINS)],
+        [sys.executable, "-c", _IN_PROCESS, json.dumps(IN_PROCESS_ROWS)],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
     return json.loads(done.stdout)

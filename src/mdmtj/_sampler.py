@@ -1,4 +1,4 @@
-"""The Monte Carlo offset stream in arrays, bit for bit numpy's.
+"""The Monte Carlo offset stream, bit for bit numpy's, without numpy.random.
 
 Sample i is the first normal within the truncation drawn from
 ``Generator(PCG64(SeedSequence((seed, i))))``. numpy's SeedSequence hash,
@@ -6,8 +6,9 @@ PCG64's seed step and its first XSL-RR output (O'Neill 2014) are recomputed
 over arrays of indices, and the fast path of numpy's ziggurat (Marsaglia and
 Tsang 2000; tables in ``_ziggurat``) turns that word into the normal. A row
 the fast path does not settle (the base layer's tail, a wedge, a value past
-the truncation) falls back to numpy's own ``standard_normal()`` from the
-same seeded state.
+the truncation) goes on from its stepped state on Python ints: further PCG64
+words and numpy's ``random_standard_normal`` slow path, ported line for line
+in ``_settle``.
 
 ``variation.sample_offsets`` imports this module on its first draw, so only
 a Monte Carlo run loads numpy and the tables for it.
@@ -15,11 +16,12 @@ a Monte Carlo run loads numpy and the tables for it.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
 
-from ._ziggurat import KI, WI
+from ._ziggurat import FI, KI, WI
 
 # numpy's SeedSequence: O'Neill's seed_seq hash over a pool of four uint32
 # words. The constants step as Python ints masked to 32 bits; every word is a
@@ -35,8 +37,13 @@ _XSHIFT = 16
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
 _MULT_LO_HALVES = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
-# the ziggurat's 52-bit magnitude field
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+# the ziggurat's 52-bit magnitude field; the tables as Python numbers and
+# numpy's ziggurat_nor_r and ziggurat_nor_inv_r, for the slow path
 _MASK52 = (1 << 52) - 1
+_KI, _WI, _FI = KI.tolist(), WI.tolist(), FI.tolist()
+_NOR_R = 3.6541528853610087963519472518
+_NOR_INV_R = 0.27366123732975827203338247596
 # indices seeded per vectorized pass; bounds the word arrays' memory
 _CHUNK = 8192
 
@@ -135,7 +142,8 @@ def _pcg_seeds(seed_words: list[int], start: int, count: int) -> tuple[_Limbs, _
 def _first_words(
     seed_words: list[int], start: int, count: int
 ) -> tuple[_Limbs, _Limbs, np.ndarray]:
-    """(seeded state, inc, first 64-bit output) per index, as ``_pcg_seeds``.
+    """(state after the first step, inc, first 64-bit output) per index, as
+    ``_pcg_seeds``.
 
     PCG64 steps, then outputs XSL-RR: the high and low halves xor-folded and
     rotated right by the top six bits of the state.
@@ -143,7 +151,57 @@ def _first_words(
     state, inc = _pcg_seeds(seed_words, start, count)
     high, low = _pcg_step(state, inc)
     folded, rotation = high ^ low, high >> 58
-    return state, inc, folded >> rotation | folded << (-rotation & 63)
+    return (high, low), inc, folded >> rotation | folded << (-rotation & 63)
+
+
+def _words(state: int, inc: int) -> Iterator[int]:
+    """PCG64's 64-bit outputs after ``state``, one step and XSL-RR each."""
+    while True:
+        state = (state * _PCG_MULT + inc) & _MASK128
+        high = state >> 64
+        folded, rotation = (high ^ state) & _MASK64, high >> 58
+        yield (folded >> rotation | folded << (64 - rotation)) & _MASK64
+
+
+def _next_double(words: Iterator[int]) -> float:
+    return (next(words) >> 11) * 2.0**-53
+
+
+def _settle(word: int, words: Iterator[int], truncation: float) -> float:
+    """The normal numpy's ``standard_normal()`` draws within ``truncation``
+    when its first 64-bit word is ``word`` and ``words`` are the ones after.
+
+    Each pass is numpy's random_standard_normal: the fast path; the base
+    layer's tail (an exponential beyond ziggurat_nor_r, kept when a second
+    one clears its square); or the wedge test against exp(-x^2 / 2). A
+    rejected word, and a value past the truncation, start a fresh pass.
+    ``math.exp`` and ``math.log1p`` are the C library's, as numpy's calls
+    are, so the bits agree; tests/test_sampler.py compares every branch.
+    """
+    while True:
+        layer = word & 0xFF
+        magnitude = word >> 9 & _MASK52
+        x = magnitude * _WI[layer]
+        if word >> 8 & 1:
+            x = -x
+        if magnitude < _KI[layer]:
+            value = x
+        elif layer == 0:
+            while True:
+                xx = -_NOR_INV_R * math.log1p(-_next_double(words))
+                yy = -math.log1p(-_next_double(words))
+                if yy + yy > xx * xx:
+                    break
+            value = -(_NOR_R + xx) if magnitude >> 8 & 1 else _NOR_R + xx
+        else:
+            height = (_FI[layer - 1] - _FI[layer]) * _next_double(words) + _FI[layer]
+            if height >= math.exp(-0.5 * x * x):  # outside the curve: a fresh word
+                word = next(words)
+                continue
+            value = x
+        if abs(value) <= truncation:
+            return value
+        word = next(words)
 
 
 def truncated_normals(seed: int, truncation: float, start: int, stop: int) -> np.ndarray:
@@ -151,14 +209,10 @@ def truncated_normals(seed: int, truncation: float, start: int, stop: int) -> np
 
     Seeding and the first draw run over chunks of indices: a row whose first
     word takes the ziggurat's fast path to a value within the truncation is
-    done in arrays. Every other row sets one numpy generator to its seeded
-    state and redraws with numpy, as a fresh generator would.
+    done in arrays. Every other row goes on from its stepped state in
+    ``_settle``, as a fresh generator would.
     """
     seed_words = _uint32_words(seed)
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     z = np.empty(max(stop - start, 0))
     row = 0
     while start < stop:
@@ -172,19 +226,16 @@ def truncated_normals(seed: int, truncation: float, start: int, stop: int) -> np
         x = magnitude.astype(np.float64) * WI[layer]
         np.negative(x, out=x, where=(word >> 8 & 1).astype(bool))
         missed = np.flatnonzero(~((magnitude < KI[layer]) & (np.abs(x) <= truncation)))
-        for index, high, low, inc_hi, inc_lo in zip(
+        for index, first, high, low, inc_hi, inc_lo in zip(
             missed.tolist(),
+            word[missed].tolist(),
             state_high[missed].tolist(),
             state_low[missed].tolist(),
             inc_high[missed].tolist(),
             inc_low[missed].tolist(),
         ):
-            pcg["state"], pcg["inc"] = high << 64 | low, inc_hi << 64 | inc_lo
-            bit_generator.state = state
-            value = generator.standard_normal()
-            while abs(value) > truncation:
-                value = generator.standard_normal()
-            x[index] = value
+            words = _words(high << 64 | low, inc_hi << 64 | inc_lo)
+            x[index] = _settle(first, words, truncation)
         z[row : row + x.size] = x
         row += x.size
         start = end

@@ -327,7 +327,7 @@ def _cmd_voltage(args: argparse.Namespace, char: Characterization) -> _Result:
         from . import oracle
 
         ohms = pattern_resistance(args.pattern, borders, char)
-        oracle.check_pattern(args.pattern, borders, ohms, char)
+        oracle.check_pattern(args.pattern, borders, ohms, char, volts)
     return _Result("voltage", {}, lambda: f"{volts * 1e3:.2f} mV\n")
 
 

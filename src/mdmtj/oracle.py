@@ -640,17 +640,20 @@ def reference_sample_offsets(
 
 
 def check_pattern(
-    pattern: str, borders: BorderCondition, ohms: float, char: Characterization
+    pattern: str, borders: BorderCondition, ohms: float, char: Characterization,
+    volts: float | None = None,
 ) -> None:
-    """A pattern's float resistance ``ohms`` against exact rationals, to a
-    relative 1e-9."""
+    """A pattern's float resistance ``ohms``, and its sense voltage ``volts``
+    when given, against exact rationals, to a relative 1e-9."""
     exact = float(rational_pattern_resistance(pattern, borders, char.table))
-    rel = abs(ohms - exact) / exact
-    if rel > 1e-9:
-        raise OracleMismatch(
-            f"pattern {pattern}: float path {ohms!r} vs rational"
-            f" {exact!r} (relative error {rel:.3e})"
-        )
+    want_volts = _read_current(len(pattern), char) * exact
+    for label, got, want in (("float path", ohms, exact), ("sense voltage", volts, want_volts)):
+        rel = 0.0 if got is None else abs(got - want) / want
+        if rel > 1e-9:
+            raise OracleMismatch(
+                f"pattern {pattern}: {label} {got!r} vs rational"
+                f" {want!r} (relative error {rel:.3e})"
+            )
 
 
 def check_report(report: MarginReport, char: Characterization) -> None:

@@ -24,12 +24,12 @@ Each Monte Carlo sample's offset depends only on (seed, index), so any slice
 of a run can be reproduced on its own. Sample i is the first normal within
 the truncation drawn from ``Generator(PCG64(SeedSequence((seed, i))))``, the
 same stream as in every earlier version. ``_sampler`` recomputes that stream
-in arrays (numpy's SeedSequence hash, PCG64 and the fast path of its
-ziggurat, whose tables are in ``_ziggurat``) and falls back to numpy's own
-``standard_normal()`` for the rows the fast path does not settle.
-``oracle.reference_sample_offsets`` builds the three objects per sample and
-must agree bit for bit; ``variation --monte-carlo --oracle`` redraws every
-sample that way.
+without numpy.random: numpy's SeedSequence hash, PCG64 and the fast path of
+its ziggurat (tables in ``_ziggurat``) in arrays, and the ziggurat's slow
+path on Python ints for the rows the fast path does not settle.
+``oracle.reference_sample_offsets`` builds the three numpy objects per
+sample and must agree bit for bit; ``variation --monte-carlo --oracle``
+redraws every sample that way.
 
 numpy is imported by the functions that build arrays, when they are called:
 the engine on an ndarray, the Monte Carlo study and ``_sampler`` on the first

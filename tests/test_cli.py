@@ -15,7 +15,7 @@ import pytest
 
 import numpy as np
 
-from mdmtj import cli, oracle, variation
+from mdmtj import _sampler, cli, oracle, variation
 from mdmtj.cli import main
 
 
@@ -537,6 +537,23 @@ def test_variation_oracle_catches_a_flipped_sample(capsys, monkeypatch):
     assert "sample 3 offset" in err and "per-sample reference" in err
 
 
+def test_variation_oracle_catches_a_fallback_row_one_ulp_off(capsys, monkeypatch):
+    # the rows the ziggurat's fast path does not settle are drawn by
+    # _sampler._settle, and the reference draws them with numpy's Generator:
+    # of seed 1's first 200 samples, row 59 is the first such row (a wedge)
+    real = _sampler._settle
+
+    def one_ulp_up(*args):
+        return math.nextafter(real(*args), math.inf)
+
+    monkeypatch.setattr(_sampler, "_settle", one_ulp_up)
+    argv = ("variation", "--domains", "4", "--monte-carlo", "200", "--seed", "1")
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert (code, out) == (1, "")
+    assert "sample 59 offset" in err and "per-sample reference" in err
+
+
 def test_sweep_oracle_refuses_a_range_past_the_brute_force_limit(capsys):
     # every row is checked or the run refuses, as every subcommand does
     argv = ("sweep", "--from", "10", "--to", "13", "--threshold-mv", "5", "--oracle")
@@ -601,6 +618,25 @@ def test_oracle_catches_a_pattern_reference_past_its_tolerance(capsys, monkeypat
     code, out, err = run_cli(capsys, command, "--pattern", "01101", "--oracle")
     assert (code, out) == (1, "")
     assert "pattern 01101: float path" in err and "vs rational" in err
+
+
+def test_voltage_oracle_checks_the_voltage_it_prints(capsys, monkeypatch):
+    # cli binds network.pattern_voltage when it is imported; the resistance
+    # stays right, so only the check of the voltage can catch this nudge,
+    # which is below the printed precision
+    real = cli.pattern_voltage
+
+    def nudged(*args):
+        return real(*args) * (1 + 1e-8)
+
+    argv = ("voltage", "--pattern", "01101", "--borders", "same,differ")
+    code, expected, _ = run_cli(capsys, *argv, "--oracle")
+    assert code == 0
+    monkeypatch.setattr(cli, "pattern_voltage", nudged)
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert (code, out) == (1, "")
+    assert "pattern 01101: sense voltage" in err and "vs rational" in err
 
 
 def test_invalid_pattern_exits_2(capsys):

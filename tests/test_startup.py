@@ -100,6 +100,22 @@ def test_each_command_loads_only_the_modules_it_runs(fresh_python, bare_modules,
     assert loaded & absent == set()
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_monte_carlo_draws_without_numpy_random(fresh_python, bare_modules, fmt):
+    # _sampler draws every row itself; only the --oracle reference uses
+    # numpy's Generator
+    argv = ("variation", "--domains", "4", "--monte-carlo", "2000", "--seed", "1",
+            "--format", fmt)
+    code, _, err = fresh_python(_MODULES_AFTER, *argv)
+    assert code == 0
+    loaded = set(err.split()) - bare_modules
+    assert {"numpy", "mdmtj._sampler"} <= loaded
+    assert not any(name == "numpy.random" or name.startswith("numpy.random.") for name in loaded)
+    code, _, err = fresh_python(_MODULES_AFTER, *argv, "--oracle")
+    assert code == 0
+    assert "numpy.random" in err.split()
+
+
 # Rebinds two lazily imported names of cli before any handler has run, as the
 # perfbench tracer does, runs the two commands that call them and writes the
 # names the spies saw called to stderr.
