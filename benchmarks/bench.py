@@ -1,6 +1,6 @@
 """Write a ``BENCH_<n>.json`` of in-process and command-line timings.
 
-    python3 benchmarks/bench.py --out BENCH_21.json \
+    python3 benchmarks/bench.py --out BENCH_22.json \
         --checkout parent=../parent --checkout change=.
 
 Each ``--checkout LABEL=DIR`` names a checkout whose ``DIR/src`` is
@@ -9,9 +9,10 @@ measured; with none, the checkout holding this script is measured as
 drifts slows every checkout alike. Per checkout the file holds one run:
 
 - in-process rows: ``enumerate_levels``, ``cluster_extremes``,
-  ``worst_case_levels``, ``sweep_domains`` (from 2) and
+  ``worst_case_levels``, ``sweep_domains`` (from 2),
   ``min_margins_for_offsets`` (a list of 3 offsets, and an array of 16,384)
-  at D = 5, 12 and 30, on the default table, and ``sample_offsets`` for
+  and ``pattern_resistance`` (1,000 seeded words, one call each) at D = 5,
+  12 and 30, on the default table, and ``sample_offsets`` for
   10,000 and 1,000,000 samples at seed 1, each timed once per round in a
   fresh process after one warm-up call;
 - command-line rows, each spawned once per round with wall time and peak
@@ -72,6 +73,7 @@ CALLS = (
     "sweep_domains",
     "min_margins_for_offsets[3]",
     "min_margins_for_offsets[16384]",
+    "pattern_resistance[1000]",
 )
 SAMPLES = (10_000, 1_000_000)  # sample_offsets sizes
 # (call, size label, size) of each in-process row, in the order they run
@@ -83,9 +85,9 @@ IN_PROCESS_ROWS = [
 # Runs in a fresh process on the checkout's src: times each call once,
 # after one untimed call, and prints {"<call> <D or N>=<size>": seconds}.
 _IN_PROCESS = """
-import json, sys, time
+import json, random, sys, time
 import numpy as np
-from mdmtj import margins, variation
+from mdmtj import margins, network, variation
 from mdmtj.characterization import default_characterization
 from mdmtj.network import BorderCondition
 
@@ -95,6 +97,10 @@ same_differ = BorderCondition.parse("same,differ")
 worst = variation.NeighborAssumption.WORST
 three = [0.0, 3e-9, -3e-9]
 spread = np.linspace(-5.5e-9, 5.5e-9, 16384)
+rows = json.loads(sys.argv[1])
+rng = random.Random(1)
+words = {size: [format(rng.getrandbits(size), f"0{size}b") for _ in range(1000)]
+         for name, _, size in rows if name == "pattern_resistance[1000]"}
 calls = {
     "enumerate_levels": lambda d: margins.enumerate_levels(d, same_same, char),
     "cluster_extremes": lambda d: margins.cluster_extremes(d, same_differ, char),
@@ -104,11 +110,13 @@ calls = {
         d, same_differ, three, worst, worst, char),
     "min_margins_for_offsets[16384]": lambda d: variation.min_margins_for_offsets(
         d, same_differ, spread, worst, worst, char),
+    "pattern_resistance[1000]": lambda d: [
+        network.pattern_resistance(word, same_differ, char) for word in words[d]],
     "sample_offsets": lambda n: variation.sample_offsets(
         variation.MonteCarloSpec(samples=n, seed=1)),
 }
 times = {}
-for name, label, size in json.loads(sys.argv[1]):
+for name, label, size in rows:
     calls[name](size)
     start = time.perf_counter()
     calls[name](size)

@@ -54,7 +54,6 @@ _HOME: dict[str, str] = {
             "BitPattern",
             "Border",
             "BorderCondition",
-            "Decomposition",
             "bank_conductance",
             "decompose",
             "pattern_resistance",
@@ -69,11 +68,9 @@ _HOME: dict[str, str] = {
             "MonteCarloSpec",
             "NeighborAssumption",
             "OffsetReport",
-            "apply_misalignment",
             "min_margins_for_offsets",
             "monte_carlo_margins",
             "offset_margin_report",
-            "perturbed_resistance",
         ),
         "variation",
     ),

@@ -611,7 +611,7 @@ def closed_form_resistances(
         BitPattern((0,) * (domains - 1) + (1,)), BorderCondition(Border.SAME, Border.DIFFER)
     )
     zero = decompose(BitPattern((0,) * domains), BorderCondition(Border.DIFFER, Border.DIFFER))
-    return 1.0 / bank_conductance(one.counts, table), 1.0 / bank_conductance(zero.counts, table)
+    return 1.0 / bank_conductance(one, table), 1.0 / bank_conductance(zero, table)
 
 
 def closed_form_min_margin(domains: int, char: Characterization) -> float:

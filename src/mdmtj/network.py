@@ -9,8 +9,9 @@ half-wall takes half the notch from its edge domain), which picks each
 domain's length class. All segments sit electrically in parallel.
 
 A bank is its segment counts indexed like ``characterization.KINDS``, the
-format the run-structure walk and the misalignment engine count into too.
-``bank_conductance`` is the one float sum over a bank, in kind order.
+format the bit scan and the misalignment engine count into too; ``decompose``
+returns it. ``bank_conductance`` is the one float sum over a bank, in kind
+order.
 """
 
 from __future__ import annotations
@@ -109,26 +110,9 @@ ALL_CONDITIONS = (
 )
 
 
-# An edge structure: the kind index of the window's end domain, and of the
-# half-wall on that border (None when the outside neighbor is the same bit).
-Edge = tuple[int, int | None]
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Parallel segment bank induced by a pattern under a border condition.
-
-    ``counts`` holds one count per segment kind, indexed like ``KINDS``;
-    ``left`` and ``right`` are the window's two edge structures, which a
-    stack offset uncovers.
-    """
-
-    counts: tuple[int, ...]
-    left: Edge
-    right: Edge
-
-
-def decompose(pattern: BitPattern, borders: BorderCondition) -> Decomposition:
+def decompose(pattern: BitPattern, borders: BorderCondition) -> tuple[int, ...]:
+    """The pattern's bank under ``borders``: one count per kind, indexed
+    like ``KINDS``."""
     bits = pattern.bits
     eats = [0] * len(bits)
     counts = [0] * len(KINDS)
@@ -139,24 +123,17 @@ def decompose(pattern: BitPattern, borders: BorderCondition) -> Decomposition:
             eats[i] += 1
             eats[i + 1] += 1
 
-    left_half = right_half = None
     if borders.left is Border.DIFFER:
-        left_half = HALF_WALL[bits[0]]
-        counts[left_half] += 1
+        counts[HALF_WALL[bits[0]]] += 1
         eats[0] += 1
     if borders.right is Border.DIFFER:
-        right_half = HALF_WALL[bits[-1]]
-        counts[right_half] += 1
+        counts[HALF_WALL[bits[-1]]] += 1
         eats[-1] += 1
 
     for bit, eaten in zip(bits, eats):
         counts[DOMAIN[bit][eaten]] += 1
 
-    return Decomposition(
-        counts=tuple(counts),
-        left=(DOMAIN[bits[0]][eats[0]], left_half),
-        right=(DOMAIN[bits[-1]][eats[-1]], right_half),
-    )
+    return tuple(counts)
 
 
 def bank_conductance(counts: Sequence[int], table: SegmentResistanceTable) -> float:
@@ -179,7 +156,7 @@ def pattern_resistance(
 ) -> float:
     if isinstance(pattern, str):
         pattern = BitPattern.parse(pattern)
-    return 1.0 / bank_conductance(decompose(pattern, borders).counts, char.table)
+    return 1.0 / bank_conductance(decompose(pattern, borders), char.table)
 
 
 def pattern_voltage(

@@ -7,10 +7,15 @@ in weight order, their 2^D x 10 segment-count matrix per border condition,
 conductances summed column by column, and per-weight extremes over the row
 range of each weight. No run structure or equivalence class shortens that
 enumeration; the class listing of ``brute_force_report`` only groups its
-rows. ``check_limit`` is its one bound: every brute-force path refuses above
-``BRUTE_FORCE_LIMIT``. Above it the reference is the run-structure walk
+rows. ``BRUTE_FORCE_LIMIT`` is its one bound: every brute-force path refuses
+above it. Above it the reference is the run-structure walk
 (``walk_reference``), which derives every bank combinatorially from the
 runs of equal bits; the production bit scan reads bits instead.
+
+The misalignment coverage model is stated here apart from the engine in
+``variation``: ``apply_misalignment`` and ``perturbed_resistance`` for one
+pattern, ``brute_force_offset_margins`` for all 2^D, on the same
+partial-coverage term and refusal texts.
 
 The ``check_*`` functions are the hidden ``--oracle`` flag: each takes one
 production result, recomputes its reference here and raises OracleMismatch
@@ -40,23 +45,26 @@ from .characterization import (
     HALF_WALL,
     WALL,
     Characterization,
+    DeviceGeometry,
     SegmentKind,
     SegmentResistanceTable,
     _meters_as_nm_text,
 )
 from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange, OracleMismatch
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport, SweepReport
-from .network import ALL_CONDITIONS, Border, BorderCondition
+from .network import ALL_CONDITIONS, BitPattern, Border, BorderCondition
 
 if TYPE_CHECKING:
-    from .variation import MonteCarloReport, MonteCarloSpec, NeighborAssumption, OffsetReport
+    from .variation import MisalignmentSpec, MonteCarloReport, MonteCarloSpec
+    from .variation import NeighborAssumption, OffsetReport
 
 BRUTE_FORCE_LIMIT = 12
 
 
 def check_limit(domains: int) -> None:
-    """Refuse a window longer than BRUTE_FORCE_LIMIT: every 2^D enumeration
-    here, and every ``--oracle`` check, stops there."""
+    """Refuse a window longer than BRUTE_FORCE_LIMIT in the words of the
+    ``--oracle`` flag: every ``check_*`` of a domain count calls it first, so
+    the CLI never shows the library text of ``_Enumeration``."""
     if domains > BRUTE_FORCE_LIMIT:
         raise DomainCountTooLarge(f"--oracle cross-checks stop at {BRUTE_FORCE_LIMIT} domains")
 
@@ -154,7 +162,10 @@ class _Enumeration:
     weight, so each weight's patterns are one contiguous row range."""
 
     def __init__(self, domains: int, char: Characterization):
-        check_limit(domains)
+        if domains > BRUTE_FORCE_LIMIT:
+            raise DomainCountTooLarge(
+                f"brute-force enumeration stops at {BRUTE_FORCE_LIMIT} domains, got {domains}"
+            )
         if domains < 1:
             raise ValueError(f"need at least 1 domain, got {domains}")
         self.domains = domains
@@ -540,6 +551,86 @@ def walk_reference(
     return _report(domains, borders, current, sizes, low, high, classes), groups
 
 
+# --- misalignment ---------------------------------------------------------------
+
+
+def _partial_conductance(ohms: float, nominal: float, covered: float) -> float:
+    """A segment of ``ohms`` over ``nominal`` meters, ``covered`` of them
+    under the stack."""
+    return 1.0 / (ohms * (nominal / covered))
+
+
+def _uncovered_edge(magnitude: float, nominal: float) -> OffsetOutOfRange:
+    return OffsetOutOfRange(
+        f"an offset of {_meters_as_nm_text(magnitude)} nm uncovers the whole"
+        f" {_meters_as_nm_text(nominal)} nm edge domain; the coverage model is not"
+        " valid beyond that"
+    )
+
+
+@dataclass(frozen=True)
+class PerturbedDecomposition:
+    """The nominal bank less the uncovered edge domain and half-wall, which
+    reappear in ``partials`` as (kind index, covered meters): the edge
+    domain, the half-wall while still covered, then the overhang. Zero
+    offset leaves the bank whole and ``partials`` empty."""
+
+    counts: tuple[int, ...]
+    partials: tuple[tuple[int, float], ...]
+
+
+def apply_misalignment(
+    pattern: str | BitPattern,
+    borders: BorderCondition,
+    spec: MisalignmentSpec,
+    geometry: DeviceGeometry,
+) -> PerturbedDecomposition:
+    """Shift the stack by ``spec.offset`` over one pattern: a positive offset
+    uncovers the left edge and overhangs the right neighbor, a negative one
+    mirrors that. Refuses as the engine does; a worst-case neighbor raises
+    ValueError, since only a report resolves it."""
+    bits = str(BitPattern.parse(pattern) if isinstance(pattern, str) else pattern)
+    # written so that NaN fails the test too
+    if not (abs(spec.offset) <= geometry.notch_length):
+        raise OffsetOutOfRange(
+            f"offset {_meters_as_nm_text(spec.offset)} nm exceeds one notch length"
+            f" ({_meters_as_nm_text(geometry.notch_length)} nm); the coverage model"
+            " is not valid beyond that"
+        )
+    counts = segment_counts(bits, borders)
+    if spec.offset == 0.0:
+        return PerturbedDecomposition(tuple(counts), ())
+    left = spec.offset > 0
+    neighbor = spec.right_neighbor if left else spec.left_neighbor
+    if len(neighbor.bits) != 1:
+        raise ValueError("worst-case neighbors resolve at the report level; pass 0 or 1 here")
+    magnitude = abs(spec.offset)
+    nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
+    edge, half = _edge_structure(bits, borders, left)
+    if not nominal[edge] - magnitude > 0.0:
+        raise _uncovered_edge(magnitude, nominal[edge])
+    counts[edge] -= 1
+    partials = [(edge, nominal[edge] - magnitude)]
+    if half is not None:
+        counts[half] -= 1
+        if nominal[half] - magnitude > 0.0:
+            partials.append((half, nominal[half] - magnitude))
+    partials.append((3 * neighbor.bits[0], magnitude))  # a full domain of that bit
+    return PerturbedDecomposition(tuple(counts), tuple(partials))
+
+
+def perturbed_resistance(
+    perturbed: PerturbedDecomposition, table: SegmentResistanceTable, geometry: DeviceGeometry
+) -> float:
+    """The counts in kind order, then the partials in their listed order."""
+    ohms = [table.ohms(kind) for kind in SegmentKind]
+    nominal = [geometry.nominal_length(kind) for kind in SegmentKind]
+    g = _kind_order_conductance(perturbed.counts, ohms)
+    for index, covered in perturbed.partials:
+        g += _partial_conductance(ohms[index], nominal[index], covered)
+    return 1.0 / g
+
+
 def brute_force_offset_margins(
     domains: int,
     borders: BorderCondition,
@@ -555,9 +646,9 @@ def brute_force_offset_margins(
     bank minus the uncovered edge domain and half-wall summed in kind order,
     then the edge domain, the half-wall while still covered, the overhang.
     A side whose largest magnitude leaves the shortest edge domain of some
-    pattern no covered length raises OffsetOutOfRange, worded like the
-    engine's refusal. Like the other brute-force paths, it refuses above
-    BRUTE_FORCE_LIMIT (``check_limit``).
+    pattern no covered length raises OffsetOutOfRange, worded like
+    ``apply_misalignment``'s refusal and the engine's. Like the other
+    brute-force paths, it refuses above BRUTE_FORCE_LIMIT.
     """
     patterns = _Enumeration(domains, char)
     ohms = patterns.ohms
@@ -590,11 +681,7 @@ def brute_force_offset_margins(
         largest = float(np.max(np.abs(offsets[selected])))
         shortest = min(nominal[index] for index in set(edge.tolist()))
         if not shortest - largest > 0.0:
-            raise OffsetOutOfRange(
-                f"an offset of {_meters_as_nm_text(largest)} nm uncovers the whole"
-                f" {_meters_as_nm_text(shortest)} nm edge domain; the coverage model is not"
-                " valid beyond that"
-            )
+            raise _uncovered_edge(largest, shortest)
         for j in np.flatnonzero(selected):
             magnitude = abs(float(offsets[j]))
             # partial conductance per domain kind (0..5) and half-wall at
@@ -604,11 +691,11 @@ def brute_force_offset_margins(
             for index in range(_N_KINDS):
                 covered = nominal[index] - magnitude
                 if index < 6 or (index >= 8 and covered > 0.0):
-                    partial[index] = 1.0 / (ohms[index] * (nominal[index] / covered))
+                    partial[index] = _partial_conductance(ohms[index], nominal[index], covered)
             base = (g + partial[edge]) + partial[half]
             out[j] = min_margin(
                 [
-                    1.0 / (base + 1.0 / (ohms[3 * bit] * (nominal[3 * bit] / magnitude)))
+                    1.0 / (base + _partial_conductance(ohms[3 * bit], nominal[3 * bit], magnitude))
                     for bit in neighbor.bits  # overhang: full domain of that polarity
                 ]
             )
@@ -660,6 +747,7 @@ def check_report(report: MarginReport, char: Characterization) -> None:
     """A margin report, field for field: the worst report against
     ``worst_case_brute_force``, any other against ``brute_force_report``,
     without its class listing when the report lists none."""
+    check_limit(report.domains)
     if report.borders is None:
         ref = worst_case_brute_force(report.domains, char)
     else:
@@ -675,6 +763,7 @@ def check_report(report: MarginReport, char: Characterization) -> None:
 
 def check_closed_form(domains: int, volts: float, char: Characterization) -> None:
     """The closed-form margin ``volts`` against the brute-force worst case."""
+    check_limit(domains)
     ref = worst_case_brute_force(domains, char)
     if ref.min_margin != volts:
         raise OracleMismatch(
@@ -704,6 +793,7 @@ def check_offset_margins(
     ``brute_force_offset_margins`` call that also covers the nominal margin:
     a fixed-offset report's at +offset and -offset, a Monte Carlo report's
     at every sample, once ``check_sample_stream`` has passed its offsets."""
+    check_limit(report.domains)
     if hasattr(report, "spec"):  # a Monte Carlo report
         check_sample_stream(report.spec, report.offsets)
         offsets, margins = report.offsets, report.margins

@@ -6,8 +6,9 @@ coverage (a partial segment conducts 1 / (ohms x nominal / covered), in
 ``_partial_conductance``; a fully uncovered half-wall stops conducting), and
 the stack overhangs the neighbor domain on the other side, adding one
 parallel segment whose polarity is an assumption, not stored data. Interior
-domains never notice. ``_edge_coverage`` refuses an offset that leaves an
-edge domain no covered length.
+domains never notice. An offset that leaves an edge domain no covered
+length is refused. ``oracle.perturbed_resistance`` states the same model
+once more, pattern by pattern, as the engine's reference.
 
 Deterministic offsets and seeded Monte Carlo share one evaluation engine. It
 runs on one float offset magnitude at a time, or vectorized over an ndarray
@@ -53,7 +54,6 @@ from .characterization import (
     KINDS,
     Characterization,
     DeviceGeometry,
-    SegmentResistanceTable,
     _meters_as_nm_text,
 )
 from .errors import OffsetOutOfRange, UsageError
@@ -68,7 +68,7 @@ from .margins import (
 # not called here: perfbench/tracer.py rebinds it on every module it may be
 # reached through
 from .margins import enumerate_levels  # noqa: F401
-from .network import BitPattern, BorderCondition, bank_conductance, decompose
+from .network import BorderCondition
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,20 +122,6 @@ def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
         )
 
 
-def _edge_coverage(edge: int, magnitude: float, geometry: DeviceGeometry) -> float:
-    """Covered length of an edge domain of kind index ``edge`` with the stack
-    shifted by ``magnitude``; OffsetOutOfRange when none is left."""
-    nominal = geometry.nominal_length(KINDS[edge])
-    covered = nominal - magnitude
-    if not covered > 0.0:
-        raise OffsetOutOfRange(
-            f"an offset of {_meters_as_nm_text(magnitude)} nm uncovers the whole"
-            f" {_meters_as_nm_text(nominal)} nm edge domain; the coverage model is not"
-            " valid beyond that"
-        )
-    return covered
-
-
 def _partial_conductance(
     ohms: float, nominal: float, covered: float | np.ndarray
 ) -> float | np.ndarray:
@@ -144,79 +130,6 @@ def _partial_conductance(
     as nominal/covered, so full coverage conducts exactly 1/ohms. Floats or
     arrays."""
     return 1.0 / (ohms * (nominal / covered))
-
-
-@dataclass(frozen=True)
-class PerturbedDecomposition:
-    """A bank with edge coverage losses and an overhang.
-
-    ``counts`` is the nominal bank, indexed like ``KINDS``, less the edge
-    domain and half-wall that the offset uncovers. They reappear in
-    ``partials`` as (kind index, covered length in meters) pairs: the edge
-    domain, then the half-wall while it is still covered, then the overhang.
-    A fully uncovered half-wall is simply gone. At zero offset ``counts`` is
-    the nominal bank and ``partials`` is empty.
-    """
-
-    counts: tuple[int, ...]
-    partials: tuple[tuple[int, float], ...]
-
-
-def apply_misalignment(
-    pattern: BitPattern | str,
-    borders: BorderCondition,
-    spec: MisalignmentSpec,
-    geometry: DeviceGeometry,
-) -> PerturbedDecomposition:
-    """Shift the stack by ``spec.offset`` over one pattern.
-
-    A positive offset uncovers the left edge structures and overhangs the
-    right neighbor; a negative offset mirrors that. Zero offset returns the
-    nominal bank unchanged. An offset that leaves the edge domain no covered
-    length raises OffsetOutOfRange.
-    """
-    if isinstance(pattern, str):
-        pattern = BitPattern.parse(pattern)
-    _check_offset(spec.offset, geometry)
-    base = decompose(pattern, borders)
-    if spec.offset == 0.0:
-        return PerturbedDecomposition(base.counts, ())
-
-    magnitude = abs(spec.offset)
-    if spec.offset > 0:
-        edge, half = base.left
-        neighbor = spec.right_neighbor
-    else:
-        edge, half = base.right
-        neighbor = spec.left_neighbor
-    if neighbor is NeighborAssumption.WORST:
-        raise ValueError(
-            "worst-case neighbors resolve at the report level; pass 0 or 1 here"
-        )
-    counts = list(base.counts)
-    counts[edge] -= 1
-    partials = [(edge, _edge_coverage(edge, magnitude, geometry))]
-    if half is not None:
-        counts[half] -= 1
-        covered = geometry.nominal_length(KINDS[half]) - magnitude
-        if covered > 0:
-            partials.append((half, covered))
-    partials.append((DOMAIN[neighbor.bits[0]][0], magnitude))
-    return PerturbedDecomposition(tuple(counts), tuple(partials))
-
-
-def perturbed_resistance(
-    perturbed: PerturbedDecomposition,
-    table: SegmentResistanceTable,
-    geometry: DeviceGeometry,
-) -> float:
-    """Parallel resistance of a perturbed bank: the counts in kind order,
-    then the partials in their listed order."""
-    g = bank_conductance(perturbed.counts, table)
-    for index, covered in perturbed.partials:
-        kind = KINDS[index]
-        g += _partial_conductance(table.ohms(kind), geometry.nominal_length(kind), covered)
-    return 1.0 / g
 
 
 # --- margin engine -------------------------------------------------------------
@@ -285,7 +198,8 @@ def _side_min_margins(
     """Min margin per offset magnitude, one uncovered side: for one float
     magnitude a float, for an ndarray of them an ndarray.
 
-    Per-element arithmetic mirrors perturbed_resistance exactly: the
+    Per-element arithmetic is the documented float order, which
+    ``oracle.perturbed_resistance`` replays pattern by pattern: the
     conductance g of the bank minus the uncovered edge domain and half-wall,
     summed in kind order, then ((g + edge) + half) + overhang, where the
     three partial terms depend only on the edge structure, the neighbor bit
@@ -386,11 +300,13 @@ def _scan_for_offsets(
     scans = [_side_scan(domains, borders, char, left) for left, _, _ in sides]
     nominal = (scans[0][0] if scans else cluster_extremes(domains, borders, char)).min_margin
     for (_, _, magnitude), (_, groups) in zip(sides, scans):
-        shortest = min(
-            (edge for _, edge, _ in groups),
-            key=lambda edge: geometry.nominal_length(KINDS[edge]),
-        )
-        _edge_coverage(shortest, magnitude, geometry)
+        shortest = min(geometry.nominal_length(KINDS[edge]) for _, edge, _ in groups)
+        if not shortest - magnitude > 0.0:
+            raise OffsetOutOfRange(
+                f"an offset of {_meters_as_nm_text(magnitude)} nm uncovers the whole"
+                f" {_meters_as_nm_text(shortest)} nm edge domain; the coverage model is not"
+                " valid beyond that"
+            )
     return nominal, [
         (left, neighbor.bits, groups) for (left, neighbor, _), (_, groups) in zip(sides, scans)
     ]
@@ -635,3 +551,12 @@ def monte_carlo_margins(
         offsets=offsets,
         margins=margins,
     )
+
+
+# perfbench/checker.py imports these two from here until ROADMAP item 3 repoints it
+def __getattr__(name: str) -> object:
+    if name not in ("apply_misalignment", "perturbed_resistance"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)

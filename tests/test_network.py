@@ -75,33 +75,24 @@ def test_border_condition_parse_forms():
 
 
 def test_decompose_uniform_pattern(same_same):
-    deco = decompose(BitPattern.parse("00000"), same_same)
-    assert deco.counts == (5, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    assert deco.left == deco.right == (DOMAIN[0][0], None)
+    assert decompose(BitPattern.parse("00000"), same_same) == (5, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_decompose_single_one(same_same):
     # 00010: two walls pin the 1, its neighbors each lose one notch share
-    deco = decompose(BitPattern.parse("00010"), same_same)
+    bank = decompose(BitPattern.parse("00010"), same_same)
     # two full and two mid minus domains, a short plus domain, both walls
-    assert deco.counts == (2, 2, 0, 0, 0, 1, 1, 1, 0, 0)
-    # the left end is wall-free, the right end sits beside the 1
-    assert deco.left == (DOMAIN[0][0], None)
-    assert deco.right == (DOMAIN[0][1], None)
+    assert bank == (2, 2, 0, 0, 0, 1, 1, 1, 0, 0)
 
 
 def test_decompose_single_domain_differ_borders(differ_differ):
-    deco = decompose(BitPattern.parse("1"), differ_differ)
-    assert deco.counts == (0, 0, 0, 0, 0, 1, 0, 0, 0, 2)
-    assert deco.left == deco.right == (DOMAIN[1][2], HALF_WALL[1])
+    assert decompose(BitPattern.parse("1"), differ_differ) == (0, 0, 0, 0, 0, 1, 0, 0, 0, 2)
 
 
 def test_decompose_mixed_borders():
-    deco = decompose(BitPattern.parse("10"), BorderCondition.parse("differ,same"))
-    assert deco.counts == (0, 1, 0, 0, 0, 1, 0, 1, 0, 1)
-    assert deco.counts[WALL[0]] == 0  # the only transition reads 1 -> 0
-    assert deco.left == (DOMAIN[1][2], HALF_WALL[1])
-    assert deco.right == (DOMAIN[0][1], None)
+    bank = decompose(BitPattern.parse("10"), BorderCondition.parse("differ,same"))
+    assert bank == (0, 1, 0, 0, 0, 1, 0, 1, 0, 1)
+    assert bank[WALL[0]] == 0  # the only transition reads 1 -> 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,17 +100,12 @@ def test_decompose_mixed_borders():
 def test_decompose_structural_invariants(bits, borders):
     char = default_characterization()
     pattern = BitPattern.parse(bits)
-    deco = decompose(pattern, borders)
-
-    counts = deco.counts
+    counts = decompose(pattern, borders)
     # one non-negative count per kind
     assert len(counts) == len(KINDS)
     assert all(n >= 0 for n in counts)
 
     assert sum(counts[i] for i in DOMAIN_INDICES) == len(pattern)
-    # the edge domains carry the edge bits
-    assert deco.left[0] in DOMAIN[pattern.bits[0]]
-    assert deco.right[0] in DOMAIN[pattern.bits[-1]]
 
     transitions = sum(1 for a, b in zip(bits, bits[1:]) if a != b)
     n01, n10 = (counts[i] for i in WALL)
@@ -129,8 +115,6 @@ def test_decompose_structural_invariants(bits, borders):
     halves = sum(counts[i] for i in HALF_WALL)
     expected_halves = (borders.left is Border.DIFFER) + (borders.right is Border.DIFFER)
     assert halves == expected_halves
-    assert (deco.left[1] is not None) == (borders.left is Border.DIFFER)
-    assert (deco.right[1] is not None) == (borders.right is Border.DIFFER)
 
     # each wall structure returns the notch share it eats, so nominal
     # lengths add back up to the plain domain run
@@ -140,9 +124,9 @@ def test_decompose_structural_invariants(bits, borders):
 
 
 def test_bank_conductance_matches_literal_sum(char, same_same):
-    deco = decompose(BitPattern.parse("00010"), same_same)
+    bank = decompose(BitPattern.parse("00010"), same_same)
     expected = 1.0 / (2 / 1911 + 2 / 2048 + 1 / 5143 + 1 / 20053 + 1 / 20063)
-    assert 1.0 / bank_conductance(deco.counts, char.table) == expected
+    assert 1.0 / bank_conductance(bank, char.table) == expected
     assert pattern_resistance("00010", same_same, char) == expected
 
 
@@ -185,7 +169,7 @@ def test_pattern_helpers_accept_strings(char, same_same):
 
 
 def _key(bits: str, borders: BorderCondition) -> tuple:
-    return equivalence_key(decompose(BitPattern.parse(bits), borders).counts)
+    return equivalence_key(decompose(BitPattern.parse(bits), borders))
 
 
 def _reversed(borders: BorderCondition) -> BorderCondition:
@@ -232,7 +216,7 @@ def test_decompose_bulk_seeded_sweep():
         d = rng.randint(1, 14)
         bits = "".join(rng.choice("01") for _ in range(d))
         borders = ALL_CONDITIONS[rng.randrange(4)]
-        deco = decompose(BitPattern.parse(bits), borders)
-        assert sum(deco.counts[i] for i in DOMAIN_INDICES) == d
-        resistance = 1.0 / bank_conductance(deco.counts, char.table)
+        bank = decompose(BitPattern.parse(bits), borders)
+        assert sum(bank[i] for i in DOMAIN_INDICES) == d
+        resistance = 1.0 / bank_conductance(bank, char.table)
         assert 0 < resistance < char.table.ohms(SegmentKind.HALF_WALL_PLUS)

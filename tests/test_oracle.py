@@ -11,10 +11,9 @@ from mdmtj.characterization import default_characterization
 from mdmtj.errors import DomainCountTooLarge, EmptyNetwork
 from mdmtj.margins import cluster_extremes, enumerate_levels, worst_case_levels
 from mdmtj.network import ALL_CONDITIONS, BitPattern, decompose, pattern_resistance
-from mdmtj.variation import NeighborAssumption
+from mdmtj.variation import MisalignmentSpec, NeighborAssumption, offset_margin_report
 from mdmtj.oracle import (
     BRUTE_FORCE_LIMIT,
-    _edge_structure,
     brute_force_offset_margins,
     brute_force_report,
     distinct_resistance_classes,
@@ -47,11 +46,8 @@ def test_rational_parallel_sum_guards():
 @settings(max_examples=120, deadline=None)
 @given(text=patterns, borders=conditions)
 def test_segment_counts_agree_with_decomposition(text, borders):
-    # the bank and both edge structures, recounted from the bit string
-    deco = decompose(BitPattern.parse(text), borders)
-    assert list(deco.counts) == segment_counts(text, borders)
-    assert deco.left == _edge_structure(text, borders, left=True)
-    assert deco.right == _edge_structure(text, borders, left=False)
+    # the bank, recounted from the bit string
+    assert list(decompose(BitPattern.parse(text), borders)) == segment_counts(text, borders)
 
 
 @settings(max_examples=120, deadline=None)
@@ -76,6 +72,31 @@ def test_rational_resistance_tracks_float(text, borders):
 def test_brute_force_limit(char, same_same):
     with pytest.raises(DomainCountTooLarge):
         brute_force_report(BRUTE_FORCE_LIMIT + 1, same_same, char)
+
+
+def test_library_and_flag_refusals_are_worded_apart(char, same_same):
+    # a library caller is told about the enumeration, never about a flag it
+    # did not pass; each --oracle check refuses first, in the flag's words
+    worst = NeighborAssumption.WORST
+    for call in (
+        lambda: brute_force_report(13, same_same, char),
+        lambda: worst_case_brute_force(13, char),
+        lambda: distinct_resistance_classes(13, same_same, char),
+        lambda: brute_force_offset_margins(13, same_same, [1e-9], worst, worst, char),
+    ):
+        with pytest.raises(DomainCountTooLarge) as refusal:
+            call()
+        assert str(refusal.value) == "brute-force enumeration stops at 12 domains, got 13"
+    spec = MisalignmentSpec(1e-9)
+    for check in (
+        lambda: oracle.check_report(cluster_extremes(13, same_same, char), char),
+        lambda: oracle.check_report(worst_case_levels(13, char), char),
+        lambda: oracle.check_closed_form(13, 0.0, char),
+        lambda: oracle.check_offset_margins(offset_margin_report(13, same_same, spec, char), char),
+    ):
+        with pytest.raises(DomainCountTooLarge) as refusal:
+            check()
+        assert str(refusal.value) == "--oracle cross-checks stop at 12 domains"
 
 
 def test_brute_force_equals_enumeration(char):

@@ -3,8 +3,9 @@
 Every ``mdmtj`` query is a new process that compiles what it imports, and
 importing numpy costs more than the rest of the package. ``resistance`` and
 ``voltage`` load neither ``margins`` nor ``variation``, only the
-``variation`` subcommand loads ``variation``, and ``json`` and ``datetime``
-load only for machine-readable output.
+``variation`` subcommand loads ``variation``, no command without ``--oracle``
+loads ``oracle``, and ``json`` and ``datetime`` load only for
+machine-readable output.
 
 ``resistance``, ``voltage``, ``levels``, ``margin``, ``sweep`` and
 fixed-offset ``variation`` build no array (the misalignment engine runs on
@@ -91,6 +92,9 @@ def bare_modules(fresh_python):
          {"mdmtj.variation"}),
         (("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20"), {"mdmtj.variation"}),
         (("levels", "--domains", "6", "--oracle"), {"mdmtj.variation"}),
+        (("variation", "--domains", "4", "--offset-nm", "3"), {"mdmtj.oracle", "numpy"}),
+        (("variation", "--domains", "4", "--monte-carlo", "100", "--seed", "1"),
+         {"mdmtj.oracle"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(fresh_python, bare_modules, argv, absent):
@@ -99,6 +103,16 @@ def test_each_command_loads_only_the_modules_it_runs(fresh_python, bare_modules,
     loaded = set(err.split()) - bare_modules
     assert "mdmtj.network" in loaded
     assert loaded & absent == set()
+
+
+def test_variation_forwards_only_the_checkers_names_to_the_oracle():
+    from mdmtj import oracle, variation
+    from mdmtj.variation import apply_misalignment, perturbed_resistance
+
+    assert apply_misalignment is oracle.apply_misalignment
+    assert perturbed_resistance is oracle.perturbed_resistance
+    with pytest.raises(AttributeError, match="has no attribute 'PerturbedDecomposition'"):
+        variation.PerturbedDecomposition
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

@@ -16,18 +16,21 @@ from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import _kind_ohms, _side_scan, enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
-from mdmtj.oracle import brute_force_offset_margins, reference_sample_offsets
+from mdmtj.oracle import (
+    PerturbedDecomposition,
+    apply_misalignment,
+    brute_force_offset_margins,
+    perturbed_resistance,
+    reference_sample_offsets,
+)
 from mdmtj.variation import (
     SIGMA_DEFAULT,
     MisalignmentSpec,
     MonteCarloSpec,
     NeighborAssumption,
-    PerturbedDecomposition,
-    apply_misalignment,
     min_margins_for_offsets,
     monte_carlo_margins,
     offset_margin_report,
-    perturbed_resistance,
     sample_offsets,
 )
 
@@ -48,7 +51,7 @@ def test_neighbor_assumption_parse():
 def test_zero_offset_is_the_nominal_decomposition(char, same_same):
     perturbed = apply_misalignment("0110", same_same, MisalignmentSpec(0.0), char.geometry)
     assert perturbed.partials == ()  # no coverage loss, no overhang
-    assert perturbed.counts == decompose(BitPattern.parse("0110"), same_same).counts
+    assert perturbed.counts == decompose(BitPattern.parse("0110"), same_same)
     assert perturbed_resistance(perturbed, char.table, char.geometry) == pytest.approx(
         1.0 / (2 / char.table.ohms(SegmentKind.DOMAIN_MINUS_MID)
                + 2 / char.table.ohms(SegmentKind.DOMAIN_PLUS_MID)
@@ -157,7 +160,7 @@ def test_a_partial_at_full_length_conducts_its_table_value(char):
     smaller=st.floats(min_value=0.01, max_value=0.99),
 )
 def test_less_coverage_never_conducts_more(char, same_same, index, fraction, smaller):
-    base = decompose(BitPattern.parse("0110"), same_same).counts
+    base = decompose(BitPattern.parse("0110"), same_same)
     covered = char.geometry.nominal_length(KINDS[index]) * fraction
     more, less = (
         perturbed_resistance(
@@ -198,6 +201,25 @@ def test_engine_matches_scalar_path_bitwise(char):
         for offset, got in zip(offsets, engine):
             want = _scalar_min_margin(3, borders, float(offset), WORST, WORST, char)
             assert got == want, (borders, offset)
+
+
+def test_scalar_path_computes_the_coverage_term_on_its_own(char, monkeypatch):
+    # one ulp more in the engine's partial conductance must show against the
+    # per-pattern reference, which does not share that term with the engine
+    real = variation._partial_conductance
+    monkeypatch.setattr(
+        variation, "_partial_conductance", lambda *args: np.nextafter(real(*args), np.inf)
+    )
+    offsets = np.array([2e-9, 7e-9, -2e-9, -7e-9])
+    disagreeing = [
+        (borders, offset)
+        for borders in ALL_CONDITIONS
+        for offset, got in zip(
+            offsets, min_margins_for_offsets(3, borders, offsets, WORST, WORST, char)
+        )
+        if got != _scalar_min_margin(3, borders, float(offset), WORST, WORST, char)
+    ]
+    assert disagreeing
 
 
 def test_engine_routes_zero_offsets_to_nominal(char, same_same):
@@ -264,7 +286,7 @@ def test_engine_matches_brute_force_oracle_bitwise(char):
 
 
 def test_engine_matches_oracle_beyond_twelve_domains(char, monkeypatch):
-    monkeypatch.setattr(oracle, "BRUTE_FORCE_LIMIT", 14)  # lift the --oracle guard
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_LIMIT", 14)  # lift the brute-force limit
     borders = BorderCondition.parse("same,differ")
     offsets = _boundary_offsets(char)
     engine = min_margins_for_offsets(14, borders, offsets, WORST, WORST, char)
