@@ -12,9 +12,12 @@ drifts slows every checkout alike. Per checkout the file holds one run:
   ``worst_case_levels``, ``sweep_domains`` (from 2),
   ``min_margins_for_offsets`` (a list of 3 offsets, and an array of 16,384)
   and ``pattern_resistance`` (1,000 seeded words, one call each) at D = 5,
-  12 and 30, on the default table, and ``sample_offsets`` for
-  10,000 and 1,000,000 samples at seed 1, each timed once per round in a
-  fresh process after one warm-up call;
+  12 and 30, on the default table, ``sample_offsets`` for
+  10,000 and 1,000,000 samples at seed 1, and the emitter alone
+  (``cli._text``, in CSV and in JSON) on a ``variation --domains 12
+  --monte-carlo N --seed 1`` result for the same two N, each timed once per
+  round in a fresh process after one warm-up call (which also builds the
+  emitter's result, through the checkout's own parser and handler);
 - command-line rows, each spawned once per round with wall time and peak
   RSS from ``os.wait4`` and a digest of its standard output: the six job
   kinds of the benchmark workload ``enumerate-d30``, the five of
@@ -75,11 +78,12 @@ CALLS = (
     "min_margins_for_offsets[16384]",
     "pattern_resistance[1000]",
 )
-SAMPLES = (10_000, 1_000_000)  # sample_offsets sizes
+SAMPLES = (10_000, 1_000_000)  # sample_offsets and emission sizes
 # (call, size label, size) of each in-process row, in the order they run
 IN_PROCESS_ROWS = [
     *((name, "D", domains) for name in CALLS for domains in DOMAINS),
     *(("sample_offsets", "N", samples) for samples in SAMPLES),
+    *((f"cli._text[{fmt}]", "N", samples) for fmt in ("csv", "json") for samples in SAMPLES),
 ]
 
 # Runs in a fresh process on the checkout's src: times each call once,
@@ -87,7 +91,7 @@ IN_PROCESS_ROWS = [
 _IN_PROCESS = """
 import json, random, sys, time
 import numpy as np
-from mdmtj import margins, network, variation
+from mdmtj import cli, margins, network, variation
 from mdmtj.characterization import default_characterization
 from mdmtj.network import BorderCondition
 
@@ -101,6 +105,19 @@ rows = json.loads(sys.argv[1])
 rng = random.Random(1)
 words = {size: [format(rng.getrandbits(size), f"0{size}b") for _ in range(1000)]
          for name, _, size in rows if name == "pattern_resistance[1000]"}
+results = {}
+
+
+def emit(fmt, samples):
+    # the warm-up call builds the result; the timed call only drains the emitter
+    if samples not in results:
+        args = cli.build_parser().parse_args(
+            ["variation", "--domains", "12", "--monte-carlo", str(samples), "--seed", "1"])
+        results[samples] = args.handler(args, char)
+    for _ in cli._text(results[samples], char, fmt):
+        pass
+
+
 calls = {
     "enumerate_levels": lambda d: margins.enumerate_levels(d, same_same, char),
     "cluster_extremes": lambda d: margins.cluster_extremes(d, same_differ, char),
@@ -114,6 +131,8 @@ calls = {
         network.pattern_resistance(word, same_differ, char) for word in words[d]],
     "sample_offsets": lambda n: variation.sample_offsets(
         variation.MonteCarloSpec(samples=n, seed=1)),
+    "cli._text[csv]": lambda n: emit("csv", n),
+    "cli._text[json]": lambda n: emit("json", n),
 }
 times = {}
 for name, label, size in rows:

@@ -560,6 +560,16 @@ def _partial_conductance(ohms: float, nominal: float, covered: float) -> float:
     return 1.0 / (ohms * (nominal / covered))
 
 
+def _check_notch(offset: float, geometry: DeviceGeometry) -> None:
+    # written so that NaN fails the test too
+    if not (abs(offset) <= geometry.notch_length):
+        raise OffsetOutOfRange(
+            f"offset {_meters_as_nm_text(offset)} nm exceeds one notch length"
+            f" ({_meters_as_nm_text(geometry.notch_length)} nm); the coverage model"
+            " is not valid beyond that"
+        )
+
+
 def _uncovered_edge(magnitude: float, nominal: float) -> OffsetOutOfRange:
     return OffsetOutOfRange(
         f"an offset of {_meters_as_nm_text(magnitude)} nm uncovers the whole"
@@ -590,13 +600,7 @@ def apply_misalignment(
     mirrors that. Refuses as the engine does; a worst-case neighbor raises
     ValueError, since only a report resolves it."""
     bits = str(BitPattern.parse(pattern) if isinstance(pattern, str) else pattern)
-    # written so that NaN fails the test too
-    if not (abs(spec.offset) <= geometry.notch_length):
-        raise OffsetOutOfRange(
-            f"offset {_meters_as_nm_text(spec.offset)} nm exceeds one notch length"
-            f" ({_meters_as_nm_text(geometry.notch_length)} nm); the coverage model"
-            " is not valid beyond that"
-        )
+    _check_notch(spec.offset, geometry)
     counts = segment_counts(bits, borders)
     if spec.offset == 0.0:
         return PerturbedDecomposition(tuple(counts), ())
@@ -645,10 +649,11 @@ def brute_force_offset_margins(
     evaluated over all patterns at once, in the documented float order: the
     bank minus the uncovered edge domain and half-wall summed in kind order,
     then the edge domain, the half-wall while still covered, the overhang.
-    A side whose largest magnitude leaves the shortest edge domain of some
-    pattern no covered length raises OffsetOutOfRange, worded like
-    ``apply_misalignment``'s refusal and the engine's. Like the other
-    brute-force paths, it refuses above BRUTE_FORCE_LIMIT.
+    Like the other brute-force paths, it refuses above BRUTE_FORCE_LIMIT.
+    Then it refuses as the engine does, in ``apply_misalignment``'s words:
+    the first NaN offset, else the largest magnitude, beyond one notch
+    length; then, side by side, a side whose largest magnitude leaves the
+    shortest edge domain of some pattern no covered length.
     """
     patterns = _Enumeration(domains, char)
     ohms = patterns.ohms
@@ -660,6 +665,9 @@ def brute_force_offset_margins(
         return float(np.min(patterns.margins(resistances)[2]))
 
     offsets = np.asarray(offsets, dtype=float)
+    listed = offsets.reshape(-1).tolist()
+    worst = next((x for x in listed if x != x), max(listed, key=abs, default=0.0))
+    _check_notch(worst, char.geometry)
     out = np.empty(offsets.shape)
     zero = offsets == 0.0
     if zero.any():

@@ -10,16 +10,17 @@ domains never notice. An offset that leaves an edge domain no covered
 length is refused. ``oracle.perturbed_resistance`` states the same model
 once more, pattern by pattern, as the engine's reference.
 
-Deterministic offsets and seeded Monte Carlo share one evaluation engine. It
-runs on one float offset magnitude at a time, or vectorized over an ndarray
-of them, one chunk of ``_CHUNK`` offsets at a time, with the same steps and
-the same bits. It reads the patterns' banks grouped by edge structure from
-the bit scan of ``margins`` (``_side_scan``, one scan per uncovered side)
-rather than the 2^D patterns, so it covers every window up to MAX_DOMAINS.
-The same scan gives the nominal margin (offset 0). Per-sample arithmetic
-is elementwise, and each (weight, edge domain, half-wall) group
-evaluates two candidates, exact because rounded arithmetic is monotone and
-the table enforces r_minus_80 < r_plus_80 (see ``_side_min_margins``).
+Deterministic offsets and seeded Monte Carlo share one evaluation engine.
+``min_margins_for_offsets`` reads its input's kind once: a list runs on one
+float offset magnitude at a time, an ndarray vectorized, ``_CHUNK`` offsets
+at a time, with the same steps and the same bits. Both first take one
+refusal-and-scan step (``_sides``), which reads the patterns' banks grouped
+by edge structure from the bit scan of ``margins`` (``_side_scan``, one scan
+per uncovered side) rather than the 2^D patterns, so it covers every window
+up to MAX_DOMAINS; the same scan gives the nominal margin (offset 0). Each
+(weight, edge domain, half-wall) group evaluates two candidates, exact
+because rounded arithmetic is monotone and the table enforces r_minus_80 <
+r_plus_80 (see ``_side_min_margins``).
 
 Each Monte Carlo sample's offset depends only on (seed, index), so any slice
 of a run can be reproduced on its own. Sample i is the first normal within
@@ -53,7 +54,6 @@ from .characterization import (
     DOMAIN,
     KINDS,
     Characterization,
-    DeviceGeometry,
     _meters_as_nm_text,
 )
 from .errors import OffsetOutOfRange, UsageError
@@ -110,16 +110,6 @@ class MisalignmentSpec:
     offset: float  # meters
     left_neighbor: NeighborAssumption = NeighborAssumption.WORST
     right_neighbor: NeighborAssumption = NeighborAssumption.WORST
-
-
-def _check_offset(offset: float, geometry: DeviceGeometry) -> None:
-    # written so that NaN fails the test too
-    if not (abs(offset) <= geometry.notch_length):
-        raise OffsetOutOfRange(
-            f"offset {_meters_as_nm_text(offset)} nm exceeds one notch length"
-            f" ({_meters_as_nm_text(geometry.notch_length)} nm); the coverage model"
-            " is not valid beyond that"
-        )
 
 
 def _partial_conductance(
@@ -267,31 +257,31 @@ def _side_min_margins(
     return best
 
 
-def _scan_for_offsets(
+def _sides(
     domains: int,
     borders: BorderCondition,
-    offsets: list[float] | np.ndarray,
+    worst: float,
+    high: float,
+    low: float,
     left_neighbor: NeighborAssumption,
     right_neighbor: NeighborAssumption,
     char: Characterization,
 ) -> tuple[float, list]:
-    """The scan-once part of ``min_margins_for_offsets``, over all of its
-    offsets (a list or a flat array): the refusals, then one scan per side
-    with offsets (one scan for the nominal margin when no offset is
-    nonzero), then the uncovered-edge refusal side by side. Returns the
-    nominal margin and (left, neighbor bits, edge groups) per side with
-    offsets."""
+    """The refusal-and-scan step of ``min_margins_for_offsets``, on three
+    floats of its offsets: ``worst`` (the first NaN, else the largest
+    magnitude, first of equals), the largest and the smallest. In order: the
+    notch refusal, one ``_side_scan`` per side with offsets (else
+    ``cluster_extremes``), the nominal margin, the uncovered-edge refusal
+    side by side. Returns the nominal margin and (left, neighbor bits, edge
+    groups) per side with offsets."""
     geometry = char.geometry
-    if isinstance(offsets, list):
-        worst = next((x for x in offsets if x != x), max(offsets, key=abs, default=0.0))
-        _check_offset(worst, geometry)
-        high, low = max(offsets, default=0.0), min(offsets, default=0.0)
-    else:
-        import numpy as np
-
-        worst = float(offsets[np.argmax(np.abs(offsets))]) if offsets.size else 0.0
-        _check_offset(worst, geometry)
-        high, low = (float(np.max(offsets)), float(np.min(offsets))) if offsets.size else (0.0, 0.0)
+    # written so that NaN fails the test too
+    if not (abs(worst) <= geometry.notch_length):
+        raise OffsetOutOfRange(
+            f"offset {_meters_as_nm_text(worst)} nm exceeds one notch length"
+            f" ({_meters_as_nm_text(geometry.notch_length)} nm); the coverage model"
+            " is not valid beyond that"
+        )
     sides = [
         (left, neighbor, magnitude)
         for left, neighbor, magnitude in ((True, right_neighbor, high), (False, left_neighbor, -low))
@@ -312,30 +302,6 @@ def _scan_for_offsets(
     ]
 
 
-def _evaluate_chunk(
-    domains: int,
-    sides: list,
-    offsets: list[float] | np.ndarray,
-    out: list[float] | np.ndarray,
-    char: Characterization,
-    ohms: list[float],
-) -> None:
-    """The evaluate-a-chunk part: the margin of each nonzero offset into
-    ``out`` at its index (a zero offset keeps the nominal margin there). A
-    list is one float pass per offset, an ndarray one vectorized pass per
-    side."""
-    for left, bits, groups in sides:
-        if isinstance(offsets, list):
-            passes = [(i, abs(x)) for i, x in enumerate(offsets) if (x > 0.0 if left else x < 0.0)]
-        else:
-            import numpy as np
-
-            selected = offsets > 0.0 if left else offsets < 0.0
-            passes = [(selected, np.abs(offsets[selected]))] if selected.any() else []
-        for index, magnitudes in passes:
-            out[index] = _side_min_margins(domains, groups, magnitudes, bits, char, ohms)
-
-
 def min_margins_for_offsets(
     domains: int,
     borders: BorderCondition,
@@ -351,34 +317,45 @@ def min_margins_for_offsets(
     once. Refusals are decided over the whole input: first the first NaN,
     else the largest magnitude beyond one notch length; then, after the
     scans and side by side, the largest magnitude that leaves an edge
-    domain no covered length. A sequence of floats gives a list of floats
-    and loads no numpy: each nonzero offset is one float pass of the
-    engine. An ndarray gives an ndarray, filled ``_CHUNK`` offsets at a time
-    (one vectorized pass per side of a chunk), so the engine's temporaries
-    do not grow with the input. Both give the same bits and the same
-    refusals.
+    domain no covered length. The input's kind is read once, here; each
+    branch reduces its offsets to the three floats ``_sides`` takes. A
+    sequence of floats gives a list of floats and loads no numpy: one float
+    pass of the engine per nonzero offset. An ndarray gives an ndarray,
+    filled ``_CHUNK`` offsets at a time (one vectorized pass per side of a
+    chunk), so the engine's temporaries do not grow with the input. Both
+    give the same bits and the same refusals.
     """
     _check_domain_count(domains)
+    ohms = _kind_ohms(char.table)
     if isinstance(offsets, Sequence):
         offsets = [float(x) for x in offsets]
-        nominal, sides = _scan_for_offsets(
-            domains, borders, offsets, left_neighbor, right_neighbor, char
-        )
+        worst = next((x for x in offsets if x != x), max(offsets, key=abs, default=0.0))
+        extremes = worst, max(offsets, default=0.0), min(offsets, default=0.0)
+        nominal, sides = _sides(domains, borders, *extremes, left_neighbor, right_neighbor, char)
         out = [nominal] * len(offsets)
-        _evaluate_chunk(domains, sides, offsets, out, char, _kind_ohms(char.table))
+        for left, bits, groups in sides:
+            for i, x in enumerate(offsets):
+                if x > 0.0 if left else x < 0.0:
+                    out[i] = _side_min_margins(domains, groups, abs(x), bits, char, ohms)
         return out
 
     import numpy as np
 
     offsets = np.asarray(offsets, dtype=float)
     flat = offsets.reshape(-1)
-    nominal, sides = _scan_for_offsets(domains, borders, flat, left_neighbor, right_neighbor, char)
-    ohms = _kind_ohms(char.table)
+    extremes = (flat[np.argmax(np.abs(flat))], flat.max(), flat.min()) if flat.size else (0.0,) * 3
+    extremes = tuple(map(float, extremes))
+    nominal, sides = _sides(domains, borders, *extremes, left_neighbor, right_neighbor, char)
     out = np.full(offsets.shape, nominal)
     flat_out = out.reshape(-1)
     for start in range(0, flat.size, _CHUNK):
-        stop = start + _CHUNK
-        _evaluate_chunk(domains, sides, flat[start:stop], flat_out[start:stop], char, ohms)
+        chunk, into = flat[start : start + _CHUNK], flat_out[start : start + _CHUNK]
+        for left, bits, groups in sides:
+            selected = chunk > 0.0 if left else chunk < 0.0
+            if selected.any():
+                into[selected] = _side_min_margins(
+                    domains, groups, np.abs(chunk[selected]), bits, char, ohms
+                )
     return out
 
 

@@ -445,7 +445,10 @@ def test_sequence_and_array_refuse_alike(char, differ_differ, offsets, short, na
         min_margins_for_offsets(4, differ_differ, offsets, WORST, WORST, table)
     with pytest.raises(OffsetOutOfRange) as arrayed:
         min_margins_for_offsets(4, differ_differ, np.array(offsets), WORST, WORST, table)
-    assert str(listed.value) == str(arrayed.value)
+    # the brute-force reference refuses the same offsets in the same words
+    with pytest.raises(OffsetOutOfRange) as reference:
+        brute_force_offset_margins(4, differ_differ, offsets, WORST, WORST, table)
+    assert str(listed.value) == str(arrayed.value) == str(reference.value)
     assert named in str(listed.value)
 
 
