@@ -9,8 +9,12 @@ a change holds both, so its first run is the baseline measured beside the
 change); otherwise to the next lower-numbered file, or NEW itself when there
 is none. Naming the same file twice compares its first run with its last.
 A ratio is new median / old median, so below 1 is faster or smaller. Both
-runs' quartiles follow it, and "within spread" when the two quartile ranges
-overlap: on such a row the host's noise can account for the ratio.
+runs' quartiles follow it. Two runs of one file alternated over the same
+rounds, so a host that drifted slowed round i of both alike: their rows
+also print the median and quartiles of the per-round ratios new / old, and
+"within spread" when that range holds 1. Rows of two files, measured in
+other sessions, are marked "within spread" when the two quartile ranges
+overlap. On a row so marked the host's noise can account for the ratio.
 Command-line rows also compare peak RSS and flag a changed output digest.
 Nothing is gated, but two files measured with a different seed or number
 of rounds are refused (exit 2): their command-line rows ran other inputs.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+import statistics
 import sys
 from pathlib import Path
 
@@ -64,7 +69,16 @@ def main(argv: list[str]) -> int:
         line = (f"{row['name']}: {base['median']:.4f} -> {row['median']:.4f} s,"
                 f" ratio {row['median'] / base['median']:.3f}, quartiles"
                 f" {base['q1']:.4f}-{base['q3']:.4f} -> {row['q1']:.4f}-{row['q3']:.4f}")
-        if row["q1"] <= base["q3"] and base["q1"] <= row["q3"]:
+        paired = old_path == new_path and len(row.get("samples", ())) == len(
+            base.get("samples", ())) > 1
+        if paired:
+            ratios = [new / old for new, old in zip(row["samples"], base["samples"])]
+            low, middle, high = statistics.quantiles(ratios, n=4, method="inclusive")
+            line += f", paired ratio {middle:.3f} ({low:.3f}-{high:.3f})"
+            within = low <= 1 <= high
+        else:
+            within = row["q1"] <= base["q3"] and base["q1"] <= row["q3"]
+        if within:
             line += ", within spread"
         if row["kind"] == "cli":
             line += (f"; RSS {base['peak_rss_mb']:.1f} -> {row['peak_rss_mb']:.1f} MB,"

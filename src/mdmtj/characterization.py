@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Mapping
@@ -141,15 +140,73 @@ class SegmentResistanceTable:
         return cls(_DEFAULT_RESISTANCES)
 
 
-@dataclass(frozen=True)
-class DeviceGeometry:
+class _Record:
+    """Base of the value classes every query builds, written without
+    ``dataclasses``: importing that module loads ``inspect``, ``ast``,
+    ``dis`` and ``tokenize``, a large share of a short query's start-up.
+
+    A subclass names its fields once, as ``__slots__ = _fields = (...)``, and
+    sets them in its own ``__init__`` with ``object.__setattr__``. Equality,
+    hash, repr and immutability read as a frozen dataclass's do; ``replace``
+    stands in for ``dataclasses.replace``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle through __init__
+        return self.__class__, self._values()
+
+    def replace(self, **changes: object):
+        """A copy with the named fields changed, through ``__init__``."""
+        return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class DeviceGeometry(_Record):
     """Nanowire and stack dimensions, SI units (meters)."""
 
-    domain_length: float = 80e-9
-    track_width: float = 40e-9
-    notch_length: float = 12e-9
-    free_layer_thickness: float = 2e-9
-    mgo_thickness: float = 1e-9
+    __slots__ = _fields = (
+        "domain_length",
+        "track_width",
+        "notch_length",
+        "free_layer_thickness",
+        "mgo_thickness",
+    )
+
+    def __init__(
+        self,
+        domain_length: float = 80e-9,
+        track_width: float = 40e-9,
+        notch_length: float = 12e-9,
+        free_layer_thickness: float = 2e-9,
+        mgo_thickness: float = 1e-9,
+    ) -> None:
+        object.__setattr__(self, "domain_length", domain_length)
+        object.__setattr__(self, "track_width", track_width)
+        object.__setattr__(self, "notch_length", notch_length)
+        object.__setattr__(self, "free_layer_thickness", free_layer_thickness)
+        object.__setattr__(self, "mgo_thickness", mgo_thickness)
 
     def junction_area_per_domain(self) -> float:
         """Stack footprint above one domain, m^2."""
@@ -175,11 +232,13 @@ class DeviceGeometry:
             )
 
 
-@dataclass(frozen=True)
-class DriveParams:
+class DriveParams(_Record):
     """Read drive: a fixed current density across the whole stack."""
 
-    current_density: float = 3.21e10  # A/m^2
+    __slots__ = _fields = ("current_density",)
+
+    def __init__(self, current_density: float = 3.21e10) -> None:  # A/m^2
+        object.__setattr__(self, "current_density", current_density)
 
     def read_current(self, domains: int, geometry: DeviceGeometry) -> float:
         """Read current in amperes; scales linearly with the domain count."""
@@ -190,27 +249,54 @@ class DriveParams:
             raise ConfigInvariantError("j_c_a_per_m2 must be positive")
 
 
-@dataclass(frozen=True)
-class CharacterizationMetadata:
+class CharacterizationMetadata(_Record):
     """Provenance values carried through to reports verbatim; not computed on."""
 
-    material: str = "CoFeB"
-    k_u: float = 99999.0            # uniaxial anisotropy, erg/cc
-    m_s: float = 1200.0             # saturation magnetization, emu/cc
-    exchange_stiffness: float = 2.2  # uerg/cm
-    amr_ratio: float = 0.014
-    tmr_ratio: float = 0.8
-    resistivity: float = 15.0       # uOhm*cm
+    __slots__ = _fields = (
+        "material",
+        "k_u",
+        "m_s",
+        "exchange_stiffness",
+        "amr_ratio",
+        "tmr_ratio",
+        "resistivity",
+    )
+
+    def __init__(
+        self,
+        material: str = "CoFeB",
+        k_u: float = 99999.0,            # uniaxial anisotropy, erg/cc
+        m_s: float = 1200.0,             # saturation magnetization, emu/cc
+        exchange_stiffness: float = 2.2,  # uerg/cm
+        amr_ratio: float = 0.014,
+        tmr_ratio: float = 0.8,
+        resistivity: float = 15.0,       # uOhm*cm
+    ) -> None:
+        object.__setattr__(self, "material", material)
+        object.__setattr__(self, "k_u", k_u)
+        object.__setattr__(self, "m_s", m_s)
+        object.__setattr__(self, "exchange_stiffness", exchange_stiffness)
+        object.__setattr__(self, "amr_ratio", amr_ratio)
+        object.__setattr__(self, "tmr_ratio", tmr_ratio)
+        object.__setattr__(self, "resistivity", resistivity)
 
 
-@dataclass(frozen=True)
-class Characterization:
+class Characterization(_Record):
     """Everything the model needs: table, geometry, drive, metadata."""
 
-    table: SegmentResistanceTable
-    geometry: DeviceGeometry
-    drive: DriveParams
-    metadata: CharacterizationMetadata
+    __slots__ = _fields = ("table", "geometry", "drive", "metadata")
+
+    def __init__(
+        self,
+        table: SegmentResistanceTable,
+        geometry: DeviceGeometry,
+        drive: DriveParams,
+        metadata: CharacterizationMetadata,
+    ) -> None:
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "drive", drive)
+        object.__setattr__(self, "metadata", metadata)
 
 
 def default_characterization() -> Characterization:

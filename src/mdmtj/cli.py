@@ -32,13 +32,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
 
 from . import __version__
 from .characterization import (
     Characterization,
+    _Record,
     config_mapping,
     default_characterization,
     load_config,
@@ -147,8 +147,7 @@ _ROWS_PER_WRITE = 8192
 _ROWS_PLACEHOLDER = "\x00rows"
 
 
-@dataclass
-class _Result:
+class _Result(_Record):
     """One subcommand's answer, stated once for every output format.
 
     ``table`` renders the human-readable text. JSON carries ``head``, then the
@@ -156,18 +155,38 @@ class _Result:
     rows alone. ``values`` holds one sequence per column, all of one length.
     When every column is an ndarray or a ``range`` (a Monte Carlo result),
     ``_rows`` formats the rows in numpy, to the bytes the cell-by-cell path
-    prints.
+    prints. Unlike the other records it is mutable, and so unhashable.
     """
 
-    command: str
-    arguments: dict[str, object]
-    table: Callable[[], str]
-    head: dict[str, object] = field(default_factory=dict)
-    rows_key: str | None = None
-    columns: tuple[_Column, ...] = ()
-    values: tuple[Sequence[Any], ...] = ()
-    tail: dict[str, object] = field(default_factory=dict)
-    seed: int | None = None
+    __slots__ = _fields = (
+        "command", "arguments", "table", "head", "rows_key", "columns", "values", "tail",
+        "seed",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        command: str,
+        arguments: dict[str, object],
+        table: Callable[[], str],
+        head: dict[str, object] | None = None,
+        rows_key: str | None = None,
+        columns: tuple[_Column, ...] = (),
+        values: tuple[Sequence[Any], ...] = (),
+        tail: dict[str, object] | None = None,
+        seed: int | None = None,
+    ) -> None:
+        self.command = command
+        self.arguments = arguments
+        self.table = table
+        self.head = {} if head is None else head
+        self.rows_key = rows_key
+        self.columns = columns
+        self.values = values
+        self.tail = {} if tail is None else tail
+        self.seed = seed
 
 
 def _timestamp() -> str:

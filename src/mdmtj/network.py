@@ -17,7 +17,6 @@ order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 from .characterization import (
@@ -28,26 +27,27 @@ from .characterization import (
     WALL,
     Characterization,
     SegmentResistanceTable,
+    _Record,
 )
 from .errors import PatternError
 
 
-@dataclass(frozen=True)
-class BitPattern:
+class BitPattern(_Record):
     """Immutable left-to-right bit word; index 0 is the leftmost domain."""
 
-    bits: tuple[int, ...]
+    __slots__ = _fields = ("bits",)
 
-    def __post_init__(self) -> None:
-        if not self.bits:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        if not bits:
             raise PatternError("pattern must contain at least one bit")
-        if len(self.bits) > MAX_DOMAINS:
+        if len(bits) > MAX_DOMAINS:
             raise PatternError(
-                f"pattern length {len(self.bits)} exceeds the supported"
+                f"pattern length {len(bits)} exceeds the supported"
                 f" maximum of {MAX_DOMAINS} domains"
             )
-        if any(b not in (0, 1) for b in self.bits):
-            raise PatternError(f"pattern bits must be 0 or 1, got {self.bits}")
+        if any(b not in (0, 1) for b in bits):
+            raise PatternError(f"pattern bits must be 0 or 1, got {bits}")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def parse(cls, text: str) -> "BitPattern":
@@ -76,12 +76,14 @@ class Border(enum.Enum):
     DIFFER = "differ"
 
 
-@dataclass(frozen=True)
-class BorderCondition:
+class BorderCondition(_Record):
     """Border relation on each side of the D-domain window."""
 
-    left: Border
-    right: Border
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Border, right: Border) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @classmethod
     def parse(cls, text: str) -> "BorderCondition":

@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import enum
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
@@ -524,10 +525,28 @@ def monte_carlo_margins(
         mean_margin=float(np.mean(margins)),
         stddev_margin=stddev,
         min_margin=float(np.min(margins)),
-        p01_margin=float(np.percentile(margins, 1.0)),
+        p01_margin=_p01(margins),
         offsets=offsets,
         margins=margins,
     )
+
+
+def _p01(margins: np.ndarray) -> float:
+    """``np.percentile(margins, 1.0)`` to the bit, NaN included, without the
+    ``numpy.ma`` import inside ``np.percentile`` (about 12 ms a process):
+    numpy's linear rule and its ``_lerp`` on one partition."""
+    import numpy as np
+
+    last = margins.size - 1
+    virtual = last * (1.0 / 100)
+    low = math.floor(virtual)
+    high = min(low + 1, last)
+    part = np.partition(margins, (low, high, last))
+    if math.isnan(part[last]):  # a NaN sorts last, and numpy returns NaN
+        return math.nan
+    a, b = float(part[low]), float(part[high])
+    gamma = virtual - low
+    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
 
 
 # perfbench/checker.py imports these two from here until ROADMAP item 3 repoints it

@@ -1,7 +1,9 @@
-"""``benchmarks/compare.py`` picks the baseline a BENCH file was measured with."""
+"""``benchmarks/compare.py`` picks the baseline a BENCH file was measured with
+and pairs the rounds of two runs of one file."""
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 COMPARE = Path(__file__).resolve().parent.parent / "benchmarks" / "compare.py"
@@ -70,3 +72,36 @@ def test_a_ratio_within_the_host_spread_is_marked(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(
         "call D=5: 0.2900 -> 0.1900 s, ratio 0.655, quartiles 0.2700-0.3100 -> 0.1800-0.2100\n"
     )
+
+
+def _paired_bench(path, parent, change):
+    """A two-run BENCH file of one in-process row with per-round samples."""
+    runs = []
+    for label, samples in (("parent", parent), ("change", change)):
+        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+        row = {"kind": "in_process", "name": "call D=5", "median": median, "q1": q1,
+               "q3": q3, "samples": samples}
+        runs.append({"label": label, "rows": [row]})
+    path.write_text(json.dumps({"rounds": len(parent), "seed": 1, "runs": runs}))
+    return path
+
+
+def test_runs_of_one_file_are_compared_round_by_round(tmp_path, capsys):
+    # the host drifts from round to round; both runs of a round see the same
+    # host, so the per-round ratio shows a 5% loss the quartile overlap hides
+    drift = [0.10, 0.12, 0.11, 0.13, 0.10, 0.14, 0.12]
+    compare = _compare()
+    slower = _paired_bench(tmp_path / "BENCH_1.json", drift, [t * 1.05 for t in drift])
+    assert compare.main([str(slower)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "call D=5: 0.1200 -> 0.1260 s, ratio 1.050, quartiles 0.1050-0.1250 -> 0.1103-0.1313,"
+        " paired ratio 1.050 (1.050-1.050)\n"
+    )
+    noisy = [t * f for t, f in zip(drift, [1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.0])]
+    same = _paired_bench(tmp_path / "BENCH_2.json", drift, noisy)
+    assert compare.main([str(same)]) == 0
+    assert capsys.readouterr().out.endswith(", paired ratio 1.000 (0.975-1.025), within spread\n")
+    # runs of two files were measured in other sessions: no pairing
+    assert compare.main([str(same), str(slower)]) == 0
+    out = capsys.readouterr().out
+    assert "paired" not in out and out.endswith(", within spread\n")

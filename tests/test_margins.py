@@ -231,8 +231,8 @@ def tables(char):
     }
     return {
         "default": char,
-        "tied walls": replace(char, table=char.table.replace(tied_walls)),
-        "tied half-walls": replace(char, table=char.table.replace(tied_half_walls)),
+        "tied walls": char.replace(table=char.table.replace(tied_walls)),
+        "tied half-walls": char.replace(table=char.table.replace(tied_half_walls)),
     }
 
 
@@ -307,7 +307,7 @@ def _perturbed_tables(draw, char):
         values[WALL[1]] = values[WALL[0]]
     if ties == 2:
         values[HALF_WALL[1]] = values[HALF_WALL[0]]
-    return replace(char, table=char.table.replace(dict(zip(KINDS, values))))
+    return char.replace(table=char.table.replace(dict(zip(KINDS, values))))
 
 
 @settings(max_examples=8, deadline=None)

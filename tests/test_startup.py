@@ -12,7 +12,12 @@ fixed-offset ``variation`` build no array (the misalignment engine runs on
 plain floats for a list of offsets), so they run, and print the same bytes,
 in an interpreter where any import of numpy fails. ``variation
 --monte-carlo`` and ``--oracle`` runs do load it, and a Monte Carlo run
-without ``--oracle`` loads no ``numpy.random``.
+without ``--oracle`` loads neither ``numpy.random`` nor ``numpy.ma``.
+
+``import mdmtj.cli``, loading a config, ``resistance`` and ``voltage`` never
+import ``dataclasses`` (nor the ``inspect``, ``ast``, ``dis`` and
+``tokenize`` it loads): the classes they build are plain ``__slots__``
+classes.
 """
 
 from contextlib import redirect_stdout
@@ -115,16 +120,61 @@ def test_variation_forwards_only_the_checkers_names_to_the_oracle():
         variation.PerturbedDecomposition
 
 
-@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_monte_carlo_draws_without_numpy_random(fresh_python, bare_modules, fmt):
+@pytest.fixture(scope="module", params=["table", "csv", "json"])
+def monte_carlo_loaded(request, fresh_python, bare_modules):
+    code, _, err = fresh_python(_MODULES_AFTER, "variation", "--domains", "4",
+                                "--monte-carlo", "2000", "--seed", "1",
+                                "--format", request.param)
+    assert code == 0
+    return set(err.split()) - bare_modules
+
+
+def test_monte_carlo_draws_without_numpy_random(monte_carlo_loaded):
     # _sampler draws every row itself; only the --oracle reference uses
     # numpy's Generator
-    code, _, err = fresh_python(_MODULES_AFTER, "variation", "--domains", "4",
-                                "--monte-carlo", "2000", "--seed", "1", "--format", fmt)
+    assert {"numpy", "mdmtj._sampler"} <= monte_carlo_loaded
+    assert not any(name == "numpy.random" or name.startswith("numpy.random.")
+                   for name in monte_carlo_loaded)
+
+
+def test_monte_carlo_summary_loads_no_masked_arrays(monte_carlo_loaded):
+    # np.percentile imports numpy.ma; the p01 margin is computed without it
+    assert not any(name == "numpy.ma" or name.startswith("numpy.ma.")
+                   for name in monte_carlo_loaded)
+
+
+# What importing dataclasses loads; no short query needs any of it.
+_DATACLASSES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+_SETUP = """
+import sys
+import mdmtj.cli as cli
+
+cli.load_config(sys.argv[1])
+sys.stderr.write(" ".join(sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resistance", "--pattern", "0101"),
+        ("voltage", "--pattern", "00010", "--borders", "same,differ"),
+    ],
+)
+def test_short_queries_build_no_dataclass(fresh_python, argv):
+    code, _, err = fresh_python(_MODULES_AFTER, *argv)
     assert code == 0
-    loaded = set(err.split()) - bare_modules
-    assert {"numpy", "mdmtj._sampler"} <= loaded
-    assert not any(name == "numpy.random" or name.startswith("numpy.random.") for name in loaded)
+    assert "mdmtj.network" in err.split()
+    assert set(err.split()) & _DATACLASSES == set()
+
+
+def test_import_and_config_load_build_no_dataclass(fresh_python, tmp_path):
+    config = tmp_path / "device.cfg"
+    config.write_text("domain_length_nm = 60\nmaterial = NiFe\n")
+    code, _, err = fresh_python(_SETUP, str(config))
+    assert code == 0, err
+    assert "mdmtj.characterization" in err.split()
+    assert set(err.split()) & _DATACLASSES == set()
 
 
 # Rebinds two lazily imported names of cli before any handler has run, as the

@@ -332,7 +332,7 @@ def _perturbed_tables(draw, char):
         values[row[0] : row[-1] + 1] = sorted(values[row[0] : row[-1] + 1])
     assume(all(values[a] != values[b] for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))))
     assume(values[WALL[0]] != values[WALL[1]] and values[HALF_WALL[0]] != values[HALF_WALL[1]])
-    return replace(char, table=char.table.replace(dict(zip(KINDS, values))))
+    return char.replace(table=char.table.replace(dict(zip(KINDS, values))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -383,7 +383,7 @@ def test_float_and_array_passes_agree_bitwise(char, data, domains, subnormals):
 
 def _short_domains(char):
     # valid (notch 12 nm < 20 nm), but a two-wall domain is only 8 nm long
-    return replace(char, geometry=replace(char.geometry, domain_length=20e-9))
+    return char.replace(geometry=char.geometry.replace(domain_length=20e-9))
 
 
 @pytest.mark.parametrize("engine", [min_margins_for_offsets, brute_force_offset_margins])
@@ -610,6 +610,24 @@ def test_monte_carlo_single_sample_has_zero_spread(char, same_same):
     report = monte_carlo_margins(2, same_same, MonteCarloSpec(samples=1, seed=5), char)
     assert report.stddev_margin == 0.0
     assert report.mean_margin == report.min_margin == report.p01_margin
+
+
+def _same_float(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+def test_p01_is_numpys_percentile_to_the_bit():
+    # every n below 400 puts the 1% rank at another fraction between two entries
+    for size in [*range(1, 400), 1000, 2001, 50_000]:
+        rng = np.random.default_rng(size)
+        margins = rng.normal(0.04, 0.002, size)
+        tied = np.round(margins, 3)  # runs of equal values around the 1% rank
+        for values in (margins, tied, -tied, np.full(size, 0.0125)):
+            values.flags.writeable = False  # as a report's margins are
+            assert _same_float(variation._p01(values), float(np.percentile(values, 1.0))), size
+        with_nan = margins.copy()
+        with_nan[size // 2] = math.nan
+        assert math.isnan(variation._p01(with_nan)) and math.isnan(np.percentile(with_nan, 1.0))
 
 
 
