@@ -141,18 +141,48 @@ class SegmentResistanceTable:
 
 
 class _Record:
-    """Base of the value classes every query builds, written without
-    ``dataclasses``: importing that module loads ``inspect``, ``ast``,
-    ``dis`` and ``tokenize``, a large share of a short query's start-up.
+    """Base of every record class of the package, written without
+    ``dataclasses``: importing that module loads ``inspect``, ``ast``, ``dis``
+    and ``tokenize``, a large share of a short query's start-up, and building
+    a dataclass runs a code generator once per class.
 
     A subclass names its fields once, as ``__slots__ = _fields = (...)``, and
-    sets them in its own ``__init__`` with ``object.__setattr__``. Equality,
-    hash, repr and immutability read as a frozen dataclass's do; ``replace``
-    stands in for ``dataclasses.replace``.
+    the defaults of trailing fields in ``_defaults``. The constructor binds
+    positional and keyword arguments to the fields as a dataclass's does and
+    raises TypeError on a missing, unknown or repeated one. Equality, hash,
+    repr and immutability read as a frozen dataclass's do; ``replace`` stands
+    in for ``dataclasses.replace``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self._fields):  # else the common call, kept fast
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict[str, object]) -> tuple:
+        """The arguments in field order with defaults filled in, bound as a
+        dataclass's ``__init__`` binds them."""
+        fields, cls = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls}() takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        rest = fields[len(args) :]
+        wrong = kwargs.keys() - rest
+        if wrong:
+            name = wrong.pop()
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{cls}() got {problem} argument {name!r}")
+        defaults = self._defaults
+        try:
+            return args + tuple([kwargs[name] if name in kwargs else defaults[name] for name in rest])
+        except KeyError as missing:
+            raise TypeError(f"{cls}() missing required argument {missing.args[0]!r}") from None
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -187,26 +217,15 @@ class DeviceGeometry(_Record):
     """Nanowire and stack dimensions, SI units (meters)."""
 
     __slots__ = _fields = (
-        "domain_length",
-        "track_width",
-        "notch_length",
-        "free_layer_thickness",
-        "mgo_thickness",
+        "domain_length", "track_width", "notch_length", "free_layer_thickness", "mgo_thickness"
     )
-
-    def __init__(
-        self,
-        domain_length: float = 80e-9,
-        track_width: float = 40e-9,
-        notch_length: float = 12e-9,
-        free_layer_thickness: float = 2e-9,
-        mgo_thickness: float = 1e-9,
-    ) -> None:
-        object.__setattr__(self, "domain_length", domain_length)
-        object.__setattr__(self, "track_width", track_width)
-        object.__setattr__(self, "notch_length", notch_length)
-        object.__setattr__(self, "free_layer_thickness", free_layer_thickness)
-        object.__setattr__(self, "mgo_thickness", mgo_thickness)
+    _defaults = {
+        "domain_length": 80e-9,
+        "track_width": 40e-9,
+        "notch_length": 12e-9,
+        "free_layer_thickness": 2e-9,
+        "mgo_thickness": 1e-9,
+    }
 
     def junction_area_per_domain(self) -> float:
         """Stack footprint above one domain, m^2."""
@@ -233,12 +252,10 @@ class DeviceGeometry(_Record):
 
 
 class DriveParams(_Record):
-    """Read drive: a fixed current density across the whole stack."""
+    """Read drive: a fixed current density across the whole stack, A/m^2."""
 
     __slots__ = _fields = ("current_density",)
-
-    def __init__(self, current_density: float = 3.21e10) -> None:  # A/m^2
-        object.__setattr__(self, "current_density", current_density)
+    _defaults = {"current_density": 3.21e10}
 
     def read_current(self, domains: int, geometry: DeviceGeometry) -> float:
         """Read current in amperes; scales linearly with the domain count."""
@@ -250,53 +267,31 @@ class DriveParams(_Record):
 
 
 class CharacterizationMetadata(_Record):
-    """Provenance values carried through to reports verbatim; not computed on."""
+    """Provenance values carried through to reports verbatim; not computed on.
+
+    ``k_u`` is the uniaxial anisotropy in erg/cc, ``m_s`` the saturation
+    magnetization in emu/cc, ``exchange_stiffness`` in uerg/cm and
+    ``resistivity`` in uOhm*cm.
+    """
 
     __slots__ = _fields = (
-        "material",
-        "k_u",
-        "m_s",
-        "exchange_stiffness",
-        "amr_ratio",
-        "tmr_ratio",
-        "resistivity",
+        "material", "k_u", "m_s", "exchange_stiffness", "amr_ratio", "tmr_ratio", "resistivity"
     )
-
-    def __init__(
-        self,
-        material: str = "CoFeB",
-        k_u: float = 99999.0,            # uniaxial anisotropy, erg/cc
-        m_s: float = 1200.0,             # saturation magnetization, emu/cc
-        exchange_stiffness: float = 2.2,  # uerg/cm
-        amr_ratio: float = 0.014,
-        tmr_ratio: float = 0.8,
-        resistivity: float = 15.0,       # uOhm*cm
-    ) -> None:
-        object.__setattr__(self, "material", material)
-        object.__setattr__(self, "k_u", k_u)
-        object.__setattr__(self, "m_s", m_s)
-        object.__setattr__(self, "exchange_stiffness", exchange_stiffness)
-        object.__setattr__(self, "amr_ratio", amr_ratio)
-        object.__setattr__(self, "tmr_ratio", tmr_ratio)
-        object.__setattr__(self, "resistivity", resistivity)
+    _defaults = {
+        "material": "CoFeB",
+        "k_u": 99999.0,
+        "m_s": 1200.0,
+        "exchange_stiffness": 2.2,
+        "amr_ratio": 0.014,
+        "tmr_ratio": 0.8,
+        "resistivity": 15.0,
+    }
 
 
 class Characterization(_Record):
     """Everything the model needs: table, geometry, drive, metadata."""
 
     __slots__ = _fields = ("table", "geometry", "drive", "metadata")
-
-    def __init__(
-        self,
-        table: SegmentResistanceTable,
-        geometry: DeviceGeometry,
-        drive: DriveParams,
-        metadata: CharacterizationMetadata,
-    ) -> None:
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "drive", drive)
-        object.__setattr__(self, "metadata", metadata)
 
 
 def default_characterization() -> Characterization:

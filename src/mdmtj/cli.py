@@ -310,9 +310,19 @@ def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) ->
     pieces = _text(result, char, fmt)
     first = next(pieces)  # the manifest: a bad SOURCE_DATE_EPOCH refuses before any output
     if out is None:
-        sys.stdout.write(first)
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        try:
+            sys.stdout.write(first)
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        except OSError as exc:  # a reader that has gone, a full disk
+            # send what is still buffered to devnull, so that the
+            # interpreter's final flush of stdout stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                raise
+            raise ModelError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "w") as stream:
@@ -707,12 +717,7 @@ def main(argv: list[str] | None = None) -> int:
         char = default_characterization() if args.config is None else load_config(args.config)
         _emit(args.handler(args, char), char, args.format, args.out)
         return 0
-    except BrokenPipeError:
-        # the reader has gone: send what is still buffered to devnull, so the
-        # interpreter's final flush of stdout stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader of stdout has gone
         return _BROKEN_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

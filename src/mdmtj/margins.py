@@ -37,7 +37,6 @@ field-for-field report equality a meaningful check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
@@ -48,6 +47,7 @@ from .characterization import (
     WALL,
     Characterization,
     SegmentResistanceTable,
+    _Record,
 )
 from .errors import DomainCountTooLarge, DomainCountTooSmall, ModelError, UsageError
 from .network import (
@@ -72,38 +72,31 @@ _WALLS = itemgetter(*WALL)
 _EdgeGroups = dict[tuple[int, int, int | None], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    """One equivalence class: lex-smallest member, population, resistance."""
+class ClassEntry(_Record):
+    """One equivalence class: lex-smallest member, population, resistance
+    (ohms) and voltage (volts)."""
 
-    representative: str
-    multiplicity: int
-    resistance: float
-    voltage: float
+    __slots__ = _fields = ("representative", "multiplicity", "resistance", "voltage")
 
 
-@dataclass(frozen=True)
-class LevelCluster:
-    weight: int
-    pattern_count: int
-    min_resistance: float
-    max_resistance: float
-    min_voltage: float
-    max_voltage: float
-    classes: tuple[ClassEntry, ...]
+class LevelCluster(_Record):
+    """The patterns of one Hamming weight: their count, resistance range
+    (ohms), voltage range (volts) and class listing."""
+
+    __slots__ = _fields = (
+        "weight", "pattern_count", "min_resistance", "max_resistance", "min_voltage",
+        "max_voltage", "classes",
+    )
 
 
-@dataclass(frozen=True)
-class AdjacentMargin:
-    weight_low: int
-    weight_high: int
-    r_low_max: float
-    r_high_min: float
-    margin: float  # volts
+class AdjacentMargin(_Record):
+    """The gap between two adjacent weights: the lower cluster's largest and
+    the higher cluster's smallest resistance (ohms), and ``margin`` in volts."""
+
+    __slots__ = _fields = ("weight_low", "weight_high", "r_low_max", "r_high_min", "margin")
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(_Record):
     """Full weight-cluster picture for one domain count.
 
     ``borders`` is None for the worst-case-over-conventions mode, where
@@ -112,14 +105,10 @@ class MarginReport:
     report leaves each cluster's listing empty.
     """
 
-    domains: int
-    borders: BorderCondition | None
-    read_current: float
-    clusters: tuple[LevelCluster, ...]
-    adjacent_margins: tuple[AdjacentMargin, ...]
-    min_margin: float
-    min_margin_pair: tuple[int, int]
-    distinguishable_levels: int
+    __slots__ = _fields = (
+        "domains", "borders", "read_current", "clusters", "adjacent_margins", "min_margin",
+        "min_margin_pair", "distinguishable_levels",
+    )
 
     @property
     def convention_label(self) -> str:
@@ -508,24 +497,18 @@ def _report(
     clusters = []
     for weight, count in enumerate(by_weight_count):
         low, high = 1.0 / g_high[weight], 1.0 / g_low[weight]
+        # positional arguments: a record binds keywords in Python, and every
+        # report builds 2D + 1 of these records
         clusters.append(
             LevelCluster(
-                weight=weight,
-                pattern_count=count,
-                min_resistance=low,
-                max_resistance=high,
-                min_voltage=current * low,
-                max_voltage=current * high,
-                classes=tuple(classes_by_weight[weight]) if classes_by_weight else (),
+                weight, count, low, high, current * low, current * high,
+                tuple(classes_by_weight[weight]) if classes_by_weight else (),
             )
         )
     margins = [
         AdjacentMargin(
-            weight_low=low.weight,
-            weight_high=high.weight,
-            r_low_max=low.max_resistance,
-            r_high_min=high.min_resistance,
-            margin=high.min_voltage - low.max_voltage,
+            low.weight, high.weight, low.max_resistance, high.min_resistance,
+            high.min_voltage - low.max_voltage,
         )
         for low, high in zip(clusters, clusters[1:])
     ]
@@ -628,21 +611,19 @@ def closed_form_min_margin(domains: int, char: Characterization) -> float:
     return current * r_one - current * r_zero
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    domains: int
-    closed_form_margin: float  # volts
-    enumerated_margin: float | None  # volts; None above the enumeration limit
+class SweepRow(_Record):
+    """One domain count's minimum margins in volts; ``enumerated_margin`` is
+    None above the enumeration limit."""
+
+    __slots__ = _fields = ("domains", "closed_form_margin", "enumerated_margin")
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    d_min: int
-    d_max: int
-    threshold: float  # volts
-    borders: BorderCondition
-    rows: tuple[SweepRow, ...]
-    max_scalable_domains: int | None
+class SweepReport(_Record):
+    """Sweep rows over [``d_min``, ``d_max``] against ``threshold`` (volts)."""
+
+    __slots__ = _fields = (
+        "d_min", "d_max", "threshold", "borders", "rows", "max_scalable_domains"
+    )
 
 
 def sweep_domains(

@@ -81,10 +81,6 @@ class BorderCondition(_Record):
 
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Border, right: Border) -> None:
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
     @classmethod
     def parse(cls, text: str) -> "BorderCondition":
         normalized = text.strip().lower().replace(",", "/")

@@ -24,7 +24,7 @@ rebound on this module (a tracer's wrapper, a test's stub) is the one run.
 
 The only things shared with the production modules are data (the
 characterization, the kind layout, the neighbor assumption), the report
-dataclass types and the nm formatter of refusal texts, never composition
+record types and the nm formatter of refusal texts, never composition
 code. The float reference paths follow the same documented summation order
 (segment kinds in enum order), because that order is part of the report
 contract.
@@ -33,7 +33,6 @@ contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
@@ -49,6 +48,7 @@ from .characterization import (
     SegmentKind,
     SegmentResistanceTable,
     _meters_as_nm_text,
+    _Record,
 )
 from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange, OracleMismatch
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport, SweepReport
@@ -226,13 +226,8 @@ def _report(
     extreme resistances."""
     clusters = tuple(
         LevelCluster(
-            weight=weight,
-            pattern_count=sizes[weight],
-            min_resistance=low[weight],
-            max_resistance=high[weight],
-            min_voltage=current * low[weight],
-            max_voltage=current * high[weight],
-            classes=tuple(classes[weight]) if classes else (),
+            weight, sizes[weight], low[weight], high[weight], current * low[weight],
+            current * high[weight], tuple(classes[weight]) if classes else (),
         )
         for weight in range(domains + 1)
     )
@@ -578,15 +573,13 @@ def _uncovered_edge(magnitude: float, nominal: float) -> OffsetOutOfRange:
     )
 
 
-@dataclass(frozen=True)
-class PerturbedDecomposition:
+class PerturbedDecomposition(_Record):
     """The nominal bank less the uncovered edge domain and half-wall, which
     reappear in ``partials`` as (kind index, covered meters): the edge
     domain, the half-wall while still covered, then the overhang. Zero
     offset leaves the bank whole and ``partials`` empty."""
 
-    counts: tuple[int, ...]
-    partials: tuple[tuple[int, float], ...]
+    __slots__ = _fields = ("counts", "partials")
 
 
 def apply_misalignment(
@@ -761,7 +754,7 @@ def check_report(report: MarginReport, char: Characterization) -> None:
     else:
         ref = brute_force_report(report.domains, report.borders, char)
         if not report.clusters[0].classes:  # a cluster_extremes report lists none
-            ref = replace(ref, clusters=tuple(replace(c, classes=()) for c in ref.clusters))
+            ref = ref.replace(clusters=tuple(c.replace(classes=()) for c in ref.clusters))
     if ref != report:
         raise OracleMismatch(
             f"{report.domains}-domain report ({report.convention_label}) disagrees"
@@ -836,11 +829,11 @@ def check_sample_stream(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SymmetryResult:
-    passed: bool
-    counterexample: tuple[str, str, str] | None  # (check, pattern, borders)
-    checks_run: int
+class SymmetryResult(_Record):
+    """Outcome of ``symmetry_sweep``: ``counterexample`` is the first failed
+    (check, pattern, borders), or None when every check passed."""
+
+    __slots__ = _fields = ("passed", "counterexample", "checks_run")
 
 
 def _swapped_wall_exact(table: SegmentResistanceTable) -> dict[SegmentKind, Fraction]:

@@ -48,7 +48,6 @@ import copy
 import enum
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
 from .characterization import (
@@ -56,6 +55,7 @@ from .characterization import (
     KINDS,
     Characterization,
     _meters_as_nm_text,
+    _Record,
 )
 from .errors import OffsetOutOfRange, UsageError
 from .margins import (
@@ -103,14 +103,15 @@ class NeighborAssumption(enum.Enum):
         return (0, 1)
 
 
-@dataclass(frozen=True)
-class MisalignmentSpec:
-    """Signed stack offset (positive = toward +X, the right) plus neighbor
-    assumptions for whichever side the overhang exposes."""
+class MisalignmentSpec(_Record):
+    """Signed stack offset in meters (positive = toward +X, the right) plus
+    neighbor assumptions for whichever side the overhang exposes."""
 
-    offset: float  # meters
-    left_neighbor: NeighborAssumption = NeighborAssumption.WORST
-    right_neighbor: NeighborAssumption = NeighborAssumption.WORST
+    __slots__ = _fields = ("offset", "left_neighbor", "right_neighbor")
+    _defaults = {
+        "left_neighbor": NeighborAssumption.WORST,
+        "right_neighbor": NeighborAssumption.WORST,
+    }
 
 
 def _partial_conductance(
@@ -360,24 +361,18 @@ def min_margins_for_offsets(
     return out
 
 
-@dataclass(frozen=True)
-class OffsetReport:
+class OffsetReport(_Record):
     """Fixed-offset margin report; voltages in volts.
 
-    The stack is shifted by ``offset`` both ways. ``sign_min_margins`` holds
-    the minimum margin at +offset and at -offset, and ``perturbed_min_margin``
-    is the worse of the two (the + sign on a tie).
+    The stack is shifted by ``offset`` (meters, a magnitude) both ways.
+    ``sign_min_margins`` holds the minimum margin at +offset and at -offset,
+    and ``perturbed_min_margin`` is the worse of the two (the + sign on a tie).
     """
 
-    domains: int
-    borders: BorderCondition
-    offset: float  # meters, a magnitude
-    left_neighbor: NeighborAssumption
-    right_neighbor: NeighborAssumption
-    nominal_min_margin: float
-    sign_min_margins: tuple[float, float]
-    perturbed_min_margin: float
-    margin_deviation: float
+    __slots__ = _fields = (
+        "domains", "borders", "offset", "left_neighbor", "right_neighbor", "nominal_min_margin",
+        "sign_min_margins", "perturbed_min_margin", "margin_deviation",
+    )
 
 
 def offset_margin_report(
@@ -414,12 +409,12 @@ def offset_margin_report(
 # --- Monte Carlo --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonteCarloSpec:
-    samples: int
-    seed: int
-    sigma: float = SIGMA_DEFAULT  # meters
-    truncation: float = 6.0  # in sigmas
+class MonteCarloSpec(_Record):
+    """Sample count and seed of a Monte Carlo run, and its offset
+    distribution: ``sigma`` in meters, ``truncation`` in sigmas."""
+
+    __slots__ = _fields = ("samples", "seed", "sigma", "truncation")
+    _defaults = {"sigma": SIGMA_DEFAULT, "truncation": 6.0}
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -451,37 +446,34 @@ def sample_offsets(spec: MonteCarloSpec, start: int = 0, stop: int | None = None
     return truncated_normals(spec.seed, spec.truncation, start, stop) * spec.sigma
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(_Record):
     """Margin distribution under random misalignment; volts and meters.
 
     ``offsets`` and ``margins`` are read-only float64 arrays, one entry per
     sample. Two reports are equal when every field is, the arrays bit for
-    bit.
+    bit; the hash and the repr leave the arrays out.
     """
 
-    domains: int
-    borders: BorderCondition
-    spec: MonteCarloSpec
-    left_neighbor: NeighborAssumption
-    right_neighbor: NeighborAssumption
-    nominal_min_margin: float
-    mean_margin: float
-    stddev_margin: float
-    min_margin: float
-    p01_margin: float
-    offsets: np.ndarray = field(repr=False, compare=False)
-    margins: np.ndarray = field(repr=False, compare=False)
+    __slots__ = _fields = (
+        "domains", "borders", "spec", "left_neighbor", "right_neighbor", "nominal_min_margin",
+        "mean_margin", "stddev_margin", "min_margin", "p01_margin", "offsets", "margins",
+    )
+    _scalars = _fields[:-2]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MonteCarloReport):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(
-            getattr(self, f.name) == getattr(other, f.name) for f in fields(self) if f.compare
-        ) and all(
+        return all(getattr(self, name) == getattr(other, name) for name in self._scalars) and all(
             getattr(self, name).tobytes() == getattr(other, name).tobytes()
             for name in ("offsets", "margins")
         )
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._scalars))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._scalars)
+        return f"{self.__class__.__qualname__}({pairs})"
 
 
 def monte_carlo_margins(

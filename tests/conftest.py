@@ -2,11 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from mdmtj import default_characterization
+from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL
 from mdmtj.network import BorderCondition
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -37,6 +41,31 @@ json.dump({"runs": runs, "numpy": sys.modules.get("numpy") is not None}, sys.std
 @pytest.fixture(scope="session")
 def char():
     return default_characterization()
+
+
+@st.composite
+def _perturbed_tables(draw, char):
+    factors = draw(st.lists(st.integers(900, 1100), min_size=len(KINDS), max_size=len(KINDS)))
+    values = [
+        char.table.exact(kind) * Fraction(factor, 1000) for kind, factor in zip(KINDS, factors)
+    ]
+    for row in DOMAIN:  # keep full < mid < short; plus stays above minus
+        values[row[0] : row[-1] + 1] = sorted(values[row[0] : row[-1] + 1])
+    assume(all(values[a] != values[b] for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))))
+    ties = draw(st.integers(0, 2))
+    if ties:
+        values[WALL[1]] = values[WALL[0]]
+    if ties == 2:
+        values[HALF_WALL[1]] = values[HALF_WALL[0]]
+    return char.replace(table=char.table.replace(dict(zip(KINDS, values))))
+
+
+@pytest.fixture(scope="session")
+def perturbed_tables(char):
+    """A strategy of characterizations: the default resistances moved by up
+    to +-10 % in steps of 0.1 % within the table invariants; the walls, or
+    the walls and the half-walls, tied in two draws of three."""
+    return _perturbed_tables(char)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,13 @@
 """End-to-end command behavior: exact text, schemas, exit codes."""
 
 import csv
+import errno
 import io
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -449,6 +449,29 @@ def test_a_reader_closing_early_ends_the_run_quietly():
     assert (code, stderr) == (141, b"")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resistance", "--pattern", "01"],  # fails at the final flush
+        ["variation", "--domains", "4", "--monte-carlo", "20000", "--seed", "1",
+         "--format", "csv"],  # fails part way through the rows
+    ],
+)
+def test_a_failed_write_to_stdout_exits_1_without_a_traceback(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "mdmtj.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path}, stdout=full, stderr=subprocess.PIPE,
+            text=True, timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (
+        1, f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "mode", [("--offset-nm", "5.5"), ("--monte-carlo", "1000", "--seed", "8")]
 )
@@ -578,7 +601,7 @@ def test_sweep_oracle_checks_a_range_up_to_the_limit(capsys):
 def _min_margin_one_ulp_up(real):
     def nudged(*args):
         ref = real(*args)
-        return replace(ref, min_margin=math.nextafter(ref.min_margin, math.inf))
+        return ref.replace(min_margin=math.nextafter(ref.min_margin, math.inf))
 
     return nudged
 

@@ -1,19 +1,14 @@
 """Weight-cluster enumeration, closed-form margins and sweeps."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj.characterization import (
-    DOMAIN,
-    HALF_WALL,
-    KINDS,
-    WALL,
     Characterization,
     SegmentKind,
     default_characterization,
@@ -285,37 +280,20 @@ def test_cluster_extremes_are_the_listed_report_without_classes(tables, walked, 
         for borders in conditions:
             report, groups = walked(domains, borders, name)
             assert enumerate_levels(domains, borders, char) == report
-            bare = replace(
-                report, clusters=tuple(replace(c, classes=()) for c in report.clusters)
-            )
+            bare = report.replace(clusters=tuple(c.replace(classes=()) for c in report.clusters))
             assert cluster_extremes(domains, borders, char) == bare
             for left, side_groups in zip((True, False), groups):
                 assert margins._side_scan(domains, borders, char, left) == (bare, side_groups)
 
 
-@st.composite
-def _perturbed_tables(draw, char):
-    """Default resistances moved by up to +-10 % within the table invariants;
-    the walls, or the walls and the half-walls, tied in two draws of three."""
-    factors = draw(st.lists(st.integers(900, 1100), min_size=len(KINDS), max_size=len(KINDS)))
-    values = [char.table.exact(kind) * Fraction(factor, 1000) for kind, factor in zip(KINDS, factors)]
-    for row in DOMAIN:  # keep full < mid < short; plus stays above minus
-        values[row[0] : row[-1] + 1] = sorted(values[row[0] : row[-1] + 1])
-    assume(all(values[a] != values[b] for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))))
-    ties = draw(st.integers(0, 2))
-    if ties:
-        values[WALL[1]] = values[WALL[0]]
-    if ties == 2:
-        values[HALF_WALL[1]] = values[HALF_WALL[0]]
-    return char.replace(table=char.table.replace(dict(zip(KINDS, values))))
-
-
 @settings(max_examples=8, deadline=None)
 @given(data=st.data(), domains=st.integers(13, 30), index=st.integers(0, 3))
-def test_both_scan_modes_match_the_walk_on_perturbed_tables(char, data, domains, index):
+def test_both_scan_modes_match_the_walk_on_perturbed_tables(
+    perturbed_tables, data, domains, index
+):
     # above the brute-force limit the walk is the reference: the listing,
     # and each side's edge groups from its own pruned scan
-    perturbed = data.draw(_perturbed_tables(char))
+    perturbed = data.draw(perturbed_tables)
     borders = ALL_CONDITIONS[index]
     report, groups = walk_reference(domains, borders, perturbed)
     assert enumerate_levels(domains, borders, perturbed) == report

@@ -1,17 +1,18 @@
-"""The value classes every query builds, written without ``dataclasses``.
+"""The value classes, written without ``dataclasses``.
 
-``DeviceGeometry``, ``DriveParams``, ``CharacterizationMetadata``,
-``Characterization``, ``BitPattern``, ``BorderCondition`` and ``cli._Result``
-keep what their dataclass versions offered: the same repr, equality only
-within one class, a hash over the fields, frozen fields (``_Result`` stays
-mutable), copies and pickles, and a ``replace`` method in place of
-``dataclasses.replace``. The repr literals were printed by the dataclass
-versions.
+Every value class is a ``characterization._Record`` and keeps what its
+dataclass version offered: the same constructor arguments and defaults, the
+same repr, equality only within one class, a hash over the fields, frozen
+fields (``cli._Result`` stays mutable), copies and pickles, and a
+``replace`` method in place of ``dataclasses.replace``. A
+``MonteCarloReport`` compares its arrays bit for bit and leaves them out of
+its hash and repr. The repr literals were printed by the dataclass versions.
 """
 
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from mdmtj import cli
@@ -23,7 +24,23 @@ from mdmtj.characterization import (
     default_characterization,
 )
 from mdmtj.errors import PatternError
+from mdmtj.margins import (
+    AdjacentMargin,
+    ClassEntry,
+    LevelCluster,
+    MarginReport,
+    SweepReport,
+    SweepRow,
+)
 from mdmtj.network import ALL_CONDITIONS, BitPattern, Border, BorderCondition
+from mdmtj.oracle import PerturbedDecomposition, SymmetryResult
+from mdmtj.variation import (
+    MisalignmentSpec,
+    MonteCarloReport,
+    MonteCarloSpec,
+    NeighborAssumption,
+    OffsetReport,
+)
 
 _TABLE = (
     "SegmentResistanceTable(r_minus_80=1911.0, r_minus_74=2048.0, r_minus_68=2228.0,"
@@ -39,6 +56,12 @@ _METADATA = (
     "CharacterizationMetadata(material='CoFeB', k_u=99999.0, m_s=1200.0,"
     " exchange_stiffness=2.2, amr_ratio=0.014, tmr_ratio=0.8, resistivity=15.0)"
 )
+
+_SAME_DIFFER = "BorderCondition(left=<Border.SAME: 'same'>, right=<Border.DIFFER: 'differ'>)"
+_ENTRY = "ClassEntry(representative='0011', multiplicity=2, resistance=1234.5, voltage=0.0625)"
+_WORST = "<NeighborAssumption.WORST: 'worst'>"
+_SAME_DIFFER_BORDERS = BorderCondition(Border.SAME, Border.DIFFER)
+_ONE, _WORST_NEIGHBOR = NeighborAssumption.ONE, NeighborAssumption.WORST
 
 # (record, its repr, a field and another value for it)
 RECORDS = {
@@ -63,10 +86,85 @@ RECORDS = {
         " rows_key=None, columns=(), values=(), tail={}, seed=None)",
         "seed", 7,
     ),
+    "class entry": (ClassEntry("0011", 2, 1234.5, 0.0625), _ENTRY, "multiplicity", 3),
+    "level cluster": (
+        LevelCluster(2, 6, 500.0, 510.25, 0.05, 0.051, (ClassEntry("0011", 2, 1234.5, 0.0625),)),
+        "LevelCluster(weight=2, pattern_count=6, min_resistance=500.0, max_resistance=510.25,"
+        f" min_voltage=0.05, max_voltage=0.051, classes=({_ENTRY},))",
+        "classes", (),
+    ),
+    "adjacent margin": (
+        AdjacentMargin(1, 2, 450.5, 470.0, 0.0021),
+        "AdjacentMargin(weight_low=1, weight_high=2, r_low_max=450.5, r_high_min=470.0,"
+        " margin=0.0021)",
+        "margin", 0.0022,
+    ),
+    "margin report": (
+        MarginReport(2, None, 1e-6, (), (), 0.0021, (1, 2), 3),
+        "MarginReport(domains=2, borders=None, read_current=1e-06, clusters=(),"
+        " adjacent_margins=(), min_margin=0.0021, min_margin_pair=(1, 2),"
+        " distinguishable_levels=3)",
+        "borders", _SAME_DIFFER_BORDERS,
+    ),
+    "sweep row": (
+        SweepRow(5, 0.003, None),
+        "SweepRow(domains=5, closed_form_margin=0.003, enumerated_margin=None)",
+        "enumerated_margin", 0.003,
+    ),
+    "sweep report": (
+        SweepReport(2, 3, 0.0042, _SAME_DIFFER_BORDERS, (SweepRow(2, 0.01, 0.01),), None),
+        f"SweepReport(d_min=2, d_max=3, threshold=0.0042, borders={_SAME_DIFFER},"
+        " rows=(SweepRow(domains=2, closed_form_margin=0.01, enumerated_margin=0.01),),"
+        " max_scalable_domains=None)",
+        "max_scalable_domains", 3,
+    ),
+    "misalignment spec": (
+        MisalignmentSpec(5.5e-9),
+        f"MisalignmentSpec(offset=5.5e-09, left_neighbor={_WORST}, right_neighbor={_WORST})",
+        "offset", -5.5e-9,
+    ),
+    "offset report": (
+        OffsetReport(4, _SAME_DIFFER_BORDERS, 3e-9, NeighborAssumption.ZERO, _WORST_NEIGHBOR,
+                     0.02, (0.019, 0.0185), 0.0185, 0.0015),
+        f"OffsetReport(domains=4, borders={_SAME_DIFFER}, offset=3e-09,"
+        f" left_neighbor=<NeighborAssumption.ZERO: '0'>, right_neighbor={_WORST},"
+        " nominal_min_margin=0.02, sign_min_margins=(0.019, 0.0185),"
+        " perturbed_min_margin=0.0185, margin_deviation=0.0015)",
+        "left_neighbor", _ONE,
+    ),
+    "monte carlo spec": (
+        MonteCarloSpec(100, 1),
+        "MonteCarloSpec(samples=100, seed=1, sigma=9.166666666666666e-10, truncation=6.0)",
+        "seed", 2,
+    ),
+    "monte carlo report": (
+        MonteCarloReport(4, _SAME_DIFFER_BORDERS, MonteCarloSpec(2, 1), _ONE, _WORST_NEIGHBOR,
+                         0.02, 0.0195, 0.0002, 0.019, 0.0191,
+                         np.array([0.0, -0.0]), np.array([0.02, np.nan])),
+        f"MonteCarloReport(domains=4, borders={_SAME_DIFFER}, spec=MonteCarloSpec(samples=2,"
+        " seed=1, sigma=9.166666666666666e-10, truncation=6.0),"
+        f" left_neighbor=<NeighborAssumption.ONE: '1'>, right_neighbor={_WORST},"
+        " nominal_min_margin=0.02, mean_margin=0.0195, stddev_margin=0.0002, min_margin=0.019,"
+        " p01_margin=0.0191)",
+        "p01_margin", 0.0192,
+    ),
+    "perturbed decomposition": (
+        PerturbedDecomposition((1, 0, 0, 0, 0, 0, 0, 0, 0, 0), ((0, 7.4e-08), (8, 3e-09))),
+        "PerturbedDecomposition(counts=(1, 0, 0, 0, 0, 0, 0, 0, 0, 0),"
+        " partials=((0, 7.4e-08), (8, 3e-09)))",
+        "partials", (),
+    ),
+    "symmetry result": (
+        SymmetryResult(False, ("mirror", "0011", "same/differ"), 17),
+        "SymmetryResult(passed=False, counterexample=('mirror', '0011', 'same/differ'),"
+        " checks_run=17)",
+        "passed", True,
+    ),
 }
 FROZEN = [name for name in RECORDS if name != "result"]
-# a Characterization holds a table, which defines == and so no hash
-HASHABLE = [name for name in FROZEN if name != "characterization"]
+# a Characterization holds a table, which defines == and so no hash; a Monte
+# Carlo report hashes without its arrays
+HASHABLE = [name for name in FROZEN if name not in ("characterization", "monte carlo report")]
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -157,6 +255,39 @@ def test_replace_builds_through_the_constructor():
     with pytest.raises(PatternError, match="pattern bits must be 0 or 1"):
         BitPattern((0, 1)).replace(bits=(0, 2))
     assert Characterization(*char._values()) == char
+
+
+def test_the_constructor_binds_arguments_as_the_dataclass_did():
+    worst = NeighborAssumption.WORST
+    assert (
+        MisalignmentSpec(1e-9)
+        == MisalignmentSpec(1e-9, right_neighbor=worst)
+        == MisalignmentSpec(offset=1e-9, left_neighbor=worst, right_neighbor=worst)
+    )
+    assert DeviceGeometry(60e-9, notch_length=10e-9) == DeviceGeometry(60e-9, 40e-9, 10e-9, 2e-9, 1e-9)
+    assert MonteCarloSpec(seed=3, samples=9).sigma == MonteCarloSpec(9, 3).sigma
+    for args, kwargs, message in [
+        ((), {}, "MisalignmentSpec() missing required argument 'offset'"),
+        ((), {"left_neighbor": worst}, "missing required argument 'offset'"),
+        ((1e-9,), {"offset": 2e-9}, "got multiple values for argument 'offset'"),
+        ((1e-9,), {"sign": 1}, "got an unexpected keyword argument 'sign'"),
+        ((1e-9, worst, worst, worst), {}, "takes 3 positional arguments but 4 were given"),
+    ]:
+        with pytest.raises(TypeError) as raised:
+            MisalignmentSpec(*args, **kwargs)
+        assert message in str(raised.value)
+    with pytest.raises(TypeError, match="missing required argument 'margin'"):
+        AdjacentMargin(1, 2, 450.5, 470.0)
+
+
+def test_a_monte_carlo_report_compares_its_arrays_bit_for_bit():
+    report = RECORDS["monte carlo report"][0]
+    # a NaN margin matches itself; -0.0 and 0.0 differ
+    assert report == report.replace(offsets=report.offsets.copy(), margins=report.margins.copy())
+    moved = report.replace(offsets=np.array([0.0, 0.0]))
+    assert report != moved
+    assert hash(report) == hash(moved) == hash(report._values()[:-2])
+    assert "offsets" not in repr(report) and "margins" not in repr(report)
 
 
 @pytest.mark.parametrize(

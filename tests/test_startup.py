@@ -14,10 +14,10 @@ in an interpreter where any import of numpy fails. ``variation
 --monte-carlo`` and ``--oracle`` runs do load it, and a Monte Carlo run
 without ``--oracle`` loads neither ``numpy.random`` nor ``numpy.ma``.
 
-``import mdmtj.cli``, loading a config, ``resistance`` and ``voltage`` never
-import ``dataclasses`` (nor the ``inspect``, ``ast``, ``dis`` and
-``tokenize`` it loads): the classes they build are plain ``__slots__``
-classes.
+No command imports ``dataclasses``: every value class is a plain
+``__slots__`` record. ``import mdmtj.cli``, loading a config and every
+command that builds no array load none of the ``inspect``, ``ast``, ``dis``
+and ``tokenize`` it would load; numpy itself brings those in.
 """
 
 from contextlib import redirect_stdout
@@ -143,7 +143,7 @@ def test_monte_carlo_summary_loads_no_masked_arrays(monte_carlo_loaded):
                    for name in monte_carlo_loaded)
 
 
-# What importing dataclasses loads; no short query needs any of it.
+# What importing dataclasses loads; no command without numpy needs any of it.
 _DATACLASSES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 _SETUP = """
 import sys
@@ -159,6 +159,12 @@ sys.stderr.write(" ".join(sys.modules))
     [
         ("resistance", "--pattern", "0101"),
         ("voltage", "--pattern", "00010", "--borders", "same,differ"),
+        ("levels", "--domains", "8", "--format", "json"),
+        ("margin", "--domains", "7"),
+        ("margin", "--domains", "9", "--borders", "worst", "--format", "csv"),
+        ("margin", "--domains", "30", "--closed-form"),
+        ("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20"),
+        ("variation", "--domains", "4", "--offset-nm", "3"),
     ],
 )
 def test_short_queries_build_no_dataclass(fresh_python, argv):
@@ -166,6 +172,17 @@ def test_short_queries_build_no_dataclass(fresh_python, argv):
     assert code == 0
     assert "mdmtj.network" in err.split()
     assert set(err.split()) & _DATACLASSES == set()
+
+
+def test_monte_carlo_builds_no_dataclass(monte_carlo_loaded):
+    assert "dataclasses" not in monte_carlo_loaded
+
+
+def test_oracle_runs_build_no_dataclass(fresh_python):
+    code, _, err = fresh_python(_MODULES_AFTER, "levels", "--domains", "6", "--oracle")
+    assert code == 0
+    assert {"mdmtj.oracle", "numpy"} <= set(err.split())
+    assert "dataclasses" not in err.split()
 
 
 def test_import_and_config_load_build_no_dataclass(fresh_python, tmp_path):

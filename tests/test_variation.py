@@ -3,16 +3,14 @@
 import itertools
 import math
 import struct
-from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj import _sampler, oracle, variation
-from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, WALL, SegmentKind
+from mdmtj.characterization import DOMAIN, HALF_WALL, KINDS, SegmentKind
 from mdmtj.errors import DomainCountTooLarge, OffsetOutOfRange, UsageError
 from mdmtj.margins import _kind_ohms, _side_scan, enumerate_levels
 from mdmtj.network import ALL_CONDITIONS, MAX_DOMAINS, BitPattern, BorderCondition, decompose
@@ -315,30 +313,10 @@ def test_engine_evaluates_a_group_once_when_its_candidates_coincide(
     assert len(calls) == evaluated
 
 
-def _factors(count):
-    # up to +-10 % of each default value, in steps of 0.1 %
-    return st.lists(st.integers(900, 1100), min_size=count, max_size=count)
-
-
-@st.composite
-def _perturbed_tables(draw, char):
-    """Default resistances moved by up to +-10 % within the table invariants,
-    walls and half-walls unequal."""
-    values = [
-        char.table.exact(kind) * Fraction(factor, 1000)
-        for kind, factor in zip(KINDS, draw(_factors(len(KINDS))))
-    ]
-    for row in DOMAIN:  # keep full < mid < short; plus stays above minus
-        values[row[0] : row[-1] + 1] = sorted(values[row[0] : row[-1] + 1])
-    assume(all(values[a] != values[b] for a, b in ((0, 1), (1, 2), (3, 4), (4, 5))))
-    assume(values[WALL[0]] != values[WALL[1]] and values[HALF_WALL[0]] != values[HALF_WALL[1]])
-    return char.replace(table=char.table.replace(dict(zip(KINDS, values))))
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), domains=st.integers(1, 8))
-def test_engine_matches_oracle_on_perturbed_tables(char, data, domains):
-    perturbed = data.draw(_perturbed_tables(char))
+def test_engine_matches_oracle_on_perturbed_tables(perturbed_tables, data, domains):
+    perturbed = data.draw(perturbed_tables)
     offsets = _boundary_offsets(perturbed)
     for borders in ALL_CONDITIONS:
         for assumption in (ZERO, ONE, WORST):
@@ -360,10 +338,10 @@ def test_engine_matches_oracle_on_perturbed_tables(char, data, domains):
         min_size=1, max_size=2,
     ),
 )
-def test_float_and_array_passes_agree_bitwise(char, data, domains, subnormals):
+def test_float_and_array_passes_agree_bitwise(perturbed_tables, data, domains, subnormals):
     # one float pass per magnitude against one vectorized pass over all of
     # them, on the same edge groups: any step that differs shows in the last bit
-    perturbed = data.draw(_perturbed_tables(char))
+    perturbed = data.draw(perturbed_tables)
     magnitudes = [m for m in _boundary_offsets(perturbed).tolist() if m > 0.0] + subnormals
     ohms = _kind_ohms(perturbed.table)
     for borders in ALL_CONDITIONS:
@@ -507,7 +485,7 @@ def test_monte_carlo_spec_validation():
 
 @pytest.mark.parametrize("name", ["sigma", "truncation"])
 def test_monte_carlo_refuses_a_nan_spread(char, same_same, name):
-    spec = replace(MonteCarloSpec(samples=10, seed=1), **{name: math.nan})
+    spec = MonteCarloSpec(samples=10, seed=1).replace(**{name: math.nan})
     with pytest.raises(UsageError, match=name):
         monte_carlo_margins(2, same_same, spec, char)
 
@@ -584,12 +562,12 @@ def test_monte_carlo_is_deterministic(char, same_same):
 
 def test_monte_carlo_reports_compare_every_sample_bitwise(char, same_same):
     report = monte_carlo_margins(4, same_same, MonteCarloSpec(samples=50, seed=42), char)
-    assert report == replace(report, offsets=report.offsets.copy())
+    assert report == report.replace(offsets=report.offsets.copy())
     assert not report.offsets.flags.writeable and not report.margins.flags.writeable
     for name in ("offsets", "margins"):
         moved = getattr(report, name).copy()
         moved[37] = np.nextafter(moved[37], np.inf)
-        assert report != replace(report, **{name: moved}), name
+        assert report != report.replace(**{name: moved}), name
 
 
 def test_monte_carlo_stats_match_the_samples(char, same_same):
