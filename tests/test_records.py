@@ -60,7 +60,7 @@ _METADATA = (
 _SAME_DIFFER = "BorderCondition(left=<Border.SAME: 'same'>, right=<Border.DIFFER: 'differ'>)"
 _ENTRY = "ClassEntry(representative='0011', multiplicity=2, resistance=1234.5, voltage=0.0625)"
 _WORST = "<NeighborAssumption.WORST: 'worst'>"
-_SAME_DIFFER_BORDERS = BorderCondition(Border.SAME, Border.DIFFER)
+_BORDERS = BorderCondition(Border.SAME, Border.DIFFER)  # its repr is _SAME_DIFFER
 _ONE, _WORST_NEIGHBOR = NeighborAssumption.ONE, NeighborAssumption.WORST
 
 # (record, its repr, a field and another value for it)
@@ -75,11 +75,7 @@ RECORDS = {
         "drive", DriveParams(1e10),
     ),
     "pattern": (BitPattern((0, 1, 1)), "BitPattern(bits=(0, 1, 1))", "bits", (1, 0)),
-    "borders": (
-        BorderCondition(Border.SAME, Border.DIFFER),
-        "BorderCondition(left=<Border.SAME: 'same'>, right=<Border.DIFFER: 'differ'>)",
-        "right", Border.SAME,
-    ),
+    "borders": (_BORDERS, _SAME_DIFFER, "right", Border.SAME),
     "result": (
         cli._Result("resistance", {}, str),
         "_Result(command='resistance', arguments={}, table=<class 'str'>, head={},"
@@ -104,7 +100,7 @@ RECORDS = {
         "MarginReport(domains=2, borders=None, read_current=1e-06, clusters=(),"
         " adjacent_margins=(), min_margin=0.0021, min_margin_pair=(1, 2),"
         " distinguishable_levels=3)",
-        "borders", _SAME_DIFFER_BORDERS,
+        "borders", _BORDERS,
     ),
     "sweep row": (
         SweepRow(5, 0.003, None),
@@ -112,7 +108,7 @@ RECORDS = {
         "enumerated_margin", 0.003,
     ),
     "sweep report": (
-        SweepReport(2, 3, 0.0042, _SAME_DIFFER_BORDERS, (SweepRow(2, 0.01, 0.01),), None),
+        SweepReport(2, 3, 0.0042, _BORDERS, (SweepRow(2, 0.01, 0.01),), None),
         f"SweepReport(d_min=2, d_max=3, threshold=0.0042, borders={_SAME_DIFFER},"
         " rows=(SweepRow(domains=2, closed_form_margin=0.01, enumerated_margin=0.01),),"
         " max_scalable_domains=None)",
@@ -124,7 +120,7 @@ RECORDS = {
         "offset", -5.5e-9,
     ),
     "offset report": (
-        OffsetReport(4, _SAME_DIFFER_BORDERS, 3e-9, NeighborAssumption.ZERO, _WORST_NEIGHBOR,
+        OffsetReport(4, _BORDERS, 3e-9, NeighborAssumption.ZERO, _WORST_NEIGHBOR,
                      0.02, (0.019, 0.0185), 0.0185, 0.0015),
         f"OffsetReport(domains=4, borders={_SAME_DIFFER}, offset=3e-09,"
         f" left_neighbor=<NeighborAssumption.ZERO: '0'>, right_neighbor={_WORST},"
@@ -138,7 +134,7 @@ RECORDS = {
         "seed", 2,
     ),
     "monte carlo report": (
-        MonteCarloReport(4, _SAME_DIFFER_BORDERS, MonteCarloSpec(2, 1), _ONE, _WORST_NEIGHBOR,
+        MonteCarloReport(4, _BORDERS, MonteCarloSpec(2, 1), _ONE, _WORST_NEIGHBOR,
                          0.02, 0.0195, 0.0002, 0.019, 0.0191,
                          np.array([0.0, -0.0]), np.array([0.02, np.nan])),
         f"MonteCarloReport(domains=4, borders={_SAME_DIFFER}, spec=MonteCarloSpec(samples=2,"
