@@ -96,6 +96,16 @@ MULTI_CHUNK_DIGESTS = {
 }
 
 
+# Large class listings, pinned by the sha256 of their output: every class
+# row of the D = 30 listing in JSON and of a D = 24 listing in CSV
+LARGE_LISTING_DIGESTS = {
+    ("levels", "--domains", "30", "--borders", "same,same", "--format", "json"):
+        "2f9aeec7cc9d3243835dbcd7e03301511945c5f27524f48c21d4cf6ab22d523c",
+    ("levels", "--domains", "24", "--borders", "differ,same", "--format", "csv"):
+        "1570a982ec1f9f55fb351c451240d4a0bbab9f6ccfc34661e90e21275d79b706",
+}
+
+
 def _run(argv: tuple[str, ...]) -> tuple[int, str]:
     buffer = StringIO()
     with redirect_stdout(buffer):
@@ -135,6 +145,13 @@ def test_multi_chunk_monte_carlo_matches_digest(fmt):
     code, out = _run((*MULTI_CHUNK_ARGV, "--format", fmt))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == MULTI_CHUNK_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_LISTING_DIGESTS), ids=" ".join)
+def test_large_class_listing_matches_digest(argv):
+    code, out = _run(argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_LISTING_DIGESTS[argv]
 
 
 def test_cases_but_monte_carlo_match_golden_without_numpy(fresh_cli):
