@@ -12,12 +12,14 @@ drifts slows every checkout alike. Per checkout the file holds one run:
   ``worst_case_levels``, ``sweep_domains`` (from 2),
   ``min_margins_for_offsets`` (a list of 3 offsets, and an array of 16,384)
   and ``pattern_resistance`` (1,000 seeded words, one call each) at D = 5,
-  12 and 30, on the default table, ``sample_offsets`` for
-  10,000 and 1,000,000 samples at seed 1, and the emitter alone
-  (``cli._text``, in CSV and in JSON) on a ``variation --domains 12
-  --monte-carlo N --seed 1`` result for the same two N, each timed once per
-  round in a fresh process after one warm-up call (which also builds the
-  emitter's result, through the checkout's own parser and handler);
+  12 and 30, on the default table, the listing scan ``margins._list_banks``
+  alone at D = 12 and 30, ``sample_offsets`` for 10,000 and 1,000,000
+  samples at seed 1, and the emitter alone (``cli._text``, in CSV and in
+  JSON) on a ``variation --domains 12 --monte-carlo N --seed 1`` result for
+  the same two N and, in JSON, on a ``levels --domains 30`` result, each
+  timed once per round in a fresh process after one warm-up call (which
+  also builds the emitter's result, through the checkout's own parser and
+  handler);
 - command-line rows, each spawned once per round with wall time and peak
   RSS from ``os.wait4`` and a digest of its standard output: the six job
   kinds of the benchmark workload ``enumerate-d30``, the five of
@@ -82,8 +84,10 @@ SAMPLES = (10_000, 1_000_000)  # sample_offsets and emission sizes
 # (call, size label, size) of each in-process row, in the order they run
 IN_PROCESS_ROWS = [
     *((name, "D", domains) for name in CALLS for domains in DOMAINS),
+    *(("_list_banks", "D", domains) for domains in DOMAINS[1:]),
     *(("sample_offsets", "N", samples) for samples in SAMPLES),
     *((f"cli._text[{fmt}]", "N", samples) for fmt in ("csv", "json") for samples in SAMPLES),
+    ("cli._text[json] levels", "D", DOMAINS[-1]),
 ]
 
 # Runs in a fresh process on the checkout's src: times each call once,
@@ -108,14 +112,17 @@ words = {size: [format(rng.getrandbits(size), f"0{size}b") for _ in range(1000)]
 results = {}
 
 
-def emit(fmt, samples):
+def emit(fmt, *argv):
     # the warm-up call builds the result; the timed call only drains the emitter
-    if samples not in results:
-        args = cli.build_parser().parse_args(
-            ["variation", "--domains", "12", "--monte-carlo", str(samples), "--seed", "1"])
-        results[samples] = args.handler(args, char)
-    for _ in cli._text(results[samples], char, fmt):
+    if argv not in results:
+        args = cli.build_parser().parse_args(argv)
+        results[argv] = args.handler(args, char)
+    for _ in cli._text(results[argv], char, fmt):
         pass
+
+
+def monte_carlo(samples):
+    return "variation", "--domains", "12", "--monte-carlo", str(samples), "--seed", "1"
 
 
 calls = {
@@ -129,10 +136,12 @@ calls = {
         d, same_differ, spread, worst, worst, char),
     "pattern_resistance[1000]": lambda d: [
         network.pattern_resistance(word, same_differ, char) for word in words[d]],
+    "_list_banks": lambda d: margins._list_banks(d, same_same),
     "sample_offsets": lambda n: variation.sample_offsets(
         variation.MonteCarloSpec(samples=n, seed=1)),
-    "cli._text[csv]": lambda n: emit("csv", n),
-    "cli._text[json]": lambda n: emit("json", n),
+    "cli._text[csv]": lambda n: emit("csv", *monte_carlo(n)),
+    "cli._text[json]": lambda n: emit("json", *monte_carlo(n)),
+    "cli._text[json] levels": lambda d: emit("json", "levels", "--domains", str(d)),
 }
 times = {}
 for name, label, size in rows:

@@ -234,10 +234,13 @@ def _csv_cells(column: _Column, values: Sequence[Any]) -> list[str]:
 
 
 def _json_cells(column: _Column, values: Sequence[Any]) -> list[str]:
-    # what json.dumps prints: repr for an int or a finite float
+    # what json.dumps prints: repr for an int or a finite float, and for a
+    # str the escaper json.dumps calls with its default arguments
     import json
 
     if isinstance(column, str):
+        if all(type(value) is str for value in values):
+            return list(map(json.encoder.encode_basestring_ascii, values))
         return [repr(value) if type(value) is int else json.dumps(value) for value in values]
     _, scale, decimals = column
     return ["null" if value is None else repr(round(value * scale, decimals)) for value in values]
@@ -265,7 +268,9 @@ def _row_chunks(result: _Result, fmt: str, template: str, separator: str) -> Ite
             cells(column, part.tolist() if hasattr(part, "tolist") else part)
             for column, part in zip(result.columns, parts)
         ]
-        yield separator.join(map(template.__mod__, zip(*columns)))
+        text = separator.join(map(template.__mod__, zip(*columns)))
+        del columns  # the cells go before the text is written
+        yield text
 
 
 def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
@@ -298,7 +303,8 @@ def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
     if first is None:
         yield before + "[]" + after
         return
-    yield before + "[\n" + first
+    yield before + "[\n"  # not joined to the rows: no second copy of them
+    yield first
     for chunk in chunks:
         yield ",\n" + chunk
     yield "\n  ]" + after

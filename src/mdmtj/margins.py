@@ -20,8 +20,14 @@ into one integer each. The scan runs in two modes:
   domain is closed (``_side_scan``).
 - Listing, ``_list_banks``. Under one border condition, a state also fixes
   the bank of its prefix, so nothing is pruned; it keeps its pattern count
-  and its lex-smallest prefix. The completed banks fold into the classes of
-  ``enumerate_levels``.
+  and its lex-smallest prefix. The last bit is appended and the window
+  closed in one pass over the states of D - 1 bits, straight into the
+  banks. Those states are visited in ascending order of their lex-smallest
+  prefix A, and A·0 comes before A·1; A < B implies A·1 < B·0, so the words
+  come in ascending order and each bank is first reached by its
+  lex-smallest word. ``enumerate_levels`` folds the banks into its classes
+  in packed form: weight, class key and conductance each come from integer
+  fields and per-kind tables, with no bank unpacked.
 
 Both modes check their population against C(D, w) with a raise, not an
 assert, so the check also runs under ``python -O``. ``oracle`` keeps the
@@ -37,7 +43,6 @@ field-for-field report equality a meaningful check.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Sequence
 
 from .characterization import (
@@ -62,9 +67,6 @@ from .network import (
 # above this the sweep leaves the enumerated column blank; the closed form
 # carries the scaling story alone
 SWEEP_ENUMERATION_LIMIT = 20
-
-_NON_WALLS = itemgetter(*(i for i in range(len(KINDS)) if i not in WALL))
-_WALLS = itemgetter(*WALL)
 
 # (weight, edge domain kind index, half-wall kind index or None) -> the
 # smallest and largest conductance of the bank left once those two segments
@@ -118,18 +120,6 @@ class MarginReport(_Record):
 def _kind_ohms(table: SegmentResistanceTable) -> list[float]:
     """The table's resistances in kind order, to build once per report."""
     return [table.ohms(kind) for kind in KINDS]
-
-
-def equivalence_key(bank: tuple[int, ...]) -> tuple:
-    """Key grouping segment-count banks that are equal up to wall direction.
-
-    The key is the non-wall counts in kind order plus the sorted wall-count
-    pair. Sorting the pair folds the two transition directions together, so
-    a word and its reversal share a class; their resistances agree exactly
-    when the wall count is even and to within the small 01/10
-    characterization split when it is odd.
-    """
-    return _NON_WALLS(bank) + (tuple(sorted(_WALLS(bank))),)
 
 
 def _check_domain_count(domains: int) -> None:
@@ -190,11 +180,6 @@ def _exact_units(ohms: Sequence[float], longest: int) -> tuple[list[int], int]:
 def _packed(kinds: Sequence[int]) -> int:
     """One segment of each of ``kinds``, packed."""
     return sum(1 << (_FIELD * kind) for kind in kinds)
-
-
-def _unpacked(bank: int) -> tuple[int, ...]:
-    """A packed bank's counts in kind order."""
-    return tuple((bank >> (_FIELD * kind)) & _FIELD_MASK for kind in range(len(KINDS)))
 
 
 def _segments(walls: Sequence[int], rights: Sequence[bool]) -> tuple[list, list]:
@@ -383,10 +368,15 @@ def _list_banks(domains: int, borders: BorderCondition) -> dict[int, list[int]]:
     end in the same new bit, so when the old states are visited in ascending
     order of their lex-smallest prefix, the new states are created in that
     order too and the first prefix to reach a state is its smallest (at
-    equal length, integer order is lex order).
+    equal length, integer order is lex order). The last bit is appended and
+    the window closed in one pass over the states of D - 1 bits, straight
+    into the banks: each state's smallest prefix A gives A·0, then A·1, and
+    A < B implies A·1 < B·0, so the words come in ascending order as well.
     """
     differ = borders.left is Border.DIFFER
     moves, ends = _segments(WALL, (borders.right is Border.DIFFER,))
+    # the (last bit, walled) pair in a key's low two bits, by their value
+    lasts = [(bit, walled) for bit in (0, 1) for walled in (0, 1)]
     # steps[bit << 1 | walled][new]: what appending ``new`` adds to a key
     steps = [
         [
@@ -394,12 +384,18 @@ def _list_banks(domains: int, borders: BorderCondition) -> dict[int, list[int]]:
             - (bit << 1 | walled)
             for new in (0, 1)
         ]
-        for bit in (0, 1)
-        for walled in (0, 1)
+        for bit, walled in lasts
     ]
+    # closing[bit << 1 | walled]: what closing the window adds to a key's bank
+    closing = [_packed(ends[bit][walled][0]) for bit, walled in lasts]
     counts = {_packed([HALF_WALL[bit]] * differ) << 2 | bit << 1 | differ: 1 for bit in (0, 1)}
     firsts = [0, 1]
-    for _ in range(domains - 1):
+    if domains == 1:
+        return {
+            (key >> 2) + closing[key & 3]: [patterns, first]
+            for (key, patterns), first in zip(counts.items(), firsts)
+        }
+    for _ in range(domains - 2):
         grown: dict[int, int] = {}
         grown_firsts = []
         # both new bits spelled out: a loop over them costs about 30 % more
@@ -418,13 +414,24 @@ def _list_banks(domains: int, borders: BorderCondition) -> dict[int, list[int]]:
             else:
                 grown[key + one] = total + patterns
         counts, firsts = grown, grown_firsts
-    closing = [_packed(ends[bit][walled][0]) for bit in (0, 1) for walled in (0, 1)]
+    # finals[bit << 1 | walled][new]: what appending ``new`` and closing the
+    # window adds to a key's bank
+    finals = [
+        [_packed(moves[bit][walled][new]) + closing[new << 1 | (bit != new)] for new in (0, 1)]
+        for bit, walled in lasts
+    ]
     banks: dict[int, list[int]] = {}
     for (key, patterns), first in zip(counts.items(), firsts):
-        bank = (key >> 2) + closing[key & 3]
-        entry = banks.get(bank)
+        zero, one = finals[key & 3]
+        key >>= 2
+        entry = banks.get(key + zero)
         if entry is None:
-            banks[bank] = [patterns, first]
+            banks[key + zero] = [patterns, first << 1]
+        else:
+            entry[0] += patterns
+        entry = banks.get(key + one)
+        if entry is None:
+            banks[key + one] = [patterns, first << 1 | 1]
         else:
             entry[0] += patterns
     return banks
@@ -441,24 +448,47 @@ def enumerate_levels(
     per-class resistance is that of the lex-smallest member. Cluster extremes
     are taken over the direction-sensitive banks, so they are true pattern
     extremes. One listing scan (``_list_banks``) gives every distinct bank.
+
+    Each bank is read in its packed form. Its weight is the sum of its
+    counts of 1-domains (``DOMAIN[1]``). Its class key is the bank with its
+    two wall counts in ascending order: that folds the two transition
+    directions together, so a word and its reversal share a class; their
+    resistances agree exactly when the wall count is even and to within the
+    small 01/10 characterization split when it is odd. Its conductance adds
+    each kind's count/ohms, looked up in a table of one division per count,
+    in kind order from 0.0: the same float sum as
+    ``network.bank_conductance``.
     """
     _check_domain_count(domains)
-    ohms = _kind_ohms(char.table)
+    # (shift, count/ohms for every count a field holds) per kind, in kind order
+    quotients = [
+        (_FIELD * kind, [count / r for count in range(_FIELD_MASK + 1)])
+        for kind, r in enumerate(_kind_ohms(char.table))
+    ]
+    full, mid, short = (_FIELD * kind for kind in DOMAIN[1])
+    low_wall, high_wall = (_FIELD * kind for kind in WALL)
+    # adding this moves one count from the low wall field to the high one
+    swap = (1 << high_wall) - (1 << low_wall)
     by_weight_count = [0] * (domains + 1)
     g_low = [math.inf] * (domains + 1)
     g_high = [0.0] * (domains + 1)
-    # equivalence key -> [multiplicity, weight, lex-smallest member, its conductance]
-    folded: dict[tuple, list] = {}
+    # class key -> [multiplicity, weight, lex-smallest member, its conductance]
+    folded: dict[int, list] = {}
     for bank, (patterns, first) in _list_banks(domains, borders).items():
-        counts = _unpacked(bank)
-        weight = sum(counts[kind] for kind in DOMAIN[1])
-        g = _packed_conductance(bank, ohms)
+        weight = (
+            (bank >> full & _FIELD_MASK) + (bank >> mid & _FIELD_MASK)
+            + (bank >> short & _FIELD_MASK)
+        )
+        g = 0.0
+        for shift, quotient in quotients:
+            g += quotient[bank >> shift & _FIELD_MASK]
         by_weight_count[weight] += patterns
         if g < g_low[weight]:
             g_low[weight] = g
         if g > g_high[weight]:
             g_high[weight] = g
-        key = equivalence_key(counts)
+        excess = (bank >> low_wall & _FIELD_MASK) - (bank >> high_wall & _FIELD_MASK)
+        key = bank + excess * swap if excess > 0 else bank
         entry = folded.get(key)
         if entry is None:  # banks come lex-smallest member first
             folded[key] = [patterns, weight, first, g]
@@ -466,16 +496,22 @@ def enumerate_levels(
             entry[0] += patterns
     _check_population(domains, by_weight_count)
 
-    current = char.drive.read_current(domains, char.geometry)
-    classes_by_weight: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
+    # (resistance, representative, multiplicity) per weight: representatives
+    # are unique, and at equal length integer order is lex order, so the
+    # plain tuple sort is the order by resistance, then representative
+    listings: list[list] = [[] for _ in range(domains + 1)]
     for mult, weight, first, g in folded.values():
-        resistance = 1.0 / g
-        classes_by_weight[weight].append(
-            ClassEntry(format(first, f"0{domains}b"), mult, resistance, current * resistance)
-        )
-    for entries in classes_by_weight:
-        entries.sort(key=lambda c: (c.resistance, c.representative))
-    return _report(domains, borders, char, by_weight_count, g_low, g_high, classes_by_weight)
+        listings[weight].append((1.0 / g, first, mult))
+    del folded
+    current = char.drive.read_current(domains, char.geometry)
+    width = f"0{domains}b"
+    for listing in listings:
+        listing.sort()
+        listing[:] = [
+            ClassEntry(format(first, width), mult, resistance, current * resistance)
+            for resistance, first, mult in listing
+        ]
+    return _report(domains, borders, char, by_weight_count, g_low, g_high, listings)
 
 
 def _report(

@@ -68,6 +68,42 @@ def perturbed_tables(char):
     return _perturbed_tables(char)
 
 
+def _cached(reference):
+    """``reference(domains, borders, char)``, computed once per session for
+    each window, border condition and characterization. A table compares by
+    its exact values but has no hash, so those values stand in for it; the
+    read current also takes the geometry and the drive."""
+    results = {}
+
+    def get(domains, borders, char):
+        table = tuple(char.table.exact(kind) for kind in KINDS)
+        key = (domains, borders, table, char.geometry, char.drive)
+        if key not in results:
+            results[key] = reference(domains, borders, char)
+        return results[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def walked():
+    """walked(domains, borders, char) -> the run-structure walk's report and
+    left and right edge groups (``oracle.walk_reference``), shared by the
+    session."""
+    from mdmtj.oracle import walk_reference
+
+    return _cached(walk_reference)
+
+
+@pytest.fixture(scope="session")
+def brute_forced():
+    """brute_forced(domains, borders, char) -> ``oracle.brute_force_report``,
+    shared by the session."""
+    from mdmtj.oracle import brute_force_report
+
+    return _cached(brute_force_report)
+
+
 @pytest.fixture(scope="session")
 def same_same():
     return BorderCondition.parse("same,same")

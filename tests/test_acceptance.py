@@ -19,7 +19,6 @@ from mdmtj.margins import (
 )
 from mdmtj.network import ALL_CONDITIONS, pattern_resistance
 from mdmtj.oracle import (
-    brute_force_report,
     distinct_resistance_classes,
     rational_pattern_resistance,
     symmetry_sweep,
@@ -112,10 +111,10 @@ def test_criterion_06_clusters_separate_and_margins_grow(char):
             assert report.distinguishable_levels == domains + 1
 
 
-def test_criterion_07_oracle_equivalence(char, differ_differ, same_same):
+def test_criterion_07_oracle_equivalence(char, differ_differ, same_same, brute_forced):
     for domains in range(1, 13):
         for borders in ALL_CONDITIONS:
-            assert brute_force_report(domains, borders, char) == enumerate_levels(
+            assert brute_forced(domains, borders, char) == enumerate_levels(
                 domains, borders, char
             ), (domains, borders)
             for value in range(2**domains):

@@ -105,3 +105,25 @@ def test_runs_of_one_file_are_compared_round_by_round(tmp_path, capsys):
     assert compare.main([str(same), str(slower)]) == 0
     out = capsys.readouterr().out
     assert "paired" not in out and out.endswith(", within spread\n")
+
+
+def test_command_line_rows_are_also_read_against_the_import_control(tmp_path, capsys):
+    # the host drifted while the change ran: every command-line row, the
+    # import alone included, shows it, and the quotient of a row's ratio by
+    # the import's in the same round takes it out
+    drift = [1.0, 1.2, 1.1, 1.3, 0.9, 1.0, 1.2]
+    runs = []
+    for label, speed in (("parent", 1.0), ("change", 0.5)):
+        rows = []
+        for name, base, factor in (("mdmtj levels", 0.4, speed), ("import mdmtj.cli", 0.1, 1.0)):
+            samples = [base * factor * (host if label == "change" else 1.0) for host in drift]
+            q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+            rows.append({"kind": "cli", "name": name, "median": median, "q1": q1, "q3": q3,
+                         "samples": samples, "peak_rss_mb": 20.0, "stdout_sha256": "0"})
+        runs.append({"label": label, "rows": rows})
+    path = tmp_path / "BENCH_1.json"
+    path.write_text(json.dumps({"rounds": len(drift), "seed": 1, "runs": runs}))
+    assert _compare().main([str(path)]) == 0
+    levels, control = capsys.readouterr().out.splitlines()[1:]
+    assert ", paired ratio 0.550 (0.500-0.600), over import mdmtj.cli 0.500 (0.500-0.500);" in levels
+    assert "over import" not in control

@@ -231,22 +231,6 @@ def tables(char):
     }
 
 
-@pytest.fixture(scope="module")
-def walked(tables):
-    """walked(domains, borders, table name) -> the run-structure walk's
-    report and left and right edge groups (``oracle.walk_reference``),
-    computed once per module."""
-    references = {}
-
-    def get(domains, borders, name):
-        key = (domains, borders, name)
-        if key not in references:
-            references[key] = walk_reference(domains, borders, tables[name])
-        return references[key]
-
-    return get
-
-
 def test_worst_case_levels_mixes_conventions(tables, walked):
     # the one scan that mixes both left and both right borders; the tied
     # tables keep several banks per state, so they reach its pruning
@@ -255,7 +239,7 @@ def test_worst_case_levels_mixes_conventions(tables, walked):
         worst = worst_case_levels(domains, tables[name])
         assert worst.borders is None
         assert worst.convention_label == "worst"
-        per_conv = [walked(domains, borders, name)[0] for borders in ALL_CONDITIONS]
+        per_conv = [walked(domains, borders, tables[name])[0] for borders in ALL_CONDITIONS]
         for weight in range(domains + 1):
             lows = [r.clusters[weight].min_resistance for r in per_conv]
             highs = [r.clusters[weight].max_resistance for r in per_conv]
@@ -278,7 +262,7 @@ def test_cluster_extremes_are_the_listed_report_without_classes(tables, walked, 
     for name in names:
         char = tables[name]
         for borders in conditions:
-            report, groups = walked(domains, borders, name)
+            report, groups = walked(domains, borders, char)
             assert enumerate_levels(domains, borders, char) == report
             bare = report.replace(clusters=tuple(c.replace(classes=()) for c in report.clusters))
             assert cluster_extremes(domains, borders, char) == bare

@@ -16,7 +16,6 @@ from mdmtj.characterization import (
     default_characterization,
 )
 from mdmtj.errors import PatternError
-from mdmtj.margins import equivalence_key
 from mdmtj.network import (
     ALL_CONDITIONS,
     MAX_DOMAINS,
@@ -28,7 +27,7 @@ from mdmtj.network import (
     pattern_resistance,
     pattern_voltage,
 )
-from mdmtj.oracle import rational_pattern_resistance
+from mdmtj.oracle import _canonical_key, rational_pattern_resistance
 
 patterns = st.text(alphabet="01", min_size=1, max_size=12)
 conditions = st.sampled_from(ALL_CONDITIONS)
@@ -169,7 +168,9 @@ def test_pattern_helpers_accept_strings(char, same_same):
 
 
 def _key(bits: str, borders: BorderCondition) -> tuple:
-    return equivalence_key(decompose(BitPattern.parse(bits), borders))
+    # the class key: non-wall counts and the sorted wall-count pair, which
+    # folds the two transition directions together
+    return _canonical_key(decompose(BitPattern.parse(bits), borders))
 
 
 def _reversed(borders: BorderCondition) -> BorderCondition:

@@ -99,10 +99,10 @@ def test_library_and_flag_refusals_are_worded_apart(char, same_same):
         assert str(refusal.value) == "--oracle cross-checks stop at 12 domains"
 
 
-def test_brute_force_equals_enumeration(char):
+def test_brute_force_equals_enumeration(char, brute_forced):
     for domains in (1, 2, 5, 9):
         for borders in ALL_CONDITIONS:
-            assert brute_force_report(domains, borders, char) == enumerate_levels(
+            assert brute_forced(domains, borders, char) == enumerate_levels(
                 domains, borders, char
             )
 

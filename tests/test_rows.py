@@ -1,5 +1,6 @@
 """Array row formatting against the list path, cell by cell."""
 
+import json
 import math
 
 import numpy as np
@@ -59,6 +60,17 @@ def test_range_cells_match_the_list_path(fmt, start, length, step):
     values = range(start, start + length * step, step)
     block = _rows.cell_block("index", values, fmt, CELLS[fmt])
     assert _texts(block) == CELLS[fmt]("index", values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.one_of(
+    st.lists(st.text(), min_size=1, max_size=20),
+    st.lists(st.one_of(st.text(), st.integers(), st.booleans(), st.none()), min_size=1,
+             max_size=20),
+))
+def test_named_json_cells_are_what_json_dumps_prints(values):
+    # a column of text alone takes the escaper json.dumps itself calls
+    assert cli._json_cells("name", values) == [json.dumps(value) for value in values]
 
 
 def test_typical_cells_need_no_fallback(monkeypatch):
