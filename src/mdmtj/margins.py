@@ -502,16 +502,16 @@ def enumerate_levels(
     listings: list[list] = [[] for _ in range(domains + 1)]
     for mult, weight, first, g in folded.values():
         listings[weight].append((1.0 / g, first, mult))
-    del folded
     current = char.drive.read_current(domains, char.geometry)
     width = f"0{domains}b"
+    classes_by_weight = []
     for listing in listings:
         listing.sort()
-        listing[:] = [
+        classes_by_weight.append([
             ClassEntry(format(first, width), mult, resistance, current * resistance)
             for resistance, first, mult in listing
-        ]
-    return _report(domains, borders, char, by_weight_count, g_low, g_high, listings)
+        ])
+    return _report(domains, borders, char, by_weight_count, g_low, g_high, classes_by_weight)
 
 
 def _report(
