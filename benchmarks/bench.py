@@ -19,7 +19,8 @@ drifts slows every checkout alike. Per checkout the file holds one run:
   the same two N and, in JSON, on a ``levels --domains 30`` result, each
   timed once per round in a fresh process after one warm-up call (which
   also builds the emitter's result, through the checkout's own parser and
-  handler);
+  handler) and a full garbage collection, so a timed call pays only for
+  the collections its own objects set off;
 - command-line rows, each spawned once per round with wall time and peak
   RSS from ``os.wait4`` and a digest of its standard output: the six job
   kinds of the benchmark workload ``enumerate-d30``, the five of
@@ -37,8 +38,12 @@ not gated; ``benchmarks/compare.py`` prints each row's ratio against an
 earlier run. Children run with ``SOURCE_DATE_EPOCH=0`` (byte-identical
 output) and ``PYTHONDONTWRITEBYTECODE=1`` (no bytecode cache written into a
 checkout, so every process compiles from source). On Linux a child's
-``ru_maxrss`` starts from the spawning process's resident size, so the
-digests are read in blocks and this script stays far smaller than any job.
+``ru_maxrss`` starts from the spawning process's resident size, and this
+script is not small: every short job's row reads about 24.4 MB, the
+script's own size, where a bare ``import mdmtj.cli`` process peaks at
+16.1 MB (VmHWM). A job smaller than the script reads as the script; only
+larger jobs (``levels`` at D = 30, the Monte Carlo runs) show their own
+peak. The digests are read in blocks, so the outputs do not add to it.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ IN_PROCESS_ROWS = [
 # Runs in a fresh process on the checkout's src: times each call once,
 # after one untimed call, and prints {"<call> <D or N>=<size>": seconds}.
 _IN_PROCESS = """
-import json, random, sys, time
+import gc, json, random, sys, time
 import numpy as np
 from mdmtj import cli, margins, network, variation
 from mdmtj.characterization import default_characterization
@@ -146,6 +151,9 @@ calls = {
 times = {}
 for name, label, size in rows:
     calls[name](size)
+    # else a full collection lands in whichever row's call crosses the
+    # threshold, wherever the garbage came from
+    gc.collect()
     start = time.perf_counter()
     calls[name](size)
     times[f"{name} {label}={size}"] = time.perf_counter() - start

@@ -29,10 +29,20 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import ConfigInvariantError, ConfigParseError
+from .errors import ConfigInvariantError, ConfigParseError, DomainCountTooLarge, DomainCountTooSmall
 
 # largest window any analysis accepts; patterns and reports stop here
 MAX_DOMAINS = 30
+
+
+def check_domain_count(domains: int, floor: int = 1) -> None:
+    """The one refusal of a window length: an analysis accepts ``floor``
+    (1, or 2 where it needs a 0/1 gap) to MAX_DOMAINS domains."""
+    if domains < floor:
+        plural = "s" if floor > 1 else ""
+        raise DomainCountTooSmall(f"need at least {floor} domain{plural}, got {domains}")
+    if domains > MAX_DOMAINS:
+        raise DomainCountTooLarge(f"domain count {domains} exceeds limit {MAX_DOMAINS}")
 
 
 class SegmentKind(enum.Enum):

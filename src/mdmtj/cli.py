@@ -11,7 +11,7 @@ on first use, and ``json`` and ``datetime`` load only for CSV/JSON output.
 With the hidden ``--oracle`` flag, a handler also passes its result to one
 check of ``oracle``, imported on that path only, which recomputes the
 result by brute force and raises on any disagreement, or refuses above 12
-domains (``oracle.check_limit``).
+domains (``oracle.check_limit``, after the analyses' own domain range).
 
 Each subcommand handler returns one ``_Result``; a single emitter writes it
 as a table, CSV or JSON. Machine-readable outputs (CSV/JSON) embed a run
@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from decimal import Decimal
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
 
 from . import __version__
 from .characterization import (
@@ -155,38 +155,17 @@ class _Result(_Record):
     rows alone. ``values`` holds one sequence per column, all of one length.
     When every column is an ndarray or a ``range`` (a Monte Carlo result),
     ``_rows`` formats the rows in numpy, to the bytes the cell-by-cell path
-    prints. Unlike the other records it is mutable, and so unhashable.
+    prints. Frozen like every record; the default ``head`` and ``tail`` are
+    one shared empty dict, which no caller changes.
     """
 
     __slots__ = _fields = (
         "command", "arguments", "table", "head", "rows_key", "columns", "values", "tail",
         "seed",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(
-        self,
-        command: str,
-        arguments: dict[str, object],
-        table: Callable[[], str],
-        head: dict[str, object] | None = None,
-        rows_key: str | None = None,
-        columns: tuple[_Column, ...] = (),
-        values: tuple[Sequence[Any], ...] = (),
-        tail: dict[str, object] | None = None,
-        seed: int | None = None,
-    ) -> None:
-        self.command = command
-        self.arguments = arguments
-        self.table = table
-        self.head = {} if head is None else head
-        self.rows_key = rows_key
-        self.columns = columns
-        self.values = values
-        self.tail = {} if tail is None else tail
-        self.seed = seed
+    _defaults = {
+        "head": {}, "rows_key": None, "columns": (), "values": (), "tail": {}, "seed": None
+    }
 
 
 def _timestamp() -> str:

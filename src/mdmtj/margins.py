@@ -49,14 +49,15 @@ from .characterization import (
     DOMAIN,
     HALF_WALL,
     KINDS,
+    MAX_DOMAINS,
     WALL,
     Characterization,
     SegmentResistanceTable,
     _Record,
+    check_domain_count,
 )
-from .errors import DomainCountTooLarge, DomainCountTooSmall, ModelError, UsageError
+from .errors import ModelError, UsageError
 from .network import (
-    MAX_DOMAINS,
     BitPattern,
     Border,
     BorderCondition,
@@ -122,13 +123,6 @@ def _kind_ohms(table: SegmentResistanceTable) -> list[float]:
     return [table.ohms(kind) for kind in KINDS]
 
 
-def _check_domain_count(domains: int) -> None:
-    if domains < 1:
-        raise DomainCountTooSmall(f"need at least 1 domain, got {domains}")
-    if domains > MAX_DOMAINS:
-        raise DomainCountTooLarge(f"domain count {domains} exceeds limit {MAX_DOMAINS}")
-
-
 def _check_population(domains: int, by_weight_count: Sequence[int]) -> None:
     for weight, count in enumerate(by_weight_count):
         if count != math.comb(domains, weight):
@@ -139,9 +133,10 @@ def _check_population(domains: int, by_weight_count: Sequence[int]) -> None:
 
 
 # A bank packed into one integer: each kind's count in a _FIELD-bit field,
-# kind order from the low bits up. No count reaches 2^_FIELD (a window has
-# at most MAX_DOMAINS domains), so adding packed banks adds their counts.
-_FIELD = 6
+# kind order from the low bits up. No count exceeds MAX_DOMAINS (a window
+# holds at most that many domains, fewer walls and two half-walls), so none
+# reaches 2^_FIELD and adding packed banks adds their counts.
+_FIELD = MAX_DOMAINS.bit_length()
 _FIELD_MASK = (1 << _FIELD) - 1
 
 
@@ -459,7 +454,7 @@ def enumerate_levels(
     in kind order from 0.0: the same float sum as
     ``network.bank_conductance``.
     """
-    _check_domain_count(domains)
+    check_domain_count(domains)
     # (shift, count/ohms for every count a field holds) per kind, in kind order
     quotients = [
         (_FIELD * kind, [count / r for count in range(_FIELD_MASK + 1)])
@@ -591,7 +586,7 @@ def cluster_extremes(
     pattern. A misalignment study reads its nominal margin off the same
     scan that groups its edge structures (``_side_scan``).
     """
-    _check_domain_count(domains)
+    check_domain_count(domains)
     return _scan_reports(range(domains, domains + 1), borders, char)[0]
 
 
@@ -604,7 +599,7 @@ def worst_case_levels(domains: int, char: Characterization) -> MarginReport:
     scan starts from both left borders and completes under both right
     borders, so it covers all four conditions.
     """
-    _check_domain_count(domains)
+    check_domain_count(domains)
     return _scan_reports(range(domains, domains + 1), None, char)[0]
 
 
@@ -621,11 +616,7 @@ def closed_form_resistances(
     of weights 1 and 0, bit for bit, for D <= 24; from D = 25, and on many
     other tables, the binding gap lies elsewhere (ROADMAP item 1).
     """
-    if domains < 2:
-        raise DomainCountTooSmall(
-            f"closed form needs at least 2 domains, got {domains}"
-        )
-    _check_domain_count(domains)
+    check_domain_count(domains, 2)
     one = decompose(
         BitPattern((0,) * (domains - 1) + (1,)), BorderCondition(Border.SAME, Border.DIFFER)
     )
@@ -676,10 +667,8 @@ def sweep_domains(
     fixed ``borders`` convention and stops at SWEEP_ENUMERATION_LIMIT; one
     bit scan up to that limit fills every row of it.
     """
-    if d_min < 2:
-        raise DomainCountTooSmall(f"sweep starts at 2 domains, got {d_min}")
-    if d_max > MAX_DOMAINS:
-        raise DomainCountTooLarge(f"sweep end {d_max} exceeds limit {MAX_DOMAINS}")
+    check_domain_count(d_min, 2)
+    check_domain_count(d_max, 2)
     if d_min > d_max:
         raise UsageError(f"empty sweep range [{d_min}, {d_max}]")
     enumerated = {

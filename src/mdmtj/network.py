@@ -8,10 +8,11 @@ the domains beside them (a full wall takes half the notch from each side, a
 half-wall takes half the notch from its edge domain), which picks each
 domain's length class. All segments sit electrically in parallel.
 
-A bank is its segment counts indexed like ``characterization.KINDS``, the
-format the bit scan and the misalignment engine count into too; ``decompose``
-returns it. ``bank_conductance`` is the one float sum over a bank, in kind
-order.
+A bank is its segment counts indexed like ``characterization.KINDS``;
+``decompose`` returns it. The bit scan of ``margins`` packs the same counts
+into one integer (``margins._FIELD`` bits a kind), and the misalignment
+engine reads that scan's conductance extremes per edge group, not banks.
+``bank_conductance`` is the one float sum over a bank, in kind order.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ rebound on this module (a tracer's wrapper, a test's stub) is the one run.
 
 The only things shared with the production modules are data (the
 characterization, the kind layout, the neighbor assumption), the report
-record types and the nm formatter of refusal texts, never composition
-code. The float reference paths follow the same documented summation order
-(segment kinds in enum order), because that order is part of the report
-contract.
+record types, the domain-count policy and the nm formatter of refusal
+texts, never composition code. The float reference paths follow the same
+documented summation order (segment kinds in enum order), because that
+order is part of the report contract.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .characterization import (
     SegmentResistanceTable,
     _meters_as_nm_text,
     _Record,
+    check_domain_count,
 )
 from .errors import DomainCountTooLarge, EmptyNetwork, OffsetOutOfRange, OracleMismatch
 from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport, SweepReport
@@ -62,9 +63,11 @@ BRUTE_FORCE_LIMIT = 12
 
 
 def check_limit(domains: int) -> None:
-    """Refuse a window longer than BRUTE_FORCE_LIMIT in the words of the
-    ``--oracle`` flag: every ``check_*`` of a domain count calls it first, so
-    the CLI never shows the library text of ``_Enumeration``."""
+    """Refuse a window the analyses refuse (``check_domain_count``), then one
+    longer than BRUTE_FORCE_LIMIT in the words of the ``--oracle`` flag:
+    every ``check_*`` of a domain count calls it first, so the CLI never
+    shows the library text of ``_Enumeration``."""
+    check_domain_count(domains)
     if domains > BRUTE_FORCE_LIMIT:
         raise DomainCountTooLarge(f"--oracle cross-checks stop at {BRUTE_FORCE_LIMIT} domains")
 
@@ -162,12 +165,11 @@ class _Enumeration:
     weight, so each weight's patterns are one contiguous row range."""
 
     def __init__(self, domains: int, char: Characterization):
+        check_domain_count(domains)
         if domains > BRUTE_FORCE_LIMIT:
             raise DomainCountTooLarge(
                 f"brute-force enumeration stops at {BRUTE_FORCE_LIMIT} domains, got {domains}"
             )
-        if domains < 1:
-            raise ValueError(f"need at least 1 domain, got {domains}")
         self.domains = domains
         words = (format(value, f"0{domains}b") for value in range(2**domains))
         self.words = sorted(words, key=lambda bits: bits.count("1"))

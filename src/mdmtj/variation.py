@@ -47,6 +47,7 @@ import contextlib
 import copy
 import enum
 import math
+import sys
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -56,11 +57,11 @@ from .characterization import (
     Characterization,
     _meters_as_nm_text,
     _Record,
+    check_domain_count,
 )
 from .errors import OffsetOutOfRange, UsageError
 from .margins import (
     _EdgeGroups,
-    _check_domain_count,
     _kind_ohms,
     _side_scan,
     cluster_extremes,
@@ -327,7 +328,7 @@ def min_margins_for_offsets(
     chunk), so the engine's temporaries do not grow with the input. Both
     give the same bits and the same refusals.
     """
-    _check_domain_count(domains)
+    check_domain_count(domains)
     ohms = _kind_ohms(char.table)
     if isinstance(offsets, Sequence):
         offsets = [float(x) for x in offsets]
@@ -419,6 +420,13 @@ class MonteCarloSpec(_Record):
     def validate(self) -> None:
         if self.samples < 1:
             raise UsageError(f"sample count must be >= 1, got {self.samples}")
+        # numpy refuses the run's buffer of samples + 1 float64 values when its
+        # size in bytes does not fit an index
+        if self.samples >= sys.maxsize // 8:
+            raise UsageError(
+                f"sample count must be < {sys.maxsize // 8}, got {self.samples}:"
+                " no float64 array holds that many"
+            )
         if self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
         # written so that NaN fails the tests too
@@ -492,7 +500,7 @@ def monte_carlo_margins(
     """
     import numpy as np
 
-    _check_domain_count(domains)
+    check_domain_count(domains)
     spec.validate()
     drawn = sample_offsets(spec, 0, min(_CHUNK, spec.samples))
     buffer = np.empty(spec.samples + 1)

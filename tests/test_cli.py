@@ -379,6 +379,9 @@ def test_offset_one_float_past_the_notch_prints_every_digit(capsys):
 def test_model_usage_errors_exit_2(capsys):
     cases = [
         ("variation", "--domains", "4", "--monte-carlo", "0", "--seed", "1"),
+        # at and far past the largest count whose float64 buffer numpy accepts
+        ("variation", "--domains", "4", "--monte-carlo", str(sys.maxsize // 8), "--seed", "1"),
+        ("variation", "--domains", "4", "--monte-carlo", "1" + "0" * 20, "--seed", "1"),
         ("sweep", "--from", "9", "--to", "3", "--threshold-mv", "20"),
     ]
     for argv in cases:
@@ -676,9 +679,31 @@ def test_worst_borders_rejected_outside_margin(capsys):
 
 
 def test_domain_count_too_large_exits_2(capsys):
-    code, _, err = run_cli(capsys, "levels", "--domains", "31")
-    assert code == 2
-    assert "30" in err
+    # every subcommand refuses a window length in the words of one policy,
+    # below its floor, just past the cap and far past it
+    huge = "1" + "0" * 400
+    commands = [
+        (1, lambda d: ("levels", "--domains", d)),
+        (1, lambda d: ("margin", "--domains", d)),
+        (1, lambda d: ("margin", "--domains", d, "--borders", "worst")),
+        (2, lambda d: ("margin", "--domains", d, "--closed-form")),
+        (2, lambda d: ("sweep", "--from", d, "--to", "5", "--threshold-mv", "5")),
+        (2, lambda d: ("sweep", "--from", "2", "--to", d, "--threshold-mv", "5")),
+        (1, lambda d: ("variation", "--domains", d, "--offset-nm", "1")),
+        (1, lambda d: ("variation", "--domains", d, "--monte-carlo", "10", "--seed", "1")),
+        # the 30-domain cap comes before the oracle's own 12-domain limit
+        (1, lambda d: ("variation", "--domains", d, "--offset-nm", "1", "--oracle")),
+    ]
+    for floor, argv in commands:
+        plural = "s" if floor > 1 else ""
+        cases = [
+            (str(floor - 1), f"need at least {floor} domain{plural}, got {floor - 1}"),
+            ("31", "domain count 31 exceeds limit 30"),
+            (huge, f"domain count {huge} exceeds limit 30"),
+        ]
+        for domains, text in cases:
+            result = run_cli(capsys, *argv(domains))
+            assert result == (2, "", f"error: {text}\n"), argv(domains[:5])
 
 
 def test_closed_form_domain_count_too_large_exits_2(capsys):

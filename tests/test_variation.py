@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -475,6 +476,9 @@ def test_monte_carlo_spec_validation():
     MonteCarloSpec(samples=10, seed=0).validate()
     with pytest.raises(ValueError, match="sample count"):
         MonteCarloSpec(samples=0, seed=1).validate()
+    for samples in (sys.maxsize // 8, 10**20):  # refused before any allocation
+        with pytest.raises(UsageError, match="sample count"):
+            MonteCarloSpec(samples=samples, seed=1).validate()
     with pytest.raises(ValueError, match="seed"):
         MonteCarloSpec(samples=10, seed=-1).validate()
     with pytest.raises(ValueError, match="sigma"):
