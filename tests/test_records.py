@@ -4,9 +4,9 @@ Every value class is a ``characterization._Record`` and keeps what its
 dataclass version offered: the same constructor arguments and defaults, the
 same repr, equality only within one class, a hash over the fields, frozen
 fields, copies and pickles, and a ``replace`` method in place of
-``dataclasses.replace``. A
-``MonteCarloReport`` compares its arrays bit for bit and leaves them out of
-its hash and repr. The repr literals were printed by the dataclass versions.
+``dataclasses.replace``. A ``MonteCarloReport`` compares its arrays bit for
+bit and leaves them out of its hash and repr. The repr literals were
+printed by the dataclass versions.
 """
 
 import copy
