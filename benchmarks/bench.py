@@ -6,7 +6,10 @@
 Each ``--checkout LABEL=DIR`` names a checkout whose ``DIR/src`` is
 measured; with none, the checkout holding this script is measured as
 ``change``. Rounds alternate the order of the checkouts, so a host that
-drifts slows every checkout alike. Per checkout the file holds one run:
+drifts slows every checkout alike: each round runs the in-process rows in
+one process per checkout, then spawns each command-line job for every
+checkout in turn, so the two runs of a job are seconds apart, not minutes.
+Per checkout the file holds one run:
 
 - in-process rows: ``enumerate_levels``, ``cluster_extremes``,
   ``worst_case_levels``, ``sweep_domains`` (from 2),
@@ -249,12 +252,13 @@ def measure(checkouts: dict[str, Path]) -> list[dict]:
         labels = list(checkouts)
         for round_index in range(ROUNDS):
             order = labels if round_index % 2 == 0 else labels[::-1]
+            envs = {label: child_env(checkouts[label]) for label in order}
             for label in order:
-                env = child_env(checkouts[label])
-                for name, seconds in in_process(env).items():
+                for name, seconds in in_process(envs[label]).items():
                     samples[label].setdefault(name, []).append(seconds)
-                for row, jobs_dir, program, job in jobs:
-                    wall, rss, digest = spawn(program, job, env, jobs_dir)
+            for row, jobs_dir, program, job in jobs:
+                for label in order:  # one job for every checkout, back to back
+                    wall, rss, digest = spawn(program, job, envs[label], jobs_dir)
                     samples[label].setdefault(row, []).append((wall, rss, digest))
     runs = []
     for label, checkout in checkouts.items():

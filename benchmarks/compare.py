@@ -15,10 +15,9 @@ also print the median and quartiles of the per-round ratios new / old, and
 "within spread" when that range holds 1. Rows of two files, measured in
 other sessions, are marked "within spread" when the two quartile ranges
 overlap. On a row so marked the host's noise can account for the ratio.
-A paired command-line row also prints its per-round ratios divided by the
-same round's ratio of the ``import mdmtj.cli`` row, a control that shares
-the row's start-up path: on a row whose process runs no code a change
-touched, that quotient reads near 1 however the host drifted.
+``benchmarks/bench.py`` spawns each command-line job for both checkouts
+back to back, so host drift reaches both runs of a paired command-line row
+alike.
 Command-line rows also compare peak RSS and flag a changed output digest.
 Nothing is gated, but two files measured with a different seed or number
 of rounds are refused (exit 2): their command-line rows ran other inputs.
@@ -33,7 +32,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CONTROL = "import mdmtj.cli"  # the command-line row that only starts and imports
 
 
 def bench_number(path: Path) -> int | None:
@@ -66,7 +64,6 @@ def main(argv: list[str]) -> int:
     new, old = new_runs[-1], old_runs[0] if old_path == new_path else old_runs[-1]
     print(f"{new_path.name} [{new['label']}] against {old_path.name} [{old['label']}]")
     before = {row["name"]: row for row in old["rows"]}
-    after = {row["name"]: row for row in new["rows"]}
     for row in new["rows"]:
         base = before.get(row["name"])
         if base is None:
@@ -82,14 +79,6 @@ def main(argv: list[str]) -> int:
             low, middle, high = statistics.quantiles(ratios, n=4, method="inclusive")
             line += f", paired ratio {middle:.3f} ({low:.3f}-{high:.3f})"
             within = low <= 1 <= high
-            controls = [after.get(CONTROL, {}), before.get(CONTROL, {})]
-            if row["kind"] == "cli" and row["name"] != CONTROL and all(
-                len(control.get("samples", ())) == len(ratios) for control in controls
-            ):
-                drift = [new / old for new, old in zip(*(c["samples"] for c in controls))]
-                scaled = [ratio / host for ratio, host in zip(ratios, drift)]
-                low, middle, high = statistics.quantiles(scaled, n=4, method="inclusive")
-                line += f", over {CONTROL} {middle:.3f} ({low:.3f}-{high:.3f})"
         else:
             within = row["q1"] <= base["q3"] and base["q1"] <= row["q3"]
         if within:

@@ -6,12 +6,14 @@ Subcommands map one-to-one onto the analysis modules: ``resistance`` and
 ``sweep`` scans domain counts against a margin threshold, and ``variation``
 runs the misalignment study (fixed offset or seeded Monte Carlo). Every
 query is a new process, so each handler imports the analysis module it runs
-on first use, and ``json`` and ``datetime`` load only for CSV/JSON output.
+on first use, binding the names the package's export map ``mdmtj._HOME``
+places there, and ``json`` and ``datetime`` load only for CSV/JSON output.
 
 With the hidden ``--oracle`` flag, a handler also passes its result to one
-check of ``oracle``, imported on that path only, which recomputes the
-result by brute force and raises on any disagreement, or refuses above 12
-domains (``oracle.check_limit``, after the analyses' own domain range).
+check of ``oracle``, imported on that path only (``_oracle``), which
+recomputes the result by brute force and raises on any disagreement, or
+refuses above 12 domains (``oracle.check_limit``, after the analyses' own
+domain range).
 
 Each subcommand handler returns one ``_Result``; a single emitter writes it
 as a table, CSV or JSON. Machine-readable outputs (CSV/JSON) embed a run
@@ -35,7 +37,7 @@ import time
 from decimal import Decimal
 from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
 
-from . import __version__
+from . import _HOME, __version__
 from .characterization import (
     Characterization,
     _Record,
@@ -65,42 +67,31 @@ if TYPE_CHECKING:
         offset_margin_report,
     )
 
-# What the handlers call from the analysis modules, bound here by ``_need`` on
-# first use: ``resistance`` and ``voltage`` compile neither module, ``levels``,
-# ``margin`` and ``sweep`` no ``variation``. A name rebound before that (a
-# tracer's wrapper, a test's stub) keeps its binding.
-_LAZY = {
-    "margins": (
-        "closed_form_min_margin",
-        "closed_form_resistances",
-        "cluster_extremes",
-        "enumerate_levels",
-        "sweep_domains",
-        "worst_case_levels",
-    ),
-    "variation": (
-        "MisalignmentSpec",
-        "MonteCarloSpec",
-        "NeighborAssumption",
-        "monte_carlo_margins",
-        "offset_margin_report",
-    ),
-}
-
-
+# The handlers call the names ``mdmtj._HOME`` maps to ``margins`` and
+# ``variation``, bound here by ``_need`` on first use: ``resistance`` and
+# ``voltage`` compile neither module, ``levels``, ``margin`` and ``sweep`` no
+# ``variation``. A name rebound before that (a tracer's wrapper, a test's
+# stub) keeps its binding.
 def _need(home: str) -> None:
     module = importlib.import_module(f".{home}", __package__)
-    for name in _LAZY[home]:
-        globals().setdefault(name, getattr(module, name))
+    for name, where in _HOME.items():
+        if where == home:
+            globals().setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str) -> object:
     # ``cli.enumerate_levels`` resolves before any handler has run
-    for home, names in _LAZY.items():
-        if name in names:
-            _need(home)
-            return globals()[name]
+    home = _HOME.get(name)
+    if home in ("margins", "variation"):
+        _need(home)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _oracle() -> Any:
+    from . import oracle
+
+    return oracle
 
 
 _USAGE_ERROR = 2
@@ -328,9 +319,7 @@ def _cmd_resistance(args: argparse.Namespace, char: Characterization) -> _Result
     borders = _parse_borders(args.borders)
     ohms = pattern_resistance(args.pattern, borders, char)
     if args.oracle:
-        from . import oracle
-
-        oracle.check_pattern(args.pattern, borders, ohms, char)
+        _oracle().check_pattern(args.pattern, borders, ohms, char)
     return _Result("resistance", {}, lambda: f"{ohms:.2f} ohm\n")
 
 
@@ -338,10 +327,8 @@ def _cmd_voltage(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     volts = pattern_voltage(args.pattern, borders, char)
     if args.oracle:
-        from . import oracle
-
         ohms = pattern_resistance(args.pattern, borders, char)
-        oracle.check_pattern(args.pattern, borders, ohms, char, volts)
+        _oracle().check_pattern(args.pattern, borders, ohms, char, volts)
     return _Result("voltage", {}, lambda: f"{volts * 1e3:.2f} mV\n")
 
 
@@ -373,9 +360,7 @@ def _cmd_levels(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     report = enumerate_levels(args.domains, borders, char)
     if args.oracle:
-        from . import oracle
-
-        oracle.check_report(report, char)
+        _oracle().check_report(report, char)
     arguments = {"domains": args.domains, "borders": str(borders)}
     return _Result(
         "levels",
@@ -401,9 +386,7 @@ def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
         r_one, r_zero = closed_form_resistances(args.domains, char.table)
         volts = closed_form_min_margin(args.domains, char)
         if args.oracle:
-            from . import oracle
-
-            oracle.check_closed_form(args.domains, volts, char)
+            _oracle().check_closed_form(args.domains, volts, char)
         convention = "closed-form"
         rows = [(0, 1, r_zero, r_one, volts)]
     else:
@@ -412,9 +395,7 @@ def _cmd_margin(args: argparse.Namespace, char: Characterization) -> _Result:
         else:
             report = cluster_extremes(args.domains, _parse_borders(args.borders), char)
         if args.oracle:
-            from . import oracle
-
-            oracle.check_report(report, char)
+            _oracle().check_report(report, char)
         convention = report.convention_label
         volts = report.min_margin
         rows = [
@@ -459,9 +440,7 @@ def _cmd_sweep(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     report = sweep_domains(args.d_min, args.d_max, args.threshold_mv / 1e3, borders, char)
     if args.oracle:
-        from . import oracle
-
-        oracle.check_sweep(report, char)
+        _oracle().check_sweep(report, char)
     return _Result(
         "sweep",
         {"from": args.d_min, "to": args.d_max, "threshold_mv": args.threshold_mv,
@@ -482,10 +461,8 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
     borders = _parse_borders(args.borders)
     neighbors = NeighborAssumption(args.neighbors)  # argparse checked the choice
     if args.oracle:
-        from . import oracle
-
         # refuse before the study's own checks, and before any sample is drawn
-        oracle.check_limit(args.domains)
+        _oracle().check_limit(args.domains)
     if args.offset_nm is not None:
         return _fixed_offset(args, borders, neighbors, char)
 
@@ -496,7 +473,7 @@ def _cmd_variation(args: argparse.Namespace, char: Characterization) -> _Result:
         args.domains, borders, spec, char, left_neighbor=neighbors, right_neighbor=neighbors
     )
     if args.oracle:
-        oracle.check_offset_margins(report, char)
+        _oracle().check_offset_margins(report, char)
     table = (
         f"nominal min margin: {report.nominal_min_margin * 1e3:.2f} mV\n"
         f"samples: {spec.samples}  seed: {spec.seed}"
@@ -554,9 +531,7 @@ def _fixed_offset(
     spec = MisalignmentSpec(offset, neighbors, neighbors)
     report = offset_margin_report(args.domains, borders, spec, char)
     if args.oracle:
-        from . import oracle
-
-        oracle.check_offset_margins(report, char)
+        _oracle().check_offset_margins(report, char)
     nominal_mv = report.nominal_min_margin * 1e3
     reduction_mv = report.margin_deviation * 1e3
     percent = 100.0 * reduction_mv / nominal_mv if nominal_mv else 0.0
@@ -588,28 +563,16 @@ def _fixed_offset(
 # --- parser and entry points ----------------------------------------------------
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="characterization file (key = value)")
-
-
-def _add_borders(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--borders",
-        default="same,same",
-        metavar="CONV",
-        help="border convention: same,same / same,differ / differ,same / differ,differ",
-    )
+def _add_borders(
+    parser: Any,
+    text: str = "border convention: same,same / same,differ / differ,same / differ,differ",
+) -> None:
+    parser.add_argument("--borders", default="same,same", metavar="CONV", help=text)
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-
-
-def _add_oracle(parser: argparse.ArgumentParser) -> None:
-    # hidden: recompute through the independent reference path and exit 1
-    # on any disagreement
-    parser.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{what} of one pattern")
         p.add_argument("--pattern", required=True, help="bit string, e.g. 00010")
         _add_borders(p)
-        _add_config(p)
-        _add_oracle(p)
         # one table line; no --format or --out
         p.set_defaults(handler=handler, format="table", out=None)
 
@@ -636,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domains", type=int, required=True, metavar="D")
     _add_borders(p)
     _add_format(p)
-    _add_config(p)
-    _add_oracle(p)
     p.set_defaults(handler=_cmd_levels)
 
     p = sub.add_parser("margin", help="minimum sense margin")
@@ -648,15 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="worst-case closed form instead of enumeration",
     )
-    group.add_argument(
-        "--borders",
-        default="same,same",
-        metavar="CONV",
-        help="border convention, or worst for the extreme over all four",
-    )
+    _add_borders(group, "border convention, or worst for the extreme over all four")
     _add_format(p)
-    _add_config(p)
-    _add_oracle(p)
     p.set_defaults(handler=_cmd_margin)
 
     p = sub.add_parser("sweep", help="margins across a domain-count range")
@@ -665,8 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold-mv", type=_finite_float, required=True, metavar="MV")
     _add_borders(p)
     _add_format(p)
-    _add_config(p)
-    _add_oracle(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("variation", help="misalignment study: fixed offset or Monte Carlo")
@@ -685,10 +635,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_borders(p)
     _add_format(p)
-    _add_config(p)
-    _add_oracle(p)
     p.set_defaults(handler=_cmd_variation)
 
+    for p in sub.choices.values():  # the last options of every subcommand
+        p.add_argument("--config", metavar="FILE", help="characterization file (key = value)")
+        # hidden: recompute through the independent reference path and exit 1
+        # on any disagreement
+        p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 

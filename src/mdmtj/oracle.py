@@ -764,8 +764,9 @@ def check_report(report: MarginReport, char: Characterization) -> None:
         )
 
 
-def check_closed_form(domains: int, volts: float, char: Characterization) -> None:
-    """The closed-form margin ``volts`` against the brute-force worst case."""
+def check_closed_form(domains: int, volts: float, char: Characterization) -> float:
+    """The closed-form margin ``volts`` against the brute-force worst case;
+    returns that worst-case margin."""
     check_limit(domains)
     ref = worst_case_brute_force(domains, char)
     if ref.min_margin != volts:
@@ -773,12 +774,15 @@ def check_closed_form(domains: int, volts: float, char: Characterization) -> Non
             f"closed-form margin {volts!r} V differs from the brute-force"
             f" worst-case margin {ref.min_margin!r} V at {domains} domains"
         )
+    return ref.min_margin
 
 
 def check_sweep(report: SweepReport, char: Characterization) -> None:
-    """Every row of a sweep, both margins; the whole range is refused before
-    the first row when it ends above BRUTE_FORCE_LIMIT."""
+    """Every row of a sweep, both margins, then its answer: the largest D
+    whose brute-force worst-case margin meets the threshold. The whole range
+    is refused before the first row when it ends above BRUTE_FORCE_LIMIT."""
     check_limit(report.d_max)
+    best = None
     for row in report.rows:
         ref = brute_force_report(row.domains, report.borders, char)
         if ref.min_margin != row.enumerated_margin:
@@ -786,7 +790,13 @@ def check_sweep(report: SweepReport, char: Characterization) -> None:
                 f"enumerated margin at {row.domains} domains disagrees"
                 " with the brute-force reference"
             )
-        check_closed_form(row.domains, row.closed_form_margin, char)
+        if check_closed_form(row.domains, row.closed_form_margin, char) >= report.threshold:
+            best = row.domains
+    if best != report.max_scalable_domains:
+        raise OracleMismatch(
+            f"max scalable domains {report.max_scalable_domains} differs from the"
+            f" brute-force worst case: {best}"
+        )
 
 
 def check_offset_margins(

@@ -44,7 +44,6 @@ floats and returns as a list.
 from __future__ import annotations
 
 import contextlib
-import copy
 import enum
 import math
 import sys
@@ -202,11 +201,10 @@ def _side_min_margins(
     highest g_low with the weakest. A bit-0 overhang is the stronger one:
     both polarities' full-length domains have the same nominal length, and
     the table enforces r_minus_80 < r_plus_80. That is two offset vectors per
-    group, one when a single neighbor bit is assumed and g_low == g_high;
-    never a rows x offsets matrix, and weights stream one at a time. Floats
-    and arrays run the same steps (``_elementwise``), so they agree bit for
-    bit. Every step is elementwise, so how the offsets are split into
-    chunks changes no bit, and a temporary is as long as one chunk.
+    group, never a rows x offsets matrix, and weights stream one at a time.
+    Floats and arrays run the same steps (``_elementwise``), so they agree
+    bit for bit. Every step is elementwise, so how the offsets are split
+    into chunks changes no bit, and a temporary is as long as one chunk.
 
     The caller has checked that no magnitude uncovers an edge domain.
     """
@@ -242,14 +240,9 @@ def _side_min_margins(
         for edge, half, g_low, g_high in entries:
             terms = edge_terms[edge], half_terms.get(half)
             group_low = _candidate_resistance(g_high, *terms, strongest)
-            if strongest is weakest and g_low == g_high:  # one candidate
-                group_high = group_low
-            else:
-                group_high = _candidate_resistance(g_low, *terms, weakest)
-            if low is None:
-                # arrays are updated in place: never one buffer for both
-                low = group_low
-                high = copy.copy(group_high) if group_high is group_low else group_high
+            group_high = _candidate_resistance(g_low, *terms, weakest)
+            if low is None:  # each candidate is a new buffer, updated in place from here
+                low, high = group_low, group_high
             else:
                 low = minimum(low, group_low)
                 high = maximum(high, group_high)

@@ -1,16 +1,18 @@
 """``benchmarks/compare.py`` picks the baseline a BENCH file was measured with
-and pairs the rounds of two runs of one file."""
+and pairs the rounds of two runs of one file; ``benchmarks/bench.py`` runs
+each command-line job for every checkout in turn."""
 
 import importlib.util
 import json
 import statistics
+import sys
 from pathlib import Path
 
-COMPARE = Path(__file__).resolve().parent.parent / "benchmarks" / "compare.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def _compare():
-    spec = importlib.util.spec_from_file_location("benchmarks_compare", COMPARE)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"benchmarks_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +35,7 @@ def test_a_two_run_file_is_compared_with_its_own_first_run(tmp_path, capsys):
     # baseline of a file that holds its own parent run
     older = _bench(tmp_path / "BENCH_1.json", {"parent": 9.0, "change": 4.0})
     newer = _bench(tmp_path / "BENCH_2.json", {"parent": 2.0, "change": 1.0})
-    compare = _compare()
+    compare = _load("compare")
     compare.ROOT = tmp_path
     for argv in ([], [str(newer)]):
         assert compare.main(argv) == 0
@@ -47,7 +49,7 @@ def test_a_two_run_file_is_compared_with_its_own_first_run(tmp_path, capsys):
 def test_a_one_run_file_is_compared_with_the_previous_file(tmp_path, capsys):
     _bench(tmp_path / "BENCH_1.json", {"parent": 9.0, "change": 4.0})
     _bench(tmp_path / "BENCH_2.json", {"change": 2.0})
-    compare = _compare()
+    compare = _load("compare")
     compare.ROOT = tmp_path
     assert compare.main([]) == 0
     out = capsys.readouterr().out
@@ -58,7 +60,7 @@ def test_a_one_run_file_is_compared_with_the_previous_file(tmp_path, capsys):
 def test_a_ratio_within_the_host_spread_is_marked(tmp_path, capsys):
     # the quartile ranges of an unchanged row overlap, however far apart the
     # medians read; those of a real change do not
-    compare = _compare()
+    compare = _load("compare")
     noisy = _bench(tmp_path / "BENCH_1.json",
                    {"parent": (0.078, 0.095, 0.118), "change": (0.087, 0.119, 0.128)})
     assert compare.main([str(noisy)]) == 0
@@ -90,7 +92,7 @@ def test_runs_of_one_file_are_compared_round_by_round(tmp_path, capsys):
     # the host drifts from round to round; both runs of a round see the same
     # host, so the per-round ratio shows a 5% loss the quartile overlap hides
     drift = [0.10, 0.12, 0.11, 0.13, 0.10, 0.14, 0.12]
-    compare = _compare()
+    compare = _load("compare")
     slower = _paired_bench(tmp_path / "BENCH_1.json", drift, [t * 1.05 for t in drift])
     assert compare.main([str(slower)]) == 0
     assert capsys.readouterr().out.endswith(
@@ -107,23 +109,34 @@ def test_runs_of_one_file_are_compared_round_by_round(tmp_path, capsys):
     assert "paired" not in out and out.endswith(", within spread\n")
 
 
-def test_command_line_rows_are_also_read_against_the_import_control(tmp_path, capsys):
-    # the host drifted while the change ran: every command-line row, the
-    # import alone included, shows it, and the quotient of a row's ratio by
-    # the import's in the same round takes it out
-    drift = [1.0, 1.2, 1.1, 1.3, 0.9, 1.0, 1.2]
-    runs = []
-    for label, speed in (("parent", 1.0), ("change", 0.5)):
-        rows = []
-        for name, base, factor in (("mdmtj levels", 0.4, speed), ("import mdmtj.cli", 0.1, 1.0)):
-            samples = [base * factor * (host if label == "change" else 1.0) for host in drift]
-            q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-            rows.append({"kind": "cli", "name": name, "median": median, "q1": q1, "q3": q3,
-                         "samples": samples, "peak_rss_mb": 20.0, "stdout_sha256": "0"})
-        runs.append({"label": label, "rows": rows})
-    path = tmp_path / "BENCH_1.json"
-    path.write_text(json.dumps({"rounds": len(drift), "seed": 1, "runs": runs}))
-    assert _compare().main([str(path)]) == 0
-    levels, control = capsys.readouterr().out.splitlines()[1:]
-    assert ", paired ratio 0.550 (0.500-0.600), over import mdmtj.cli 0.500 (0.500-0.500);" in levels
-    assert "over import" not in control
+def test_each_job_runs_for_every_checkout_in_turn(tmp_path, monkeypatch):
+    # a few minutes of host load fall on both checkouts alike: each round
+    # spawns one job for every checkout before the next job, in an order that
+    # alternates by round; the in-process rows keep one process per checkout
+    monkeypatch.setattr(sys, "path", list(sys.path))  # bench.py adds perfbench/
+    bench = _load("bench")
+    calls = []
+
+    def in_process(env):
+        calls.append(("in_process", env["PYTHONPATH"]))
+        return {"call D=5": 0.1}
+
+    def spawn(program, argv, env, cwd):
+        calls.append((tuple(argv), env["PYTHONPATH"]))
+        return 0.1, 20.0, "0"
+
+    monkeypatch.setattr(bench, "ROUNDS", 2)
+    monkeypatch.setattr(bench, "in_process", in_process)
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.setattr(bench, "machine", lambda checkout: {})
+    runs = bench.measure({"parent": tmp_path / "a", "change": tmp_path / "b"})
+    a, b = (str(tmp_path / name / "src") for name in "ab")
+    per_round = len(calls) // 2
+    for index, order in enumerate(([a, b], [b, a])):
+        done = calls[index * per_round : (index + 1) * per_round]
+        assert done[:2] == [("in_process", path) for path in order]
+        spawned = done[2:]
+        assert len(spawned) > 2 * len(bench.WORKLOADS)
+        assert [path for _, path in spawned] == order * (len(spawned) // 2)
+        assert [argv for argv, _ in spawned[::2]] == [argv for argv, _ in spawned[1::2]]
+    assert [row["name"] for row in runs[0]["rows"]] == [row["name"] for row in runs[1]["rows"]]

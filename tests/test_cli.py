@@ -593,6 +593,21 @@ def test_sweep_oracle_refuses_a_range_past_the_brute_force_limit(capsys):
     assert (code, out) == (2, "") and "empty sweep range" in err
 
 
+def test_sweep_oracle_checks_the_answer_it_prints(capsys, monkeypatch):
+    real = cli.sweep_domains
+
+    def one_too_many(*args):
+        report = real(*args)
+        return report.replace(max_scalable_domains=report.max_scalable_domains + 1)
+
+    monkeypatch.setattr(cli, "sweep_domains", one_too_many)
+    argv = ("sweep", "--from", "2", "--to", "6", "--threshold-mv", "20")
+    assert run_cli(capsys, *argv)[0] == 0  # every row is still right
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert (code, out) == (1, "")
+    assert "max scalable domains 6" in err and "brute-force worst case: 5" in err
+
+
 def test_sweep_oracle_checks_a_range_up_to_the_limit(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--from", "10", "--to", "12", "--threshold-mv", "5", "--oracle"
@@ -795,3 +810,16 @@ def test_conflicting_margin_modes(capsys):
         capsys, "margin", "--domains", "5", "--closed-form", "--borders", "same,same"
     )
     assert code == 2
+
+
+# Every --help text, captured at 80 columns (argparse wraps to the terminal
+# width). Regenerate only on a deliberate change of an option or its help:
+#     COLUMNS=80 mdmtj [COMMAND] --help > tests/help/{mdmtj,COMMAND}.txt
+HELP = Path(__file__).parent / "help"
+
+
+@pytest.mark.parametrize("command", sorted(p.stem for p in HELP.iterdir()))
+def test_help_matches_its_pin(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = () if command == "mdmtj" else (command,)
+    assert run_cli(capsys, *argv, "--help") == (0, (HELP / f"{command}.txt").read_text(), "")

@@ -20,12 +20,17 @@ command that builds no array load none of the ``inspect``, ``ast``, ``dis``
 and ``tokenize`` it would load; numpy itself brings those in.
 """
 
+import importlib.util
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
 from mdmtj.cli import main
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 WITHOUT_NUMPY = [
     ("resistance", "--pattern", "0101"),
@@ -194,34 +199,51 @@ def test_import_and_config_load_build_no_dataclass(fresh_python, tmp_path):
     assert set(err.split()) & _DATACLASSES == set()
 
 
-# Rebinds two lazily imported names of cli before any handler has run, as the
-# perfbench tracer does, runs the two commands that call them and writes the
-# names the spies saw called to stderr.
+# Rebinds the given names of cli before any handler has run, as the perfbench
+# tracer does, runs commands that together call every one of them and writes
+# the names the spies saw called to stderr.
 _REBIND_FIRST = """
 import sys
 from mdmtj import cli
 
-calls = []
+calls = set()
 
 
 def spy(name, real):
     def called(*args, **kwargs):
-        calls.append(name)
+        calls.add(name)
         return real(*args, **kwargs)
 
     return called
 
 
-for name in ("worst_case_levels", "offset_margin_report"):
+config, *names = sys.argv[1:]
+for name in names:
     setattr(cli, name, spy(name, getattr(cli, name)))
-for argv in (["margin", "--domains", "5", "--borders", "worst"],
-             ["variation", "--domains", "4", "--offset-nm", "3"]):
+for argv in (["resistance", "--pattern", "0101", "--config", config],
+             ["voltage", "--pattern", "0101"],
+             ["levels", "--domains", "4"],
+             ["margin", "--domains", "5", "--borders", "worst"],
+             ["margin", "--domains", "5", "--closed-form"],
+             ["sweep", "--from", "2", "--to", "4", "--threshold-mv", "20"],
+             ["variation", "--domains", "4", "--offset-nm", "3"],
+             ["variation", "--domains", "4", "--monte-carlo", "10", "--seed", "1"]):
     assert cli.main(argv) == 0
-sys.stderr.write(" ".join(calls))
+sys.stderr.write(" ".join(sorted(calls)))
 """
 
 
-def test_a_name_rebound_before_first_use_is_called(fresh_python):
-    code, _, err = fresh_python(_REBIND_FIRST)
+def test_a_name_rebound_before_first_use_is_called(fresh_python, tmp_path):
+    # every name perfbench/tracer.py rebinds on cli, the lazily bound ones too
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # dataclasses look their module up there
+    spec.loader.exec_module(tracer)
+    names = sorted({function for _, _, function, callers, _ in tracer.TARGETS
+                    if "cli" in callers})
+    assert {"enumerate_levels", "monte_carlo_margins", "offset_margin_report"} <= set(names)
+    config = tmp_path / "device.cfg"
+    config.write_text("domain_length_nm = 60\nmaterial = NiFe\n")
+    code, _, err = fresh_python(_REBIND_FIRST, str(config), *names)
     assert code == 0, err
-    assert err.split() == ["worst_case_levels", "offset_margin_report"]
+    assert err.split() == names

@@ -293,27 +293,6 @@ def test_engine_matches_oracle_beyond_twelve_domains(char, monkeypatch):
     assert engine.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize(
-    "domains,assumption,evaluated", [(12, ZERO, 80), (12, ONE, 80), (12, WORST, 88), (30, ZERO, 224)]
-)
-def test_engine_evaluates_a_group_once_when_its_candidates_coincide(
-    char, monkeypatch, domains, assumption, evaluated
-):
-    # one neighbor bit gives one overhang; a group whose two bank
-    # conductances are equal then has one candidate vector, not two
-    candidate = variation._candidate_resistance
-    calls = []
-
-    def counted(*terms):
-        calls.append(terms)
-        return candidate(*terms)
-
-    monkeypatch.setattr(variation, "_candidate_resistance", counted)
-    borders = BorderCondition.parse("same,differ")
-    min_margins_for_offsets(domains, borders, np.array([2e-9]), assumption, assumption, char)
-    assert len(calls) == evaluated
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), domains=st.integers(1, 8))
 def test_engine_matches_oracle_on_perturbed_tables(perturbed_tables, data, domains):
