@@ -31,8 +31,12 @@ Per checkout the file holds one run:
   of ``cli-short``
   (``perfbench/workloads.py``, each workload with its own seed-``SEED``
   table), ``variation --domains 12 --monte-carlo 1000000 --seed 1`` in CSV
-  and JSON on the ``montecarlo-d4`` table, and one process that only runs
-  ``import mdmtj.cli`` (interpreter start plus the import every query pays);
+  and JSON on the ``montecarlo-d4`` table, ``resistance --pattern 0101``
+  (default table) through ``run()`` and, as a control, through
+  ``sys.exit(main())``, whose gap is the interpreter teardown that
+  ``run()``'s ``os._exit`` skips, and one process that only runs
+  ``import mdmtj.cli`` (interpreter start plus the import every query pays;
+  it never calls ``run()``);
 - the machine: CPU model, core count, Python and numpy versions, git SHA.
 
 Every row gives the median and quartiles over ``ROUNDS`` rounds; ``ROUNDS``
@@ -164,6 +168,9 @@ print(json.dumps(times))
 """
 
 ENTRY = "from mdmtj.cli import run; run()"
+# the same job with the interpreter's teardown: the control for run()'s os._exit
+TEARDOWN = "import sys; from mdmtj.cli import main; sys.exit(main())"
+TEARDOWN_JOB = ("resistance", "--pattern", "0101")
 IMPORT = "import mdmtj.cli"
 
 
@@ -247,6 +254,9 @@ def measure(checkouts: dict[str, Path]) -> list[dict]:
                 if row in {taken for taken, *_ in jobs}:  # on an earlier workload's table
                     row += f" ({name} table)"
                 jobs.append((row, jobs_dir, ENTRY, list(job)))
+        row = f"mdmtj {' '.join(TEARDOWN_JOB)}"
+        jobs.append((row, Path(root), ENTRY, list(TEARDOWN_JOB)))
+        jobs.append((f"{row} [sys.exit(main())]", Path(root), TEARDOWN, list(TEARDOWN_JOB)))
         jobs.append((IMPORT, Path(root), IMPORT, []))
         samples: dict[str, dict[str, list]] = {label: {} for label in checkouts}
         labels = list(checkouts)

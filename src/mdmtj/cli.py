@@ -24,18 +24,28 @@ runs are byte-identical; everything else is deterministic by construction.
 Exit codes: 0 success, 2 usage or invalid pattern, 3 configuration error,
 1 internal error, 141 (128 + SIGPIPE) when the reader of stdout closes it
 before the output ends, as ``| head`` does.
+
+``run()``, the entry point of the ``mdmtj`` script and of ``python -m
+mdmtj.cli``, flushes stdout and stderr after ``main()`` returns and then
+ends the process with ``os._exit``. The interpreter's teardown (a last full
+garbage collection, clearing every module, freeing every object) writes
+nothing and costs a short query about a tenth of its time. A failed final
+flush keeps the exit codes above. Library callers use ``main()``, which
+returns the exit code and leaves the interpreter running.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import itertools
 import math
 import os
 import sys
 import time
 from decimal import Decimal
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence, Union
 
 from . import _HOME, __version__
 from .characterization import (
@@ -280,25 +290,30 @@ def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
     yield "\n  ]" + after
 
 
+def _write_stdout(pieces: Iterable[str] = ()) -> None:
+    """Write ``pieces`` to stdout and flush it, so that a failed write raises
+    here: BrokenPipeError when the reader has gone, ModelError on any other
+    failure (a full disk). Either way what is still buffered goes to
+    devnull, so no later flush fails again."""
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise ModelError(f"cannot write standard output: {exc.strerror or exc}") from None
+
+
 def _emit(result: _Result, char: Characterization, fmt: str, out: str | None) -> None:
     """Write ``result`` to ``out`` (stdout when None) as table, csv or json,
     one write call per piece of ``_text``."""
     pieces = _text(result, char, fmt)
     first = next(pieces)  # the manifest: a bad SOURCE_DATE_EPOCH refuses before any output
     if out is None:
-        try:
-            sys.stdout.write(first)
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        except OSError as exc:  # a reader that has gone, a full disk
-            # send what is still buffered to devnull, so that the
-            # interpreter's final flush of stdout stays quiet
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            if isinstance(exc, BrokenPipeError):
-                raise
-            raise ModelError(f"cannot write standard output: {exc.strerror or exc}") from None
+        _write_stdout(itertools.chain((first,), pieces))
         return
     try:
         with open(out, "w") as stream:
@@ -677,7 +692,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The ``mdmtj`` entry point: ``main``, then a flush of stdout and stderr
+    and ``os._exit``, which skips the interpreter's teardown."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process began with it closed
+            _write_stdout()  # what argparse left buffered: --help, --version
+    except BrokenPipeError:
+        code = _BROKEN_PIPE
+    except ModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = _INTERNAL_ERROR
+    with contextlib.suppress(OSError):  # a failed flush of stderr has nowhere to go
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -186,6 +186,10 @@ class _Enumeration:
             counts[row] = segment_counts(bits, borders)
         return counts
 
+    def resistances(self, borders: BorderCondition) -> np.ndarray:
+        """Every word's resistance under ``borders``, in row order."""
+        return 1.0 / self.conductance(self.counts(borders))
+
     def conductance(self, bank: np.ndarray) -> np.ndarray:
         g = np.zeros(len(bank))
         for index in range(_N_KINDS):
@@ -294,10 +298,7 @@ def worst_case_brute_force(domains: int, char: Characterization) -> MarginReport
     condition; class listings stay empty, matching the production shape.
     """
     patterns = _Enumeration(domains, char)
-    resistances = [
-        1.0 / patterns.conductance(patterns.counts(borders)) for borders in ALL_CONDITIONS
-    ]
-    return patterns.report(None, resistances)
+    return patterns.report(None, [patterns.resistances(borders) for borders in ALL_CONDITIONS])
 
 
 # --- the run-structure walk ----------------------------------------------------
@@ -764,33 +765,40 @@ def check_report(report: MarginReport, char: Characterization) -> None:
         )
 
 
-def check_closed_form(domains: int, volts: float, char: Characterization) -> float:
-    """The closed-form margin ``volts`` against the brute-force worst case;
-    returns that worst-case margin."""
-    check_limit(domains)
-    ref = worst_case_brute_force(domains, char)
-    if ref.min_margin != volts:
+def _match_closed_form(domains: int, volts: float, worst: float) -> None:
+    if worst != volts:
         raise OracleMismatch(
             f"closed-form margin {volts!r} V differs from the brute-force"
-            f" worst-case margin {ref.min_margin!r} V at {domains} domains"
+            f" worst-case margin {worst!r} V at {domains} domains"
         )
-    return ref.min_margin
+
+
+def check_closed_form(domains: int, volts: float, char: Characterization) -> None:
+    """The closed-form margin ``volts`` against the brute-force worst case."""
+    check_limit(domains)
+    _match_closed_form(domains, volts, worst_case_brute_force(domains, char).min_margin)
 
 
 def check_sweep(report: SweepReport, char: Characterization) -> None:
     """Every row of a sweep, both margins, then its answer: the largest D
-    whose brute-force worst-case margin meets the threshold. The whole range
-    is refused before the first row when it ends above BRUTE_FORCE_LIMIT."""
+    whose brute-force worst-case margin meets the threshold. Each row counts
+    its words once per border condition: the sweep's own condition gives the
+    enumerated margin, all four the worst case. The whole range is refused
+    before the first row when it ends above BRUTE_FORCE_LIMIT."""
     check_limit(report.d_max)
     best = None
     for row in report.rows:
-        ref = brute_force_report(row.domains, report.borders, char)
-        if ref.min_margin != row.enumerated_margin:
+        patterns = _Enumeration(row.domains, char)
+        resistances = {borders: patterns.resistances(borders) for borders in ALL_CONDITIONS}
+        enumerated = patterns.report(report.borders, [resistances[report.borders]])
+        if enumerated.min_margin != row.enumerated_margin:
             raise OracleMismatch(
                 f"enumerated margin at {row.domains} domains disagrees"
                 " with the brute-force reference"
             )
-        if check_closed_form(row.domains, row.closed_form_margin, char) >= report.threshold:
+        worst = patterns.report(None, list(resistances.values())).min_margin
+        _match_closed_form(row.domains, row.closed_form_margin, worst)
+        if worst >= report.threshold:
             best = row.domains
     if best != report.max_scalable_domains:
         raise OracleMismatch(

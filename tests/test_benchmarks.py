@@ -1,6 +1,7 @@
 """``benchmarks/compare.py`` picks the baseline a BENCH file was measured with
 and pairs the rounds of two runs of one file; ``benchmarks/bench.py`` runs
-each command-line job for every checkout in turn."""
+each command-line job for every checkout in turn, and one job through both
+process exits."""
 
 import importlib.util
 import json
@@ -140,3 +141,31 @@ def test_each_job_runs_for_every_checkout_in_turn(tmp_path, monkeypatch):
         assert [path for _, path in spawned] == order * (len(spawned) // 2)
         assert [argv for argv, _ in spawned[::2]] == [argv for argv, _ in spawned[1::2]]
     assert [row["name"] for row in runs[0]["rows"]] == [row["name"] for row in runs[1]["rows"]]
+
+
+def test_one_job_runs_through_run_and_through_the_teardown_control(tmp_path, monkeypatch):
+    # the gap between the two rows is the teardown run() skips; the import
+    # row never calls run() and is the bypass
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = _load("bench")
+    spawned = []
+
+    def spawn(program, argv, env, cwd):
+        spawned.append((program, tuple(argv)))
+        return 0.1, 20.0, "0"
+
+    monkeypatch.setattr(bench, "ROUNDS", 2)
+    monkeypatch.setattr(bench, "in_process", lambda env: {})
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.setattr(bench, "machine", lambda checkout: {})
+    runs = bench.measure({"change": tmp_path})
+    spawned = spawned[: len(spawned) // 2]  # the first round
+    job = ("resistance", "--pattern", "0101")
+    assert spawned[-3:] == [(bench.ENTRY, job), (bench.TEARDOWN, job), (bench.IMPORT, ())]
+    assert [row["name"] for row in runs[0]["rows"]][-3:] == [
+        "mdmtj resistance --pattern 0101",
+        "mdmtj resistance --pattern 0101 [sys.exit(main())]",
+        "import mdmtj.cli",
+    ]
+    assert bench.ENTRY.endswith("run()") and "run" not in bench.TEARDOWN
+    assert all(program == bench.ENTRY for program, _ in spawned[:-2])

@@ -608,6 +608,26 @@ def test_sweep_oracle_checks_the_answer_it_prints(capsys, monkeypatch):
     assert "max scalable domains 6" in err and "brute-force worst case: 5" in err
 
 
+def test_sweep_oracle_catches_an_enumerated_margin_one_ulp_off(capsys, monkeypatch):
+    real = cli.sweep_domains
+
+    def one_row_nudged(*args):
+        report = real(*args)
+        rows = list(report.rows)
+        margin = rows[1].enumerated_margin
+        rows[1] = rows[1].replace(enumerated_margin=math.nextafter(margin, math.inf))
+        return report.replace(rows=tuple(rows))
+
+    monkeypatch.setattr(cli, "sweep_domains", one_row_nudged)
+    argv = ("sweep", "--from", "3", "--to", "5", "--threshold-mv", "20")
+    assert run_cli(capsys, *argv)[0] == 0  # the table rounds the ulp away
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: enumerated margin at 4 domains disagrees with the brute-force reference\n"
+    )
+
+
 def test_sweep_oracle_checks_a_range_up_to_the_limit(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--from", "10", "--to", "12", "--threshold-mv", "5", "--oracle"
@@ -631,8 +651,6 @@ def _min_margin_one_ulp_up(real):
          "5-domain report (same/same) disagrees with the brute-force reference"),
         ("brute_force_report", ("margin", "--domains", "5", "--borders", "differ,same"),
          "5-domain report (differ/same) disagrees with the brute-force reference"),
-        ("brute_force_report", ("sweep", "--from", "3", "--to", "5", "--threshold-mv", "20"),
-         "enumerated margin at 3 domains disagrees with the brute-force reference"),
         ("worst_case_brute_force", ("margin", "--domains", "5", "--borders", "worst"),
          "5-domain report (worst) disagrees with the brute-force reference"),
         ("worst_case_brute_force", ("margin", "--domains", "5", "--closed-form"),

@@ -1,5 +1,6 @@
 """Independent rational reference path and brute-force cross-checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from mdmtj import oracle
 from mdmtj.characterization import default_characterization
 from mdmtj.errors import DomainCountTooLarge, EmptyNetwork
-from mdmtj.margins import cluster_extremes, enumerate_levels, worst_case_levels
+from mdmtj.margins import cluster_extremes, enumerate_levels, sweep_domains, worst_case_levels
 from mdmtj.network import ALL_CONDITIONS, BitPattern, decompose, pattern_resistance
 from mdmtj.variation import MisalignmentSpec, NeighborAssumption, offset_margin_report
 from mdmtj.oracle import (
@@ -123,6 +124,24 @@ def test_worst_case_brute_force_equals_levels(char):
     # the whole report, as `margin --borders worst --oracle` requires
     for domains in range(1, BRUTE_FORCE_LIMIT + 1):
         assert worst_case_brute_force(domains, char) == worst_case_levels(domains, char)
+
+
+def test_a_sweep_check_counts_each_row_once_per_condition(char, monkeypatch):
+    # one enumeration per row: its four count matrices give both the sweep's
+    # own margin and the worst case, so 4 counts per row, not 5
+    real = oracle._Enumeration.counts
+    calls = Counter()
+
+    def spy(self, borders):
+        calls[self.domains, borders] += 1
+        return real(self, borders)
+
+    same_differ = ALL_CONDITIONS[1]
+    report = sweep_domains(2, 12, 20e-3, same_differ, char)
+    monkeypatch.setattr(oracle._Enumeration, "counts", spy)
+    oracle.check_sweep(report, char)
+    assert sum(calls.values()) == 44
+    assert calls == Counter((d, borders) for d in range(2, 13) for borders in ALL_CONDITIONS)
 
 
 def test_distinct_class_counts(char, same_same, differ_differ):
