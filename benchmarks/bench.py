@@ -45,12 +45,14 @@ not gated; ``benchmarks/compare.py`` prints each row's ratio against an
 earlier run. Children run with ``SOURCE_DATE_EPOCH=0`` (byte-identical
 output) and ``PYTHONDONTWRITEBYTECODE=1`` (no bytecode cache written into a
 checkout, so every process compiles from source). On Linux a child's
-``ru_maxrss`` starts from the spawning process's resident size, and this
-script is not small: every short job's row reads about 24.4 MB, the
-script's own size, where a bare ``import mdmtj.cli`` process peaks at
-16.1 MB (VmHWM). A job smaller than the script reads as the script; only
-larger jobs (``levels`` at D = 30, the Monte Carlo runs) show their own
-peak. The digests are read in blocks, so the outputs do not add to it.
+``ru_maxrss`` starts from the peak resident size of the process that
+spawned it, and this script is not small (about 24 MB). So the command-line
+jobs are spawned by a helper (``Helper``): a bare ``python -S`` of about
+9 MB, started before the first sample, that reads job specs over a pipe,
+runs ``os.posix_spawn`` and ``os.wait4`` and returns wall time, peak RSS
+and exit code. Every job is larger than the helper, so each row reads its
+own job's peak (a bare ``import mdmtj.cli`` peaks at about 16 MB). The
+digests are read in blocks by this script.
 """
 
 from __future__ import annotations
@@ -59,13 +61,13 @@ import argparse
 import contextlib
 import hashlib
 import json
+import marshal
 import os
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from importlib import metadata
 from pathlib import Path
 
@@ -183,26 +185,76 @@ def child_env(checkout: Path) -> dict[str, str]:
     return env
 
 
-def spawn(
-    program: str, argv: list[str], env: dict[str, str], cwd: Path
-) -> tuple[float, float, str]:
-    """Run ``python -c program argv``: (wall seconds, peak RSS MB, stdout sha256)."""
-    with tempfile.TemporaryFile() as out:
-        start = time.perf_counter()
-        process = subprocess.Popen(
-            [sys.executable, "-c", program, *argv], env=env, cwd=cwd, stdout=out,
-            stderr=subprocess.DEVNULL,
+# The helper: for each (argv, env, cwd, stdout path) read from stdin with
+# marshal, spawns argv with stdin and stderr on devnull and prints
+# "<wall seconds> <ru_maxrss KB> <exit code>". It imports nothing beyond what
+# a bare interpreter has loaded, so its own peak stays below every job's.
+_HELPER = """
+import marshal, os, sys, time
+while True:
+    try:
+        argv, env, cwd, out = marshal.load(sys.stdin.buffer)
+    except EOFError:
+        break
+    os.chdir(cwd)
+    actions = [(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+               (os.POSIX_SPAWN_OPEN, 1, out, os.O_WRONLY | os.O_TRUNC, 0),
+               (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)]
+    start = time.perf_counter()
+    pid = os.posix_spawn(argv[0], argv, env, file_actions=actions)
+    _, status, usage = os.wait4(pid, 0)
+    elapsed = time.perf_counter() - start
+    print(elapsed, usage.ru_maxrss, os.waitstatus_to_exitcode(status), flush=True)
+"""
+
+
+class Helper:
+    """The small process that spawns every command-line job; a context
+    manager that closes its pipe and waits for it on exit."""
+
+    def __init__(self) -> None:
+        self.process = subprocess.Popen(
+            [sys.executable, "-S", "-c", _HELPER], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
         )
-        _, status, usage = os.wait4(process.pid, 0)
-        elapsed = time.perf_counter() - start
-        process.returncode = os.waitstatus_to_exitcode(status)
-        if process.returncode != 0:
-            raise RuntimeError(f"{' '.join(argv)} exited {process.returncode}")
-        out.seek(0)
+
+    def run(
+        self, argv: list[str], env: dict[str, str], cwd: Path, out: str
+    ) -> tuple[float, float, int]:
+        """(wall seconds, peak RSS MB, exit code) of ``argv``, its stdout
+        written to the existing file ``out``."""
+        marshal.dump((argv, env, str(cwd), out), self.process.stdin)
+        self.process.stdin.flush()
+        line = self.process.stdout.readline()
+        if not line:
+            raise RuntimeError("the spawning helper has exited")
+        wall, rss, code = line.split()
+        return float(wall), int(rss) / 1024, int(code)
+
+    def __enter__(self) -> Helper:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.process.stdin.close()
+        self.process.wait(timeout=60)
+        self.process.stdout.close()
+
+
+def spawn(
+    helper: Helper, program: str, argv: list[str], env: dict[str, str], cwd: Path
+) -> tuple[float, float, str]:
+    """Run ``python -c program argv`` through ``helper``: (wall seconds, peak
+    RSS MB, stdout sha256)."""
+    with tempfile.NamedTemporaryFile() as out:
+        elapsed, rss, code = helper.run(
+            [sys.executable, "-c", program, *argv], env, cwd, out.name
+        )
+        if code != 0:
+            raise RuntimeError(f"{' '.join(argv)} exited {code}")
         digest = hashlib.sha256()
         for block in iter(lambda: out.read(1 << 20), b""):
             digest.update(block)
-    return elapsed, usage.ru_maxrss / 1024, digest.hexdigest()
+    return elapsed, rss, digest.hexdigest()
 
 
 def in_process(env: dict[str, str]) -> dict[str, float]:
@@ -241,7 +293,7 @@ def machine(checkout: Path) -> dict[str, object]:
 
 
 def measure(checkouts: dict[str, Path]) -> list[dict]:
-    with tempfile.TemporaryDirectory() as root:
+    with Helper() as helper, tempfile.TemporaryDirectory() as root:
         jobs = []  # (row name, directory holding the job's table, program, argv)
         for name in WORKLOADS:
             inputs = workloads.build(name, SEED)
@@ -268,7 +320,7 @@ def measure(checkouts: dict[str, Path]) -> list[dict]:
                     samples[label].setdefault(name, []).append(seconds)
             for row, jobs_dir, program, job in jobs:
                 for label in order:  # one job for every checkout, back to back
-                    wall, rss, digest = spawn(program, job, envs[label], jobs_dir)
+                    wall, rss, digest = spawn(helper, program, job, envs[label], jobs_dir)
                     samples[label].setdefault(row, []).append((wall, rss, digest))
     runs = []
     for label, checkout in checkouts.items():

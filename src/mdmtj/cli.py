@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import importlib
 import itertools
 import math
@@ -293,8 +294,11 @@ def _text(result: _Result, char: Characterization, fmt: str) -> Iterator[str]:
 def _write_stdout(pieces: Iterable[str] = ()) -> None:
     """Write ``pieces`` to stdout and flush it, so that a failed write raises
     here: BrokenPipeError when the reader has gone, ModelError on any other
-    failure (a full disk). Either way what is still buffered goes to
-    devnull, so no later flush fails again."""
+    failure (a full disk, or no stdout at all: ``sys.stdout`` is None when
+    the process began with it closed). After a failed write what is still
+    buffered goes to devnull, so no later flush fails again."""
+    if sys.stdout is None:
+        raise ModelError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()

@@ -3,9 +3,9 @@
 Everything here recomputes from scratch: segment counting works directly on
 the bit string, parallel sums are redone in exact rational arithmetic, and
 every brute-force report comes from one raw 2^D enumeration: all D-bit words
-in weight order, their 2^D x 10 segment-count matrix per border condition,
-conductances summed column by column, and per-weight extremes over the row
-range of each weight. No run structure or equivalence class shortens that
+in weight order, one ``segment_counts`` row per word and border condition,
+each row's conductance summed in kind order, and per-weight extremes over the
+row range of each weight. No run structure or equivalence class shortens that
 enumeration; the class listing of ``brute_force_report`` only groups its
 rows. ``BRUTE_FORCE_LIMIT`` is its one bound: every brute-force path refuses
 above it. Above it the reference is the run-structure walk
@@ -16,6 +16,12 @@ The misalignment coverage model is stated here apart from the engine in
 ``variation``: ``apply_misalignment`` and ``perturbed_resistance`` for one
 pattern, ``brute_force_offset_margins`` for all 2^D, on the same
 partial-coverage term and refusal texts.
+
+The report, closed-form and sweep references are plain Python. numpy is
+imported only inside the offset and sample references and their checks
+(``brute_force_offset_margins``, ``reference_sample_offsets``,
+``check_offset_margins``, ``check_sample_stream``), which evaluate arrays of
+offsets, so an ``--oracle`` run of any other subcommand never loads it.
 
 The ``check_*`` functions are the hidden ``--oracle`` flag: each takes one
 production result, recomputes its reference here and raises OracleMismatch
@@ -33,11 +39,10 @@ order is part of the report contract.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .characterization import (
     DOMAIN,
@@ -56,6 +61,8 @@ from .margins import AdjacentMargin, ClassEntry, LevelCluster, MarginReport, Swe
 from .network import ALL_CONDITIONS, BitPattern, Border, BorderCondition
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .variation import MisalignmentSpec, MonteCarloReport, MonteCarloSpec
     from .variation import NeighborAssumption, OffsetReport
 
@@ -162,7 +169,11 @@ def _canonical_key(counts: Sequence[int]) -> tuple:
 
 class _Enumeration:
     """Every D-bit word once, in weight order and in value order within a
-    weight, so each weight's patterns are one contiguous row range."""
+    weight, so each weight's patterns are one contiguous row range:
+    ``starts[w]`` to ``starts[w + 1]``.
+
+    A row is a word's ``segment_counts``, its conductance summed in kind
+    order (the production contract) and its resistance, in plain Python."""
 
     def __init__(self, domains: int, char: Characterization):
         check_domain_count(domains)
@@ -174,43 +185,40 @@ class _Enumeration:
         words = (format(value, f"0{domains}b") for value in range(2**domains))
         self.words = sorted(words, key=lambda bits: bits.count("1"))
         self.weights = [bits.count("1") for bits in self.words]
-        self.starts = np.searchsorted(self.weights, np.arange(domains + 1))
+        # the last start, of the weight past D, is the row count
+        self.starts = [bisect_left(self.weights, weight) for weight in range(domains + 2)]
         self.ohms = [char.table.ohms(kind) for kind in SegmentKind]
         self.current = _read_current(domains, char)
 
-    def counts(self, borders: BorderCondition) -> np.ndarray:
-        """The 2^D x 10 count matrix, one ``segment_counts`` row per word;
-        no count exceeds D, so int8 keeps the matrix small."""
-        counts = np.empty((len(self.words), _N_KINDS), dtype=np.int8)
-        for row, bits in enumerate(self.words):
-            counts[row] = segment_counts(bits, borders)
-        return counts
+    def counts(self, borders: BorderCondition) -> list[bytes]:
+        """One ``segment_counts`` row per word; no count exceeds D, so bytes
+        keep the rows small."""
+        return [bytes(segment_counts(bits, borders)) for bits in self.words]
 
-    def resistances(self, borders: BorderCondition) -> np.ndarray:
+    def resistances(self, borders: BorderCondition) -> list[float]:
         """Every word's resistance under ``borders``, in row order."""
-        return 1.0 / self.conductance(self.counts(borders))
+        return [1.0 / g for g in self.conductance(self.counts(borders))]
 
-    def conductance(self, bank: np.ndarray) -> np.ndarray:
-        g = np.zeros(len(bank))
-        for index in range(_N_KINDS):
-            # in float64 whatever the promotion rules; a zero count adds 0.0
-            g = g + np.divide(bank[:, index], self.ohms[index], dtype=float)
-        return g
+    def conductance(self, bank: Iterable[Sequence[int]]) -> list[float]:
+        """Each row's conductance: ``g = 0.0``, then ``g += count / ohms`` in
+        kind order, a zero count adding 0.0."""
+        return [_kind_order_conductance(row, self.ohms) for row in bank]
 
-    def margins(self, resistances: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-        """Per-weight extremes over every array, and the adjacent margins."""
-        low = np.minimum.reduce([np.minimum.reduceat(r, self.starts) for r in resistances])
-        high = np.maximum.reduce([np.maximum.reduceat(r, self.starts) for r in resistances])
-        return low, high, self.current * low[1:] - self.current * high[:-1]
+    def extremes(self, resistances: list[list[float]]) -> tuple[list[float], list[float]]:
+        """Per-weight smallest and largest resistance over every list."""
+        bounds = list(zip(self.starts, self.starts[1:]))
+        low = [min(min(r[a:b]) for r in resistances) for a, b in bounds]
+        high = [max(max(r[a:b]) for r in resistances) for a, b in bounds]
+        return low, high
 
     def report(
         self,
         borders: BorderCondition | None,
-        resistances: list[np.ndarray],
+        resistances: list[list[float]],
         classes: list[list[ClassEntry]] | None = None,
     ) -> MarginReport:
-        low, high = (values.tolist() for values in self.margins(resistances)[:2])
-        sizes = np.diff(self.starts, append=len(self.words)).tolist()
+        low, high = self.extremes(resistances)
+        sizes = [b - a for a, b in zip(self.starts, self.starts[1:])]
         return _report(self.domains, borders, self.current, sizes, low, high, classes)
 
 
@@ -267,14 +275,14 @@ def brute_force_report(
     """
     patterns = _Enumeration(domains, char)
     counts = patterns.counts(borders)
-    resistance = 1.0 / patterns.conductance(counts)
+    resistance = [1.0 / g for g in patterns.conductance(counts)]
     groups: dict[tuple, list[int]] = {}  # key -> [first row, multiplicity]
     for row, weight in enumerate(patterns.weights):
-        key = (weight,) + _canonical_key(counts[row].tolist())
+        key = (weight,) + _canonical_key(counts[row])
         groups.setdefault(key, [row, 0])[1] += 1
     classes: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
     for (weight, *_), (row, multiplicity) in groups.items():
-        value = float(resistance[row])
+        value = resistance[row]
         classes[weight].append(
             ClassEntry(patterns.words[row], multiplicity, value, patterns.current * value)
         )
@@ -492,6 +500,16 @@ def _lexmin_patterns(family: _Family) -> list[str]:
     return patterns
 
 
+def _less_edge(bank: Sequence[int], edge: int, half: int | None) -> list[int]:
+    """``bank`` less one edge domain of kind ``edge`` and, unless None, one
+    half-wall of kind ``half``."""
+    adjusted = list(bank)
+    adjusted[edge] -= 1
+    if half is not None:
+        adjusted[half] -= 1
+    return adjusted
+
+
 def _kind_order_conductance(bank: Sequence[int], ohms: Sequence[float]) -> float:
     g = 0.0
     for count, r in zip(bank, ohms):
@@ -534,11 +552,7 @@ def walk_reference(
             if rep < entry[1]:
                 entry[1:] = rep, resistance
             for side_groups, (edge, half) in zip(groups, edges):
-                adjusted = bank.copy()
-                adjusted[edge] -= 1
-                if half is not None:
-                    adjusted[half] -= 1
-                g = _kind_order_conductance(adjusted, ohms)
+                g = _kind_order_conductance(_less_edge(bank, edge, half), ohms)
                 g_low, g_high = side_groups.get((weight, edge, half), (g, g))
                 side_groups[(weight, edge, half)] = (min(g_low, g), max(g_high, g))
     classes: list[list[ClassEntry]] = [[] for _ in range(domains + 1)]
@@ -651,14 +665,20 @@ def brute_force_offset_margins(
     length; then, side by side, a side whose largest magnitude leaves the
     shortest edge domain of some pattern no covered length.
     """
+    import numpy as np
+
     patterns = _Enumeration(domains, char)
     ohms = patterns.ohms
     nominal = [char.geometry.nominal_length(kind) for kind in SegmentKind]
     counts = patterns.counts(borders)
-    rows = np.arange(len(counts))
+    starts = patterns.starts[:-1]
+    current = patterns.current
 
     def min_margin(resistances: list[np.ndarray]) -> float:
-        return float(np.min(patterns.margins(resistances)[2]))
+        """The smallest adjacent margin of the per-weight extremes."""
+        low = np.minimum.reduce([np.minimum.reduceat(r, starts) for r in resistances])
+        high = np.maximum.reduce([np.maximum.reduceat(r, starts) for r in resistances])
+        return float(np.min(current * low[1:] - current * high[:-1]))
 
     offsets = np.asarray(offsets, dtype=float)
     listed = offsets.reshape(-1).tolist()
@@ -667,7 +687,7 @@ def brute_force_offset_margins(
     out = np.empty(offsets.shape)
     zero = offsets == 0.0
     if zero.any():
-        out[zero] = min_margin([1.0 / patterns.conductance(counts)])
+        out[zero] = min_margin([1.0 / np.array(patterns.conductance(counts))])
     for left, neighbor, selected in (
         (True, right_neighbor, offsets > 0.0),
         (False, left_neighbor, offsets < 0.0),
@@ -677,11 +697,9 @@ def brute_force_offset_margins(
         edges = [_edge_structure(bits, borders, left) for bits in patterns.words]
         edge = np.array([domain for domain, _ in edges])
         half = np.array([_N_KINDS if kind is None else kind for _, kind in edges])
-        adjusted = counts.copy()
-        adjusted[rows, edge] -= 1
-        has_half = half < _N_KINDS
-        adjusted[rows[has_half], half[has_half]] -= 1
-        g = patterns.conductance(adjusted)
+        g = np.array(patterns.conductance(
+            _less_edge(row, *structure) for row, structure in zip(counts, edges)
+        ))
         largest = float(np.max(np.abs(offsets[selected])))
         shortest = min(nominal[index] for index in set(edge.tolist()))
         if not shortest - largest > 0.0:
@@ -715,6 +733,8 @@ def reference_sample_offsets(
     and ``Generator``, and redraws until the normal lies within the
     truncation; nothing is shared between samples.
     """
+    import numpy as np
+
     if stop is None:
         stop = spec.samples
     offsets = []
@@ -814,6 +834,8 @@ def check_offset_margins(
     ``brute_force_offset_margins`` call that also covers the nominal margin:
     a fixed-offset report's at +offset and -offset, a Monte Carlo report's
     at every sample, once ``check_sample_stream`` has passed its offsets."""
+    import numpy as np
+
     check_limit(report.domains)
     if hasattr(report, "spec"):  # a Monte Carlo report
         check_sample_stream(report.spec, report.offsets)
@@ -838,6 +860,8 @@ def check_offset_margins(
 
 def check_sample_stream(spec: MonteCarloSpec, offsets: np.ndarray) -> None:
     """Sampled offsets against ``reference_sample_offsets``, bit for bit."""
+    import numpy as np
+
     ref = reference_sample_offsets(spec)
     # bits, not values: 0.0 and -0.0 differ, a NaN matches itself
     wrong = np.flatnonzero(offsets.view(np.uint64) != ref.view(np.uint64))

@@ -1,13 +1,18 @@
 """``benchmarks/compare.py`` picks the baseline a BENCH file was measured with
 and pairs the rounds of two runs of one file; ``benchmarks/bench.py`` runs
 each command-line job for every checkout in turn, and one job through both
-process exits."""
+process exits, all spawned by a helper started before the first sample, so
+each job's peak RSS is its own."""
 
+import hashlib
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -118,19 +123,31 @@ def test_each_job_runs_for_every_checkout_in_turn(tmp_path, monkeypatch):
     bench = _load("bench")
     calls = []
 
+    class Helper:
+        def __enter__(self):
+            calls.append("helper")
+            return self
+
+        def __exit__(self, *exc):
+            calls.append("helper closed")
+
     def in_process(env):
         calls.append(("in_process", env["PYTHONPATH"]))
         return {"call D=5": 0.1}
 
-    def spawn(program, argv, env, cwd):
+    def spawn(helper, program, argv, env, cwd):
+        assert isinstance(helper, Helper)
         calls.append((tuple(argv), env["PYTHONPATH"]))
         return 0.1, 20.0, "0"
 
     monkeypatch.setattr(bench, "ROUNDS", 2)
+    monkeypatch.setattr(bench, "Helper", Helper)
     monkeypatch.setattr(bench, "in_process", in_process)
     monkeypatch.setattr(bench, "spawn", spawn)
     monkeypatch.setattr(bench, "machine", lambda checkout: {})
     runs = bench.measure({"parent": tmp_path / "a", "change": tmp_path / "b"})
+    # one helper, started before the first sample and closed after the last
+    assert (calls.pop(0), calls.pop()) == ("helper", "helper closed")
     a, b = (str(tmp_path / name / "src") for name in "ab")
     per_round = len(calls) // 2
     for index, order in enumerate(([a, b], [b, a])):
@@ -150,7 +167,7 @@ def test_one_job_runs_through_run_and_through_the_teardown_control(tmp_path, mon
     bench = _load("bench")
     spawned = []
 
-    def spawn(program, argv, env, cwd):
+    def spawn(helper, program, argv, env, cwd):
         spawned.append((program, tuple(argv)))
         return 0.1, 20.0, "0"
 
@@ -169,3 +186,23 @@ def test_one_job_runs_through_run_and_through_the_teardown_control(tmp_path, mon
     ]
     assert bench.ENTRY.endswith("run()") and "run" not in bench.TEARDOWN
     assert all(program == bench.ENTRY for program, _ in spawned[:-2])
+
+
+def test_a_job_spawned_by_the_helper_reads_its_own_peak_rss(tmp_path, monkeypatch):
+    # a child spawned by this test process would start from this process's
+    # peak; one spawned by the helper starts from the helper's bare interpreter
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    bench = _load("bench")
+    env = bench.child_env(tmp_path)
+    with bench.Helper() as helper:
+        wall, rss, digest = bench.spawn(
+            helper, "import sys; sys.stdout.write(sys.argv[1])", ["hello"], env, tmp_path
+        )
+        assert digest == hashlib.sha256(b"hello").hexdigest()
+        assert 0.0 < wall < 60.0
+        assert 0.0 < rss < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        with pytest.raises(RuntimeError, match="exited 3"):
+            bench.spawn(helper, "raise SystemExit(3)", [], env, tmp_path)
+        # the helper outlives a failed job
+        assert bench.spawn(helper, "pass", [], env, tmp_path)[2] == hashlib.sha256().hexdigest()
+    assert helper.process.returncode == 0

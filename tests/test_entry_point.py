@@ -149,6 +149,29 @@ def test_a_closed_stdout_is_left_as_main_leaves_it():
     assert (code, err) == want
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["resistance", "--pattern", "01"], ["levels", "--domains", "4", "--format", "json"]],
+    ids=["table", "json"],
+)
+def test_no_stdout_exits_1_as_a_full_disk_does(argv):
+    want = in_process(argv, None)
+    assert want == (1, f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n")
+    code, _, err = spawn(argv, stdout=subprocess.DEVNULL, closed=True)
+    assert (code, err) == want
+
+
+def test_an_out_file_is_written_with_stdout_closed(tmp_path):
+    argv = ["levels", "--domains", "4", "--format", "csv"]
+    out = io.StringIO()
+    assert in_process(argv, out) == (0, "")
+    target = tmp_path / "levels.csv"
+    assert spawn([*argv, "--out", str(target)], stdout=subprocess.DEVNULL, closed=True) == (
+        0, None, ""
+    )
+    assert target.read_bytes() == out.getvalue().encode()
+
+
 def test_an_out_file_is_complete_once_the_process_has_exited(tmp_path):
     argv = [*MANY_ROWS, "--format", "json"]
     out = io.StringIO()

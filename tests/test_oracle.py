@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,39 @@ def test_worst_case_brute_force_equals_levels(char):
     # the whole report, as `margin --borders worst --oracle` requires
     for domains in range(1, BRUTE_FORCE_LIMIT + 1):
         assert worst_case_brute_force(domains, char) == worst_case_levels(domains, char)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), domains=st.integers(1, 10))
+def test_brute_force_equals_enumeration_on_perturbed_tables(perturbed_tables, data, domains):
+    # every condition's report, class listing included, and the worst case
+    perturbed = data.draw(perturbed_tables)
+    for borders in ALL_CONDITIONS:
+        assert brute_force_report(domains, borders, perturbed) == enumerate_levels(
+            domains, borders, perturbed
+        )
+    assert worst_case_brute_force(domains, perturbed) == worst_case_levels(domains, perturbed)
+
+
+@pytest.fixture(scope="module")
+def counts_at_12(char):
+    """The D = 12 count rows of every condition; they hold for any table."""
+    patterns = oracle._Enumeration(12, char)
+    return {borders: patterns.counts(borders) for borders in ALL_CONDITIONS}
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_row_sums_equal_the_numpy_column_sum_bit_for_bit(perturbed_tables, counts_at_12, data):
+    # the plain rows add the same divisions in the same kind order as a
+    # column-by-column sum over the whole count matrix
+    patterns = oracle._Enumeration(12, data.draw(perturbed_tables))
+    for borders, rows in counts_at_12.items():
+        matrix = np.array([list(row) for row in rows], dtype=np.int8)
+        columns = np.zeros(len(matrix))
+        for index, ohms in enumerate(patterns.ohms):
+            columns = columns + np.divide(matrix[:, index], ohms, dtype=float)
+        assert np.array(patterns.conductance(rows)).tobytes() == columns.tobytes(), borders
 
 
 def test_a_sweep_check_counts_each_row_once_per_condition(char, monkeypatch):

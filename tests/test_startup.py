@@ -10,9 +10,12 @@ machine-readable output.
 ``resistance``, ``voltage``, ``levels``, ``margin``, ``sweep`` and
 fixed-offset ``variation`` build no array (the misalignment engine runs on
 plain floats for a list of offsets), so they run, and print the same bytes,
-in an interpreter where any import of numpy fails. ``variation
---monte-carlo`` and ``--oracle`` runs do load it, and a Monte Carlo run
-without ``--oracle`` loads neither ``numpy.random`` nor ``numpy.ma``.
+in an interpreter where any import of numpy fails. So do the first five with
+``--oracle``: their references (the rational path and the brute-force
+reports) are plain Python, and ``import mdmtj.oracle`` loads no numpy.
+``variation --monte-carlo`` and every ``variation --oracle`` run do load it,
+and a Monte Carlo run without ``--oracle`` loads neither ``numpy.random``
+nor ``numpy.ma``.
 
 No command imports ``dataclasses``: every value class is a plain
 ``__slots__`` record. ``import mdmtj.cli``, loading a config and every
@@ -41,6 +44,14 @@ WITHOUT_NUMPY = [
     ("margin", "--domains", "7", "--closed-form"),
     ("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20"),
     ("variation", "--domains", "4", "--offset-nm", "3"),
+    ("resistance", "--pattern", "0101", "--oracle"),
+    ("voltage", "--pattern", "00010", "--borders", "same,differ", "--oracle"),
+    ("levels", "--domains", "6", "--oracle"),
+    ("levels", "--domains", "8", "--borders", "same,differ", "--format", "json", "--oracle"),
+    ("margin", "--domains", "7", "--oracle"),
+    ("margin", "--domains", "9", "--borders", "worst", "--oracle"),
+    ("margin", "--domains", "7", "--closed-form", "--oracle"),
+    ("sweep", "--from", "2", "--to", "12", "--threshold-mv", "20", "--oracle"),
 ]
 
 
@@ -61,12 +72,21 @@ def test_package_and_queries_run_without_numpy(fresh_cli, monkeypatch):
         ("levels", "--domains", "6", "--oracle"),
         ("variation", "--domains", "4", "--monte-carlo", "10", "--seed", "1"),
         ("variation", "--domains", "4", "--offset-nm", "3", "--oracle"),
+        ("variation", "--domains", "4", "--monte-carlo", "10", "--seed", "1", "--oracle"),
     ],
 )
 def test_arrays_and_oracle_runs_load_numpy(fresh_cli, argv):
+    # only variation's references evaluate arrays; a report's is plain Python
     runs, numpy_loaded = fresh_cli([argv], block_numpy=False)
     assert runs[0][0] == 0
-    assert numpy_loaded
+    assert numpy_loaded == (argv[0] == "variation")
+
+
+def test_the_oracle_module_loads_no_numpy(fresh_python):
+    # numpy is imported inside the offset and sample references only
+    code, _, err = fresh_python("import sys, mdmtj.oracle; sys.stderr.write(' '.join(sys.modules))")
+    assert code == 0, err
+    assert "mdmtj.oracle" in err.split() and "numpy" not in err.split()
 
 
 # Runs one command through cli.main in a fresh interpreter, then writes the
@@ -101,7 +121,7 @@ def bare_modules(fresh_python):
         (("margin", "--domains", "9", "--borders", "worst", "--format", "csv"),
          {"mdmtj.variation"}),
         (("sweep", "--from", "2", "--to", "30", "--threshold-mv", "20"), {"mdmtj.variation"}),
-        (("levels", "--domains", "6", "--oracle"), {"mdmtj.variation"}),
+        (("levels", "--domains", "6", "--oracle"), {"mdmtj.variation", "numpy"}),
         (("variation", "--domains", "4", "--offset-nm", "3"), {"mdmtj.oracle", "numpy"}),
         (("variation", "--domains", "4", "--monte-carlo", "100", "--seed", "1"),
          {"mdmtj.oracle"}),
@@ -186,8 +206,8 @@ def test_monte_carlo_builds_no_dataclass(monte_carlo_loaded):
 def test_oracle_runs_build_no_dataclass(fresh_python):
     code, _, err = fresh_python(_MODULES_AFTER, "levels", "--domains", "6", "--oracle")
     assert code == 0
-    assert {"mdmtj.oracle", "numpy"} <= set(err.split())
-    assert "dataclasses" not in err.split()
+    assert "mdmtj.oracle" in err.split()
+    assert set(err.split()) & ({"numpy"} | _DATACLASSES) == set()
 
 
 def test_import_and_config_load_build_no_dataclass(fresh_python, tmp_path):
