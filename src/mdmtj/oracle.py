@@ -133,11 +133,15 @@ def segment_counts(bits: str, borders: BorderCondition) -> list[int]:
 
 def _edge_structure(bits: str, borders: BorderCondition, left: bool) -> tuple[int, int | None]:
     """Kind indices of the end domain and of the half-wall (None when the
-    outside neighbor holds the same bit) on one side of the window."""
-    end = 0 if left else -1
-    differ = (borders.left if left else borders.right) is Border.DIFFER
+    outside neighbor holds the same bit) on one side of the window. The end
+    domain's walls are its border's and the one toward its inside neighbor,
+    which for a one-domain window is the far border."""
+    end, inside = (0, 1) if left else (-1, -2)
+    here, far = (borders.left, borders.right) if left else (borders.right, borders.left)
+    differ = here is Border.DIFFER
+    walls = differ + (bits[inside] != bits[end] if len(bits) > 1 else far is Border.DIFFER)
     half = 8 + (bits[end] == "1") if differ else None
-    return _domain_indices(bits, borders)[end], half
+    return (3 if bits[end] == "1" else 0) + walls, half
 
 
 def reference_resistance(

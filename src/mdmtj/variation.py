@@ -489,7 +489,8 @@ def monte_carlo_margins(
 
     Samples are drawn ``_CHUNK`` at a time into one buffer behind offset 0,
     whose margin is the nominal one, from the same engine call. A run holds
-    about 24 bytes per sample: both arrays and one temporary of the stats.
+    16 bytes per sample, the two arrays: the statistics take no whole-length
+    temporary (``_stddev``, ``_p01``).
     """
     import numpy as np
 
@@ -507,7 +508,8 @@ def monte_carlo_margins(
     )
     buffer.flags.writeable = evaluated.flags.writeable = False
     offsets, nominal, margins = buffer[1:], float(evaluated[0]), evaluated[1:]
-    stddev = float(np.std(margins, ddof=1)) if spec.samples > 1 else 0.0
+    mean = np.mean(margins)
+    stddev = _stddev(margins, mean) if spec.samples > 1 else 0.0
     return MonteCarloReport(
         domains=domains,
         borders=borders,
@@ -515,7 +517,7 @@ def monte_carlo_margins(
         left_neighbor=left_neighbor,
         right_neighbor=right_neighbor,
         nominal_min_margin=nominal,
-        mean_margin=float(np.mean(margins)),
+        mean_margin=float(mean),
         stddev_margin=stddev,
         min_margin=float(np.min(margins)),
         p01_margin=_p01(margins),
@@ -524,20 +526,74 @@ def monte_carlo_margins(
     )
 
 
+def _stddev(margins: np.ndarray, mean: float) -> float:
+    """``np.std(margins, ddof=1)`` to the bit, given ``np.mean(margins)``,
+    without numpy's whole-length array of deviations. numpy sums a contiguous
+    float64 array pairwise: it halves ``n`` at ``n // 2 - (n // 2) % 8``
+    until a block of at most 128 is summed with eight accumulators. This
+    halves the same way down to blocks of at most ``max(_CHUNK, 128)``,
+    which numpy sums on the same tree, and adds the halves as numpy does."""
+    import numpy as np
+
+    block = max(_CHUNK, 128)
+
+    def total(start: int, size: int) -> float:
+        if size > block:
+            half = size // 2
+            half -= half % 8
+            return total(start, half) + total(start + half, size - half)
+        deviations = margins[start : start + size] - mean
+        return np.add.reduce(np.square(deviations, out=deviations))
+
+    return math.sqrt(total(0, margins.size) / (margins.size - 1))
+
+
 def _p01(margins: np.ndarray) -> float:
-    """``np.percentile(margins, 1.0)`` to the bit, NaN included, without the
-    ``numpy.ma`` import inside ``np.percentile`` (about 12 ms a process):
-    numpy's linear rule and its ``_lerp`` on one partition."""
+    """``np.percentile(margins, 1.0)`` to the bit, NaN included, without a
+    whole-length copy and without the ``numpy.ma`` import inside
+    ``np.percentile`` (about 12 ms a process): numpy's linear rule and its
+    ``_lerp`` on the two order statistics at the 1 % rank.
+
+    A running selection keeps the ``high + 1`` smallest values, scanning
+    chunks of ``max(_CHUNK, 4 * (high + 1))``; once it holds them, only a
+    value below the largest kept one can enter. Equal values have equal bits
+    but for ``-0.0`` and ``0.0``, which numpy's partition leaves in no
+    defined order: where an order statistic is a zero, it takes the sign it
+    has when ``-0.0`` sorts before ``0.0``.
+    """
     import numpy as np
 
     last = margins.size - 1
     virtual = last * (1.0 / 100)
     low = math.floor(virtual)
     high = min(low + 1, last)
-    part = np.partition(margins, (low, high, last))
-    if math.isnan(part[last]):  # a NaN sorts last, and numpy returns NaN
+    if math.isnan(margins.max()):  # numpy returns NaN
         return math.nan
-    a, b = float(part[low]), float(part[high])
+    keep = high + 1
+    step = max(_CHUNK, 4 * keep)
+    pool = np.empty(keep + step)
+    held = 0
+    for start in range(0, margins.size, step):
+        chunk = margins[start : start + step]
+        if held:  # only a value below the largest kept one changes the kept set
+            chunk = chunk[chunk < pool[high]]
+        if chunk.size:  # the first chunk holds at least ``keep`` values
+            pool[held : held + chunk.size] = chunk
+            pool[: held + chunk.size].partition(high)
+            held = keep
+    kept = pool[:keep]
+    kept.partition((low, high))
+    a, b = float(kept[low]), float(kept[high])
+    if a == 0.0 or b == 0.0:
+        # ranks below ``below`` hold -0.0 once it sorts first: every negative
+        # value is kept, and every -0.0 is counted
+        below = int(np.count_nonzero(kept < 0.0)) + sum(
+            int(np.count_nonzero(np.signbit(chunk) & (chunk == 0.0)))
+            for chunk in (margins[start : start + step] for start in range(0, margins.size, step))
+        )
+        a, b = (
+            x if x != 0.0 else -0.0 if rank < below else 0.0 for x, rank in ((a, low), (b, high))
+        )
     gamma = virtual - low
     return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
 

@@ -271,7 +271,7 @@ def _array_columns(rows):
     + [pytest.param(rows, _array_columns, id=f"{rows}-arrays") for rows in (0, 1, 7, 8, 23)],
 )
 def test_emitter_matches_row_by_row_serialization(capsys, monkeypatch, char, fmt, rows, columns):
-    monkeypatch.setattr(cli, "_ROWS_PER_WRITE", 7)  # several chunks, one of them short
+    monkeypatch.setattr(cli, "_WRITE_BYTES", 400)  # 2 to 7 rows a write: one of them short
     names, values = columns(rows)
     result = cli._Result(
         "test", {"rows": rows}, str,
@@ -281,6 +281,25 @@ def test_emitter_matches_row_by_row_serialization(capsys, monkeypatch, char, fmt
     )
     cli._emit(result, char, fmt, None)
     assert capsys.readouterr().out == _row_by_row(result, char, fmt)
+    if rows == 23:  # the head, at least four chunks of rows and (JSON) the tail
+        assert len(list(cli._text(result, char, fmt))) >= 5 + (fmt == "json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("levels", "--domains", "30"),
+        ("variation", "--domains", "4", "--monte-carlo", "50000", "--seed", "1"),
+    ],
+    ids=["levels-d30", "monte-carlo-50k"],
+)
+def test_each_write_of_rows_holds_the_text_budget_and_one_row(char, argv):
+    args = cli.build_parser().parse_args([*argv, "--format", "json"])
+    result = args.handler(args, char)
+    head, *rows, tail = cli._text(result, char, "json")
+    assert "".join(rows).startswith("    {") and len(rows) >= 3
+    widest = max(map(len, "".join(rows).split(",\n    {"))) + len(",\n    {")
+    assert max(map(len, rows)) <= cli._WRITE_BYTES + widest
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

@@ -86,8 +86,8 @@ OUT_CASES = [name for name, argv in CASES if argv[0] not in ("resistance", "volt
 
 CASES += LARGE_CASES
 
-# Monte Carlo runs longer than one write chunk (8192 rows), pinned by the
-# sha256 of their output instead of a megabyte golden file
+# Monte Carlo runs longer than one write (9198 CSV or 4064 JSON rows), pinned
+# by the sha256 of their output instead of a megabyte golden file
 MULTI_CHUNK_ARGV = ("variation", "--domains", "4", "--monte-carlo", "20000", "--seed", "5",
                     "--borders", "same,differ")
 MULTI_CHUNK_DIGESTS = {

@@ -12,7 +12,7 @@ from mdmtj import oracle
 from mdmtj.characterization import default_characterization
 from mdmtj.errors import DomainCountTooLarge, EmptyNetwork
 from mdmtj.margins import cluster_extremes, enumerate_levels, sweep_domains, worst_case_levels
-from mdmtj.network import ALL_CONDITIONS, BitPattern, decompose, pattern_resistance
+from mdmtj.network import ALL_CONDITIONS, BitPattern, Border, decompose, pattern_resistance
 from mdmtj.variation import MisalignmentSpec, NeighborAssumption, offset_margin_report
 from mdmtj.oracle import (
     BRUTE_FORCE_LIMIT,
@@ -69,6 +69,19 @@ def test_rational_resistance_tracks_float(text, borders):
     exact = rational_pattern_resistance(text, borders, char.table)
     approx = reference_resistance(text, borders, char.table)
     assert abs(approx - float(exact)) <= 1e-9 * float(exact)
+
+
+def test_edge_structure_reads_the_end_domain_of_every_word():
+    for domains in range(1, 11):
+        for value in range(2**domains):
+            bits = format(value, f"0{domains}b")
+            for borders in ALL_CONDITIONS:
+                indices = oracle._domain_indices(bits, borders)
+                for left, end in ((True, 0), (False, -1)):
+                    edge, half = oracle._edge_structure(bits, borders, left)
+                    assert edge == indices[end], (bits, str(borders), left)
+                    differ = (borders.left if left else borders.right) is Border.DIFFER
+                    assert half == (8 + (bits[end] == "1") if differ else None)
 
 
 def test_brute_force_limit(char, same_same):

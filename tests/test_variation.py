@@ -577,19 +577,81 @@ def _same_float(a, b):
     return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
 
 
-def test_p01_is_numpys_percentile_to_the_bit():
-    # every n below 400 puts the 1% rank at another fraction between two entries
-    for size in [*range(1, 400), 1000, 2001, 50_000]:
-        rng = np.random.default_rng(size)
-        margins = rng.normal(0.04, 0.002, size)
-        tied = np.round(margins, 3)  # runs of equal values around the 1% rank
-        for values in (margins, tied, -tied, np.full(size, 0.0125)):
-            values.flags.writeable = False  # as a report's margins are
-            assert _same_float(variation._p01(values), float(np.percentile(values, 1.0))), size
-        with_nan = margins.copy()
-        with_nan[size // 2] = math.nan
-        assert math.isnan(variation._p01(with_nan)) and math.isnan(np.percentile(with_nan, 1.0))
+# around multiples of 8 (numpy's unroll), 128 (its pairwise block) and _CHUNK
+STAT_SIZES = [
+    *range(1, 401),
+    *(base + step for base in (1024, 4096, 16384, 32768, 49152) for step in (-9, -8, -1, 0, 1, 8)),
+]
 
+
+def _stat_inputs(size):
+    rng = np.random.default_rng(size)
+    margins = rng.normal(0.04, 0.002, size)
+    tied = np.round(margins, 3)  # runs of equal values around the 1% rank
+    return margins, tied, -tied, np.full(size, 0.0125)
+
+
+def _assert_stats_are_numpys(values):
+    values.flags.writeable = False  # as a report's margins are
+    size = values.size
+    with np.errstate(invalid="ignore"):  # inf - inf in either path
+        assert _same_float(variation._p01(values), float(np.percentile(values, 1.0))), size
+        if size > 1:
+            stddev = variation._stddev(values, np.mean(values))
+            assert _same_float(stddev, float(np.std(values, ddof=1))), size
+
+
+@pytest.mark.parametrize("chunk", [variation._CHUNK, 1, 7])
+def test_statistics_are_numpys_to_the_bit(monkeypatch, chunk):
+    # every n below 400 puts the 1% rank at another fraction between two entries
+    monkeypatch.setattr(variation, "_CHUNK", chunk)
+    for size in STAT_SIZES if chunk > 128 else STAT_SIZES[:400] + [1000, 2001]:
+        margins, *others = _stat_inputs(size)
+        for values in (margins, *others):
+            _assert_stats_are_numpys(values)
+        for bad in (math.nan, math.inf, -math.inf):
+            for index in {0, size // 100, size // 2, size - 1}:
+                with_bad = margins.copy()
+                with_bad[index] = bad
+                _assert_stats_are_numpys(with_bad)
+
+
+def test_statistics_of_a_million_samples_are_numpys_to_the_bit():
+    for values in _stat_inputs(1_000_003):
+        _assert_stats_are_numpys(values)
+
+
+def _p01_with_negative_zero_first(values):
+    # numpy's linear rule and _lerp on the values in total order
+    ordered = sorted(values.tolist(), key=lambda v: (v, math.copysign(1.0, v)))
+    last = len(ordered) - 1
+    virtual = last * (1.0 / 100)
+    low = math.floor(virtual)
+    a, b = ordered[low], ordered[min(low + 1, last)]
+    gamma = virtual - low
+    return a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
+
+
+@pytest.mark.parametrize("chunk", [variation._CHUNK, 1, 7])
+def test_p01_ranks_negative_zero_before_zero(monkeypatch, chunk):
+    monkeypatch.setattr(variation, "_CHUNK", chunk)
+    signs = set()
+    for size in [*range(1, 300), 1000, 20_001]:
+        rng = np.random.default_rng(size)
+        low = math.floor((size - 1) * (1.0 / 100))
+        for _ in range(3):
+            # zeros hold the two ranks the 1% lerp reads, -0.0 and 0.0 mixed
+            negatives = max(0, low - int(rng.integers(0, 3)))
+            values = np.abs(rng.normal(0.04, 0.002, size))
+            values[:negatives] *= -1.0
+            values[negatives : low + 2] = 0.0
+            values[negatives : negatives + int(rng.integers(0, low + 3 - negatives))] = -0.0
+            rng.shuffle(values)
+            p01 = variation._p01(values)
+            assert p01 == 0.0 and p01 == np.percentile(values, 1.0), size
+            assert _same_float(p01, _p01_with_negative_zero_first(values)), size
+            signs.add(math.copysign(1.0, p01))
+    assert signs == {-1.0, 1.0}
 
 
 # --- chunked evaluation -------------------------------------------------------
@@ -660,8 +722,8 @@ def test_monte_carlo_memory_grows_by_its_arrays_only(char):
             tracemalloc.stop()
 
     peak(100)  # loads numpy's generator for the sampler's fallback rows
-    samples = 50_000
-    per_sample = (peak(4 * samples) - peak(samples)) / (3 * samples)
-    # offsets and margins, 8 bytes each, and one temporary of the statistics;
-    # the engine's and the sampler's working sets do not grow with the run
-    assert per_sample <= 32, per_sample
+    samples = 200_000  # the engine's and the sampler's working sets are small beside it
+    per_sample = (peak(2 * samples) - peak(samples)) / samples
+    # offsets and margins, 8 bytes each; the statistics take no whole-length
+    # temporary (24 bytes a sample with one), and the p01 selection about 0.4
+    assert per_sample <= 17, per_sample
