@@ -591,6 +591,18 @@ def _stat_inputs(size):
     return margins, tied, -tied, np.full(size, 0.0125)
 
 
+def test_p01_is_numpys_percentile_to_the_bit():
+    # every n below 400 puts the 1% rank at another fraction between two entries
+    for size in [*range(1, 400), 1000, 2001, 50_000]:
+        margins, *others = _stat_inputs(size)
+        for values in (margins, *others):
+            values.flags.writeable = False  # as a report's margins are
+            assert _same_float(variation._p01(values), float(np.percentile(values, 1.0))), size
+        with_nan = margins.copy()
+        with_nan[size // 2] = math.nan
+        assert math.isnan(variation._p01(with_nan)) and math.isnan(np.percentile(with_nan, 1.0))
+
+
 def _assert_stats_are_numpys(values):
     values.flags.writeable = False  # as a report's margins are
     size = values.size
