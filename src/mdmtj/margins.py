@@ -208,9 +208,8 @@ def _segments(walls: Sequence[int], rights: Sequence[bool]) -> tuple[list, list]
 # weight and under the same left border. Equal states extend equally, so a
 # state keeps only its prefix count and the packed banks that can still
 # become an extreme: key (left border index, last bit, walled, weight) ->
-# [patterns, banks near the largest exact conductance, banks near the
-# smallest], each bank dict mapping a packed bank to its exact conductance
-# in units.
+# [patterns, banks], the banks mapping each packed bank within the band of
+# the largest or the smallest exact conductance to that value in units.
 _States = dict[tuple[int, int, int, int], list]
 
 
@@ -221,36 +220,39 @@ def _advance(states: _States, moves: list, band: int) -> _States:
     that the new bit finalizes (``_segments``).
     """
     grown: _States = {}
-    for (left, bit, walled, weight), (patterns, high, low) in states.items():
+    for (left, bit, walled, weight), (patterns, banks) in states.items():
         for new in (0, 1):
             step, value = moves[bit][walled][new]
             key = (left, new, int(bit != new), weight + new)
             entry = grown.get(key)
             if entry is None:
-                entry = grown[key] = [0, {}, {}]
+                entry = grown[key] = [0, {}]
             entry[0] += patterns
-            grown_high, grown_low = entry[1], entry[2]
-            for bank, total in high.items():
-                grown_high[bank + step] = total + value
-            for bank, total in low.items():
-                grown_low[bank + step] = total + value
+            grown_banks = entry[1]
+            for bank, total in banks.items():
+                grown_banks[bank + step] = total + value
     for entry in grown.values():
-        entry[1], entry[2] = _near_extremes(entry[1], entry[2], band)
+        entry[1] = _near_extremes(entry[1], band)
     return grown
 
 
-def _near_extremes(
-    high: dict[int, int], low: dict[int, int], band: int
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The banks within ``band`` of the largest, and of the smallest, exact
-    conductance."""
-    if len(high) > 1:
-        floor = max(high.values()) - band
-        high = {bank: total for bank, total in high.items() if total >= floor}
-    if len(low) > 1:
-        ceiling = min(low.values()) + band
-        low = {bank: total for bank, total in low.items() if total <= ceiling}
-    return high, low
+def _near_extremes(banks: dict[int, int], band: int) -> dict[int, int]:
+    """The banks within ``band`` of the largest or the smallest exact
+    conductance; two banks or fewer are both extremes. A step adds the same
+    units to every bank of a state, so a bank near an extreme after a step
+    was near one of its own state's before it."""
+    if len(banks) > 2:
+        ceiling, floor = min(banks.values()) + band, max(banks.values()) - band
+        banks = {bank: total for bank, total in banks.items() if not ceiling < total < floor}
+    return banks
+
+
+def _float_extremes(banks: dict[int, int], ohms: Sequence[float]) -> tuple[float, float]:
+    """The smallest and largest kind-order float sum of ``banks``: exact
+    when they hold every bank within the band of either exact extreme, for
+    any bank further off lies on the inner side in float too (``_exact_units``)."""
+    sums = [_packed_conductance(bank, ohms) for bank in banks]
+    return min(sums), max(sums)
 
 
 def _scan(
@@ -286,7 +288,7 @@ def _scan(
     for left, differ in enumerate(lefts):
         for bit in (0, 1):
             first = bank([HALF_WALL[bit]] * differ)
-            states[(left, bit, int(differ), bit)] = [1, dict([first]), dict([first])]
+            states[(left, bit, int(differ), bit)] = [1, dict([first])]
     results = []
     for domains in range(1, lengths[-1] + 1):
         if domains > 1:
@@ -300,25 +302,20 @@ def _complete(
     domains: int, states: _States, ends: list, n_lefts: int, band: int, ohms: Sequence[float]
 ) -> tuple[list[int], list[float], list[float]]:
     """Close every ``domains``-bit prefix under each right border: population
-    by weight and each weight's extreme float conductances."""
+    by weight and each weight's extreme float conductances, from the banks of
+    the weight's states, closed and pruned to their band once more."""
     population = [[0] * (domains + 1) for _ in range(n_lefts)]
-    high: list[dict[int, int]] = [{} for _ in range(domains + 1)]
-    low: list[dict[int, int]] = [{} for _ in range(domains + 1)]
-    for (left, bit, walled, weight), (patterns, state_high, state_low) in states.items():
+    closed: list[dict[int, int]] = [{} for _ in range(domains + 1)]
+    for (left, bit, walled, weight), (patterns, banks) in states.items():
         population[left][weight] += patterns
+        closing = closed[weight]
         for step, value in ends[bit][walled]:
-            for packed, total in state_high.items():
-                high[weight][packed + step] = total + value
-            for packed, total in state_low.items():
-                low[weight][packed + step] = total + value
+            for packed, total in banks.items():
+                closing[packed + step] = total + value
     for by_weight in population:
         _check_population(domains, by_weight)
-    g_low, g_high = [], []
-    for weight_high, weight_low in zip(high, low):
-        weight_high, weight_low = _near_extremes(weight_high, weight_low, band)
-        g_high.append(max(_packed_conductance(packed, ohms) for packed in weight_high))
-        g_low.append(min(_packed_conductance(packed, ohms) for packed in weight_low))
-    return population[0], g_low, g_high
+    extremes = [_float_extremes(_near_extremes(banks, band), ohms) for banks in closed]
+    return population[0], [low for low, _ in extremes], [high for _, high in extremes]
 
 
 def _side_scan(
@@ -329,7 +326,8 @@ def _side_scan(
 
     A right edge structure is a state's last domain and half-wall, so each
     state before completion is one group, and its banks are the banks the
-    misalignment engine perturbs; its band keeps their extremes exact. The
+    misalignment engine perturbs; the float extremes of its bank set, which
+    holds every bank within the band of either exact extreme, are exact. The
     left side's groups are the right side's of the mirror image: the word
     read right to left has the same bank, with the borders swapped and each
     wall crossed the other way.
@@ -343,12 +341,9 @@ def _side_scan(
     [extremes], states = _scan(range(domains, domains + 1), differ[:1], differ[1:], ohms, walls)
     right = differ[1]
     groups: _EdgeGroups = {}
-    for (_, bit, walled, weight), (_, high, low) in states.items():
+    for (_, bit, walled, weight), (_, banks) in states.items():
         structure = (weight, DOMAIN[bit][walled + right], HALF_WALL[bit] if right else None)
-        groups[structure] = (
-            min(_packed_conductance(bank, ohms) for bank in low),
-            max(_packed_conductance(bank, ohms) for bank in high),
-        )
+        groups[structure] = _float_extremes(banks, ohms)
     return _report(domains, borders, char, *extremes), groups
 
 

@@ -148,12 +148,8 @@ def reference_resistance(
     bits: str, borders: BorderCondition, table: SegmentResistanceTable
 ) -> float:
     """Float path: same summation order contract, independent counting."""
-    counts = segment_counts(bits, borders)
-    g = 0.0
-    for index, kind in enumerate(SegmentKind):
-        if counts[index]:
-            g += counts[index] / table.ohms(kind)
-    return 1.0 / g
+    ohms = [table.ohms(kind) for kind in SegmentKind]
+    return 1.0 / _kind_order_conductance(segment_counts(bits, borders), ohms)
 
 
 def rational_pattern_resistance(

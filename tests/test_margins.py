@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdmtj.characterization import (
+    DOMAIN,
     Characterization,
     SegmentKind,
     default_characterization,
@@ -24,8 +25,8 @@ from mdmtj.margins import (
     sweep_domains,
     worst_case_levels,
 )
-from mdmtj.network import ALL_CONDITIONS
-from mdmtj.oracle import walk_reference
+from mdmtj.network import ALL_CONDITIONS, Border, BorderCondition
+from mdmtj.oracle import segment_counts, walk_reference
 from mdmtj.variation import (
     MisalignmentSpec,
     MonteCarloSpec,
@@ -283,6 +284,57 @@ def test_both_scan_modes_match_the_walk_on_perturbed_tables(
     assert enumerate_levels(domains, borders, perturbed) == report
     for left, side_groups in zip((True, False), groups):
         assert margins._side_scan(domains, borders, perturbed, left)[1] == side_groups
+
+
+def test_each_scan_state_keeps_the_banks_near_either_extreme(tables):
+    # against brute force, under both left borders and a same right border:
+    # a state holds its prefixes' count and exactly the distinct banks of its
+    # prefixes within the band of their largest or smallest exact value, each
+    # with that value in units. A prefix's bank is its word's bank less the
+    # open last domain.
+    pruned = False
+    for name, char in tables.items():
+        ohms = margins._kind_ohms(char.table)
+        for domains in range(1, 11):
+            units, band = margins._exact_units(ohms, domains)
+            lengths = range(domains, domains + 1)
+            _, states = margins._scan(lengths, (False, True), (False,), ohms)
+            expected = {}
+            for left, border in enumerate((Border.SAME, Border.DIFFER)):
+                for word in range(2**domains):
+                    bits = format(word, f"0{domains}b")
+                    bit = word & 1
+                    walled = int(bits[-2] != bits[-1]) if domains > 1 else left
+                    counts = segment_counts(bits, BorderCondition(border, Border.SAME))
+                    counts[DOMAIN[bit][walled]] -= 1
+                    packed = sum(n << margins._FIELD * kind for kind, n in enumerate(counts))
+                    value = sum(count * unit for count, unit in zip(counts, units))
+                    entry = expected.setdefault((left, bit, walled, bits.count("1")), [0, {}])
+                    entry[0] += 1
+                    entry[1][packed] = value
+            assert states.keys() == expected.keys()
+            for key, (patterns, banks) in expected.items():
+                low, high = min(banks.values()) + band, max(banks.values()) - band
+                near = {bank: value for bank, value in banks.items() if not low < value < high}
+                assert states[key] == [patterns, near], (name, domains, key)
+                pruned |= len(near) < len(banks)
+    assert pruned
+
+
+def test_near_extremes_keeps_either_band_edge():
+    near = margins._near_extremes
+    # a bank exactly the band from an extreme stays; one inside both bands goes
+    banks = {1: 0, 2: 5, 3: 6, 4: 14, 5: 15, 6: 20}
+    assert near(banks, 5) == {1: 0, 2: 5, 5: 15, 6: 20}
+    assert near(banks, 0) == {1: 0, 6: 20}
+    # ties at an extreme all stay
+    assert near({1: 3, 2: 3, 3: 7, 4: 9, 5: 9}, 0) == {1: 3, 2: 3, 4: 9, 5: 9}
+    # one or two banks are both extremes
+    assert near({7: 3}, 0) == {7: 3}
+    assert near({7: 0, 8: 100}, 1) == {7: 0, 8: 100}
+    # overlapping bands keep every bank
+    assert near({1: 0, 2: 4, 3: 8}, 5) == {1: 0, 2: 4, 3: 8}
+    assert near({1: 0, 2: 4, 3: 8}, 4) == {1: 0, 2: 4, 3: 8}
 
 
 @pytest.mark.parametrize(
