@@ -30,8 +30,13 @@ mdmtj.cli``, flushes stdout and stderr after ``main()`` returns and then
 ends the process with ``os._exit``. The interpreter's teardown (a last full
 garbage collection, clearing every module, freeing every object) writes
 nothing and costs a short query about a tenth of its time. A failed final
-flush keeps the exit codes above. Library callers use ``main()``, which
-returns the exit code and leaves the interpreter running.
+flush keeps the exit codes above. ``run()`` also sets
+``OPENBLAS_NUM_THREADS`` to 1 unless the user set it (their value wins):
+mdmtj makes no BLAS call, and the OpenBLAS worker that numpy starts for a
+second core spins while numpy loads, which made a bare ``import numpy`` take
+232 ms against 147 ms with one thread (medians of 20, 2-core host). Library
+callers use ``main()``, which returns the exit code and leaves the
+interpreter running and its environment as it was.
 """
 
 from __future__ import annotations
@@ -704,6 +709,8 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The ``mdmtj`` entry point: ``main``, then a flush of stdout and stderr
     and ``os._exit``, which skips the interpreter's teardown."""
+    # mdmtj makes no BLAS call; OpenBLAS reads this once, when numpy loads it
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     try:
         if sys.stdout is not None:  # None when the process began with it closed

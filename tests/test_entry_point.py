@@ -6,8 +6,13 @@ every exit path the process must give the exit code, stdout bytes and
 stderr that ``main`` gives in process. The children run without
 ``PYTHONUNBUFFERED``, so their stdout is buffered as a user's is: an
 unbuffered stdout would hide a missing flush.
+
+``run`` also sets ``OPENBLAS_NUM_THREADS`` to 1 unless the caller set it, so
+numpy's OpenBLAS starts no worker thread in an ``mdmtj`` process; ``main``
+and ``import mdmtj.cli`` leave a library caller's environment alone.
 """
 
+import ast
 import contextlib
 import errno
 import io
@@ -30,6 +35,30 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}
 
 # a few MB of rows: many buffer flushes before the last one
 MANY_ROWS = ["variation", "--domains", "4", "--monte-carlo", "20000", "--seed", "1"]
+BLAS = "OPENBLAS_NUM_THREADS"
+MONTE_CARLO = ["variation", "--domains", "4", "--monte-carlo", "2000", "--seed", "1"]
+# run() with main wrapped: once main returns, writes to stderr the BLAS
+# variable the process sees, whether numpy is loaded and how many OS threads
+# the process has (None where there is no /proc to count them)
+REPORT_BLAS = """
+import os, sys
+from mdmtj import cli
+
+main = cli.main
+
+
+def reported(argv=None):
+    code = main(argv)
+    task = "/proc/self/task"
+    threads = len(os.listdir(task)) if os.path.isdir(task) else None
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    sys.stderr.write(repr((blas, "numpy" in sys.modules, threads)))
+    return code
+
+
+cli.main = reported
+cli.run()
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -193,3 +222,49 @@ def test_an_exception_escaping_main_keeps_its_traceback():
     assert (code, out) == (1, b"")
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("RuntimeError: not handled\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [MONTE_CARLO, ["variation", "--domains", "4", "--offset-nm", "1", "--oracle"]],
+    ids=["monte-carlo", "oracle"],
+)
+def test_run_keeps_openblas_to_one_thread(monkeypatch, argv):
+    monkeypatch.delenv(BLAS, raising=False)
+    code, _, err = spawn(argv, program=REPORT_BLAS)
+    blas, numpy_loaded, threads = ast.literal_eval(err)
+    assert (code, blas, numpy_loaded) == (0, "1", True)
+    assert threads in (1, None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*MONTE_CARLO, "--format", "csv"],
+        ["variation", "--domains", "12", "--monte-carlo", "2000", "--seed", "1",
+         "--format", "json"],
+    ],
+    ids=["csv-d4", "json-d12"],
+)
+def test_a_caller_set_openblas_value_wins_and_moves_no_byte(monkeypatch, argv):
+    monkeypatch.delenv(BLAS, raising=False)
+    code, out, _ = spawn(argv)
+    assert code == 0
+    monkeypatch.setenv(BLAS, "2")
+    code, kept, err = spawn(argv, program=REPORT_BLAS)
+    assert (code, kept, ast.literal_eval(err)[:2]) == (0, out, ("2", True))
+
+
+def test_main_and_import_leave_the_environment_alone(monkeypatch):
+    # a library caller's own BLAS keeps its threads
+    monkeypatch.delenv(BLAS, raising=False)
+    before = dict(os.environ)
+    assert in_process(MONTE_CARLO, io.StringIO()) == (0, "")
+    assert dict(os.environ) == before
+    program = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import mdmtj.cli\n"
+        "sys.stdout.write(str(dict(os.environ) == before))\n"
+    )
+    assert spawn([], program=program) == (0, b"True", "")

@@ -1,7 +1,12 @@
 """Start-up: each command loads only the modules it runs.
 
 Every ``mdmtj`` query is a new process that compiles what it imports, and
-importing numpy costs more than the rest of the package. ``resistance`` and
+importing numpy costs more than the rest of the package: in a
+``variation --domains 12 --monte-carlo 1000`` job run through ``cli.run()``,
+``-X importtime`` gives numpy 102 ms cumulative against 30 ms for
+``mdmtj.cli`` (medians of 10, 2-core host; numpy took 170 ms when OpenBLAS
+could start its second thread, as it did before ``run()`` kept it to one).
+No module calls a BLAS-backed numpy function. ``resistance`` and
 ``voltage`` load neither ``margins`` nor ``variation``, only the
 ``variation`` subcommand loads ``variation``, no command without ``--oracle``
 loads ``oracle``, and ``json`` and ``datetime`` load only for
@@ -23,6 +28,7 @@ command that builds no array load none of the ``inspect``, ``ast``, ``dis``
 and ``tokenize`` it would load; numpy itself brings those in.
 """
 
+import ast
 import importlib.util
 import sys
 from contextlib import redirect_stdout
@@ -33,7 +39,8 @@ import pytest
 
 from mdmtj.cli import main
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 WITHOUT_NUMPY = [
     ("resistance", "--pattern", "0101"),
@@ -267,3 +274,50 @@ def test_a_name_rebound_before_first_use_is_called(fresh_python, tmp_path):
     code, _, err = fresh_python(_REBIND_FIRST, str(config), *names)
     assert code == 0, err
     assert err.split() == names
+
+
+# numpy entry points that call BLAS, which cli.run() keeps to one thread
+_BLAS = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot", "vdot"}
+
+
+def _blas_calls(tree):
+    """(line, text) of each BLAS-backed numpy use in a module's tree: an
+    attribute in ``_BLAS`` of a name bound to numpy, a name imported from
+    numpy that is in ``_BLAS`` and the ``@`` operator (a decorator is no
+    operator, so it is not counted)."""
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "numpy"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _BLAS
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            for alias in node.names:
+                if alias.name in _BLAS or node.module == "numpy.linalg":
+                    yield node.lineno, f"from {node.module} import {alias.name}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+
+
+def test_blas_guard_finds_each_entry_point():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "@decorated\n"
+        "def f(a, b):\n"
+        "    a @= b\n"
+        "    return a @ b, np.dot(a, b), np.linalg.solve(a, b), np.einsum('i,i', a, b)\n"
+    )
+    found = {text for _, text in _blas_calls(ast.parse(source))}
+    assert found == {"from numpy.linalg import norm", "@", "np.dot", "np.linalg", "np.einsum"}
+
+
+def test_no_module_calls_blas():
+    # run() starts each process with one OpenBLAS thread; a BLAS call would
+    # run on it unnoticed
+    sources = sorted((ROOT / "src" / "mdmtj").glob("*.py"))
+    assert len(sources) > 5
+    hits = [f"{path.name}:{line}: {text}" for path in sources
+            for line, text in _blas_calls(ast.parse(path.read_text()))]
+    assert hits == []
